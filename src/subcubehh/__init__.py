@@ -8,18 +8,18 @@ gamma. This package answers Query(T, v) and AllQuery(T) with:
 - a one-pass reservoir-sampling baseline with a distribution-free guarantee,
 - two-pass algorithms that factorize the joint frequency across coordinates
   (optionally conditioned on an observed class coordinate) and thereby get
-  by with per-coordinate summaries,
+  by with per-coordinate summaries; both share one factorized model, the
+  near-independence one being its single-class case,
 - a guarantee-free one-pass Count-Min heuristic,
 - an exact brute-force oracle, a synthetic data generator, and an
   experiment harness with a CLI.
 """
 
-from .core import HHParams, Item, JointValue, Subcube, Verdict, make_subcube, project
+from .core import HHParams, Item, JointValue, Subcube, Verdict, make_subcube
 from .errors import (
     BudgetTooSmallError,
     CapExceededError,
     ConfigError,
-    DimensionMismatchError,
     DuplicateIndexError,
     EmptyFileError,
     EmptySubcubeError,
@@ -41,6 +41,7 @@ from .independence import (
 )
 from .naivebayes import (
     ClassPriors,
+    FactorizedModel,
     NBModel,
     nb_all_query,
     nb_pass1,
@@ -69,9 +70,9 @@ from .stream_io import DatasetHandle, from_items, from_rows, open_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "HHParams", "Item", "JointValue", "Subcube", "Verdict", "make_subcube", "project",
+    "HHParams", "Item", "JointValue", "Subcube", "Verdict", "make_subcube",
     "SubcubeHHError", "ConfigError", "EmptySubcubeError", "DuplicateIndexError",
-    "IndexOutOfRangeError", "DimensionMismatchError", "RaggedRowError", "EmptyFileError",
+    "IndexOutOfRangeError", "RaggedRowError", "EmptyFileError",
     "IngestInconsistencyError", "SupportTooLargeError", "NoClassColumnError",
     "BudgetTooSmallError", "CapExceededError",
     "CountMin", "MisraGries", "Reservoir",
@@ -81,7 +82,8 @@ __all__ = [
     "SampleModel", "required_sample_size", "build_sample", "sample_query", "sample_all_query",
     "CandidateSets", "IndepModel", "indep_pass1", "indep_pass2", "indep_query",
     "indep_all_query",
-    "ClassPriors", "NBModel", "nb_pass1", "nb_pass2", "nb_score", "nb_query", "nb_all_query",
+    "ClassPriors", "FactorizedModel", "NBModel", "nb_pass1", "nb_pass2", "nb_score",
+    "nb_query", "nb_all_query",
     "HeuristicModel", "heuristic_build", "heuristic_query", "heuristic_all_query",
     "__version__",
 ]

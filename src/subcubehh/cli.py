@@ -162,6 +162,12 @@ def _emit(payload: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _ranked(h, t, scores: dict) -> list[tuple[list[str], float]]:
+    """(decoded tokens, score) per joint value, highest score first, ties by code."""
+    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
+    return [([h.decode(c, x) for c, x in zip(t.coords, v)], s) for v, s in ranked]
+
+
 def _cmd_oracle(args) -> int:
     h = _open(args)
     h.replay(lambda _i, _c: None)
@@ -169,24 +175,26 @@ def _cmd_oracle(args) -> int:
     for spec in args.subcube:
         t = make_subcube(_parse_subcube(spec), h.d)
         truth = exact_table(h, t)
-        rows = sorted(
-            truth.counts.items(), key=lambda e: (-e[1], e[0])
-        )
-        tables.append(
-            {
-                "subcube": [c + 1 for c in t.coords],
-                "m": truth.m,
-                "table": [
-                    {
-                        "v": [h.decode(c, x) for c, x in zip(t.coords, v)],
-                        "f": cnt / truth.m,
-                    }
-                    for v, cnt in rows
-                ],
-            }
-        )
+        freqs = {v: cnt / truth.m for v, cnt in truth.counts.items()}
+        table = [{"v": tokens, "f": f} for tokens, f in _ranked(h, t, freqs)]
+        tables.append({"subcube": [c + 1 for c in t.coords], "m": truth.m, "table": table})
     _emit(tables[0] if len(tables) == 1 else {"tables": tables}, args.out)
     return 0
+
+
+def _experiment_config(args, subcubes, **rest) -> ExperimentConfig:
+    """The config `run` and `eval` share: dataset, thresholds and budget."""
+    return ExperimentConfig(
+        dataset=args.data,
+        subcubes=subcubes,
+        gamma=args.gamma,
+        memory_frac=args.memory_frac,
+        sample_size=args.sample_size,
+        class_col=_parse_class_col(args.class_col),
+        delimiter=args.delimiter,
+        has_header=args.header,
+        **rest,
+    )
 
 
 def _cmd_run(args) -> int:
@@ -195,29 +203,13 @@ def _cmd_run(args) -> int:
     subcubes = [make_subcube(_parse_subcube(s), h.d) for s in args.subcube]
     p = HHParams(args.gamma)
     threshold = p.gamma_star if args.gamma_star is None else args.gamma_star
-    cfg = ExperimentConfig(
-        dataset=args.data,
-        algos=[args.algo],
-        subcubes=subcubes,
-        gamma=args.gamma,
-        seeds=[args.seed],
-        memory_frac=args.memory_frac,
-        sample_size=args.sample_size,
-        class_col=_parse_class_col(args.class_col),
-        delimiter=args.delimiter,
-        has_header=args.header,
-    )
+    cfg = _experiment_config(args, subcubes, algos=[args.algo], seeds=[args.seed])
     _model, scorer = build_model(args.algo, h, p, args.seed, cfg)
     results = []
     for t in subcubes:
-        scored = scorer(t, threshold)
         answers = [
-            {
-                "v": [h.decode(c, x) for c, x in zip(t.coords, v)],
-                "product": score,
-                "verdict": "YES",
-            }
-            for v, score in sorted(scored.items(), key=lambda e: (-e[1], e[0]))
+            {"v": tokens, "product": score, "verdict": "YES"}
+            for tokens, score in _ranked(h, t, scorer(t, threshold))
         ]
         results.append({"subcube": [c + 1 for c in t.coords], "answers": answers})
     _emit(
@@ -243,19 +235,13 @@ def _cmd_eval(args) -> int:
     fracs = None
     if args.memory_fracs is not None:
         fracs = [float(tok) for tok in args.memory_fracs.split(",") if tok]
-    cfg = ExperimentConfig(
-        dataset=args.data,
+    cfg = _experiment_config(
+        args,
+        subcubes,
         algos=args.algos,
-        subcubes=subcubes,
-        gamma=args.gamma,
         seeds=[int(tok) for tok in args.seeds.split(",") if tok],
         gamma_stars=sweep,
-        memory_frac=args.memory_frac,
         memory_fracs=fracs,
-        sample_size=args.sample_size,
-        class_col=_parse_class_col(args.class_col),
-        delimiter=args.delimiter,
-        has_header=args.header,
         cache_dir=args.cache_dir,
         top_k=args.top_k,
     )

@@ -2,8 +2,8 @@
 
 Items are plain tuples of dense non-negative integer codes, one code per
 coordinate, produced by the dataset dictionary encoder. A subcube names the
-ordered coordinates a query targets; projecting an item onto it yields the
-joint value those coordinates carry.
+ordered coordinates a query targets; an item restricted to them, in subcube
+order, is the joint value those coordinates carry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
     DuplicateIndexError,
     EmptySubcubeError,
     IndexOutOfRangeError,
@@ -41,9 +40,6 @@ class Subcube:
     def k(self) -> int:
         return len(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 def make_subcube(indices: Sequence[int], d: int) -> Subcube:
     """Validate `indices` against dimensionality `d` and build a Subcube.
@@ -60,16 +56,6 @@ def make_subcube(indices: Sequence[int], d: int) -> Subcube:
             raise DuplicateIndexError(f"coordinate {ix} repeated")
         seen.add(ix)
     return Subcube(tuple(int(ix) for ix in indices))
-
-
-def project(item: Sequence[int], t: Subcube) -> JointValue:
-    """Restrict `item` to the coordinates of `t`, in `t`'s order."""
-    try:
-        return tuple(item[c] for c in t.coords)
-    except IndexError:
-        raise DimensionMismatchError(
-            f"item of length {len(item)} cannot be projected onto coordinates {t.coords}"
-        ) from None
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class IndexOutOfRangeError(ConfigError):
     """A coordinate index falls outside [0, d)."""
 
 
-class DimensionMismatchError(SubcubeHHError, ValueError):
-    """An item is too short for the requested projection."""
-
-
 class RaggedRowError(SubcubeHHError, ValueError):
     """A delimited row has a different field count than the first row."""
 

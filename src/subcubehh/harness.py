@@ -13,19 +13,30 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import HHParams, JointValue, Subcube, make_subcube
-from .errors import ConfigError, ExperimentError, NoClassColumnError, SubcubeHHError
+from .errors import (
+    BudgetTooSmallError,
+    ConfigError,
+    ExperimentError,
+    NoClassColumnError,
+    SubcubeHHError,
+)
 from .heuristic import heuristic_all_query_scored, heuristic_build
 from .independence import indep_all_query_scored, indep_pass1, indep_pass2
 from .metrics import compute_detection_metrics, compute_error_metrics, roc_auc
 from .naivebayes import nb_all_query_scored, nb_pass1, nb_pass2
 from .oracle import GroundTruth, exact_table
-from .sampling import build_sample, sample_all_query_scored, sample_frequencies
+from .sampling import (
+    build_sample,
+    required_sample_size,
+    sample_all_query_scored,
+    sample_frequencies,
+)
 from .stream_io import DatasetHandle, open_dataset
 
 ALGORITHMS = ("sampling", "indep2p", "nb2p", "cms-heuristic")
@@ -63,6 +74,10 @@ class ExperimentConfig:
             self.gamma_stars = default_gamma_star_sweep(self.gamma)
         if self.memory_fracs is None:
             self.memory_fracs = [0.001, 0.005, 0.01]
+        fracs = [] if self.memory_frac is None else [self.memory_frac]
+        for frac in fracs + list(self.memory_fracs):
+            if not 0.0 < frac <= 1.0:
+                raise ConfigError(f"memory fraction must be in (0, 1], got {frac}")
 
 
 def default_gamma_star_sweep(gamma: float, points: int = 12) -> list[float]:
@@ -103,51 +118,32 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
-            "rows": [
-                {
-                    "algo": r.algo,
-                    "subcube": _subcube_label(r.subcube),
-                    "gamma_star": r.gamma_star,
-                    "seed": r.seed,
-                    "tp": r.tp,
-                    "fp": r.fp,
-                    "reported": r.reported,
-                }
-                for r in self.rows
-            ],
-            "freq_rows": [
-                {
-                    "algo": r.algo,
-                    "subcube": _subcube_label(r.subcube),
-                    "memory_frac": r.memory_frac,
-                    "seed": r.seed,
-                    "mse": r.mse,
-                    "mae": r.mae,
-                    "mape": r.mape,
-                }
-                for r in self.freq_rows
-            ],
+            "rows": [_row_dict(r) for r in self.rows],
+            "freq_rows": [_row_dict(r) for r in self.freq_rows],
             "roc": self.roc,
             "auc": self.auc,
         }
 
     def to_csv(self) -> str:
-        lines = ["algo,subcube,gamma_star,seed,tp,fp,reported"]
-        for r in self.rows:
-            lines.append(
-                f"{r.algo},{_subcube_label(r.subcube)},{r.gamma_star!r},"
-                f"{r.seed},{r.tp},{r.fp},{r.reported}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(DetectionRow, self.rows)
 
     def freq_csv(self) -> str:
-        lines = ["algo,subcube,memory_frac,seed,mse,mae,mape"]
-        for r in self.freq_rows:
-            lines.append(
-                f"{r.algo},{_subcube_label(r.subcube)},{r.memory_frac!r},"
-                f"{r.seed},{r.mse!r},{r.mae!r},{r.mape!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(FreqRow, self.freq_rows)
+
+
+def _csv(row_type: type, rows: list) -> str:
+    """A header of the row fields, then each row with numbers as repr."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    for r in rows:
+        values = _row_dict(r)
+        cells = (values[n] if n in ("algo", "subcube") else repr(values[n]) for n in names)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _row_dict(row: DetectionRow | FreqRow) -> dict:
+    return {**asdict(row), "subcube": _subcube_label(row.subcube)}
 
 
 def _subcube_label(t: Subcube) -> str:
@@ -231,39 +227,39 @@ def _build_model_slots(
     budget: int | None,
     sample_size: int | None = None,
 ):
+    share = None if budget is None else budget // h.d  # slots per coordinate
     if algo == "sampling":
         if sample_size is not None:
             capacity = sample_size
-        elif budget is not None:
-            capacity = budget // h.d
+        elif share is not None:
+            capacity = share
         else:
             capacity = required_default_sample_size(h, p)
+        if capacity < 1:
+            raise BudgetTooSmallError(f"sample capacity {capacity} holds no item")
         model = build_sample(h, capacity, seed, p)
         return model, lambda t, th: sample_all_query_scored(model, t, th)
-    if algo == "indep2p":
-        counter_budget = None if budget is None else budget // h.d
-        cands = indep_pass1(h, p, counter_budget)
-        model = indep_pass2(h, cands, p)
-        return model, lambda t, th: indep_all_query_scored(model, t, th)
-    if algo == "nb2p":
-        if h.class_col is None:
-            raise NoClassColumnError("algorithm nb2p needs --class-col")
-        counter_budget = None if budget is None else budget // h.d
-        priors, cands = nb_pass1(h, p, counter_budget)
-        model = nb_pass2(h, priors, cands, p)
-        return model, lambda t, th: nb_all_query_scored(model, t, th)
     if algo == "cms-heuristic":
         slots = budget if budget is not None else h.d * CMS_DEPTH * 1024
         model = heuristic_build(h, slots, p, seed, CMS_DEPTH)
         return model, lambda t, th: heuristic_all_query_scored(model, t, th)
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    if algo not in ("indep2p", "nb2p"):
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    if share is not None and share < 1:
+        raise BudgetTooSmallError(f"{budget} slots over {h.d} coordinates leave no counter")
+    if algo == "indep2p":
+        model = indep_pass2(h, indep_pass1(h, p, share), p)
+        return model, lambda t, th: indep_all_query_scored(model, t, th)
+    if h.class_col is None:
+        raise NoClassColumnError("algorithm nb2p needs --class-col")
+    priors, cands = nb_pass1(h, p, share)
+    model = nb_pass2(h, priors, cands, p)
+    return model, lambda t, th: nb_all_query_scored(model, t, th)
 
 
 def required_default_sample_size(h: DatasetHandle, p: HHParams) -> int:
     """Default capacity when neither a budget nor a size is given: the
     guaranteed size for subcubes up to 3 dimensions on this dataset."""
-    from .sampling import required_sample_size
-
     n_max = max(h.cardinalities) if h.cardinalities else 1
     return required_sample_size(p, h.d, min(3, h.d), max(n_max, 1))
 
@@ -275,16 +271,9 @@ def accounted_memory_slots(algo: str, model, d: int) -> int:
     if algo == "cms-heuristic":
         return d * model.cms[0].width * model.cms[0].depth
     if algo in ("indep2p", "nb2p"):
-        return d * max(
-            (sk_budget for sk_budget in _model_counter_budgets(model)), default=0
-        )
+        # Candidate tables are bounded by the pass-1 counter budget per coordinate.
+        return d * max((len(table) for table in model.tables), default=0)
     raise ConfigError(f"unknown algorithm {algo!r}")
-
-
-def _model_counter_budgets(model):
-    # Candidate tables are bounded by the pass-1 counter budget per coordinate.
-    for table in model.tables:
-        yield len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     truths = {
         t.coords: cached_exact_table(h, t, cfg.cache_dir, digest) for t in cfg.subcubes
     }
+    heavy = {t.coords: truths[t.coords].heavy_set(cfg.gamma) for t in cfg.subcubes}
     sweep = sorted(cfg.gamma_stars, reverse=True)
     theta_min = min(sweep)
     report = MetricsReport(config=_config_dict(cfg, h))
@@ -335,9 +325,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
                     tp_total = fp_total = 0
                     for t in cfg.subcubes:
                         reported = {v for v, s in scored[t.coords].items() if s >= gs}
-                        tp, fp = compute_detection_metrics(
-                            reported, truths[t.coords], cfg.gamma
-                        )
+                        tp, fp = compute_detection_metrics(reported, heavy[t.coords])
                         report.rows.append(
                             DetectionRow(algo, t, gs, seed, tp, fp, len(reported))
                         )
@@ -398,13 +386,7 @@ def _estimate_map(algo: str, model, t: Subcube, values: list[JointValue]):
         freqs = sample_frequencies(model, t)
         return {v: freqs.get(v, 0.0) for v in values}
     if algo == "cms-heuristic":
-        out = {}
-        for v in values:
-            prod = 1.0
-            for coord, x in zip(t.coords, v):
-                prod *= model.estimate(coord, x)
-            out[v] = prod
-        return out
+        return {v: model.product(t, v) for v in values}
     raise ConfigError(f"no frequency estimator for algorithm {algo!r}")
 
 

@@ -4,7 +4,8 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values.
+cannot list values. AllQuery runs the factorized model's one-class level
+loop (naivebayes.grow_levels) over those candidates, under a hard cap.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -13,11 +14,11 @@ would report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import HHParams, JointValue, Subcube, Verdict
-from .errors import BudgetTooSmallError, CapExceededError, ConfigError
+from .errors import BudgetTooSmallError, ConfigError
+from .naivebayes import default_counter_budget, grow_levels, scored_answers
 from .sketches import CountMin, MisraGries, hash_pair
 from .stream_io import DatasetHandle
 
@@ -34,14 +35,22 @@ class HeuristicModel:
     seed: int
 
     @property
-    def d(self) -> int:
-        return len(self.cms)
+    def ell(self) -> int:
+        """Count-Min marginals are unconditional: one class."""
+        return 1
 
     def estimate(self, coord: int, x: int) -> float:
         """Estimated frequency ratio of x on coordinate coord; >= the true ratio."""
         if self.m == 0:
             return 0.0
         return self.cms[coord].point_query(x) / self.m
+
+    def product(self, t: Subcube, v: JointValue) -> float:
+        """Product of the estimated marginals of v's values on t."""
+        prod = 1.0
+        for coord, x in zip(t.coords, v):
+            prod *= self.estimate(coord, x)
+        return prod
 
     def candidate_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
         """Tracked values whose estimated ratio reaches the threshold, sorted
@@ -68,7 +77,7 @@ def heuristic_build(
         raise BudgetTooSmallError(
             f"{memory_slots} slots over {h.d} coordinates x depth {depth} leaves width 0"
         )
-    budget = math.ceil(8.0 / p.lam) if mg_budget is None else mg_budget
+    budget = default_counter_budget(p) if mg_budget is None else mg_budget
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]
     value_counts: list[dict[int, int]] = [{} for _ in range(h.d)]
@@ -96,10 +105,7 @@ def heuristic_query(
     th = mod.params.gamma_star if threshold is None else threshold
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
-    prod = 1.0
-    for coord, x in zip(t.coords, v):
-        prod *= mod.estimate(coord, x)
-    return Verdict.YES if prod >= th else Verdict.NO
+    return Verdict.YES if mod.product(t, v) >= th else Verdict.NO
 
 
 def heuristic_all_query_scored(
@@ -109,29 +115,10 @@ def heuristic_all_query_scored(
     cap: int = DEFAULT_ALLQUERY_CAP,
 ) -> dict[JointValue, float]:
     """Candidate combinations whose estimated-marginal product reaches the
-    threshold, grown level by level as in the two-pass AllQuery. Aborts with
-    CapExceededError if the intermediate levels grow past `cap` entries."""
+    threshold, grown level by level by the two-pass AllQuery loop. Aborts with
+    CapExceededError once the levels together hold more than `cap` entries."""
     th = mod.params.gamma_star if threshold is None else threshold
-    entries = [((x,), f) for x, f in mod.candidate_entries(t.coords[0], th)]
-    total = len(entries)
-    if total > cap:
-        raise CapExceededError(f"level 1 holds {total} entries (cap {cap})")
-    for coord in t.coords[1:]:
-        ext = mod.candidate_entries(coord, th)
-        nxt: list[tuple[JointValue, float]] = []
-        for prefix, prod in entries:
-            for x, f in ext:
-                q = prod * f
-                if q < th:
-                    break  # ext sorted by estimate descending
-                nxt.append((prefix + (x,), q))
-                total += 1
-                if total > cap:
-                    raise CapExceededError(
-                        f"intermediate levels exceed {cap} entries"
-                    )
-        entries = nxt
-    return dict(entries)
+    return scored_answers(grow_levels(mod, t, th, mod.candidate_entries, cap))
 
 
 def heuristic_all_query(

@@ -1,198 +1,48 @@
 """Two-pass subcube heavy hitters under near-independence.
 
-Pass 1 runs one Misra-Gries summary per coordinate to collect candidate sets
-H_i; pass 2 recounts the candidates exactly. A query multiplies the exact
-per-coordinate marginals of the queried value and compares the product to
-the decision threshold (default lam = gamma/2); AllQuery grows the answer
-one coordinate at a time, pruning every prefix whose partial product already
-falls below the threshold. Pruning is lossless because marginals never
-exceed 1, so a prefix product only shrinks as coordinates are appended.
-
-Candidate promise: with the default pass-1 budget ceil(8/lam), every value
-with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
-not, deterministically. Under a smaller externally imposed budget c the
-retention cutoff drops to lam/2 - 1/c, which preserves the first half of the
-promise for any c.
+The near-independence algorithm is the class-conditional algorithm of
+naivebayes.py with a single class: the score sum_z prior(z) * prod_i
+cond_i(v_i|z) is then exactly 1.0 * prod_i f_i(v_i), the product of the
+exact per-coordinate marginals. This module names that one-class case. Its
+passes put every item in one class and ignore any class column the dataset
+has; its queries are the factorized model's, which with one class multiply
+marginals and prune every AllQuery prefix whose partial product already
+falls below the threshold (default lam = gamma/2).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple
-
-from .core import HHParams, JointValue, Subcube, Verdict
-from .errors import ConfigError
-from .sketches import MisraGries
+from .core import HHParams
+from .naivebayes import (  # candidate helpers re-exported under their old home
+    CandidateSets,
+    FactorizedModel,
+    _pass1,
+    _pass2,
+    candidate_cutoff,
+    default_counter_budget,
+    nb_all_query,
+    nb_all_query_levels,
+    nb_all_query_scored,
+    nb_query,
+)
 from .stream_io import DatasetHandle
 
-
-@dataclass(frozen=True)
-class CandidateSets:
-    """Per-coordinate candidate value sets from pass 1."""
-
-    sets: tuple[frozenset[int], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.sets)
-
-
-class PartialLevel(NamedTuple):
-    """One level of the iterative AllQuery: prefixes with their products."""
-
-    level: int
-    entries: list[tuple[JointValue, float]]
-
-
-def default_counter_budget(p: HHParams) -> int:
-    return math.ceil(8.0 / p.lam)
-
-
-def candidate_cutoff(lam: float, budget: int) -> float:
-    """Retention threshold on mg_estimate/m for membership in H_i.
-
-    Equals 3*lam/8 at the default budget and degrades to lam/2 - 1/budget
-    (clamped at 0) when the budget is smaller, keeping the recall half of the
-    candidate promise deterministic at any budget.
-    """
-    if budget <= 0:
-        return 0.0
-    return max(0.0, min(3.0 * lam / 8.0, lam / 2.0 - 1.0 / budget))
-
-
-def _check_model_assumption_budget(p: HHParams) -> None:
-    if p.alpha_budget > p.gamma / 10.0:
-        raise ConfigError(
-            f"model-based algorithms need alpha_budget <= gamma/10, "
-            f"got {p.alpha_budget} > {p.gamma / 10.0}"
-        )
+IndepModel = FactorizedModel
 
 
 def indep_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> CandidateSets:
     """First pass: one Misra-Gries summary per coordinate, thresholded into H_i."""
-    _check_model_assumption_budget(p)
-    budget = default_counter_budget(p) if counter_budget is None else counter_budget
-    sketches = [MisraGries(budget) for _ in range(h.d)]
-
-    def visit(item: tuple[int, ...], _cls: int | None) -> None:
-        for sk, x in zip(sketches, item):
-            sk.update(x)
-
-    summary = h.replay(visit)
-    # Nudge below the real cutoff so integer counts sitting exactly on it are
-    # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
-    cutoff = candidate_cutoff(p.lam, budget) * summary.m - 1e-9
-    sets = tuple(
-        frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches
-    )
-    return CandidateSets(sets)
+    return _pass1(h, p, counter_budget, one_class=True)[1]
 
 
-@dataclass
-class IndepModel:
-    """Frozen two-pass state: exact marginal counts for every candidate value.
-
-    Entries are sorted by count descending (ties by value code) so threshold
-    views are prefixes and the AllQuery level scan can stop at the first
-    failing extension. The heavy sets S_i are the views at threshold lam.
-    """
-
-    m: int
-    params: HHParams
-    tables: list[list[tuple[int, int]]]  # per coordinate: [(value, count)] desc
-    index: list[dict[int, int]]  # per coordinate: value -> count
-
-    def marginal(self, coord: int, x: int) -> float | None:
-        """Exact frequency ratio of candidate x on coordinate coord, else None."""
-        c = self.index[coord].get(x)
-        return None if c is None else c / self.m
-
-    def heavy_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
-        """Candidates with exact ratio >= threshold, most frequent first.
-
-        Compares c/m >= threshold with the same float division the query path
-        uses, so the two paths agree bit-for-bit at the boundary.
-        """
-        m = self.m
-        out = []
-        for x, c in self.tables[coord]:
-            f = c / m
-            if f < threshold:
-                break
-            out.append((x, f))
-        return out
-
-    def s_i(self, coord: int) -> list[tuple[int, float]]:
-        """The heavy set S_i: candidates with exact ratio >= lam."""
-        return self.heavy_entries(coord, self.params.lam)
-
-
-def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> IndepModel:
+def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> FactorizedModel:
     """Second pass over the same stream: exact counts for candidate values only."""
-    if cands.d != h.d:
-        raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
-    counters: list[dict[int, int]] = [dict.fromkeys(sorted(s), 0) for s in cands.sets]
-
-    def visit(item: tuple[int, ...], _cls: int | None) -> None:
-        for cnt, x in zip(counters, item):
-            if x in cnt:
-                cnt[x] += 1
-
-    summary = h.replay(visit)
-    tables = [
-        sorted(cnt.items(), key=lambda e: (-e[1], e[0])) for cnt in counters
-    ]
-    return IndepModel(m=summary.m, params=p, tables=tables, index=counters)
+    return _pass2(h, None, cands, p)
 
 
-def indep_query(
-    mod: IndepModel, t: Subcube, v: JointValue, threshold: float | None = None
-) -> Verdict:
-    """YES iff every v_i is a stored candidate with ratio >= threshold and the
-    product of the exact marginals reaches the threshold (default lam)."""
-    th = mod.params.lam if threshold is None else threshold
-    if len(v) != t.k:
-        raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
-    prod = 1.0
-    for coord, x in zip(t.coords, v):
-        f = mod.marginal(coord, x)
-        if f is None or f < th:
-            return Verdict.NO
-        prod *= f
-    return Verdict.YES if prod >= th else Verdict.NO
-
-
-def indep_all_query_levels(
-    mod: IndepModel, t: Subcube, threshold: float | None = None
-) -> list[PartialLevel]:
-    """Grow the heavy set one coordinate at a time; returns every level."""
-    th = mod.params.lam if threshold is None else threshold
-    entries = [((x,), f) for x, f in mod.heavy_entries(t.coords[0], th)]
-    levels = [PartialLevel(1, entries)]
-    for j, coord in enumerate(t.coords[1:], start=2):
-        ext = mod.heavy_entries(coord, th)
-        nxt: list[tuple[JointValue, float]] = []
-        for prefix, prod in levels[-1].entries:
-            for x, f in ext:
-                q = prod * f
-                if q < th:
-                    break  # ext is sorted by f descending: no later x can pass
-                nxt.append((prefix + (x,), q))
-        levels.append(PartialLevel(j, nxt))
-    return levels
-
-
-def indep_all_query_scored(
-    mod: IndepModel, t: Subcube, threshold: float | None = None
-) -> dict[JointValue, float]:
-    """All YES joint values with their marginal products."""
-    return dict(indep_all_query_levels(mod, t, threshold)[-1].entries)
-
-
-def indep_all_query(
-    mod: IndepModel, t: Subcube, threshold: float | None = None
-) -> set[JointValue]:
-    return set(indep_all_query_scored(mod, t, threshold))
+indep_query = nb_query
+indep_all_query_levels = nb_all_query_levels
+indep_all_query_scored = nb_all_query_scored
+indep_all_query = nb_all_query

@@ -10,11 +10,10 @@ from .oracle import GroundTruth
 
 
 def compute_detection_metrics(
-    reported: set[JointValue], truth: GroundTruth, gamma: float
+    reported: set[JointValue], heavy: set[JointValue]
 ) -> tuple[int, int]:
-    """(true positives, false positives) of `reported` against the exact
-    heavy set {v : f(v) >= gamma}."""
-    heavy = truth.heavy_set(gamma)
+    """(true positives, false positives) of `reported` against an exact
+    heavy set, GroundTruth.heavy_set(gamma)."""
     tp = len(reported & heavy)
     return tp, len(reported) - tp
 

@@ -1,40 +1,60 @@
 """Two-pass subcube heavy hitters under a class-conditional factorization.
 
-The dataset carries one designated class column with ell observed values.
-Pass 1 computes exact class priors and per-coordinate Misra-Gries candidate
-sets; pass 2 recounts each candidate exactly, both in total and jointly with
-every class value. A query scores v as
+This is the one factorized model behind both two-pass answerers: `nb2p`
+builds it over the dataset's class column, and `indep2p` (independence.py)
+builds it with a single class holding every item.
+
+Pass 1 computes exact class counts and per-coordinate Misra-Gries candidate
+sets H_i; pass 2 recounts each candidate exactly, per class. A query scores
+v as
 
     q(v) = sum_z prior(z) * prod_i cond_i(v_i | z)
 
 over the stored exact conditionals and answers YES when every v_i is a
-stored heavy candidate and q(v) reaches the threshold (default gamma/2).
+stored heavy candidate and q(v) reaches the threshold (default lam =
+gamma/2). With one class the score is exactly the product of the exact
+marginals, so a model built without a class column stores only those.
 
 Stored counts satisfy sum_z prior(z) * cond_i(x|z) == marginal_i(x) exactly
 as rationals, which is why pruning on marginals is sound: dropping a
 coordinate from the score can only increase it, so every prefix of an
 answer scores at least the threshold. AllQuery exploits that by extending
-prefixes one coordinate at a time, carrying the per-class product vector of
-each surviving prefix so an extension costs O(ell).
+prefixes one coordinate at a time (grow_levels, which the Count-Min
+heuristic shares); with several classes each surviving prefix carries its
+per-class product vector so an extension costs O(ell).
+
+Candidate promise: with the default pass-1 budget ceil(8/lam), every value
+with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
+not, deterministically. Under a smaller externally imposed budget c the
+retention cutoff drops to lam/2 - 1/c, which preserves the first half of the
+promise for any c.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import HHParams, JointValue, Subcube, Verdict
-from .errors import ConfigError, NoClassColumnError
-from .independence import (
-    CandidateSets,
-    _check_model_assumption_budget,
-    candidate_cutoff,
-    default_counter_budget,
-)
+from .errors import CapExceededError, ConfigError, NoClassColumnError
 from .sketches import MisraGries
 from .stream_io import DatasetHandle
 
 MAX_CLASS_VALUES = 1024
+
+
+@dataclass(frozen=True)
+class CandidateSets:
+    """Per-coordinate candidate value sets from pass 1."""
+
+    sets: tuple[frozenset[int], ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -52,72 +72,73 @@ class ClassPriors:
         return self.counts[z] / self.m
 
 
-class NBPartialLevel(NamedTuple):
-    """One AllQuery level: (prefix, per-class product vector, score)."""
+class PartialLevel(NamedTuple):
+    """One AllQuery level. Each entry starts with the joint-value prefix and
+    ends with its score: (prefix, product) with one class, (prefix,
+    per-class product vector, score) with several."""
 
     level: int
-    entries: list[tuple[JointValue, tuple[float, ...], float]]
+    entries: list[tuple]
 
 
-def nb_pass1(
-    h: DatasetHandle, p: HHParams, counter_budget: int | None = None
-) -> tuple[ClassPriors, CandidateSets]:
-    """Exact class priors plus per-coordinate candidate sets, in one pass."""
-    _check_model_assumption_budget(p)
-    if h.class_col is None:
-        raise NoClassColumnError("nb_pass1 needs a dataset with a class column")
-    budget = default_counter_budget(p) if counter_budget is None else counter_budget
-    sketches = [MisraGries(budget) for _ in range(h.d)]
-    class_counts: dict[int, int] = {}
+def default_counter_budget(p: HHParams) -> int:
+    return math.ceil(8.0 / p.lam)
 
-    def visit(item: tuple[int, ...], cls: int | None) -> None:
-        class_counts[cls] = class_counts.get(cls, 0) + 1
-        for sk, x in zip(sketches, item):
-            sk.update(x)
 
-    summary = h.replay(visit)
-    ell = len(class_counts)
-    if ell > MAX_CLASS_VALUES:
+def candidate_cutoff(lam: float, budget: int) -> float:
+    """Retention threshold on mg_estimate/m for membership in H_i.
+
+    Equals 3*lam/8 at the default budget and degrades to lam/2 - 1/budget
+    (clamped at 0) when the budget is smaller, keeping the recall half of the
+    candidate promise deterministic at any budget.
+    """
+    if budget <= 0:
+        return 0.0
+    return max(0.0, min(3.0 * lam / 8.0, lam / 2.0 - 1.0 / budget))
+
+
+def _check_model_assumption_budget(p: HHParams) -> None:
+    if p.alpha_budget > p.gamma / 10.0:
         raise ConfigError(
-            f"{ell} distinct class values (> {MAX_CLASS_VALUES}); "
-            "the class column is expected to be low-cardinality"
+            f"model-based algorithms need alpha_budget <= gamma/10, "
+            f"got {p.alpha_budget} > {p.gamma / 10.0}"
         )
-    priors = ClassPriors(tuple(class_counts.get(z, 0) for z in range(ell)), summary.m)
-    cutoff = candidate_cutoff(p.lam, budget) * summary.m - 1e-9
-    sets = tuple(
-        frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches
-    )
-    return priors, CandidateSets(sets)
 
 
 @dataclass
-class NBModel:
-    """Frozen two-pass state: exact totals and per-class counts per candidate."""
+class FactorizedModel:
+    """Frozen two-pass state: exact marginal counts for every candidate value
+    and, when built over a class column, its exact per-class counts.
+
+    Entries are sorted by count descending (ties by value code) so threshold
+    views are prefixes and the AllQuery level scan can stop at the first
+    failing extension.
+    """
 
     m: int
     params: HHParams
-    priors: ClassPriors
     tables: list[list[tuple[int, int]]]  # per coordinate: [(value, total count)] desc
     index: list[dict[int, int]]  # per coordinate: value -> total count
-    class_counts_by_value: list[dict[int, list[int]]]  # value -> count per class
-    conditionals: list[dict[int, tuple[float, ...]]]  # value -> cond(x|z) per class
+    priors: ClassPriors
+    # Only on models built over a class column (nb_pass2):
+    class_counts_by_value: list[dict[int, list[int]]] | None = None  # value -> count per class
+    conditionals: list[dict[int, tuple[float, ...]]] | None = None  # value -> cond(x|z) per class
 
     @property
     def ell(self) -> int:
         return self.priors.ell
 
     def marginal(self, coord: int, x: int) -> float | None:
+        """Exact frequency ratio of candidate x on coordinate coord, else None."""
         c = self.index[coord].get(x)
         return None if c is None else c / self.m
 
-    def conditional(self, coord: int, x: int, z: int) -> float:
-        vec = self.conditionals[coord].get(x)
-        if vec is None:
-            raise ConfigError(f"value {x} on coordinate {coord} is not a stored candidate")
-        return vec[z]
-
     def heavy_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
-        """Candidates with exact marginal ratio >= threshold, most frequent first."""
+        """Candidates with exact marginal ratio >= threshold, most frequent first.
+
+        Compares c/m >= threshold with the same float division the query path
+        uses, so the two paths agree bit-for-bit at the boundary.
+        """
         m = self.m
         out = []
         for x, c in self.tables[coord]:
@@ -127,66 +148,117 @@ class NBModel:
             out.append((x, f))
         return out
 
-    def s_i(self, coord: int) -> list[tuple[int, float]]:
-        return self.heavy_entries(coord, self.params.lam)
+
+NBModel = FactorizedModel
 
 
-def nb_pass2(
-    h: DatasetHandle, priors: ClassPriors, cands: CandidateSets, p: HHParams
-) -> NBModel:
-    """Second pass: exact (value, class) joint counts for every candidate."""
-    if h.class_col is None:
-        raise NoClassColumnError("nb_pass2 needs a dataset with a class column")
+def _pass1(
+    h: DatasetHandle, p: HHParams, counter_budget: int | None, one_class: bool
+) -> tuple[ClassPriors, CandidateSets]:
+    """Class counts plus per-coordinate candidate sets, in one pass. With
+    `one_class`, every item counts towards a single class."""
+    _check_model_assumption_budget(p)
+    budget = default_counter_budget(p) if counter_budget is None else counter_budget
+    sketches = [MisraGries(budget) for _ in range(h.d)]
+    class_counts: dict[int | None, int] = {}
+
+    def visit(item: tuple[int, ...], cls: int | None) -> None:
+        class_counts[cls] = class_counts.get(cls, 0) + 1
+        for sk, x in zip(sketches, item):
+            sk.update(x)
+
+    summary = h.replay(visit)
+    ell = 1 if one_class else len(class_counts)
+    if ell > MAX_CLASS_VALUES:
+        raise ConfigError(
+            f"{ell} distinct class values (> {MAX_CLASS_VALUES}); "
+            "the class column is expected to be low-cardinality"
+        )
+    counts = (summary.m,) if one_class else tuple(class_counts.get(z, 0) for z in range(ell))
+    priors = ClassPriors(counts, summary.m)
+    # Nudge below the real cutoff so integer counts sitting exactly on it are
+    # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
+    cutoff = candidate_cutoff(p.lam, budget) * summary.m - 1e-9
+    sets = tuple(
+        frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches
+    )
+    return priors, CandidateSets(sets)
+
+
+def _pass2(
+    h: DatasetHandle, priors: ClassPriors | None, cands: CandidateSets, p: HHParams
+) -> FactorizedModel:
+    """Exact (value, class) counts for every candidate. Without `priors`,
+    every item counts towards a single class and only totals are kept."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
-    ell = priors.ell
+    if priors is None:
+        ell = 1
+        class_of: dict[int | None, int] = defaultdict(int)  # every code -> class 0
+    else:
+        ell = priors.ell
+        class_of = {z: z for z in range(ell)}
     by_value: list[dict[int, list[int]]] = [
         {x: [0] * ell for x in sorted(s)} for s in cands.sets
     ]
 
     def visit(item: tuple[int, ...], cls: int | None) -> None:
+        z = class_of[cls]
         for bv, x in zip(by_value, item):
             row = bv.get(x)
             if row is not None:
-                row[cls] += 1
+                row[z] += 1
 
     summary = h.replay(visit)
-    if summary.m != priors.m:
-        raise ConfigError("pass-2 stream length differs from pass-1 priors")
     index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
     tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
+    if priors is None:
+        return FactorizedModel(summary.m, p, tables, index, ClassPriors((summary.m,), summary.m))
+    if summary.m != priors.m:
+        raise ConfigError("pass-2 stream length differs from pass-1 priors")
     conditionals = [
-        {
-            x: tuple(row[z] / priors.counts[z] for z in range(ell))
-            for x, row in bv.items()
-        }
+        {x: tuple(c / n for c, n in zip(row, priors.counts)) for x, row in bv.items()}
         for bv in by_value
     ]
-    return NBModel(
-        m=summary.m,
-        params=p,
-        priors=priors,
-        tables=tables,
-        index=index,
-        class_counts_by_value=by_value,
-        conditionals=conditionals,
-    )
+    return FactorizedModel(summary.m, p, tables, index, priors, by_value, conditionals)
+
+
+def nb_pass1(
+    h: DatasetHandle, p: HHParams, counter_budget: int | None = None
+) -> tuple[ClassPriors, CandidateSets]:
+    """Exact class priors plus per-coordinate candidate sets, in one pass."""
+    if h.class_col is None:
+        raise NoClassColumnError("nb_pass1 needs a dataset with a class column")
+    return _pass1(h, p, counter_budget, one_class=False)
+
+
+def nb_pass2(
+    h: DatasetHandle, priors: ClassPriors, cands: CandidateSets, p: HHParams
+) -> FactorizedModel:
+    """Second pass: exact (value, class) joint counts for every candidate."""
+    if h.class_col is None:
+        raise NoClassColumnError("nb_pass2 needs a dataset with a class column")
+    return _pass2(h, priors, cands, p)
 
 
 def nb_score(
-    mod: NBModel, t: Subcube, v: JointValue, threshold: float | None = None
+    mod: FactorizedModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> float | None:
     """The class-mixture score of v, or None when some v_i is not a heavy
-    candidate at the threshold (default lam)."""
+    candidate at the threshold (default lam). With one class the score is
+    the product of the exact marginals."""
     th = mod.params.lam if threshold is None else threshold
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
-    vecs = []
+    prod = 1.0
     for coord, x in zip(t.coords, v):
         f = mod.marginal(coord, x)
         if f is None or f < th:
             return None
-        vecs.append(mod.conditionals[coord][x])
+        prod *= f
+    if mod.ell == 1:
+        return prod
+    vecs = [mod.conditionals[coord][x] for coord, x in zip(t.coords, v)]
     priors = mod.priors
     q = 0.0
     for z in range(mod.ell):
@@ -198,56 +270,101 @@ def nb_score(
 
 
 def nb_query(
-    mod: NBModel, t: Subcube, v: JointValue, threshold: float | None = None
+    mod: FactorizedModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> Verdict:
     th = mod.params.lam if threshold is None else threshold
     q = nb_score(mod, t, v, threshold)
     return Verdict.YES if q is not None and q >= th else Verdict.NO
 
 
-def nb_all_query_levels(
-    mod: NBModel, t: Subcube, threshold: float | None = None
-) -> list[NBPartialLevel]:
-    th = mod.params.lam if threshold is None else threshold
-    ell = mod.ell
-    prior = [mod.priors.prior(z) for z in range(ell)]
+def grow_levels(
+    mod,
+    t: Subcube,
+    threshold: float,
+    entries: Callable[[int, float], list[tuple[int, float]]],
+    cap: float = math.inf,
+) -> list[PartialLevel]:
+    """AllQuery one coordinate at a time; returns every level.
 
-    def score(vec: tuple[float, ...]) -> float:
-        q = 0.0
-        for z in range(ell):
-            q += prior[z] * vec[z]
-        return q
+    Level j extends each prefix of level j-1 (level 0 is the empty prefix)
+    by the values `entries(coord, threshold)` lists for the j-th coordinate,
+    largest marginal ratio first, and keeps the extensions that score at
+    least the threshold. `mod.ell` picks the score: with one class it is the
+    product of the marginals, which only shrinks as coordinates are
+    appended, so a prefix stops at its first failing extension; with
+    several it is the class mixture over `mod.conditionals`, which has no
+    such order, so every extension is scored. Raises CapExceededError,
+    without finishing the level, once the levels together hold more than
+    `cap` entries.
+    """
+    th = threshold
+    if mod.ell == 1:
+        root: tuple = ((), 1.0)
 
-    entries: list[tuple[JointValue, tuple[float, ...], float]] = []
-    first_cond = mod.conditionals[t.coords[0]]
-    for x, _f in mod.heavy_entries(t.coords[0], th):
-        vec = first_cond[x]
-        q = score(vec)
-        if q >= th:
-            entries.append(((x,), vec, q))
-    levels = [NBPartialLevel(1, entries)]
-    for j, coord in enumerate(t.coords[1:], start=2):
-        ext = mod.heavy_entries(coord, th)
-        cond = mod.conditionals[coord]
-        nxt: list[tuple[JointValue, tuple[float, ...], float]] = []
-        for prefix, vec, _q in levels[-1].entries:
-            for x, _f in ext:
-                xvec = cond[x]
-                new_vec = tuple(a * b for a, b in zip(vec, xvec))
-                q = score(new_vec)
-                if q >= th:
-                    nxt.append((prefix + (x,), new_vec, q))
-        levels.append(NBPartialLevel(j, nxt))
+        def extend(prev: list[tuple], coord: int, room: float) -> list[tuple]:
+            ext = entries(coord, th)
+            nxt = []
+            for prefix, prod in prev:
+                for x, f in ext:
+                    q = prod * f
+                    if q < th:
+                        break  # ext is sorted by f descending: no later x can pass
+                    nxt.append((prefix + (x,), q))
+                if len(nxt) > room:
+                    break  # over the cap: grow_levels raises
+            return nxt
+
+    else:
+        prior = [mod.priors.prior(z) for z in range(mod.ell)]
+        root = ((), (1.0,) * mod.ell, 1.0)
+
+        def extend(prev: list[tuple], coord: int, room: float) -> list[tuple]:
+            cond = mod.conditionals[coord]
+            xvecs = [(x, cond[x]) for x, _f in entries(coord, th)]
+            nxt = []
+            for prefix, vec, _q in prev:
+                for x, xvec in xvecs:
+                    new_vec = tuple(map(operator.mul, vec, xvec))
+                    q = 0.0
+                    for p_z, v_z in zip(prior, new_vec):
+                        q += p_z * v_z
+                    if q >= th:
+                        nxt.append((prefix + (x,), new_vec, q))
+                if len(nxt) > room:
+                    break  # over the cap: grow_levels raises
+            return nxt
+
+    levels = []
+    prev, total = [root], 0
+    for j, coord in enumerate(t.coords, start=1):
+        prev = extend(prev, coord, cap - total)
+        total += len(prev)
+        levels.append(PartialLevel(j, prev))
+    if total > cap:
+        raise CapExceededError(f"AllQuery levels exceed {cap} entries")
     return levels
 
 
+def scored_answers(levels: list[PartialLevel]) -> dict[JointValue, float]:
+    """The last level as {joint value: score}."""
+    return {entry[0]: entry[-1] for entry in levels[-1].entries}
+
+
+def nb_all_query_levels(
+    mod: FactorizedModel, t: Subcube, threshold: float | None = None
+) -> list[PartialLevel]:
+    th = mod.params.lam if threshold is None else threshold
+    return grow_levels(mod, t, th, mod.heavy_entries)
+
+
 def nb_all_query_scored(
-    mod: NBModel, t: Subcube, threshold: float | None = None
+    mod: FactorizedModel, t: Subcube, threshold: float | None = None
 ) -> dict[JointValue, float]:
-    return {v: q for v, _vec, q in nb_all_query_levels(mod, t, threshold)[-1].entries}
+    """All YES joint values with their scores."""
+    return scored_answers(nb_all_query_levels(mod, t, threshold))
 
 
 def nb_all_query(
-    mod: NBModel, t: Subcube, threshold: float | None = None
+    mod: FactorizedModel, t: Subcube, threshold: float | None = None
 ) -> set[JointValue]:
     return set(nb_all_query_scored(mod, t, threshold))

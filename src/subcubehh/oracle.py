@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .core import HHParams, JointValue, Subcube
 from .errors import NoClassColumnError, SupportTooLargeError
@@ -36,12 +35,6 @@ class GroundTruth:
 
     def freq(self, v: JointValue) -> float:
         return self.counts.get(v, 0) / self.m
-
-    def freq_exact(self, v: JointValue) -> Fraction:
-        return Fraction(self.counts.get(v, 0), self.m)
-
-    def table(self) -> dict[JointValue, float]:
-        return {v: c / self.m for v, c in self.counts.items()}
 
     def heavy_set(self, gamma: float) -> set[JointValue]:
         """Joint values with exact frequency ratio >= gamma."""
@@ -170,12 +163,3 @@ def empirical_alpha_nb(
         if dev > worst:
             worst = dev
     return worst
-
-
-def project_counts(truth: GroundTruth, positions: list[int]) -> dict[JointValue, int]:
-    """Marginalize a ground-truth table onto a subset of its positions."""
-    out: dict[JointValue, int] = {}
-    for v, c in truth.counts.items():
-        key = tuple(v[p] for p in positions)
-        out[key] = out.get(key, 0) + c
-    return out

@@ -1,8 +1,7 @@
 """One-dimensional stream summaries: reservoir sample, Misra-Gries, Count-Min.
 
 All three are deterministic given (seed, stream order). Randomness comes from
-a counter-based splitmix64 hash rather than a stateful RNG, so a summary can
-be snapshotted and resumed mid-stream without loss.
+a counter-based splitmix64 hash rather than a stateful RNG.
 
 Guarantees maintained here:
 
@@ -17,19 +16,12 @@ Guarantees maintained here:
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
-from .errors import ConfigError, SubcubeHHError
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-SNAPSHOT_MAGIC = b"SHH1"
-
-_KIND_MISRA_GRIES = 1
-_KIND_COUNT_MIN = 2
-_KIND_RESERVOIR = 3
 
 
 def splitmix64(x: int) -> int:
@@ -49,8 +41,7 @@ class Reservoir:
     """Uniform sample without replacement of fixed capacity (Algorithm R).
 
     One hash draw per item past capacity. The draw for the i-th item is a
-    pure function of (seed, i), which keeps runs reproducible and snapshots
-    resumable.
+    pure function of (seed, i), which keeps runs reproducible.
     """
 
     __slots__ = ("capacity", "seed", "samples", "seen")
@@ -145,79 +136,3 @@ class CountMin:
     def point_query(self, x: int) -> int:
         width = self.width
         return min(row[hash_pair(x, rs) % width] for row, rs in zip(self.table, self.row_seeds))
-
-
-# ---------------------------------------------------------------------------
-# Versioned binary snapshots (magic "SHH1", little-endian integers).
-# ---------------------------------------------------------------------------
-
-
-def sketch_to_bytes(sk: MisraGries | CountMin | Reservoir) -> bytes:
-    out = [SNAPSHOT_MAGIC]
-    if isinstance(sk, MisraGries):
-        out.append(struct.pack("<B", _KIND_MISRA_GRIES))
-        out.append(struct.pack("<QQI", sk.counter_budget, sk.processed, len(sk.counters)))
-        for value, count in sk.counters.items():
-            out.append(struct.pack("<QQ", value, count))
-    elif isinstance(sk, CountMin):
-        out.append(struct.pack("<B", _KIND_COUNT_MIN))
-        out.append(struct.pack("<IIQQ", sk.width, sk.depth, sk.seed & _MASK64, sk.processed))
-        for row in sk.table:
-            out.append(struct.pack(f"<{sk.width}Q", *row))
-    elif isinstance(sk, Reservoir):
-        out.append(struct.pack("<B", _KIND_RESERVOIR))
-        d = len(sk.samples[0]) if sk.samples else 0
-        out.append(
-            struct.pack("<QQQII", sk.capacity, sk.seen, sk.seed & _MASK64, d, len(sk.samples))
-        )
-        for item in sk.samples:
-            out.append(struct.pack(f"<{d}Q", *item))
-    else:
-        raise ConfigError(f"cannot snapshot object of type {type(sk).__name__}")
-    return b"".join(out)
-
-
-def sketch_from_bytes(data: bytes) -> MisraGries | CountMin | Reservoir:
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise SubcubeHHError("bad snapshot: magic bytes missing")
-    (kind,) = struct.unpack_from("<B", data, 4)
-    off = 5
-    if kind == _KIND_MISRA_GRIES:
-        budget, processed, n = struct.unpack_from("<QQI", data, off)
-        off += struct.calcsize("<QQI")
-        sk = MisraGries(budget)
-        sk.processed = processed
-        for _ in range(n):
-            value, count = struct.unpack_from("<QQ", data, off)
-            off += 16
-            sk.counters[value] = count
-        return sk
-    if kind == _KIND_COUNT_MIN:
-        width, depth, seed, processed = struct.unpack_from("<IIQQ", data, off)
-        off += struct.calcsize("<IIQQ")
-        sk = CountMin(width, depth, seed)
-        sk.processed = processed
-        for r in range(depth):
-            sk.table[r] = list(struct.unpack_from(f"<{width}Q", data, off))
-            off += 8 * width
-        return sk
-    if kind == _KIND_RESERVOIR:
-        capacity, seen, seed, d, n = struct.unpack_from("<QQQII", data, off)
-        off += struct.calcsize("<QQQII")
-        sk = Reservoir(capacity, seed)
-        sk.seen = seen
-        for _ in range(n):
-            sk.samples.append(struct.unpack_from(f"<{d}Q", data, off))
-            off += 8 * d
-        return sk
-    raise SubcubeHHError(f"bad snapshot: unknown sketch kind {kind}")
-
-
-def save_sketch(sk: MisraGries | CountMin | Reservoir, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(sketch_to_bytes(sk))
-
-
-def load_sketch(path) -> MisraGries | CountMin | Reservoir:
-    with open(path, "rb") as fh:
-        return sketch_from_bytes(fh.read())

@@ -118,15 +118,16 @@ class DatasetHandle:
     def decode(self, coord: int, code: int) -> str:
         return self._rev[self._feature_cols[coord]][code]
 
-    def class_code(self, token: str) -> int:
+    def _class_column(self) -> int:
         if self.class_col is None:
             raise ConfigError("no class column designated")
-        return self._dicts[self.class_col][token]
+        return self.class_col
+
+    def class_code(self, token: str) -> int:
+        return self._dicts[self._class_column()][token]
 
     def decode_class(self, code: int) -> str:
-        if self.class_col is None:
-            raise ConfigError("no class column designated")
-        return self._rev[self.class_col][code]
+        return self._rev[self._class_column()][code]
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -135,9 +136,7 @@ class DatasetHandle:
 
     @property
     def n_classes(self) -> int:
-        if self.class_col is None:
-            raise ConfigError("no class column designated")
-        return len(self._dicts[self.class_col])
+        return len(self._dicts[self._class_column()])
 
     # -- replay -------------------------------------------------------------
 
@@ -184,12 +183,6 @@ class DatasetHandle:
             self._cached_feats = feats_buf
             self._cached_classes = cls_buf
         return PassSummary(m, self.cardinalities)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int | None]]:
-        """Convenience iterator over (features, class) pairs; one full replay."""
-        buf: list[tuple[tuple[int, ...], int | None]] = []
-        self.replay(lambda feats, cls: buf.append((feats, cls)))
-        return iter(buf)
 
 
 def open_dataset(

@@ -236,3 +236,41 @@ class TestDeterminismSubprocess:
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
+
+
+class TestBudgets:
+    """A memory budget that cannot work exits 2 instead of answering nothing."""
+
+    def run_algo(self, tiny_csv, algo, *extra):
+        return main(
+            [
+                "run", "--data", str(tiny_csv), "--algo", algo, "--gamma", "0.05",
+                "--subcube", "2,3", "--class-col", "1", *extra,
+            ]
+        )
+
+    @pytest.mark.parametrize("frac", ["0", "3", "-0.5"])
+    @pytest.mark.parametrize("algo", ["sampling", "indep2p", "nb2p", "cms-heuristic"])
+    def test_memory_frac_outside_unit_interval(self, tiny_csv, capsys, algo, frac):
+        assert self.run_algo(tiny_csv, algo, "--memory-frac", frac) == 2
+        assert "memory fraction must be in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["sampling", "indep2p", "nb2p", "cms-heuristic"])
+    def test_budget_below_one_slot_per_coordinate(self, tiny_csv, capsys, algo):
+        # 2000 rows x 3 features x 1e-4 = 0 slots.
+        assert self.run_algo(tiny_csv, algo, "--memory-frac", "0.0001") == 2
+        assert capsys.readouterr().out == ""
+
+    def test_zero_sample_size(self, tiny_csv):
+        assert self.run_algo(tiny_csv, "sampling", "--sample-size", "0") == 2
+
+    def test_eval_memory_fracs_entry_rejected(self, tiny_csv, tmp_path):
+        code = main(
+            [
+                "eval", "--data", str(tiny_csv), "--algo", "sampling", "--gamma", "0.05",
+                "--memory-fracs", "0.05,0", "--task", "freq", "--subcube", "2,3",
+                "--class-col", "1", "--out", str(tmp_path / "f"),
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "f.json").exists()

@@ -1,10 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from subcubehh.core import HHParams, Subcube, make_subcube, project
+from subcubehh.core import HHParams, make_subcube
 from subcubehh.errors import (
     ConfigError,
-    DimensionMismatchError,
     DuplicateIndexError,
     EmptySubcubeError,
     IndexOutOfRangeError,
@@ -30,47 +28,6 @@ class TestMakeSubcube:
     def test_empty(self):
         with pytest.raises(EmptySubcubeError):
             make_subcube([], d=4)
-
-
-class TestProject:
-    def test_basic(self):
-        assert project((7, 3, 9), Subcube((0, 2))) == (7, 9)
-
-    def test_identity_on_1d(self):
-        assert project((4,), Subcube((0,))) == (4,)
-
-    def test_order_follows_coords(self):
-        assert project((1, 2), Subcube((1, 0))) == (2, 1)
-
-    def test_too_short_item(self):
-        with pytest.raises(DimensionMismatchError):
-            project((1, 2), Subcube((0, 3)))
-
-    @given(
-        st.lists(st.integers(0, 100), min_size=1, max_size=8),
-        st.data(),
-    )
-    def test_permutation_property(self, item, data):
-        d = len(item)
-        coords = data.draw(
-            st.permutations(range(d)).map(lambda p: p[: data.draw(st.integers(1, d))])
-        )
-        t = make_subcube(coords, d)
-        out = project(tuple(item), t)
-        assert out == tuple(item[c] for c in coords)
-
-    @given(st.lists(st.integers(0, 50), min_size=2, max_size=8), st.data())
-    def test_nested_subcube_restriction(self, item, data):
-        d = len(item)
-        k = data.draw(st.integers(1, d))
-        coords = data.draw(st.permutations(range(d)).map(lambda p: p[:k]))
-        t = make_subcube(coords, d)
-        positions = data.draw(
-            st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)
-        )
-        t_sub = make_subcube([coords[p] for p in positions], d)
-        full = project(tuple(item), t)
-        assert project(tuple(item), t_sub) == tuple(full[p] for p in positions)
 
 
 class TestHHParams:

@@ -24,16 +24,16 @@ def truth_of(counts, m, coords=(0,)):
 class TestDetectionMetrics:
     def test_perfect_report(self):
         gt = truth_of({(0,): 30, (1,): 20, (2,): 1}, 100)
-        tp, fp = compute_detection_metrics({(0,), (1,)}, gt, gamma=0.2)
+        tp, fp = compute_detection_metrics({(0,), (1,)}, gt.heavy_set(0.2))
         assert (tp, fp) == (2, 0)
 
     def test_empty_report(self):
         gt = truth_of({(0,): 30}, 100)
-        assert compute_detection_metrics(set(), gt, gamma=0.2) == (0, 0)
+        assert compute_detection_metrics(set(), gt.heavy_set(0.2)) == (0, 0)
 
     def test_mixed_report(self):
         gt = truth_of({(0,): 30, (1,): 30, (2,): 1}, 100)
-        tp, fp = compute_detection_metrics({(0,), (2,)}, gt, gamma=0.2)
+        tp, fp = compute_detection_metrics({(0,), (2,)}, gt.heavy_set(0.2))
         assert (tp, fp) == (1, 1)
 
 

@@ -117,3 +117,61 @@ class TestQueries:
         t = make_subcube([0, 1], 2)
         assert heuristic_query(mod, t, (0, 0)) is Verdict.YES  # ~0.81 >= 0.25
         assert heuristic_query(mod, t, (1, 1)) is Verdict.NO  # ~0.01 < 0.25
+
+
+class TestAllQueryEnumeration:
+    """AllQuery over the candidate lists against a brute-force cartesian
+    filter, on narrow sketches where Count-Min estimates collide."""
+
+    THRESHOLDS = (0.004, 0.01, 0.03, 0.08, 0.2)
+
+    @staticmethod
+    def brute_levels(mod, t, th):
+        """Per level j, every candidate prefix of length j whose product of
+        estimates (multiplied left to right) reaches th, with that product."""
+        entries = [mod.candidate_entries(c, th) for c in t.coords]
+        levels = []
+        for j in range(1, t.k + 1):
+            level = {}
+            for combo in itertools.product(*entries[:j]):
+                prod = combo[0][1]
+                for _x, f in combo[1:]:
+                    prod *= f
+                if prod >= th:
+                    level[tuple(x for x, _f in combo)] = prod
+            levels.append(level)
+        return levels
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_brute_force_bit_for_bit(self, seed):
+        rows = random_rows(seed, m=400, d=4, n=9)
+        h = from_items(rows)
+        mod = heuristic_build(h, memory_slots=4 * 4 * 5, p=HHParams(0.2), seed=seed)
+        assert mod.cms[0].width == 5  # fewer cells than values: estimates collide
+        pruned = reported = 0
+        for coords in ([0, 1, 2], [3, 1], [2, 0, 3, 1]):
+            t = make_subcube(coords, 4)
+            for th in self.THRESHOLDS:
+                expected = self.brute_levels(mod, t, th)[-1]
+                assert heuristic_all_query_scored(mod, t, threshold=th, cap=10**9) == expected
+                n_combos = 1
+                for c in coords:
+                    n_combos *= len(mod.candidate_entries(c, th))
+                pruned += n_combos - len(expected)
+                reported += len(expected)
+        assert pruned and reported  # both outcomes occur
+
+    def test_cap_fires_exactly_when_levels_exceed_it(self):
+        rows = random_rows(11, m=400, d=3, n=8)
+        h = from_items(rows)
+        mod = heuristic_build(h, memory_slots=3 * 4 * 4, p=HHParams(0.2), seed=2)
+        t = make_subcube([0, 1, 2], 3)
+        th = 0.01
+        sizes = [len(level) for level in self.brute_levels(mod, t, th)]
+        total = sum(sizes)
+        assert sizes[0] < total and sizes[-1] > 0
+        expected = self.brute_levels(mod, t, th)[-1]
+        for cap in range(total):
+            with pytest.raises(CapExceededError):
+                heuristic_all_query(mod, t, threshold=th, cap=cap)
+        assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected

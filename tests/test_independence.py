@@ -18,6 +18,7 @@ from subcubehh.independence import (
     indep_pass2,
     indep_query,
 )
+from subcubehh.naivebayes import ClassPriors
 from subcubehh.oracle import exact_table
 from subcubehh.stream_io import from_items
 
@@ -36,7 +37,8 @@ def make_model(tables_ratios, m, gamma):
     for counts in tables_ratios:
         index.append(dict(counts))
         tables.append(sorted(counts.items(), key=lambda e: (-e[1], e[0])))
-    return IndepModel(m=m, params=HHParams(gamma), tables=tables, index=index)
+    priors = ClassPriors((m,), m)
+    return IndepModel(m=m, params=HHParams(gamma), tables=tables, index=index, priors=priors)
 
 
 class TestPass1:
@@ -89,14 +91,15 @@ class TestPass2:
         a, b = h.code(0, "a"), h.code(0, "b")
         cands = CandidateSets((frozenset({a, b}),))
         mod = indep_pass2(h, cands, p)
-        assert mod.s_i(0) == [(a, 0.5)]
+        assert mod.heavy_entries(0, p.lam) == [(a, 0.5)]
         assert mod.marginal(0, b) == 0.05  # counted exactly, below lambda
         assert mod.marginal(0, h.code(0, "c")) is None  # not a candidate
 
     def test_empty_candidates(self):
         h = from_items([(1,), (2,)])
-        mod = indep_pass2(h, CandidateSets((frozenset(),)), HHParams(0.2))
-        assert mod.s_i(0) == []
+        p = HHParams(0.2)
+        mod = indep_pass2(h, CandidateSets((frozenset(),)), p)
+        assert mod.heavy_entries(0, p.lam) == []
 
     def test_tie_at_lambda_kept(self):
         # Two values at exactly f = lambda: the >= comparison keeps both.
@@ -107,7 +110,7 @@ class TestPass2:
         mod = indep_pass2(
             h, CandidateSets((frozenset({h.code(0, "a"), h.code(0, "b")}),)), p
         )
-        assert len(mod.s_i(0)) == 2
+        assert len(mod.heavy_entries(0, p.lam)) == 2
 
 
 class TestQuery:
@@ -147,7 +150,8 @@ class TestAllQuery:
         t = make_subcube([0, 1], 2)
         lam = mod.params.lam
         brute = set()
-        for (x, fx), (y, fy) in itertools.product(mod.s_i(0), mod.s_i(1)):
+        s1, s2 = mod.heavy_entries(0, lam), mod.heavy_entries(1, lam)
+        for (x, fx), (y, fy) in itertools.product(s1, s2):
             if fx * fy >= lam:
                 brute.add((x, y))
         assert indep_all_query(mod, t) == brute

@@ -77,21 +77,21 @@ class TestPass2:
         h, p, mod = build_nb(rows, gamma=0.5, class_col=1)
         a0, a1 = h.code(0, "0"), h.code(0, "1")
         z0, z1 = h.class_code("0"), h.class_code("1")
-        assert mod.conditional(0, a0, z0) == 1.0
-        assert mod.conditional(0, a0, z1) == 0.0
-        assert mod.conditional(0, a1, z1) == 1.0
+        assert mod.conditionals[0][a0][z0] == 1.0
+        assert mod.conditionals[0][a0][z1] == 0.0
+        assert mod.conditionals[0][a1][z1] == 1.0
 
     def test_d0_extended_conditionals(self):
         h, p, mod = build_nb(D0X_ROWS, gamma=0.5, class_col=2)
         one = h.code(0, "1")
         z0, z1 = h.class_code("0"), h.class_code("1")
-        assert mod.conditional(0, one, z0) == pytest.approx(3 / 4)
-        assert mod.conditional(0, one, z1) == pytest.approx(2 / 4)
+        assert mod.conditionals[0][one][z0] == pytest.approx(3 / 4)
+        assert mod.conditionals[0][one][z1] == pytest.approx(2 / 4)
 
     def test_zero_cooccurrence_stored_as_zero(self):
         rows = [(0, 0)] * 5 + [(1, 1)] * 5
         h, p, mod = build_nb(rows, gamma=0.5, class_col=1)
-        assert mod.conditional(0, h.code(0, "0"), h.class_code("1")) == 0.0
+        assert mod.conditionals[0][h.code(0, "0")][h.class_code("1")] == 0.0
 
 
 class TestScore:

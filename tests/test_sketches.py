@@ -3,14 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from subcubehh.sketches import (
-    CountMin,
-    MisraGries,
-    Reservoir,
-    SNAPSHOT_MAGIC,
-    sketch_from_bytes,
-    sketch_to_bytes,
-)
+from subcubehh.sketches import CountMin, MisraGries, Reservoir
 
 
 class TestMisraGries:
@@ -179,59 +172,3 @@ class TestReservoir:
         sigma = (p * (1 - p) / runs) ** 0.5
         for count in inclusion:
             assert abs(count / runs - p) <= 3 * sigma
-
-
-class TestSnapshots:
-    def test_magic(self):
-        assert sketch_to_bytes(MisraGries(2))[:4] == SNAPSHOT_MAGIC == b"SHH1"
-
-    def test_misra_gries_roundtrip(self):
-        sk = MisraGries(3)
-        for x in [5, 5, 9, 2, 5, 9]:
-            sk.update(x)
-        back = sketch_from_bytes(sketch_to_bytes(sk))
-        assert isinstance(back, MisraGries)
-        assert back.counters == sk.counters
-        assert back.counter_budget == sk.counter_budget
-        assert back.processed == sk.processed
-
-    def test_count_min_roundtrip(self):
-        sk = CountMin(width=8, depth=4, seed=99)
-        for x in range(30):
-            sk.update(x % 5)
-        back = sketch_from_bytes(sketch_to_bytes(sk))
-        assert isinstance(back, CountMin)
-        assert back.table == sk.table
-        assert back.row_seeds == sk.row_seeds
-        assert back.processed == sk.processed
-
-    def test_reservoir_roundtrip_and_resume(self):
-        # A snapshot taken mid-stream must continue exactly like the original.
-        full = Reservoir(4, seed=21)
-        half = Reservoir(4, seed=21)
-        stream = [(i, i + 1) for i in range(40)]
-        for item in stream[:20]:
-            full.update(item)
-            half.update(item)
-        resumed = sketch_from_bytes(sketch_to_bytes(half))
-        for item in stream[20:]:
-            full.update(item)
-            resumed.update(item)
-        assert resumed.samples == full.samples
-        assert resumed.seen == full.seen
-
-    def test_save_load_file(self, tmp_path):
-        from subcubehh.sketches import load_sketch, save_sketch
-
-        sk = CountMin(width=4, depth=2, seed=5)
-        sk.update(3, 7)
-        path = tmp_path / "sketch.shh"
-        save_sketch(sk, path)
-        back = load_sketch(path)
-        assert back.table == sk.table
-
-    def test_rejects_garbage(self):
-        from subcubehh.errors import SubcubeHHError
-
-        with pytest.raises(SubcubeHHError):
-            sketch_from_bytes(b"NOPE" + b"\x00" * 20)
