@@ -8,7 +8,9 @@ Subcommands:
           emit a JSON report plus plot-ready CSVs
 
 Coordinates and column indices are 1-based on the command line and converted
-internally. Exit codes: 0 success, 2 configuration error, 3 runtime error.
+internally. `oracle`, `run` and `eval` check their whole configuration,
+subcubes included, before they read the data past its first row. Exit
+codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -19,34 +21,54 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .core import HHParams, make_subcube
+from .core import HHParams, Subcube
 from .errors import ConfigError, ExperimentError, SubcubeHHError
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     build_model,
+    open_config_dataset,
+    open_frozen,
     run_experiment,
     run_freq_experiment,
 )
 from .oracle import exact_table
-from .stream_io import open_dataset
 
 
-def _parse_subcube(spec: str) -> list[int]:
+def _parse_subcube(spec: str) -> Subcube:
+    """The 0-based subcube of a 1-based spec such as 1,2,3 or 1-2-3. It is
+    checked against the dataset's feature count when the dataset is opened."""
     try:
         indices = [int(tok) for tok in spec.replace("-", ",").split(",") if tok]
     except ValueError:
         raise ConfigError(f"cannot parse subcube {spec!r}") from None
     if any(ix < 1 for ix in indices):
         raise ConfigError(f"subcube coordinates are 1-based, got {spec!r}")
-    return [ix - 1 for ix in indices]
+    return Subcube(tuple(ix - 1 for ix in indices))
 
 
-def _parse_class_col(value: int | None) -> int | None:
-    if value is None:
+def _parse_list(text: str | None, kind: type, flag: str) -> list | None:
+    """The values of a comma list such as 0,1,2 (None when the flag is unset)."""
+    if text is None:
         return None
-    if value < 1:
-        raise ConfigError(f"--class-col is 1-based, got {value}")
-    return value - 1
+    try:
+        values = [kind(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"cannot parse {flag} {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} lists no values")
+    return values
+
+
+def _layout(args) -> dict:
+    """The file layout flags, under the names open_dataset and ExperimentConfig use."""
+    if args.class_col is not None and args.class_col < 1:
+        raise ConfigError(f"--class-col is 1-based, got {args.class_col}")
+    return {
+        "delimiter": args.delimiter,
+        "has_header": args.header,
+        "class_col": None if args.class_col is None else args.class_col - 1,
+    }
 
 
 def _add_dataset_args(sp: argparse.ArgumentParser) -> None:
@@ -91,9 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="build one model and answer AllQuery")
     _add_dataset_args(run)
-    run.add_argument(
-        "--algo", required=True, choices=["sampling", "indep2p", "nb2p", "cms-heuristic"]
-    )
+    run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--gamma", type=float, required=True)
     run.add_argument("--gamma-star", type=float, default=None, help="decision threshold")
     run.add_argument("--memory-frac", type=float, default=None)
@@ -132,7 +152,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.d is None or args.cardinalities is None or args.ell is None:
             raise ConfigError("custom profile needs --d, --cardinalities and --ell")
-        cards = [int(tok) for tok in args.cardinalities.split(",") if tok]
+        cards = _parse_list(args.cardinalities, int, "--cardinalities")
         skew = 1.0 if args.skew is None else args.skew
         gen = datagen.make_random_nb(args.d, cards, args.ell, skew, model_seed)
     fix_class = None
@@ -144,17 +164,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _open(args, cache_items: bool = True):
-    return open_dataset(
-        args.data,
-        delimiter=args.delimiter,
-        has_header=args.header,
-        class_col=_parse_class_col(args.class_col),
-        cache_items=cache_items,
-    )
-
-
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -169,11 +179,10 @@ def _ranked(h, t, scores: dict) -> list[tuple[list[str], float]]:
 
 
 def _cmd_oracle(args) -> int:
-    h = _open(args)
-    h.replay(lambda _i, _c: None)
+    subcubes = [_parse_subcube(s) for s in args.subcube]
+    h = open_frozen(args.data, subcubes, **_layout(args))
     tables = []
-    for spec in args.subcube:
-        t = make_subcube(_parse_subcube(spec), h.d)
+    for t in subcubes:
         truth = exact_table(h, t)
         freqs = {v: cnt / truth.m for v, cnt in truth.counts.items()}
         table = [{"v": tokens, "f": f} for tokens, f in _ranked(h, t, freqs)]
@@ -182,31 +191,28 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _experiment_config(args, subcubes, **rest) -> ExperimentConfig:
-    """The config `run` and `eval` share: dataset, thresholds and budget."""
+def _experiment_config(args, **rest) -> ExperimentConfig:
+    """The config `run` and `eval` share: dataset, subcubes, gamma and budget."""
     return ExperimentConfig(
         dataset=args.data,
-        subcubes=subcubes,
+        subcubes=[_parse_subcube(s) for s in args.subcube],
         gamma=args.gamma,
         memory_frac=args.memory_frac,
         sample_size=args.sample_size,
-        class_col=_parse_class_col(args.class_col),
-        delimiter=args.delimiter,
-        has_header=args.header,
+        **_layout(args),
         **rest,
     )
 
 
 def _cmd_run(args) -> int:
-    h = _open(args)
-    h.replay(lambda _i, _c: None)
-    subcubes = [make_subcube(_parse_subcube(s), h.d) for s in args.subcube]
-    p = HHParams(args.gamma)
-    threshold = p.gamma_star if args.gamma_star is None else args.gamma_star
-    cfg = _experiment_config(args, subcubes, algos=[args.algo], seeds=[args.seed])
+    sweep = None if args.gamma_star is None else [args.gamma_star]
+    cfg = _experiment_config(args, algos=[args.algo], seeds=[args.seed], gamma_stars=sweep)
+    h, _digest = open_config_dataset(cfg)
+    p = HHParams(cfg.gamma)
+    threshold = p.lam if args.gamma_star is None else args.gamma_star
     _model, scorer = build_model(args.algo, h, p, args.seed, cfg)
     results = []
-    for t in subcubes:
+    for t in cfg.subcubes:
         answers = [
             {"v": tokens, "product": score, "verdict": "YES"}
             for tokens, score in _ranked(h, t, scorer(t, threshold))
@@ -226,22 +232,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    probe = _open(args, cache_items=False)
-    d = probe.d
-    subcubes = [make_subcube(_parse_subcube(s), d) for s in args.subcube]
-    sweep = None
-    if args.gamma_star_sweep is not None:
-        sweep = [float(tok) for tok in args.gamma_star_sweep.split(",") if tok]
-    fracs = None
-    if args.memory_fracs is not None:
-        fracs = [float(tok) for tok in args.memory_fracs.split(",") if tok]
     cfg = _experiment_config(
         args,
-        subcubes,
         algos=args.algos,
-        seeds=[int(tok) for tok in args.seeds.split(",") if tok],
-        gamma_stars=sweep,
-        memory_fracs=fracs,
+        seeds=_parse_list(args.seeds, int, "--seeds"),
+        gamma_stars=_parse_list(args.gamma_star_sweep, float, "--gamma-star-sweep"),
+        memory_fracs=_parse_list(args.memory_fracs, float, "--memory-fracs"),
         cache_dir=args.cache_dir,
         top_k=args.top_k,
     )
@@ -255,15 +251,11 @@ def _cmd_eval(args) -> int:
     except ExperimentError as exc:
         if exc.partial is not None:
             partial_path = prefix.parent / (prefix.stem + ".partial.json")
-            partial_path.write_text(
-                json.dumps(exc.partial.to_json_dict(), sort_keys=True, indent=2) + "\n"
-            )
+            _emit(exc.partial.to_json_dict(), partial_path)
             sys.stderr.write(f"partial results flushed to {partial_path}\n")
         raise
     json_path = prefix.with_suffix(".json")
-    json_path.write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    _emit(report.to_json_dict(), json_path)
     written = [str(json_path)]
     if report.rows:
         csv_path = prefix.with_suffix(".csv")

@@ -64,12 +64,10 @@ class HHParams:
 
     gamma is the reporting threshold: values with frequency ratio >= gamma
     must be reported, values below gamma/4 must not be, and the gap in
-    between may go either way. lam (= gamma/2, always) is the internal
-    decision threshold of the model-based algorithms. gamma_star is the
-    decision threshold actually applied when answering; it defaults to
-    gamma/2 and must stay inside (gamma/4, gamma]. Experiment sweeps that
-    step outside that window pass an explicit threshold to the query
-    functions instead of building new params.
+    between may go either way. lam (= gamma/2, always) is the decision
+    threshold every answerer applies by default. Experiment sweeps that
+    step away from it pass an explicit threshold to the query functions
+    instead of building new params.
 
     alpha_budget is the assumed bound on the model error of the factorized
     frequency approximations; the model-based passes refuse to run when it
@@ -77,18 +75,11 @@ class HHParams:
     """
 
     gamma: float
-    gamma_star: float | None = None
     alpha_budget: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.gamma_star is None:
-            object.__setattr__(self, "gamma_star", self.gamma / 2.0)
-        if not self.gamma / 4.0 < self.gamma_star <= self.gamma:
-            raise ConfigError(
-                f"gamma_star {self.gamma_star} outside (gamma/4, gamma] for gamma {self.gamma}"
-            )
         if self.alpha_budget is None:
             object.__setattr__(self, "alpha_budget", self.gamma / 10.0)
         if not 0.0 <= self.alpha_budget <= 1.0:
@@ -98,3 +89,8 @@ class HHParams:
     def lam(self) -> float:
         """Internal decision threshold, exactly gamma/2."""
         return self.gamma / 2.0
+
+    @property
+    def gamma_star(self) -> float:
+        """The default decision threshold of every answerer; an alias of lam."""
+        return self.lam

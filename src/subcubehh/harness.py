@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NoClassColumnError,
     SubcubeHHError,
 )
-from .heuristic import heuristic_all_query_scored, heuristic_build
+from .heuristic import DEFAULT_DEPTH, heuristic_all_query_scored, heuristic_build
 from .independence import indep_all_query_scored, indep_pass1, indep_pass2
 from .metrics import compute_detection_metrics, compute_error_metrics, roc_auc
 from .naivebayes import nb_all_query_scored, nb_pass1, nb_pass2
@@ -40,7 +41,6 @@ from .sampling import (
 from .stream_io import DatasetHandle, open_dataset
 
 ALGORITHMS = ("sampling", "indep2p", "nb2p", "cms-heuristic")
-CMS_DEPTH = 4
 
 
 @dataclass
@@ -64,14 +64,18 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        HHParams(self.gamma)  # validates gamma
         if not self.subcubes:
             raise ConfigError("at least one subcube is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.gamma_stars is None:
             self.gamma_stars = default_gamma_star_sweep(self.gamma)
+        for gs in self.gamma_stars:
+            if not gs > 0.0:
+                raise ConfigError(f"decision threshold must be > 0, got {gs}")
+        if self.top_k < 1:
+            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.memory_fracs is None:
             self.memory_fracs = [0.001, 0.005, 0.01]
         fracs = [] if self.memory_frac is None else [self.memory_frac]
@@ -205,32 +209,21 @@ def slot_budget(memory_frac: float, m: int, d: int) -> int:
 
 def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: ExperimentConfig):
     """Build one model under the config's memory budget; returns
-    (model, scorer) where scorer(t, threshold) -> {joint value: score}."""
+    (model, scorer) where scorer(t, threshold) -> {joint value: score}.
+
+    Builders and scorers are looked up in this module's namespace on every
+    call, so a wrapper installed there sees each build and query."""
     budget = None
     if cfg.memory_frac is not None:
         budget = slot_budget(cfg.memory_frac, h.m, h.d)
-    model, scorer = _build_model_slots(algo, h, p, seed, budget, cfg.sample_size)
-    if budget is not None and cfg.sample_size is None:
-        used = accounted_memory_slots(algo, model, h.d)
-        if used > budget:
-            raise ConfigError(
-                f"{algo} model uses {used} slots, over the budget of {budget}"
-            )
-    return model, scorer
-
-
-def _build_model_slots(
-    algo: str,
-    h: DatasetHandle,
-    p: HHParams,
-    seed: int,
-    budget: int | None,
-    sample_size: int | None = None,
-):
     share = None if budget is None else budget // h.d  # slots per coordinate
+    if algo not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    if algo in ("indep2p", "nb2p") and share is not None and share < 1:
+        raise BudgetTooSmallError(f"{budget} slots over {h.d} coordinates leave no counter")
     if algo == "sampling":
-        if sample_size is not None:
-            capacity = sample_size
+        if cfg.sample_size is not None:
+            capacity = cfg.sample_size
         elif share is not None:
             capacity = share
         else:
@@ -238,23 +231,27 @@ def _build_model_slots(
         if capacity < 1:
             raise BudgetTooSmallError(f"sample capacity {capacity} holds no item")
         model = build_sample(h, capacity, seed, p)
-        return model, lambda t, th: sample_all_query_scored(model, t, th)
-    if algo == "cms-heuristic":
-        slots = budget if budget is not None else h.d * CMS_DEPTH * 1024
-        model = heuristic_build(h, slots, p, seed, CMS_DEPTH)
-        return model, lambda t, th: heuristic_all_query_scored(model, t, th)
-    if algo not in ("indep2p", "nb2p"):
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    if share is not None and share < 1:
-        raise BudgetTooSmallError(f"{budget} slots over {h.d} coordinates leave no counter")
-    if algo == "indep2p":
+        score = sample_all_query_scored
+    elif algo == "cms-heuristic":
+        slots = budget if budget is not None else h.d * DEFAULT_DEPTH * 1024
+        model = heuristic_build(h, slots, p, seed)
+        score = heuristic_all_query_scored
+    elif algo == "indep2p":
         model = indep_pass2(h, indep_pass1(h, p, share), p)
-        return model, lambda t, th: indep_all_query_scored(model, t, th)
-    if h.class_col is None:
-        raise NoClassColumnError("algorithm nb2p needs --class-col")
-    priors, cands = nb_pass1(h, p, share)
-    model = nb_pass2(h, priors, cands, p)
-    return model, lambda t, th: nb_all_query_scored(model, t, th)
+        score = indep_all_query_scored
+    else:
+        if h.class_col is None:
+            raise NoClassColumnError("algorithm nb2p needs --class-col")
+        priors, cands = nb_pass1(h, p, share)
+        model = nb_pass2(h, priors, cands, p)
+        score = nb_all_query_scored
+    if budget is not None and cfg.sample_size is None:
+        used = accounted_memory_slots(algo, model, h.d)
+        if used > budget:
+            raise ConfigError(
+                f"{algo} model uses {used} slots, over the budget of {budget}"
+            )
+    return model, partial(score, model)
 
 
 def required_default_sample_size(h: DatasetHandle, p: HHParams) -> int:
@@ -281,20 +278,42 @@ def accounted_memory_slots(algo: str, model, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def open_frozen(path: str | Path, subcubes: list[Subcube], **layout) -> DatasetHandle:
+    """Open a delimited file (`layout`: open_dataset's delimiter, has_header
+    and class_col), check every subcube against its feature count, known
+    from the first row, and only then run the replay that freezes the
+    dictionaries and m. Items are cached for the later passes."""
+    h = open_dataset(path, cache_items=True, **layout)
+    for t in subcubes:
+        make_subcube(t.coords, h.d)
+    h.replay(lambda _i, _c: None)
+    return h
+
+
 def open_config_dataset(cfg: ExperimentConfig) -> tuple[DatasetHandle, str | None]:
-    path = Path(cfg.dataset)
-    h = open_dataset(
-        path,
+    """The config's frozen dataset and, when oracle tables are cached, its
+    content digest. nb2p without a class column fails before the file is read."""
+    if "nb2p" in cfg.algos and cfg.class_col is None:
+        raise NoClassColumnError("algorithm nb2p needs --class-col")
+    h = open_frozen(
+        cfg.dataset,
+        cfg.subcubes,
         delimiter=cfg.delimiter,
         has_header=cfg.has_header,
         class_col=cfg.class_col,
-        cache_items=True,
     )
-    h.replay(lambda _i, _c: None)  # freeze dictionaries and m
-    digest = _dataset_digest(path) if cfg.cache_dir is not None else None
-    for t in cfg.subcubes:
-        make_subcube(t.coords, h.d)  # validates against d
+    digest = _dataset_digest(Path(cfg.dataset)) if cfg.cache_dir is not None else None
     return h, digest
+
+
+def _prepare(cfg: ExperimentConfig):
+    """What both runners start from: the frozen dataset, the params, the
+    exact table of each subcube (keyed by coordinates) and an empty report."""
+    h, digest = open_config_dataset(cfg)
+    truths = {
+        t.coords: cached_exact_table(h, t, cfg.cache_dir, digest) for t in cfg.subcubes
+    }
+    return h, HHParams(cfg.gamma), truths, MetricsReport(config=_config_dict(cfg, h))
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
@@ -305,15 +324,10 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     A failure partway through raises ExperimentError carrying the rows
     finished so far, so callers can flush partial results.
     """
-    h, digest = open_config_dataset(cfg)
-    p = HHParams(cfg.gamma)
-    truths = {
-        t.coords: cached_exact_table(h, t, cfg.cache_dir, digest) for t in cfg.subcubes
-    }
+    h, p, truths, report = _prepare(cfg)
     heavy = {t.coords: truths[t.coords].heavy_set(cfg.gamma) for t in cfg.subcubes}
     sweep = sorted(cfg.gamma_stars, reverse=True)
     theta_min = min(sweep)
-    report = MetricsReport(config=_config_dict(cfg, h))
     try:
         for algo in cfg.algos:
             per_gs_tp: dict[float, list[int]] = {gs: [] for gs in sweep}
@@ -358,18 +372,13 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The frequency-estimation protocol: for each memory fraction, estimate
     the frequencies of the top-k true heavy values with the one-pass models
     and report MSE / MAE / MAPE."""
-    h, digest = open_config_dataset(cfg)
-    p = HHParams(cfg.gamma)
-    truths = {
-        t.coords: cached_exact_table(h, t, cfg.cache_dir, digest) for t in cfg.subcubes
-    }
+    h, p, truths, report = _prepare(cfg)
     algos = [a for a in cfg.algos if a in ("sampling", "cms-heuristic")]
-    report = MetricsReport(config=_config_dict(cfg, h))
     for frac in cfg.memory_fracs:
-        budget = slot_budget(frac, h.m, h.d)
+        frac_cfg = replace(cfg, memory_frac=frac, sample_size=None)
         for algo in algos:
             for seed in cfg.seeds:
-                model, _scorer = _build_model_slots(algo, h, p, seed, budget)
+                model, _scorer = build_model(algo, h, p, seed, frac_cfg)
                 for t in cfg.subcubes:
                     truth = truths[t.coords]
                     top = truth.top_values(cfg.top_k)

@@ -67,17 +67,16 @@ def heuristic_build(
     p: HHParams,
     seed: int = 0,
     depth: int = DEFAULT_DEPTH,
-    mg_budget: int | None = None,
 ) -> HeuristicModel:
     """One pass: a Count-Min sketch per coordinate sized from the slot budget
     (width = memory_slots / (d * depth)), plus a Misra-Gries candidate list
-    per coordinate with budget ceil(8/lam) unless overridden."""
+    per coordinate with budget ceil(8/lam)."""
     width = memory_slots // (h.d * depth)
     if width < 1:
         raise BudgetTooSmallError(
             f"{memory_slots} slots over {h.d} coordinates x depth {depth} leaves width 0"
         )
-    budget = default_counter_budget(p) if mg_budget is None else mg_budget
+    budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]
     value_counts: list[dict[int, int]] = [{} for _ in range(h.d)]
@@ -100,9 +99,9 @@ def heuristic_query(
     mod: HeuristicModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> Verdict:
     """YES iff the product of estimated marginals reaches the threshold
-    (default gamma_star). No candidate membership is required: Count-Min
+    (default lam). No candidate membership is required: Count-Min
     answers point queries for any value."""
-    th = mod.params.gamma_star if threshold is None else threshold
+    th = mod.params.lam if threshold is None else threshold
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     return Verdict.YES if mod.product(t, v) >= th else Verdict.NO
@@ -117,7 +116,7 @@ def heuristic_all_query_scored(
     """Candidate combinations whose estimated-marginal product reaches the
     threshold, grown level by level by the two-pass AllQuery loop. Aborts with
     CapExceededError once the levels together hold more than `cap` entries."""
-    th = mod.params.gamma_star if threshold is None else threshold
+    th = mod.params.lam if threshold is None else threshold
     return scored_answers(grow_levels(mod, t, th, mod.candidate_entries, cap))
 
 

@@ -69,8 +69,8 @@ def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:
 def sample_query(
     mod: SampleModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> Verdict:
-    """YES iff the sample frequency of v on t is >= threshold (default gamma_star)."""
-    th = mod.params.gamma_star if threshold is None else threshold
+    """YES iff the sample frequency of v on t is >= threshold (default lam)."""
+    th = mod.params.lam if threshold is None else threshold
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     if mod.m_prime == 0:
@@ -87,7 +87,7 @@ def sample_all_query_scored(
     mod: SampleModel, t: Subcube, threshold: float | None = None
 ) -> dict[JointValue, float]:
     """Joint values at or above the threshold, with their sample frequencies."""
-    th = mod.params.gamma_star if threshold is None else threshold
+    th = mod.params.lam if threshold is None else threshold
     return {v: f for v, f in sample_frequencies(mod, t).items() if f >= th}
 
 

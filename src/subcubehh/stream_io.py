@@ -31,10 +31,9 @@ Visitor = Callable[[tuple[int, ...], "int | None"], None]
 
 @dataclass(frozen=True)
 class PassSummary:
-    """What one full replay saw: item count and per-coordinate distinct counts."""
+    """What one full replay saw: its item count."""
 
     m: int
-    distinct: tuple[int, ...]
 
 
 class DatasetHandle:
@@ -61,8 +60,7 @@ class DatasetHandle:
         self._cached_feats: list[tuple[int, ...]] | None = None
         self._cached_classes: list[int | None] | None = None
 
-        self.m: int | None = None
-        self._frozen = False
+        self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
 
         first = self._peek_first_row()
@@ -102,7 +100,7 @@ class DatasetHandle:
         codes = self._dicts[col]
         code = codes.get(token)
         if code is None:
-            if self._frozen:
+            if self.m is not None:
                 raise IngestInconsistencyError(
                     f"token {token!r} in column {col} was not seen in the first pass"
                 )
@@ -149,7 +147,7 @@ class DatasetHandle:
             if self._cached_feats is not None:
                 for feats, cls in zip(self._cached_feats, self._cached_classes):
                     visitor(feats, cls)
-                return PassSummary(self.m, self.cardinalities)
+                return PassSummary(self.m)
             return self._replay_source(visitor)
         finally:
             self._replaying = False
@@ -158,7 +156,7 @@ class DatasetHandle:
         feature_cols = self._feature_cols
         class_col = self.class_col
         encode = self._encode
-        caching = self._cache_items and self._cached_feats is None and not self._frozen
+        caching = self._cache_items and self._cached_feats is None and self.m is None
         feats_buf: list[tuple[int, ...]] = [] if caching else None
         cls_buf: list[int | None] = [] if caching else None
         m = 0
@@ -176,13 +174,12 @@ class DatasetHandle:
             visitor(feats, cls)
         if self.m is None:
             self.m = m
-            self._frozen = True
         elif m != self.m:
             raise IngestInconsistencyError(f"pass saw {m} items, first pass saw {self.m}")
         if caching:
             self._cached_feats = feats_buf
             self._cached_classes = cls_buf
-        return PassSummary(m, self.cardinalities)
+        return PassSummary(m)
 
 
 def open_dataset(

@@ -1,0 +1,146 @@
+"""The names and shapes perfbench/child.py relies on.
+
+The benchmark times the package by replacing module attributes with timing
+wrappers, and reads its per-layer counts off the models those calls return.
+A rename, a changed return shape, or a function bound before the wrapper is
+installed (the wrapper would then see no call) breaks it; these tests catch
+that first.
+"""
+
+from collections import Counter
+
+import pytest
+
+import subcubehh
+from subcubehh import cli, harness, heuristic, independence, naivebayes, stream_io
+from subcubehh.core import HHParams, Subcube
+from subcubehh.datagen import make_random_nb, sample_to_csv
+
+GAMMA = 0.05
+LAM = GAMMA / 2
+
+# The attributes child.py replaces with timing wrappers, by owner.
+WRAPPED = {
+    cli: ["main", "run_experiment"],
+    harness: [
+        "open_config_dataset", "exact_table", "compute_detection_metrics",
+        "build_sample", "indep_pass1", "indep_pass2", "nb_pass1", "nb_pass2",
+        "heuristic_build", "sample_all_query_scored", "indep_all_query_scored",
+        "nb_all_query_scored", "heuristic_all_query_scored",
+    ],
+    subcubehh: [
+        "open_dataset", "build_sample", "indep_pass1", "indep_pass2", "nb_pass1",
+        "nb_pass2", "heuristic_build", "sample_all_query", "indep_all_query",
+        "nb_all_query", "heuristic_all_query",
+    ],
+    stream_io.DatasetHandle: ["replay"],
+}
+
+
+@pytest.fixture(scope="module")
+def class_csv(tmp_path_factory):
+    """3,000 rows: the class in column 1, then three features."""
+    path = tmp_path_factory.mktemp("contract") / "data.csv"
+    gen = make_random_nb(d=3, cardinalities=[8, 8, 8], ell=2, skew=1.2, seed=5)
+    sample_to_csv(gen, 3000, seed=6, path=path)
+    return path
+
+
+def config(path, **kw) -> harness.ExperimentConfig:
+    fields = dict(
+        dataset=path, algos=["indep2p"], subcubes=[Subcube((0, 1))], gamma=GAMMA,
+        seeds=[0], class_col=0,
+    )
+    return harness.ExperimentConfig(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("owner", list(WRAPPED), ids=lambda o: getattr(o, "__name__", o))
+def test_wrapped_names_exist(owner):
+    for name in WRAPPED[owner]:
+        assert callable(getattr(owner, name)), name
+
+
+def test_open_config_dataset_returns_frozen_handle_and_digest(class_csv, tmp_path):
+    h, digest = harness.open_config_dataset(config(class_csv))
+    assert isinstance(h, stream_io.DatasetHandle)
+    assert (h.m, h.d, digest) == (3000, 3, None)
+    _h, digest = harness.open_config_dataset(config(class_csv, cache_dir=tmp_path))
+    assert isinstance(digest, str) and digest
+
+
+def test_model_shapes(class_csv):
+    h, _digest = harness.open_config_dataset(config(class_csv))
+    p = HHParams(GAMMA)
+    t = Subcube((0, 1))
+
+    cands = subcubehh.indep_pass1(h, p, 50)
+    assert len(cands.sets) == h.d
+    model = subcubehh.indep_pass2(h, cands, p)
+    levels = independence.indep_all_query_levels(model, t, LAM)
+    assert len(levels) == t.k and all(isinstance(lv.entries, list) for lv in levels)
+
+    result = subcubehh.nb_pass1(h, p, 50)
+    assert isinstance(result, tuple) and len(result) == 2
+    priors, cands = result
+    assert len(cands.sets) == h.d
+    model = subcubehh.nb_pass2(h, priors, cands, p)
+    levels = naivebayes.nb_all_query_levels(model, t, LAM)
+    assert len(levels) == t.k and all(isinstance(lv.entries, list) for lv in levels)
+    assert all(isinstance(model.heavy_entries(c, LAM), list) for c in t.coords)
+
+    model = subcubehh.heuristic_build(h, 600, p, 0, heuristic.DEFAULT_DEPTH)
+    for c in t.coords:
+        tracked = list(model.mg[c].tracked())
+        kept = model.candidate_entries(c, LAM)
+        assert {x for x, _f in kept} <= set(tracked)
+
+    assert subcubehh.build_sample(h, 100, 0, p).m_prime == 100
+
+
+def count_calls(monkeypatch, owner, names) -> Counter:
+    """Wrap owner.<name> for each name, as child.py does. The Counter holds
+    the calls per name, and under ("args", name, n) those made with n
+    positional arguments."""
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            calls["args", _name, len(args)] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_eval_calls_through_module_globals(class_csv, tmp_path, monkeypatch):
+    entry = count_calls(monkeypatch, cli, ["run_experiment"])
+    calls = count_calls(monkeypatch, harness, WRAPPED[harness])
+    code = cli.main(
+        [
+            "eval", "--data", str(class_csv), "--class-col", "1", "--algo", "sampling",
+            "--algo", "indep2p", "--algo", "nb2p", "--algo", "cms-heuristic",
+            "--gamma", str(GAMMA), "--memory-frac", "0.2", "--seeds", "0,1",
+            "--subcube", "1,2", "--subcube", "2,3", "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 0
+    assert entry["run_experiment"] == calls["open_config_dataset"] == 1
+    assert calls["exact_table"] == 2  # one per subcube
+    for build in ("build_sample", "indep_pass1", "indep_pass2", "nb_pass1", "nb_pass2",
+                  "heuristic_build"):
+        assert calls[build] == 2, build  # one per seed
+    for prefix in ("sample", "indep", "nb", "heuristic"):
+        scorer = f"{prefix}_all_query_scored"
+        # child.py reads (model, subcube, threshold) off the positional arguments.
+        assert calls[scorer] == calls["args", scorer, 3] == 4, scorer  # seeds x subcubes
+    assert calls["compute_detection_metrics"] > 0
+
+
+def test_freq_task_builds_through_harness(class_csv, monkeypatch):
+    calls = count_calls(monkeypatch, harness, ["build_sample", "heuristic_build"])
+    cfg = config(
+        class_csv, algos=["sampling", "cms-heuristic"], seeds=[0, 1], memory_fracs=[0.1, 0.2]
+    )
+    report = harness.run_freq_experiment(cfg)
+    assert (calls["build_sample"], calls["heuristic_build"]) == (4, 4)  # fracs x seeds
+    assert len(report.freq_rows) == 8

@@ -74,6 +74,14 @@ class TestGen:
         code = main(["gen", "--profile", "custom", "--m", "10", "-o", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_bad_cardinalities(self, tmp_path):
+        code = main(
+            ["gen", "--profile", "custom", "--m", "10", "--d", "2", "--cardinalities", "5,x",
+             "--ell", "1", "-o", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestOracle:
     def test_json_table(self, tiny_csv, tmp_path, capsys):
@@ -274,3 +282,88 @@ class TestBudgets:
         )
         assert code == 2
         assert not (tmp_path / "f.json").exists()
+
+
+@pytest.fixture(scope="module")
+def ragged_csv(tiny_csv, tmp_path_factory):
+    """tiny_csv with a ragged last row: reading the whole file fails."""
+    path = tmp_path_factory.mktemp("ragged") / "ragged.csv"
+    path.write_text(tiny_csv.read_text() + "1,2\n")
+    return path
+
+
+class TestConfigBeforeData:
+    """`run`, `eval` and `oracle` check the whole config, subcubes included,
+    before they read the data past its first row."""
+
+    RUN = ["run", "--algo", "indep2p", "--gamma", "0.05"]
+
+    def test_ragged_file_is_runtime_error(self, ragged_csv, capsys):
+        code = main([*self.RUN, "--subcube", "2,3", "--data", str(ragged_csv)])
+        assert code == 3
+        assert "row 2001 has 2 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*RUN, "--subcube", "2,3", "--memory-frac", "0"],
+            [*RUN, "--subcube", "1,9"],
+            [*RUN, "--subcube", "2,3", "--gamma-star", "0"],
+            [*RUN, "--subcube", "2,3", "--class-col", "0"],
+            ["run", "--algo", "nb2p", "--gamma", "0.05", "--subcube", "2,3"],
+            ["oracle", "--subcube", "1,9"],
+            ["eval", "--algo", "sampling", "--gamma", "0.05", "--subcube", "1,9"],
+            ["eval", "--algo", "nb2p", "--gamma", "0.05", "--subcube", "2,3"],
+        ],
+        ids=["run-memory-frac", "run-subcube", "run-gamma-star", "run-class-col",
+             "run-nb2p-no-class", "oracle-subcube", "eval-subcube", "eval-nb2p-no-class"],
+    )
+    def test_config_error_first(self, ragged_csv, tmp_path, capsys, argv):
+        code = main([*argv, "--data", str(ragged_csv), "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBadValues:
+    """Every malformed or nonsensical value exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_run_threshold_not_positive(self, tiny_csv, capsys, threshold):
+        code = main(
+            [
+                "run", "--data", str(tiny_csv), "--algo", "indep2p", "--gamma", "0.05",
+                "--gamma-star", threshold, "--subcube", "2,3", "--class-col", "1",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "decision threshold must be > 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--task", "freq", "--top-k", "0"],
+            ["--top-k", "-3"],
+            ["--seeds", "a"],
+            ["--seeds", "0,x"],
+            ["--gamma-star-sweep", "0.01,0"],
+            ["--gamma-star-sweep", "0.01,-1"],
+            ["--gamma-star-sweep", "low"],
+            ["--gamma-star-sweep", ","],
+            ["--task", "freq", "--memory-fracs", "a"],
+        ],
+    )
+    def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):
+        code = main(
+            [
+                "eval", "--data", str(tiny_csv), "--algo", "sampling", "--gamma", "0.05",
+                "--subcube", "2,3", "--class-col", "1", "--out", str(tmp_path / "r"), *extra,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []

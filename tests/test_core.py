@@ -49,13 +49,6 @@ class TestHHParams:
         with pytest.raises(ConfigError):
             HHParams(-0.2)
 
-    def test_gamma_star_window(self):
-        HHParams(0.2, gamma_star=0.2)  # inclusive top
-        with pytest.raises(ConfigError):
-            HHParams(0.2, gamma_star=0.05)  # == gamma/4: excluded
-        with pytest.raises(ConfigError):
-            HHParams(0.2, gamma_star=0.3)
-
     def test_alpha_budget_range(self):
         with pytest.raises(ConfigError):
             HHParams(0.2, alpha_budget=-0.1)

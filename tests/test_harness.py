@@ -156,6 +156,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             toy_config(small_dataset, algos=["quantum"])
 
+    @pytest.mark.parametrize(
+        "bad", [{"gamma_stars": [0.01, 0.0]}, {"gamma_stars": [-0.1]}, {"top_k": 0}]
+    )
+    def test_threshold_and_top_k_rejected(self, small_dataset, bad):
+        with pytest.raises(ConfigError):
+            toy_config(small_dataset, **bad)
+
+    def test_thresholds_above_one_accepted(self, small_dataset):
+        # The default sweep reaches 2 * gamma.
+        assert toy_config(small_dataset, gamma=1.0).gamma_stars[-1] == pytest.approx(2.0)
+
     def test_subcube_out_of_range_rejected(self, small_dataset):
         cfg = toy_config(small_dataset, subcubes=[Subcube((0, 9))])
         with pytest.raises(ConfigError):

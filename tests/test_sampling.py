@@ -44,9 +44,9 @@ class TestRequiredSampleSize:
         assert out > 0
 
 
-def d0_model(gamma_star=0.25):
+def d0_model():
     h = from_items(D0_ROWS)
-    p = HHParams(0.5, gamma_star=gamma_star)
+    p = HHParams(0.5)
     mod = build_sample(h, capacity=100, seed=0, p=p)
     return h, mod
 
@@ -75,13 +75,13 @@ class TestBuildSample:
 
 class TestSampleQuery:
     def test_d0_yes(self):
-        h, mod = d0_model(gamma_star=0.25)
+        h, mod = d0_model()
         t = make_subcube([0, 1], 2)
         v = (h.code(0, "1"), h.code(1, "1"))  # frequency 3/8
         assert sample_query(mod, t, v) is Verdict.YES
 
     def test_d0_no(self):
-        h, mod = d0_model(gamma_star=0.25)
+        h, mod = d0_model()
         t = make_subcube([0, 1], 2)
         v = (h.code(0, "2"), h.code(1, "2"))  # frequency 1/8
         assert sample_query(mod, t, v) is Verdict.NO
@@ -92,7 +92,7 @@ class TestSampleQuery:
         assert sample_query(mod, t, (99, 99), threshold=1e-9) is Verdict.NO
 
     def test_threshold_override(self):
-        h, mod = d0_model(gamma_star=0.25)
+        h, mod = d0_model()
         t = make_subcube([0, 1], 2)
         v = (h.code(0, "2"), h.code(1, "2"))
         assert sample_query(mod, t, v, threshold=0.125) is Verdict.YES
@@ -105,7 +105,7 @@ class TestSampleQuery:
 
 class TestSampleAllQuery:
     def test_d0_expected_set(self):
-        h, mod = d0_model(gamma_star=0.25)
+        h, mod = d0_model()
         t = make_subcube([0, 1], 2)
         c = h.code
         expected = {
@@ -135,7 +135,7 @@ class TestSampleAllQuery:
                 assert ((a, b) in reported) == (verdict is Verdict.YES)
 
     def test_scores_are_sample_frequencies(self):
-        h, mod = d0_model(gamma_star=0.25)
+        h, mod = d0_model()
         t = make_subcube([0, 1], 2)
         scored = sample_all_query_scored(mod, t)
         c = h.code
