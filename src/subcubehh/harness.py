@@ -41,6 +41,8 @@ from .sampling import (
 from .stream_io import DatasetHandle, open_dataset
 
 ALGORITHMS = ("sampling", "indep2p", "nb2p", "cms-heuristic")
+# The one-pass answerers that estimate frequencies, which the freq task needs.
+FREQ_ALGORITHMS = ("sampling", "cms-heuristic")
 
 
 @dataclass
@@ -371,12 +373,17 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The frequency-estimation protocol: for each memory fraction, estimate
     the frequencies of the top-k true heavy values with the one-pass models
-    and report MSE / MAE / MAPE."""
+    and report MSE / MAE / MAPE. An algorithm without a frequency estimator
+    fails before the data is read."""
+    unsupported = [a for a in cfg.algos if a not in FREQ_ALGORITHMS]
+    if unsupported:
+        raise ConfigError(
+            f"no frequency estimator for {unsupported}; algorithms with one: {FREQ_ALGORITHMS}"
+        )
     h, p, truths, report = _prepare(cfg)
-    algos = [a for a in cfg.algos if a in ("sampling", "cms-heuristic")]
     for frac in cfg.memory_fracs:
         frac_cfg = replace(cfg, memory_frac=frac, sample_size=None)
-        for algo in algos:
+        for algo in cfg.algos:
             for seed in cfg.seeds:
                 model, _scorer = build_model(algo, h, p, seed, frac_cfg)
                 for t in cfg.subcubes:
@@ -391,12 +398,11 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def _estimate_map(algo: str, model, t: Subcube, values: list[JointValue]):
+    """The estimated frequency of each value by `algo`, one of FREQ_ALGORITHMS."""
     if algo == "sampling":
         freqs = sample_frequencies(model, t)
         return {v: freqs.get(v, 0.0) for v in values}
-    if algo == "cms-heuristic":
-        return {v: model.product(t, v) for v in values}
-    raise ConfigError(f"no frequency estimator for algorithm {algo!r}")
+    return {v: model.product(t, v) for v in values}
 
 
 def _config_dict(cfg: ExperimentConfig, h: DatasetHandle) -> dict:

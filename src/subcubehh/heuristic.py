@@ -14,13 +14,14 @@ would report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
 from .naivebayes import default_counter_budget, grow_levels, scored_answers
 from .sketches import CountMin, MisraGries, hash_pair
-from .stream_io import DatasetHandle
+from .stream_io import Columns, DatasetHandle
 
 DEFAULT_DEPTH = 4
 DEFAULT_ALLQUERY_CAP = 10**6
@@ -79,12 +80,12 @@ def heuristic_build(
     budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]
-    value_counts: list[dict[int, int]] = [{} for _ in range(h.d)]
+    value_counts: list[Counter[int]] = [Counter() for _ in range(h.d)]
 
-    def visit(item: tuple[int, ...], _cls: int | None) -> None:
-        for sk, vc, x in zip(mg, value_counts, item):
-            sk.update(x)
-            vc[x] = vc.get(x, 0) + 1
+    def visit(columns: Columns, _classes: list[int] | None) -> None:
+        for sk, vc, col in zip(mg, value_counts, columns):
+            sk.update_many(col)
+            vc.update(col)
 
     summary = h.replay(visit)
     # Count-Min state only depends on the multiset per coordinate, so feed it

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import CapExceededError, ConfigError, NoClassColumnError
 from .sketches import MisraGries
-from .stream_io import DatasetHandle
+from .stream_io import Columns, DatasetHandle
 
 MAX_CLASS_VALUES = 1024
 
@@ -160,12 +161,13 @@ def _pass1(
     _check_model_assumption_budget(p)
     budget = default_counter_budget(p) if counter_budget is None else counter_budget
     sketches = [MisraGries(budget) for _ in range(h.d)]
-    class_counts: dict[int | None, int] = {}
+    class_counts: Counter[int] = Counter()
 
-    def visit(item: tuple[int, ...], cls: int | None) -> None:
-        class_counts[cls] = class_counts.get(cls, 0) + 1
-        for sk, x in zip(sketches, item):
-            sk.update(x)
+    def visit(columns: Columns, classes: list[int] | None) -> None:
+        if not one_class:
+            class_counts.update(classes)
+        for sk, col in zip(sketches, columns):
+            sk.update_many(col)
 
     summary = h.replay(visit)
     ell = 1 if one_class else len(class_counts)
@@ -174,7 +176,7 @@ def _pass1(
             f"{ell} distinct class values (> {MAX_CLASS_VALUES}); "
             "the class column is expected to be low-cardinality"
         )
-    counts = (summary.m,) if one_class else tuple(class_counts.get(z, 0) for z in range(ell))
+    counts = (summary.m,) if one_class else tuple(class_counts[z] for z in range(ell))
     priors = ClassPriors(counts, summary.m)
     # Nudge below the real cutoff so integer counts sitting exactly on it are
     # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
@@ -192,24 +194,21 @@ def _pass2(
     every item counts towards a single class and only totals are kept."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
-    if priors is None:
-        ell = 1
-        class_of: dict[int | None, int] = defaultdict(int)  # every code -> class 0
-    else:
-        ell = priors.ell
-        class_of = {z: z for z in range(ell)}
-    by_value: list[dict[int, list[int]]] = [
-        {x: [0] * ell for x in sorted(s)} for s in cands.sets
-    ]
+    ell = 1 if priors is None else priors.ell
+    tallies: list[Counter] = [Counter() for _ in cands.sets]
 
-    def visit(item: tuple[int, ...], cls: int | None) -> None:
-        z = class_of[cls]
-        for bv, x in zip(by_value, item):
-            row = bv.get(x)
-            if row is not None:
-                row[z] += 1
+    def visit(columns: Columns, classes: list[int] | None) -> None:
+        for tally, s, col in zip(tallies, cands.sets, columns):
+            if ell == 1:
+                tally.update(filter(s.__contains__, col))
+            else:
+                tally.update(compress(zip(col, classes), map(s.__contains__, col)))
 
     summary = h.replay(visit)
+    by_value: list[dict[int, list[int]]] = [
+        {x: [tally[x]] if ell == 1 else [tally[x, z] for z in range(ell)] for x in sorted(s)}
+        for tally, s in zip(tallies, cands.sets)
+    ]
     index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
     tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
     if priors is None:

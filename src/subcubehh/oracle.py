@@ -9,12 +9,13 @@ meant to be slow and right.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import HHParams, JointValue, Subcube
 from .errors import NoClassColumnError, SupportTooLargeError
-from .stream_io import DatasetHandle
+from .stream_io import Columns, DatasetHandle
 
 DEFAULT_SUPPORT_CAP = 10**7
 
@@ -48,15 +49,13 @@ class GroundTruth:
 
 def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
     """Count every joint value of `t` by a full pass over the dataset."""
-    counts: dict[JointValue, int] = {}
-    coords = t.coords
+    counts: Counter[JointValue] = Counter()
 
-    def visit(item: tuple[int, ...], _cls: int | None) -> None:
-        v = tuple(item[c] for c in coords)
-        counts[v] = counts.get(v, 0) + 1
+    def visit(columns: Columns, _classes: list[int] | None) -> None:
+        counts.update(zip(*(columns[c] for c in t.coords)))
 
     summary = h.replay(visit)
-    return GroundTruth(t, summary.m, counts)
+    return GroundTruth(t, summary.m, dict(counts))
 
 
 def truth_label(f: float, p: HHParams) -> TruthLabel:
@@ -69,17 +68,14 @@ def truth_label(f: float, p: HHParams) -> TruthLabel:
 
 
 def _marginal_counts(h: DatasetHandle, t: Subcube) -> list[dict[int, int]]:
-    per_coord: list[dict[int, int]] = [{} for _ in t.coords]
-    coords = t.coords
+    per_coord: list[Counter[int]] = [Counter() for _ in t.coords]
 
-    def visit(item: tuple[int, ...], _cls: int | None) -> None:
-        for slot, c in enumerate(coords):
-            x = item[c]
-            d = per_coord[slot]
-            d[x] = d.get(x, 0) + 1
+    def visit(columns: Columns, _classes: list[int] | None) -> None:
+        for tally, c in zip(per_coord, t.coords):
+            tally.update(columns[c])
 
     h.replay(visit)
-    return per_coord
+    return [dict(tally) for tally in per_coord]
 
 
 def _check_support(sizes: list[int], cap: int) -> None:
@@ -130,16 +126,13 @@ def empirical_alpha_nb(
     if h.class_col is None:
         raise NoClassColumnError("empirical_alpha_nb needs a class column")
     truth = exact_table(h, t)
-    coords = t.coords
-    class_counts: dict[int, int] = {}
-    joint_class: list[dict[tuple[int, int], int]] = [{} for _ in coords]
+    class_counts: Counter[int] = Counter()
+    joint_class: list[Counter[tuple[int, int]]] = [Counter() for _ in t.coords]
 
-    def visit(item: tuple[int, ...], cls: int | None) -> None:
-        class_counts[cls] = class_counts.get(cls, 0) + 1
-        for slot, c in enumerate(coords):
-            key = (item[c], cls)
-            d = joint_class[slot]
-            d[key] = d.get(key, 0) + 1
+    def visit(columns: Columns, classes: list[int] | None) -> None:
+        class_counts.update(classes)
+        for tally, c in zip(joint_class, t.coords):
+            tally.update(zip(columns[c], classes))
 
     h.replay(visit)
     m = truth.m

@@ -47,7 +47,7 @@ def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
 def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
     """One full pass; keeps min(m, capacity) items uniformly without replacement."""
     res = Reservoir(capacity, seed)
-    h.replay(lambda item, _cls: res.update(item))
+    h.replay(lambda columns, _classes: res.update_many(list(zip(*columns))))
     return SampleModel(
         samples=res.samples, m_prime=len(res.samples), capacity=capacity, params=p, seed=seed
     )

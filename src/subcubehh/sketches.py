@@ -16,6 +16,9 @@ Guarantees maintained here:
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress, repeat
+from operator import mod, xor
 from typing import Sequence
 
 from .errors import ConfigError
@@ -63,6 +66,22 @@ class Reservoir:
             if j < self.capacity:
                 self.samples[j] = tuple(item)
 
+    def update_many(self, items: Sequence[Sequence[int]]) -> None:
+        """`update` on each item in turn, with the same draws: items fill the
+        free slots, then the i-th item seen replaces slot j = hash_pair(i,
+        seed) % i when j < capacity."""
+        cap, samples, seen = self.capacity, self.samples, self.seen
+        fill = min(max(cap - len(samples), 0), len(items))
+        samples.extend(map(tuple, items[:fill]))
+        self.seen = seen + len(items)
+        if cap == 0 or fill == len(items):
+            return
+        # hash_pair(i, seed) without re-mixing the seed per item; i < 2**64.
+        ids = range(seen + fill + 1, self.seen + 1)
+        slots = list(map(mod, map(splitmix64, map(xor, repeat(splitmix64(self.seed)), ids)), ids))
+        for k in compress(range(len(slots)), map(cap.__gt__, slots)):
+            samples[slots[k]] = tuple(items[fill + k])
+
 
 class MisraGries:
     """Deterministic frequent-items summary with at most `counter_budget` counters.
@@ -77,7 +96,7 @@ class MisraGries:
         if counter_budget < 0:
             raise ConfigError(f"counter_budget must be >= 0, got {counter_budget}")
         self.counter_budget = counter_budget
-        self.counters: dict[int, int] = {}
+        self.counters: Counter[int] = Counter()
         self.processed = 0
 
     def update(self, x: int) -> None:
@@ -95,6 +114,22 @@ class MisraGries:
                     dead.append(key)
             for key in dead:
                 del counters[key]
+
+    def update_many(self, xs: Sequence[int]) -> None:
+        """`update` on each x in turn. When the distinct values not yet
+        tracked fit in the free counters no decrement can happen, and the
+        whole chunk is counted at once; otherwise each x goes through
+        `update`."""
+        counters = self.counters
+        room = self.counter_budget - len(counters)
+        if len(xs) > room:
+            values = set(xs)
+            if len(values) - sum(map(counters.__contains__, values)) > room:
+                for x in xs:
+                    self.update(x)
+                return
+        self.processed += len(xs)
+        counters.update(xs)
 
     def estimate(self, x: int) -> int:
         return self.counters.get(x, 0)

@@ -1,21 +1,33 @@
 """Dataset ingestion: delimited text with per-coordinate dictionary encoding.
 
-A DatasetHandle replays its source as a sequence of encoded items, any number
-of times, in identical order. Tokens are opaque categorical strings; each
-column gets its own first-seen-first-coded dictionary, built during the first
-full replay and frozen afterwards. A later pass that sees a token missing
-from the frozen dictionary (or a different row count) fails with
+A DatasetHandle replays its source as a sequence of encoded chunks, any
+number of times, in identical order. Tokens are opaque categorical strings;
+each column gets its own first-seen-first-coded dictionary, built during the
+first full replay and frozen afterwards. A later pass that sees a token
+missing from the frozen dictionary (or a different row count) fails with
 IngestInconsistencyError, since multi-pass algorithms require both passes to
 observe the same stream.
 
+The visitor is called once per chunk of up to CHUNK_ROWS rows, as
+`visitor(columns, classes)`: `columns` is a tuple of d lists of feature
+codes, one list per coordinate, and `classes` the list of class codes, or
+None without a class column. Row r of the chunk is
+`tuple(col[r] for col in columns)`. A chunk is transposed and encoded by
+C-level builtins (zip, map), so reading a chunk costs no Python call per
+item or cell. A cached handle keeps these chunk columns, not rows, and
+hands the same lists to every pass: visitors read them and never modify
+them.
+
 One column may be designated as the class column; it is stripped from the
-feature vector and handed to the visitor separately.
+feature columns and handed to the visitor separately.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,7 +38,10 @@ from .errors import (
     RaggedRowError,
 )
 
-Visitor = Callable[[tuple[int, ...], "int | None"], None]
+CHUNK_ROWS = 1024
+
+Columns = tuple[list[int], ...]
+Visitor = Callable[[Columns, "list[int] | None"], None]
 
 
 @dataclass(frozen=True)
@@ -57,8 +72,7 @@ class DatasetHandle:
         self.has_header = has_header
         self.class_col = class_col
         self._cache_items = cache_items
-        self._cached_feats: list[tuple[int, ...]] | None = None
-        self._cached_classes: list[int | None] | None = None
+        self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
@@ -78,36 +92,41 @@ class DatasetHandle:
     # -- raw row access -----------------------------------------------------
 
     def _peek_first_row(self) -> Sequence[str]:
-        for row in self._iter_raw_rows():
-            return row
-        raise EmptyFileError("no data rows in source")
+        with self._raw_rows() as rows:
+            first = next(rows, None)
+        if first is None:
+            raise EmptyFileError("no data rows in source")
+        return first
 
-    def _iter_raw_rows(self) -> Iterator[Sequence[str]]:
+    @contextmanager
+    def _raw_rows(self) -> Iterator[Iterator[Sequence[str]]]:
+        """An iterator over the source rows. A file skips its blank lines
+        and, with has_header, its first line."""
         if self._rows is not None:
-            yield from self._rows
+            yield iter(self._rows)
             return
         with open(self._path, "r", newline="") as fh:
             reader = csv.reader(fh, delimiter=self.delimiter)
             if self.has_header:
                 next(reader, None)
-            for row in reader:
-                if row:
-                    yield row
+            yield filter(None, reader)
 
     # -- encoding -----------------------------------------------------------
 
-    def _encode(self, col: int, token: str) -> int:
+    def _encode_column(self, col: int, tokens: Sequence[str]) -> list[int]:
+        """Codes of one chunk column. The first replay first codes its unseen
+        tokens in first-seen order; a frozen dictionary rejects them."""
         codes = self._dicts[col]
-        code = codes.get(token)
-        if code is None:
-            if self.m is not None:
-                raise IngestInconsistencyError(
-                    f"token {token!r} in column {col} was not seen in the first pass"
-                )
-            code = len(codes)
-            codes[token] = code
-            self._rev[col].append(token)
-        return code
+        if self.m is None:
+            new = list(filterfalse(codes.__contains__, dict.fromkeys(tokens)))
+            codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+            self._rev[col].extend(new)
+        try:
+            return list(map(codes.__getitem__, tokens))
+        except KeyError as exc:
+            raise IngestInconsistencyError(
+                f"token {exc.args[0]!r} in column {col} was not seen in the first pass"
+            ) from None
 
     def code(self, coord: int, token: str) -> int:
         """Code of `token` in feature coordinate `coord` (after a replay)."""
@@ -139,46 +158,48 @@ class DatasetHandle:
     # -- replay -------------------------------------------------------------
 
     def replay(self, visitor: Visitor) -> PassSummary:
-        """Invoke `visitor(features, class_code)` once per item, in source order."""
+        """Invoke `visitor(columns, classes)` once per chunk of up to
+        CHUNK_ROWS items, in source order."""
         if self._replaying:
             raise ConfigError("handle supports one active replay at a time")
         self._replaying = True
         try:
-            if self._cached_feats is not None:
-                for feats, cls in zip(self._cached_feats, self._cached_classes):
-                    visitor(feats, cls)
+            if self._cached_chunks is not None:
+                for columns, classes in self._cached_chunks:
+                    visitor(columns, classes)
                 return PassSummary(self.m)
             return self._replay_source(visitor)
         finally:
             self._replaying = False
 
     def _replay_source(self, visitor: Visitor) -> PassSummary:
+        n_cols = self._n_cols
         feature_cols = self._feature_cols
         class_col = self.class_col
-        encode = self._encode
-        caching = self._cache_items and self._cached_feats is None and self.m is None
-        feats_buf: list[tuple[int, ...]] = [] if caching else None
-        cls_buf: list[int | None] = [] if caching else None
+        chunks: list | None = [] if self._cache_items and self.m is None else None
         m = 0
-        for row in self._iter_raw_rows():
-            if len(row) != self._n_cols:
-                raise RaggedRowError(
-                    f"row {m + 1} has {len(row)} fields, expected {self._n_cols}"
-                )
-            feats = tuple(encode(j, row[j]) for j in feature_cols)
-            cls = encode(class_col, row[class_col]) if class_col is not None else None
-            m += 1
-            if caching:
-                feats_buf.append(feats)
-                cls_buf.append(cls)
-            visitor(feats, cls)
+        with self._raw_rows() as source:
+            while rows := list(islice(source, CHUNK_ROWS)):
+                if set(map(len, rows)) != {n_cols}:
+                    r = next(r for r, row in enumerate(rows) if len(row) != n_cols)
+                    raise RaggedRowError(
+                        f"row {m + r + 1} has {len(rows[r])} fields, expected {n_cols}"
+                    )
+                m += len(rows)
+                tokens = list(zip(*rows))
+                columns = tuple(self._encode_column(j, tokens[j]) for j in feature_cols)
+                classes = None
+                if class_col is not None:
+                    classes = self._encode_column(class_col, tokens[class_col])
+                if chunks is not None:
+                    chunks.append((columns, classes))
+                visitor(columns, classes)
         if self.m is None:
             self.m = m
         elif m != self.m:
             raise IngestInconsistencyError(f"pass saw {m} items, first pass saw {self.m}")
-        if caching:
-            self._cached_feats = feats_buf
-            self._cached_classes = cls_buf
+        if chunks is not None:
+            self._cached_chunks = chunks
         return PassSummary(m)
 
 

@@ -7,7 +7,11 @@ installed (the wrapper would then see no call) breaks it; these tests catch
 that first.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +148,54 @@ def test_freq_task_builds_through_harness(class_csv, monkeypatch):
     report = harness.run_freq_experiment(cfg)
     assert (calls["build_sample"], calls["heuristic_build"]) == (4, 4)  # fracs x seeds
     assert len(report.freq_rows) == 8
+
+
+def test_replay_calls_per_builder(class_csv, monkeypatch):
+    # stream-1m counts its replays (7) and times the first as ingest: each
+    # builder is one full pass, each pass one replay.
+    h, _digest = harness.open_config_dataset(config(class_csv))
+    p = HHParams(GAMMA)
+    calls = count_calls(monkeypatch, stream_io.DatasetHandle, ["replay"])
+    builds = {
+        "build_sample": lambda: subcubehh.build_sample(h, 100, 0, p),
+        "indep_pass1": lambda: subcubehh.indep_pass1(h, p, 50),
+        "indep_pass2": lambda: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 50), p),
+        "nb_pass1": lambda: subcubehh.nb_pass1(h, p, 50),
+        "nb_pass2": lambda: subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p, 50), p),
+        "heuristic_build": lambda: subcubehh.heuristic_build(h, 600, p, 0),
+        "exact_table": lambda: subcubehh.exact_table(h, Subcube((0, 1))),
+    }
+    passes = {"indep_pass2": 2, "nb_pass2": 2}  # their pass 1 runs first
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        assert calls["replay"] == passes.get(name, 1), name
+
+
+@pytest.mark.parametrize("cache_items", [False, True])
+def test_replay_takes_two_argument_noop(class_csv, cache_items):
+    h = subcubehh.open_dataset(class_csv, class_col=0, cache_items=cache_items)
+    assert h.replay(lambda _item, _cls: None).m == 3000  # freezes
+    assert h.replay(lambda _item, _cls: None).m == 3000
+
+
+def test_stream_path_never_imports_numpy(class_csv):
+    # stream-1m's peak RSS bound leaves no room for numpy (~12.5 MB).
+    code = (
+        "import sys, subcubehh\n"
+        "from subcubehh import heuristic, naivebayes, sampling, sketches, stream_io\n"
+        f"h = subcubehh.open_dataset({str(class_csv)!r}, class_col=0)\n"
+        "h.replay(lambda _i, _c: None)\n"
+        "p = subcubehh.HHParams(0.05)\n"
+        "subcubehh.build_sample(h, 100, 0, p)\n"
+        "subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p), p)\n"
+        "subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p), p)\n"
+        "subcubehh.heuristic_build(h, 600, p)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    src = str(Path(subcubehh.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

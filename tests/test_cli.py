@@ -314,9 +314,14 @@ class TestConfigBeforeData:
             ["oracle", "--subcube", "1,9"],
             ["eval", "--algo", "sampling", "--gamma", "0.05", "--subcube", "1,9"],
             ["eval", "--algo", "nb2p", "--gamma", "0.05", "--subcube", "2,3"],
+            ["eval", "--task", "freq", "--algo", "indep2p", "--gamma", "0.05",
+             "--subcube", "2,3"],
+            ["eval", "--task", "freq", "--algo", "sampling", "--algo", "nb2p",
+             "--class-col", "1", "--gamma", "0.05", "--subcube", "2,3"],
         ],
         ids=["run-memory-frac", "run-subcube", "run-gamma-star", "run-class-col",
-             "run-nb2p-no-class", "oracle-subcube", "eval-subcube", "eval-nb2p-no-class"],
+             "run-nb2p-no-class", "oracle-subcube", "eval-subcube", "eval-nb2p-no-class",
+             "eval-freq-indep2p", "eval-freq-nb2p"],
     )
     def test_config_error_first(self, ragged_csv, tmp_path, capsys, argv):
         code = main([*argv, "--data", str(ragged_csv), "--out", str(tmp_path / "out")])

@@ -135,10 +135,11 @@ class TestSampling:
         counts = [dict(), dict()]
         class_counts = {}
 
-        def tally(item, cls):
-            class_counts[cls] = class_counts.get(cls, 0) + 1
-            for j, x in enumerate(item):
-                counts[j][(x, cls)] = counts[j].get((x, cls), 0) + 1
+        def tally(columns, classes):
+            for item, cls in zip(zip(*columns), classes):
+                class_counts[cls] = class_counts.get(cls, 0) + 1
+                for j, x in enumerate(item):
+                    counts[j][(x, cls)] = counts[j].get((x, cls), 0) + 1
 
         h.replay(tally)
         for j, n_j in enumerate(g.cardinalities):

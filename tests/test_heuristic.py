@@ -37,9 +37,10 @@ class TestBuild:
         mod = heuristic_build(h, memory_slots=2 * 4 * 4096, p=HHParams(0.2), seed=3)
         counts = [dict(), dict()]
 
-        def tally(item, _cls):
-            for j, x in enumerate(item):
-                counts[j][x] = counts[j].get(x, 0) + 1
+        def tally(columns, _classes):
+            for j, col in enumerate(columns):
+                for x in col:
+                    counts[j][x] = counts[j].get(x, 0) + 1
 
         h.replay(tally)
         for j in range(2):

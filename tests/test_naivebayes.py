@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import ConfigError, NoClassColumnError
@@ -13,6 +14,7 @@ from subcubehh.independence import (
     indep_query,
 )
 from subcubehh.naivebayes import (
+    CandidateSets,
     ClassPriors,
     NBModel,
     nb_all_query,
@@ -23,7 +25,7 @@ from subcubehh.naivebayes import (
     nb_query,
     nb_score,
 )
-from subcubehh.stream_io import from_items
+from subcubehh.stream_io import CHUNK_ROWS, from_items
 
 # D0's coordinate-0 column, paired with a second coordinate and a class
 # column split half and half.
@@ -92,6 +94,45 @@ class TestPass2:
         rows = [(0, 0)] * 5 + [(1, 1)] * 5
         h, p, mod = build_nb(rows, gamma=0.5, class_col=1)
         assert mod.conditionals[0][h.code(0, "0")][h.class_code("1")] == 0.0
+
+
+class TestPass2EqualsRowCount:
+    """Pass-2 counts equal a per-row dict count over the same items."""
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**16), st.integers(1, 2 * CHUNK_ROWS + 3), st.booleans())
+    def test_counts(self, seed, m, with_class):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randrange(n) for n in (6, 3, 3)) for _ in range(m)]
+        h = from_items(rows, class_col=2 if with_class else None)
+        p = HHParams(0.5)
+        h.replay(lambda _c, _z: None)
+        # Random candidate sets, so pass 2 also skips values.
+        cands = CandidateSets(tuple(
+            frozenset(x for x in range(n) if rng.random() < 0.6) for n in h.cardinalities
+        ))
+        expect: list[dict[tuple[int, int], int]] = [{}, {}]
+        for row in rows:
+            z = h.class_code(str(row[2])) if with_class else 0
+            for j in range(2):
+                x = h.code(j, str(row[j]))
+                if x in cands.sets[j]:
+                    expect[j][x, z] = expect[j].get((x, z), 0) + 1
+        if with_class:
+            priors, _ = nb_pass1(h, p)
+            mod = nb_pass2(h, priors, cands, p)
+            for j in range(2):
+                assert mod.class_counts_by_value[j] == {
+                    x: [expect[j].get((x, z), 0) for z in range(priors.ell)]
+                    for x in sorted(cands.sets[j])
+                }
+        else:
+            mod = indep_pass2(h, cands, p)
+        for j in range(2):
+            assert mod.index[j] == {
+                x: sum(n for (y, _z), n in expect[j].items() if y == x)
+                for x in sorted(cands.sets[j])
+            }
 
 
 class TestScore:

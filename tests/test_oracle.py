@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, make_subcube
 from subcubehh.errors import NoClassColumnError, SupportTooLargeError
@@ -13,7 +14,7 @@ from subcubehh.oracle import (
     exact_table,
     truth_label,
 )
-from subcubehh.stream_io import from_items
+from subcubehh.stream_io import CHUNK_ROWS, from_items
 
 
 class TestExactTable:
@@ -63,6 +64,32 @@ class TestExactTable:
         for (a, _b, c), n in full.counts.items():
             marginal[(a, c)] = marginal.get((a, c), 0) + n
         assert marginal == sub.counts
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 2 * CHUNK_ROWS + 3),
+        st.permutations(range(3)),
+        st.integers(1, 3),
+    )
+    def test_counts_equal_per_row_count(self, seed, m, order, k):
+        # Streams up to a little over two chunks, any ordered subcube.
+        rng = random.Random(seed)
+        rows = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(m)]
+        coords = order[:k]
+        expect: dict[tuple[int, ...], int] = {}
+        for row in rows:
+            v = tuple(row[c] for c in coords)
+            expect[v] = expect.get(v, 0) + 1
+        h = from_items(rows)
+        gt = exact_table(h, make_subcube(coords, 3))
+        assert type(gt.counts) is dict
+        assert gt.m == m
+        decoded = {
+            tuple(int(h.decode(c, x)) for c, x in zip(coords, v)): n
+            for v, n in gt.counts.items()
+        }
+        assert decoded == expect
 
     def test_top_values_deterministic(self):
         h = from_items([(0,), (1,), (1,), (2,), (2,)])

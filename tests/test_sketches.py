@@ -172,3 +172,96 @@ class TestReservoir:
         sigma = (p * (1 - p) / runs) ** 0.5
         for count in inclusion:
             assert abs(count / runs - p) <= 3 * sigma
+
+
+def chunked(stream, cuts):
+    """`stream` split at the given positions (clipped to its length)."""
+    bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def count_scalar_updates(monkeypatch, cls) -> list:
+    """Record every item `cls.update` is called with."""
+    calls = []
+    update = cls.update
+
+    def recording(self, *args):
+        calls.append(args)
+        update(self, *args)
+
+    monkeypatch.setattr(cls, "update", recording)
+    return calls
+
+
+class TestChunkedUpdatesEqualScalar:
+    """`update_many` over any chunking equals `update` item by item."""
+
+    @given(
+        st.lists(st.integers(0, 9), max_size=80),
+        st.integers(0, 6),
+        st.lists(st.integers(0, 80), max_size=6),
+    )
+    def test_misra_gries(self, stream, budget, cuts):
+        ref, fast = MisraGries(budget), MisraGries(budget)
+        for x in stream:
+            ref.update(x)
+        for chunk in chunked(stream, cuts):
+            fast.update_many(chunk)
+        assert fast.counters == ref.counters
+        assert fast.tracked() == ref.tracked()  # first-tracked order too
+        assert fast.processed == ref.processed
+
+    def test_misra_gries_fast_branch(self, monkeypatch):
+        # 3 distinct values, 1 already tracked, 2 free counters: no decrement
+        # can happen, so the chunk never reaches the scalar update.
+        sk = MisraGries(3)
+        sk.update_many([5])
+        calls = count_scalar_updates(monkeypatch, MisraGries)
+        sk.update_many([5, 6, 7, 6, 5, 5])
+        assert calls == []
+        assert sk.counters == {5: 4, 6: 2, 7: 1}
+        assert sk.processed == 7
+
+    def test_misra_gries_scalar_branch(self, monkeypatch):
+        sk = MisraGries(2)
+        calls = count_scalar_updates(monkeypatch, MisraGries)
+        sk.update_many([1, 1, 2, 3, 1])
+        assert calls == [(1,), (1,), (2,), (3,), (1,)]
+        assert sk.counters == {1: 2}  # the hand simulation above
+
+    def test_misra_gries_budget_zero(self):
+        sk = MisraGries(0)
+        sk.update_many([1, 2, 1])
+        sk.update_many([])
+        assert sk.counters == {}
+        assert sk.processed == 3
+
+    @given(
+        st.integers(0, 70),
+        st.sampled_from([0, 1, 2, 5, 16, 100]),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 70), max_size=6),
+    )
+    def test_reservoir(self, n, capacity, seed, cuts):
+        stream = [[i, i % 3] for i in range(n)]  # lists: both store tuples
+        ref, fast = Reservoir(capacity, seed), Reservoir(capacity, seed)
+        for item in stream:
+            ref.update(item)
+        for chunk in chunked(stream, cuts):
+            fast.update_many(chunk)
+        assert fast.samples == ref.samples
+        assert all(type(item) is tuple for item in fast.samples)
+        assert fast.seen == ref.seen
+
+    @pytest.mark.parametrize("capacity", [0, 1, 5])
+    def test_reservoir_fill_boundary_inside_chunk(self, capacity):
+        # The capacity-5 reservoir fills after the 5th item: inside the
+        # second chunk, which then also makes replacement draws.
+        stream = [(i,) for i in range(40)]
+        ref, fast = Reservoir(capacity, 9), Reservoir(capacity, 9)
+        for item in stream:
+            ref.update(item)
+        for chunk in (stream[:3], stream[3:11], stream[11:]):
+            fast.update_many(chunk)
+        assert (fast.samples, fast.seen) == (ref.samples, ref.seen)
+        assert len(fast.samples) == capacity

@@ -6,7 +6,7 @@ from subcubehh.errors import (
     IngestInconsistencyError,
     RaggedRowError,
 )
-from subcubehh.stream_io import from_rows, open_dataset
+from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
 
 
 def write_csv(path, rows, delimiter=","):
@@ -14,8 +14,14 @@ def write_csv(path, rows, delimiter=","):
 
 
 def collect(handle):
+    """Every (item, class code) the replay hands over, in order."""
     out = []
-    handle.replay(lambda item, cls: out.append((item, cls)))
+
+    def visit(columns, classes):
+        rows = list(zip(*columns))
+        out.extend(zip(rows, classes if classes is not None else [None] * len(rows)))
+
+    handle.replay(visit)
     return out
 
 
@@ -144,3 +150,75 @@ class TestReplay:
     def test_class_only_file_rejected(self):
         with pytest.raises(ConfigError):
             from_rows([["a"]], class_col=0)
+
+
+def token_rows(m):
+    """m rows whose first column meets a new token every 7 rows, so each
+    chunk codes new tokens; the last column is a 3-valued class."""
+    return [[f"t{r // 7}", f"u{r % 5}", f"c{r % 3}"] for r in range(m)]
+
+
+def first_seen_codes(rows):
+    """Reference encoding: per column, codes in first-seen order, row by row."""
+    dicts = [{} for _ in rows[0]]
+    return [tuple(d.setdefault(tok, len(d)) for d, tok in zip(dicts, row)) for row in rows]
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "m", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_boundaries(self, tmp_path, m, cached):
+        rows = token_rows(m)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2, cache_items=cached)
+        sizes = []
+
+        def visit(columns, classes):
+            assert len(columns) == 2
+            sizes.append(len(classes))
+            assert all(len(col) == len(classes) for col in columns)
+
+        assert h.replay(visit).m == m
+        assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
+        expect = [(codes[:2], codes[2]) for codes in first_seen_codes(rows)]
+        assert collect(h) == expect  # frozen pass: the file again, or the cache
+        assert collect(h) == expect
+        assert h.cardinalities == (len({r[0] for r in rows}), 5)
+
+    def test_ragged_row_in_second_chunk(self, tmp_path):
+        rows = token_rows(CHUNK_ROWS + 5)
+        rows[CHUNK_ROWS + 2].append("extra")  # row CHUNK_ROWS + 3, 1-based
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p)
+        with pytest.raises(RaggedRowError, match=f"^row {CHUNK_ROWS + 3} has 4 fields"):
+            h.replay(lambda _c, _z: None)
+
+    def test_unseen_token_in_later_chunk_of_pass_two(self, tmp_path):
+        rows = token_rows(2 * CHUNK_ROWS)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p)
+        h.replay(lambda _c, _z: None)
+        rows[CHUNK_ROWS + 10][1] = "never-seen"
+        write_csv(p, rows)
+        chunks = []
+        with pytest.raises(IngestInconsistencyError, match="never-seen"):
+            h.replay(lambda columns, _z: chunks.append(columns))
+        assert len(chunks) == 1  # the first chunk still went through
+
+    def test_blank_lines_and_header_skipped(self, tmp_path):
+        rows = token_rows(CHUNK_ROWS + 2)
+        lines = ["h1,h2,h3"]
+        for r, row in enumerate(rows):
+            lines.append(",".join(row))
+            if r % 100 == 0 or r == CHUNK_ROWS - 1:
+                lines.append("")
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n")
+        h = open_dataset(p, has_header=True)
+        assert [item for item, _ in collect(h)] == first_seen_codes(rows)
+        assert h.m == CHUNK_ROWS + 2
