@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .core import HHParams, Subcube
+from .core import Subcube
 from .errors import ConfigError, ExperimentError, SubcubeHHError
 from .harness import (
     ALGORITHMS,
@@ -139,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--subcube", required=True, action="append")
     ev.add_argument("--task", default="detect", choices=["detect", "freq"])
     ev.add_argument("--top-k", type=int, default=10)
-    ev.add_argument("--cache-dir", default=None, help="oracle table cache directory")
     ev.add_argument("--out", required=True, help="output path prefix")
     return ap
 
@@ -207,8 +206,7 @@ def _experiment_config(args, **rest) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     sweep = None if args.gamma_star is None else [args.gamma_star]
     cfg = _experiment_config(args, algos=[args.algo], seeds=[args.seed], gamma_stars=sweep)
-    h, _digest = open_config_dataset(cfg)
-    p = HHParams(cfg.gamma)
+    h, p = open_config_dataset(cfg)
     threshold = p.lam if args.gamma_star is None else args.gamma_star
     _model, scorer = build_model(args.algo, h, p, args.seed, cfg)
     results = []
@@ -238,11 +236,9 @@ def _cmd_eval(args) -> int:
         seeds=_parse_list(args.seeds, int, "--seeds"),
         gamma_stars=_parse_list(args.gamma_star_sweep, float, "--gamma-star-sweep"),
         memory_fracs=_parse_list(args.memory_fracs, float, "--memory-fracs"),
-        cache_dir=args.cache_dir,
         top_k=args.top_k,
     )
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     try:
         if args.task == "detect":
             report = run_experiment(cfg)
@@ -250,10 +246,12 @@ def _cmd_eval(args) -> int:
             report = run_freq_experiment(cfg)
     except ExperimentError as exc:
         if exc.partial is not None:
+            prefix.parent.mkdir(parents=True, exist_ok=True)
             partial_path = prefix.parent / (prefix.stem + ".partial.json")
             _emit(exc.partial.to_json_dict(), partial_path)
             sys.stderr.write(f"partial results flushed to {partial_path}\n")
         raise
+    prefix.parent.mkdir(parents=True, exist_ok=True)  # only once there is a report
     json_path = prefix.with_suffix(".json")
     _emit(report.to_json_dict(), json_path)
     written = [str(json_path)]

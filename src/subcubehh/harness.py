@@ -5,14 +5,11 @@ Memory is accounted in value-code slots relative to the dataset size m*d:
 the sampling model costs d slots per kept item, and sketch-based models cost
 d times their per-coordinate cell count (Count-Min cells are width*depth;
 Misra-Gries cells are its counter budget, which also bounds the second-pass
-exact counters). Oracle tables are cached on disk keyed by the dataset's
-content hash, since brute force is the slow part of every experiment.
+exact counters).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -23,7 +20,9 @@ from .core import HHParams, JointValue, Subcube, make_subcube
 from .errors import (
     BudgetTooSmallError,
     ConfigError,
+    DuplicateIndexError,
     ExperimentError,
+    IndexOutOfRangeError,
     NoClassColumnError,
     SubcubeHHError,
 )
@@ -31,7 +30,7 @@ from .heuristic import DEFAULT_DEPTH, heuristic_all_query_scored, heuristic_buil
 from .independence import indep_all_query_scored, indep_pass1, indep_pass2
 from .metrics import compute_detection_metrics, compute_error_metrics, roc_auc
 from .naivebayes import nb_all_query_scored, nb_pass1, nb_pass2
-from .oracle import GroundTruth, exact_table
+from .oracle import exact_table
 from .sampling import (
     build_sample,
     required_sample_size,
@@ -59,7 +58,6 @@ class ExperimentConfig:
     class_col: int | None = None  # 0-based file column
     delimiter: str = ","
     has_header: bool = False
-    cache_dir: str | Path | None = None
     top_k: int = 10
 
     def __post_init__(self) -> None:
@@ -158,49 +156,6 @@ def _subcube_label(t: Subcube) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Oracle cache
-# ---------------------------------------------------------------------------
-
-
-def _dataset_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:24]
-
-
-def cached_exact_table(
-    h: DatasetHandle,
-    t: Subcube,
-    cache_dir: str | Path | None,
-    digest: str | None,
-) -> GroundTruth:
-    """exact_table with a JSON disk cache keyed by dataset content hash."""
-    if cache_dir is None or digest is None:
-        return exact_table(h, t)
-    key = f"{digest}-c{'_'.join(str(c) for c in t.coords)}.json"
-    cache_path = Path(cache_dir) / key
-    if cache_path.exists():
-        with open(cache_path) as fh:
-            blob = json.load(fh)
-        counts = {tuple(v): c for v, c in zip(blob["v"], blob["c"])}
-        return GroundTruth(t, blob["m"], counts)
-    truth = exact_table(h, t)
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    items = sorted(truth.counts.items())
-    tmp = cache_path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(
-            {"m": truth.m, "v": [list(v) for v, _ in items], "c": [c for _, c in items]},
-            fh,
-            separators=(",", ":"),
-        )
-    tmp.replace(cache_path)
-    return truth
-
-
-# ---------------------------------------------------------------------------
 # Model building under a slot budget
 # ---------------------------------------------------------------------------
 
@@ -284,17 +239,22 @@ def open_frozen(path: str | Path, subcubes: list[Subcube], **layout) -> DatasetH
     """Open a delimited file (`layout`: open_dataset's delimiter, has_header
     and class_col), check every subcube against its feature count, known
     from the first row, and only then run the replay that freezes the
-    dictionaries and m. Items are cached for the later passes."""
+    dictionaries and m. Chunk columns are cached for the later passes."""
     h = open_dataset(path, cache_items=True, **layout)
     for t in subcubes:
-        make_subcube(t.coords, h.d)
+        try:
+            make_subcube(t.coords, h.d)
+        except (IndexOutOfRangeError, DuplicateIndexError) as exc:
+            raise type(exc)(
+                f"subcube {_subcube_label(t)}: coordinates must be distinct and in 1..{h.d}"
+            ) from None
     h.replay(lambda _i, _c: None)
     return h
 
 
-def open_config_dataset(cfg: ExperimentConfig) -> tuple[DatasetHandle, str | None]:
-    """The config's frozen dataset and, when oracle tables are cached, its
-    content digest. nb2p without a class column fails before the file is read."""
+def open_config_dataset(cfg: ExperimentConfig) -> tuple[DatasetHandle, HHParams]:
+    """The config's frozen dataset and its params. nb2p without a class
+    column fails before the file is read."""
     if "nb2p" in cfg.algos and cfg.class_col is None:
         raise NoClassColumnError("algorithm nb2p needs --class-col")
     h = open_frozen(
@@ -304,18 +264,15 @@ def open_config_dataset(cfg: ExperimentConfig) -> tuple[DatasetHandle, str | Non
         has_header=cfg.has_header,
         class_col=cfg.class_col,
     )
-    digest = _dataset_digest(Path(cfg.dataset)) if cfg.cache_dir is not None else None
-    return h, digest
+    return h, HHParams(cfg.gamma)
 
 
 def _prepare(cfg: ExperimentConfig):
     """What both runners start from: the frozen dataset, the params, the
     exact table of each subcube (keyed by coordinates) and an empty report."""
-    h, digest = open_config_dataset(cfg)
-    truths = {
-        t.coords: cached_exact_table(h, t, cfg.cache_dir, digest) for t in cfg.subcubes
-    }
-    return h, HHParams(cfg.gamma), truths, MetricsReport(config=_config_dict(cfg, h))
+    h, p = open_config_dataset(cfg)
+    truths = {t.coords: exact_table(h, t) for t in cfg.subcubes}
+    return h, p, truths, MetricsReport(config=_config_dict(cfg, h))
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
@@ -381,16 +338,16 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
             f"no frequency estimator for {unsupported}; algorithms with one: {FREQ_ALGORITHMS}"
         )
     h, p, truths, report = _prepare(cfg)
+    tops = {t.coords: truths[t.coords].top_values(cfg.top_k) for t in cfg.subcubes}
     for frac in cfg.memory_fracs:
         frac_cfg = replace(cfg, memory_frac=frac, sample_size=None)
         for algo in cfg.algos:
             for seed in cfg.seeds:
                 model, _scorer = build_model(algo, h, p, seed, frac_cfg)
                 for t in cfg.subcubes:
-                    truth = truths[t.coords]
-                    top = truth.top_values(cfg.top_k)
+                    top = tops[t.coords]
                     estimates = _estimate_map(algo, model, t, top)
-                    mse, mae, mape = compute_error_metrics(estimates, truth, cfg.top_k)
+                    mse, mae, mape = compute_error_metrics(estimates, truths[t.coords], top)
                     report.freq_rows.append(
                         FreqRow(algo, t, frac, seed, mse, mae, mape)
                     )

@@ -19,13 +19,13 @@ def compute_detection_metrics(
 
 
 def compute_error_metrics(
-    estimates: Mapping[JointValue, float], truth: GroundTruth, top_k: int = 10
+    estimates: Mapping[JointValue, float], truth: GroundTruth, top: Sequence[JointValue]
 ) -> tuple[float, float, float]:
-    """(MSE, MAE, MAPE) of the estimates over the top_k most frequent true
-    values; a value with no estimate counts as an estimate of 0."""
-    if not truth.counts:
-        raise ConfigError("ground truth table is empty")
-    top = truth.top_values(top_k)
+    """(MSE, MAE, MAPE) of the estimates over `top`, the most frequent true
+    values, GroundTruth.top_values(k); a value with no estimate counts as an
+    estimate of 0."""
+    if not top:
+        raise ConfigError("no true values to score: the ground truth table is empty")
     se = ae = ape = 0.0
     for v in top:
         f = truth.freq(v)

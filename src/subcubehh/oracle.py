@@ -32,7 +32,7 @@ class GroundTruth:
 
     subcube: Subcube
     m: int
-    counts: dict[JointValue, int]
+    counts: Counter[JointValue]
 
     def freq(self, v: JointValue) -> float:
         return self.counts.get(v, 0) / self.m
@@ -55,7 +55,7 @@ def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
         counts.update(zip(*(columns[c] for c in t.coords)))
 
     summary = h.replay(visit)
-    return GroundTruth(t, summary.m, dict(counts))
+    return GroundTruth(t, summary.m, counts)
 
 
 def truth_label(f: float, p: HHParams) -> TruthLabel:
@@ -65,17 +65,6 @@ def truth_label(f: float, p: HHParams) -> TruthLabel:
     if f < p.gamma / 4.0:
         return TruthLabel.MUST_NO
     return TruthLabel.EITHER
-
-
-def _marginal_counts(h: DatasetHandle, t: Subcube) -> list[dict[int, int]]:
-    per_coord: list[Counter[int]] = [Counter() for _ in t.coords]
-
-    def visit(columns: Columns, _classes: list[int] | None) -> None:
-        for tally, c in zip(per_coord, t.coords):
-            tally.update(columns[c])
-
-    h.replay(visit)
-    return [dict(tally) for tally in per_coord]
 
 
 def _check_support(sizes: list[int], cap: int) -> None:
@@ -95,10 +84,14 @@ def empirical_alpha_independence(
 
     Enumerates the cartesian product of the observed per-coordinate supports;
     joint values never observed count with frequency 0 (their deviation is
-    the marginal product itself).
+    the marginal product itself). The marginals are summed out of the joint
+    table, so the dataset is read once.
     """
     truth = exact_table(h, t)
-    marginals = _marginal_counts(h, t)
+    marginals: list[Counter[int]] = [Counter() for _ in t.coords]
+    for v, n in truth.counts.items():
+        for tally, x in zip(marginals, v):
+            tally[x] += n
     supports = [sorted(mc) for mc in marginals]
     _check_support([len(s) for s in supports], support_cap)
     m = truth.m

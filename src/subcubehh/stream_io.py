@@ -227,7 +227,7 @@ def open_dataset(
 def from_rows(
     rows: Iterable[Sequence[str]], *, class_col: int | None = None
 ) -> DatasetHandle:
-    """In-memory dataset from pre-split token rows; used by tests and the oracle."""
+    """In-memory dataset from pre-split token rows."""
     materialized = [list(r) for r in rows]
     return DatasetHandle(materialized, class_col=class_col)
 

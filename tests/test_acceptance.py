@@ -400,8 +400,7 @@ def paper_data(tmp_path_factory):
     whole = root / "whole.csv"
     sample_to_csv(gen, 135_000, seed=101, path=fixz, fix_class=gen.most_frequent_class())
     sample_to_csv(gen, 168_000, seed=102, path=whole)
-    cache = root / "oracle-cache"
-    return {"fixz": fixz, "whole": whole, "cache": cache}
+    return {"fixz": fixz, "whole": whole}
 
 
 def test_criterion_8_directional_reproduction(paper_data):
@@ -418,7 +417,6 @@ def test_criterion_8_directional_reproduction(paper_data):
                 gamma=gamma,
                 seeds=seeds,
                 memory_frac=0.02,
-                cache_dir=paper_data["cache"],
             )
         )
         whole_report = run_experiment(
@@ -430,7 +428,6 @@ def test_criterion_8_directional_reproduction(paper_data):
                 seeds=seeds,
                 memory_frac=0.02,
                 class_col=0,
-                cache_dir=paper_data["cache"],
             )
         )
         assert fixz_report.auc["indep2p"] >= fixz_report.auc["sampling"]
@@ -455,7 +452,6 @@ def test_criterion_9_warmup_frequency_estimation(paper_data):
                 gamma=gamma,
                 seeds=list(range(10)),
                 memory_fracs=[0.001, 0.005, 0.01],
-                cache_dir=paper_data["cache"],
             )
         )
         by_key = {}

@@ -64,16 +64,16 @@ def test_wrapped_names_exist(owner):
         assert callable(getattr(owner, name)), name
 
 
-def test_open_config_dataset_returns_frozen_handle_and_digest(class_csv, tmp_path):
-    h, digest = harness.open_config_dataset(config(class_csv))
+def test_open_config_dataset_returns_frozen_handle_and_params(class_csv):
+    # child.py keeps r[0] of the result as the frozen handle.
+    h, p = harness.open_config_dataset(config(class_csv))
     assert isinstance(h, stream_io.DatasetHandle)
-    assert (h.m, h.d, digest) == (3000, 3, None)
-    _h, digest = harness.open_config_dataset(config(class_csv, cache_dir=tmp_path))
-    assert isinstance(digest, str) and digest
+    assert (h.m, h.d) == (3000, 3)
+    assert p == HHParams(GAMMA)
 
 
 def test_model_shapes(class_csv):
-    h, _digest = harness.open_config_dataset(config(class_csv))
+    h, _p = harness.open_config_dataset(config(class_csv))
     p = HHParams(GAMMA)
     t = Subcube((0, 1))
 
@@ -153,7 +153,7 @@ def test_freq_task_builds_through_harness(class_csv, monkeypatch):
 def test_replay_calls_per_builder(class_csv, monkeypatch):
     # stream-1m counts its replays (7) and times the first as ingest: each
     # builder is one full pass, each pass one replay.
-    h, _digest = harness.open_config_dataset(config(class_csv))
+    h, _p = harness.open_config_dataset(config(class_csv))
     p = HHParams(GAMMA)
     calls = count_calls(monkeypatch, stream_io.DatasetHandle, ["replay"])
     builds = {

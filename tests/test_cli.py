@@ -308,6 +308,7 @@ class TestConfigBeforeData:
         [
             [*RUN, "--subcube", "2,3", "--memory-frac", "0"],
             [*RUN, "--subcube", "1,9"],
+            [*RUN, "--subcube", "2,2"],
             [*RUN, "--subcube", "2,3", "--gamma-star", "0"],
             [*RUN, "--subcube", "2,3", "--class-col", "0"],
             ["run", "--algo", "nb2p", "--gamma", "0.05", "--subcube", "2,3"],
@@ -319,15 +320,20 @@ class TestConfigBeforeData:
             ["eval", "--task", "freq", "--algo", "sampling", "--algo", "nb2p",
              "--class-col", "1", "--gamma", "0.05", "--subcube", "2,3"],
         ],
-        ids=["run-memory-frac", "run-subcube", "run-gamma-star", "run-class-col",
-             "run-nb2p-no-class", "oracle-subcube", "eval-subcube", "eval-nb2p-no-class",
-             "eval-freq-indep2p", "eval-freq-nb2p"],
+        ids=["run-memory-frac", "run-subcube", "run-subcube-repeat", "run-gamma-star",
+             "run-class-col", "run-nb2p-no-class", "oracle-subcube", "eval-subcube",
+             "eval-nb2p-no-class", "eval-freq-indep2p", "eval-freq-nb2p"],
     )
     def test_config_error_first(self, ragged_csv, tmp_path, capsys, argv):
-        code = main([*argv, "--data", str(ragged_csv), "--out", str(tmp_path / "out")])
+        out = tmp_path / "new" / "out"  # eval would create its parent on success
+        code = main([*argv, "--data", str(ragged_csv), "--out", str(out)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
+        for spec in ("1,9", "2,2"):  # named in the command line's 1-based terms
+            if spec in argv:
+                assert f"subcube {spec.replace(',', '-')}:" in captured.err
+                assert "1..4" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

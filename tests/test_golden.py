@@ -1,6 +1,7 @@
-"""Golden answers: the detection report of a fixed experiment, byte for byte.
+"""Golden answers: the detection and frequency reports of fixed experiments,
+the oracle's JSON and an alpha diagnostic, byte for byte.
 
-Refactors of the answerers must not change what they report. The input is
+Refactors of the answerers and of the oracle must not change what they report. The input is
 written from `random.Random` and the threshold sweep is given explicitly, so
 the digest depends on neither the numpy version nor the generator module.
 """
@@ -8,10 +9,16 @@ the digest depends on neither the numpy version nor the generator module.
 import hashlib
 import random
 
+from subcubehh import cli
 from subcubehh.core import Subcube
-from subcubehh.harness import ExperimentConfig, run_experiment
+from subcubehh.harness import ExperimentConfig, run_experiment, run_freq_experiment
+from subcubehh.oracle import empirical_alpha_independence
+from subcubehh.stream_io import open_dataset
 
 GOLDEN_CSV_SHA256 = "ad51fe029cc75af4bca3b1f4acce757828b813d1f88e57cb055e957afebebf8a"
+GOLDEN_FREQ_CSV_SHA256 = "ffcb5fc9ef84c5474117f2a5bdc4044111bcec1fe8c1aacbdff5417d02a0f57c"
+GOLDEN_ORACLE_JSON_SHA256 = "3f83cda80234979cf422843a46098da6d8bbf8460e1829a7c95b635d2bde8d21"
+GOLDEN_ALPHA_REPR = {(0, 1): "0.09063200000000002", (1, 2, 3): "0.09302190800000001"}
 
 
 def _write_skewed_csv(path, m=3000, d=5, ell=3, seed=2024):
@@ -49,3 +56,40 @@ def test_detection_report_digest(tmp_path):
     assert all(r.reported for r in report.rows if r.gamma_star == 0.01)
     digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256
+
+
+def test_freq_report_digest(tmp_path):
+    path = tmp_path / "golden.csv"
+    _write_skewed_csv(path)
+    cfg = ExperimentConfig(
+        dataset=path,
+        algos=["sampling", "cms-heuristic"],
+        subcubes=[Subcube((0, 1)), Subcube((1, 2, 3)), Subcube((4, 2, 0))],
+        gamma=0.02,
+        seeds=[0, 1],
+        memory_fracs=[0.005, 0.01, 0.05],
+        top_k=5,
+        class_col=0,
+    )
+    report = run_freq_experiment(cfg)
+    assert len(report.freq_rows) == 36 and all(r.mae > 0 for r in report.freq_rows)
+    digest = hashlib.sha256(report.freq_csv().encode()).hexdigest()
+    assert digest == GOLDEN_FREQ_CSV_SHA256
+
+
+def test_oracle_json_digest(tmp_path):
+    path = tmp_path / "golden.csv"
+    _write_skewed_csv(path)
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--data", str(path), "--class-col", "1", "--subcube", "1,2",
+            "--subcube", "5-3-1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ORACLE_JSON_SHA256
+
+
+def test_alpha_independence_repr(tmp_path):
+    path = tmp_path / "golden.csv"
+    _write_skewed_csv(path)
+    h = open_dataset(path, class_col=0, cache_items=True)
+    for coords, expected in GOLDEN_ALPHA_REPR.items():
+        assert repr(empirical_alpha_independence(h, Subcube(coords))) == expected

@@ -40,18 +40,19 @@ class TestDetectionMetrics:
 class TestErrorMetrics:
     def test_exact_estimates(self):
         gt = truth_of({(0,): 50, (1,): 30}, 100)
-        assert compute_error_metrics({(0,): 0.5, (1,): 0.3}, gt) == (0.0, 0.0, 0.0)
+        est = {(0,): 0.5, (1,): 0.3}
+        assert compute_error_metrics(est, gt, gt.top_values(10)) == (0.0, 0.0, 0.0)
 
     def test_single_value_arithmetic(self):
         gt = truth_of({(0,): 50}, 100)
-        mse, mae, mape = compute_error_metrics({(0,): 0.4}, gt)
+        mse, mae, mape = compute_error_metrics({(0,): 0.4}, gt, gt.top_values(10))
         assert mse == pytest.approx(0.01)
         assert mae == pytest.approx(0.1)
         assert mape == pytest.approx(0.2)
 
     def test_missing_estimate_counts_as_zero(self):
         gt = truth_of({(0,): 50}, 100)
-        mse, mae, mape = compute_error_metrics({}, gt)
+        mse, mae, mape = compute_error_metrics({}, gt, gt.top_values(10))
         assert mae == pytest.approx(0.5)
         assert mape == pytest.approx(1.0)
 
@@ -59,11 +60,12 @@ class TestErrorMetrics:
         counts = {(i,): 100 - i for i in range(20)}
         gt = truth_of(counts, sum(counts.values()))
         est = {v: gt.freq(v) for v in gt.top_values(10)}
-        assert compute_error_metrics(est, gt, top_k=10) == (0.0, 0.0, 0.0)
+        assert compute_error_metrics(est, gt, gt.top_values(10)) == (0.0, 0.0, 0.0)
 
     def test_empty_truth_rejected(self):
+        gt = truth_of({}, 10)
         with pytest.raises(ConfigError):
-            compute_error_metrics({}, truth_of({}, 10))
+            compute_error_metrics({}, gt, gt.top_values(10))
 
 
 class TestRocAuc:
@@ -145,13 +147,6 @@ class TestRunExperiment:
         report = run_experiment(toy_config(small_dataset, algos=["nb2p", "sampling"]))
         assert "nb2p" in report.auc
 
-    def test_oracle_cache_hit_identical(self, small_dataset, tmp_path):
-        cache = tmp_path / "cache"
-        cold = run_experiment(toy_config(small_dataset, cache_dir=cache))
-        warm = run_experiment(toy_config(small_dataset, cache_dir=cache))
-        assert cold.to_json_dict() == warm.to_json_dict()
-        assert any(cache.iterdir())
-
     def test_unknown_algo_rejected(self, small_dataset):
         with pytest.raises(ConfigError):
             toy_config(small_dataset, algos=["quantum"])
@@ -227,3 +222,15 @@ class TestFreqExperiment:
             assert row.mse >= 0 and row.mae >= 0 and row.mape >= 0
         text = report.freq_csv()
         assert text.splitlines()[0] == "algo,subcube,memory_frac,seed,mse,mae,mape"
+
+    def test_top_values_once_per_subcube(self, small_dataset, monkeypatch):
+        calls = []
+        top_values = GroundTruth.top_values
+        monkeypatch.setattr(
+            GroundTruth, "top_values", lambda gt, k: calls.append(gt.subcube) or top_values(gt, k)
+        )
+        cfg = toy_config(
+            small_dataset, algos=["sampling", "cms-heuristic"], memory_fracs=[0.01, 0.05]
+        )
+        assert len(run_freq_experiment(cfg).freq_rows) == 16
+        assert sorted(calls, key=lambda t: t.coords) == cfg.subcubes

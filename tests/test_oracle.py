@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from subcubehh.oracle import (
     exact_table,
     truth_label,
 )
-from subcubehh.stream_io import CHUNK_ROWS, from_items
+from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items
 
 
 class TestExactTable:
@@ -83,7 +84,7 @@ class TestExactTable:
             expect[v] = expect.get(v, 0) + 1
         h = from_items(rows)
         gt = exact_table(h, make_subcube(coords, 3))
-        assert type(gt.counts) is dict
+        assert type(gt.counts) is Counter
         assert gt.m == m
         decoded = {
             tuple(int(h.decode(c, x)) for c, x in zip(coords, v)): n
@@ -144,6 +145,17 @@ class TestAlphaIndependence:
         h = from_items(rows)
         with pytest.raises(SupportTooLargeError):
             empirical_alpha_independence(h, make_subcube([0, 1], 2), support_cap=10)
+
+    def test_one_replay(self, monkeypatch):
+        # The marginals are summed out of the joint table, not recounted.
+        h = from_items([(i % 3, (i * 5) % 7, i % 2) for i in range(40)])
+        replays = []
+        replay = DatasetHandle.replay
+        monkeypatch.setattr(
+            DatasetHandle, "replay", lambda self, visit: replays.append(1) or replay(self, visit)
+        )
+        empirical_alpha_independence(h, make_subcube([2, 0], 3))
+        assert len(replays) == 1
 
 
 class TestAlphaNB:
