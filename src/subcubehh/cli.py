@@ -9,7 +9,8 @@ Subcommands:
 
 Coordinates and column indices are 1-based on the command line and converted
 internally. `oracle`, `run` and `eval` check their whole configuration,
-subcubes included, before they read the data past its first row. Exit
+subcubes included, before they read the data past its first row; `run`
+and `oracle` then check that the directory of `--out` exists. Exit
 codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -179,7 +180,7 @@ def _ranked(h, t, scores: dict) -> list[tuple[list[str], float]]:
 
 def _cmd_oracle(args) -> int:
     subcubes = [_parse_subcube(s) for s in args.subcube]
-    h = open_frozen(args.data, subcubes, **_layout(args))
+    h = open_frozen(args.data, subcubes, args.out, **_layout(args))
     tables = []
     for t in subcubes:
         truth = exact_table(h, t)
@@ -206,7 +207,7 @@ def _experiment_config(args, **rest) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     sweep = None if args.gamma_star is None else [args.gamma_star]
     cfg = _experiment_config(args, algos=[args.algo], seeds=[args.seed], gamma_stars=sweep)
-    h, p = open_config_dataset(cfg)
+    h, p = open_config_dataset(cfg, args.out)
     threshold = p.lam if args.gamma_star is None else args.gamma_star
     _model, scorer = build_model(args.algo, h, p, args.seed, cfg)
     results = []

@@ -235,10 +235,13 @@ def accounted_memory_slots(algo: str, model, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def open_frozen(path: str | Path, subcubes: list[Subcube], **layout) -> DatasetHandle:
+def open_frozen(
+    path: str | Path, subcubes: list[Subcube], out: str | Path | None = None, **layout
+) -> DatasetHandle:
     """Open a delimited file (`layout`: open_dataset's delimiter, has_header
     and class_col), check every subcube against its feature count, known
-    from the first row, and only then run the replay that freezes the
+    from the first row, and that the directory of the output file `out`
+    (when given) exists, and only then run the replay that freezes the
     dictionaries and m. Chunk columns are cached for the later passes."""
     h = open_dataset(path, cache_items=True, **layout)
     for t in subcubes:
@@ -248,18 +251,24 @@ def open_frozen(path: str | Path, subcubes: list[Subcube], **layout) -> DatasetH
             raise type(exc)(
                 f"subcube {_subcube_label(t)}: coordinates must be distinct and in 1..{h.d}"
             ) from None
+    if out is not None and not Path(out).parent.is_dir():
+        raise FileNotFoundError(f"output directory {Path(out).parent} does not exist")
     h.replay(lambda _i, _c: None)
     return h
 
 
-def open_config_dataset(cfg: ExperimentConfig) -> tuple[DatasetHandle, HHParams]:
+def open_config_dataset(
+    cfg: ExperimentConfig, out: str | Path | None = None
+) -> tuple[DatasetHandle, HHParams]:
     """The config's frozen dataset and its params. nb2p without a class
-    column fails before the file is read."""
+    column fails before the file is read, as does a missing directory for
+    the output file `out`."""
     if "nb2p" in cfg.algos and cfg.class_col is None:
         raise NoClassColumnError("algorithm nb2p needs --class-col")
     h = open_frozen(
         cfg.dataset,
         cfg.subcubes,
+        out,
         delimiter=cfg.delimiter,
         has_header=cfg.has_header,
         class_col=cfg.class_col,

@@ -4,8 +4,9 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values. AllQuery runs the factorized model's one-class level
-loop (naivebayes.grow_levels) over those candidates, under a hard cap.
+cannot list values. AllQuery runs the factorized model's level loop
+(naivebayes.grow_levels) with one class over those candidates, under a hard
+cap; each coordinate's candidates are point-queried once, on first view.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -15,7 +16,8 @@ would report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -34,11 +36,10 @@ class HeuristicModel:
     cms: list[CountMin]
     mg: list[MisraGries]
     seed: int
-
-    @property
-    def ell(self) -> int:
-        """Count-Min marginals are unconditional: one class."""
-        return 1
+    # coordinate -> [(tracked value, estimate)] desc, built on first view
+    tables: dict[int, list[tuple[int, float]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def estimate(self, coord: int, x: int) -> float:
         """Estimated frequency ratio of x on coordinate coord; >= the true ratio."""
@@ -56,10 +57,11 @@ class HeuristicModel:
     def candidate_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
         """Tracked values whose estimated ratio reaches the threshold, sorted
         by estimate descending (ties by value code)."""
-        est = [(x, self.estimate(coord, x)) for x in self.mg[coord].tracked()]
-        keep = [(x, f) for x, f in est if f >= threshold]
-        keep.sort(key=lambda e: (-e[1], e[0]))
-        return keep
+        table = self.tables.get(coord)
+        if table is None:
+            est = [(x, self.estimate(coord, x)) for x in self.mg[coord].tracked()]
+            table = self.tables[coord] = sorted(est, key=lambda e: (-e[1], e[0]))
+        return list(takewhile(lambda e: e[1] >= threshold, table))
 
 
 def heuristic_build(
@@ -118,7 +120,7 @@ def heuristic_all_query_scored(
     threshold, grown level by level by the two-pass AllQuery loop. Aborts with
     CapExceededError once the levels together hold more than `cap` entries."""
     th = mod.params.lam if threshold is None else threshold
-    return scored_answers(grow_levels(mod, t, th, mod.candidate_entries, cap))
+    return scored_answers(grow_levels(t, th, mod.candidate_entries, cap))
 
 
 def heuristic_all_query(

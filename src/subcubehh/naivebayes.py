@@ -20,8 +20,10 @@ as rationals, which is why pruning on marginals is sound: dropping a
 coordinate from the score can only increase it, so every prefix of an
 answer scores at least the threshold. AllQuery exploits that by extending
 prefixes one coordinate at a time (grow_levels, which the Count-Min
-heuristic shares); with several classes each surviving prefix carries its
-per-class product vector so an extension costs O(ell).
+heuristic shares). Each surviving prefix carries its per-class product
+vector, so an extension costs O(ell), and extending it by x scores at most
+max(vector) * marginal(x); candidates are listed by marginal descending, so
+a prefix's scan stops at the first x whose bound falls below the threshold.
 
 Candidate promise: with the default pass-1 budget ceil(8/lam), every value
 with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
@@ -36,8 +38,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, NamedTuple
+from itertools import compress, takewhile
+from typing import Callable, NamedTuple, Sequence
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import CapExceededError, ConfigError, NoClassColumnError
@@ -45,6 +47,9 @@ from .sketches import MisraGries
 from .stream_io import Columns, DatasetHandle
 
 MAX_CLASS_VALUES = 1024
+
+Mixture = tuple[Sequence[float], list[dict[int, tuple[float, ...]]] | None]
+ONE_CLASS: Mixture = ((1.0,), None)
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,7 @@ class ClassPriors:
 
 
 class PartialLevel(NamedTuple):
-    """One AllQuery level. Each entry starts with the joint-value prefix and
-    ends with its score: (prefix, product) with one class, (prefix,
-    per-class product vector, score) with several."""
+    """One AllQuery level: entries (prefix, per-class product vector, score)."""
 
     level: int
     entries: list[tuple]
@@ -112,8 +115,7 @@ class FactorizedModel:
     and, when built over a class column, its exact per-class counts.
 
     Entries are sorted by count descending (ties by value code) so threshold
-    views are prefixes and the AllQuery level scan can stop at the first
-    failing extension.
+    views are prefixes and the AllQuery level scan of a prefix can stop early.
     """
 
     m: int
@@ -129,6 +131,12 @@ class FactorizedModel:
     def ell(self) -> int:
         return self.priors.ell
 
+    def mixture(self) -> Mixture:
+        """(prior per class, conditionals); ONE_CLASS on a one-class model."""
+        if self.conditionals is None:
+            return ONE_CLASS
+        return [self.priors.prior(z) for z in range(self.ell)], self.conditionals
+
     def marginal(self, coord: int, x: int) -> float | None:
         """Exact frequency ratio of candidate x on coordinate coord, else None."""
         c = self.index[coord].get(x)
@@ -141,13 +149,8 @@ class FactorizedModel:
         uses, so the two paths agree bit-for-bit at the boundary.
         """
         m = self.m
-        out = []
-        for x, c in self.tables[coord]:
-            f = c / m
-            if f < threshold:
-                break
-            out.append((x, f))
-        return out
+        entries = ((x, c / m) for x, c in self.tables[coord])
+        return list(takewhile(lambda e: e[1] >= threshold, entries))
 
 
 NBModel = FactorizedModel
@@ -249,22 +252,19 @@ def nb_score(
     th = mod.params.lam if threshold is None else threshold
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
-    prod = 1.0
+    prior, conditionals = mod.mixture()
+    vecs = []
     for coord, x in zip(t.coords, v):
         f = mod.marginal(coord, x)
         if f is None or f < th:
             return None
-        prod *= f
-    if mod.ell == 1:
-        return prod
-    vecs = [mod.conditionals[coord][x] for coord, x in zip(t.coords, v)]
-    priors = mod.priors
+        vecs.append((f,) if conditionals is None else conditionals[coord][x])
     q = 0.0
-    for z in range(mod.ell):
+    for z, p_z in enumerate(prior):
         prod = 1.0
         for vec in vecs:
             prod *= vec[z]
-        q += priors.prior(z) * prod
+        q += p_z * prod
     return q
 
 
@@ -277,83 +277,68 @@ def nb_query(
 
 
 def grow_levels(
-    mod,
     t: Subcube,
     threshold: float,
     entries: Callable[[int, float], list[tuple[int, float]]],
     cap: float = math.inf,
+    mixture: Mixture = ONE_CLASS,
 ) -> list[PartialLevel]:
     """AllQuery one coordinate at a time; returns every level.
 
     Level j extends each prefix of level j-1 (level 0 is the empty prefix)
     by the values `entries(coord, threshold)` lists for the j-th coordinate,
-    largest marginal ratio first, and keeps the extensions that score at
-    least the threshold. `mod.ell` picks the score: with one class it is the
-    product of the marginals, which only shrinks as coordinates are
-    appended, so a prefix stops at its first failing extension; with
-    several it is the class mixture over `mod.conditionals`, which has no
-    such order, so every extension is scored. Raises CapExceededError,
-    without finishing the level, once the levels together hold more than
-    `cap` entries.
+    largest marginal ratio f first. Each entry carries its per-class product
+    vector vec, and an extension is kept when its class mixture
+    sum_z prior(z) * vec(z) reaches the threshold. `mixture` is (prior per
+    class, per coordinate {value: cond(x|z) per class}); the default is one
+    class of prior 1.0 whose vector for x is (f,), so the score is the plain
+    product of the f's.
+
+    Since sum_z prior(z) * cond(x|z) == f(x), extending a prefix by x
+    scores at most max(vec) * f(x), which only falls along the sorted
+    entries: the scan of a prefix stops at the first x where that bound is
+    below the threshold (less a 1e-9 relative margin for float rounding).
+    Raises CapExceededError, without finishing the level, once the levels
+    together hold more than `cap` entries.
     """
     th = threshold
-    if mod.ell == 1:
-        root: tuple = ((), 1.0)
-
-        def extend(prev: list[tuple], coord: int, room: float) -> list[tuple]:
-            ext = entries(coord, th)
-            nxt = []
-            for prefix, prod in prev:
-                for x, f in ext:
-                    q = prod * f
-                    if q < th:
-                        break  # ext is sorted by f descending: no later x can pass
-                    nxt.append((prefix + (x,), q))
-                if len(nxt) > room:
-                    break  # over the cap: grow_levels raises
-            return nxt
-
-    else:
-        prior = [mod.priors.prior(z) for z in range(mod.ell)]
-        root = ((), (1.0,) * mod.ell, 1.0)
-
-        def extend(prev: list[tuple], coord: int, room: float) -> list[tuple]:
-            cond = mod.conditionals[coord]
-            xvecs = [(x, cond[x]) for x, _f in entries(coord, th)]
-            nxt = []
-            for prefix, vec, _q in prev:
-                for x, xvec in xvecs:
-                    new_vec = tuple(map(operator.mul, vec, xvec))
-                    q = 0.0
-                    for p_z, v_z in zip(prior, new_vec):
-                        q += p_z * v_z
-                    if q >= th:
-                        nxt.append((prefix + (x,), new_vec, q))
-                if len(nxt) > room:
-                    break  # over the cap: grow_levels raises
-            return nxt
-
+    stop = th * (1.0 - 1e-9)
+    prior, conditionals = mixture
     levels = []
-    prev, total = [root], 0
+    prev, total = [((), (1.0,) * len(prior), 1.0)], 0
     for j, coord in enumerate(t.coords, start=1):
-        prev = extend(prev, coord, cap - total)
-        total += len(prev)
-        levels.append(PartialLevel(j, prev))
-    if total > cap:
-        raise CapExceededError(f"AllQuery levels exceed {cap} entries")
+        cond = None if conditionals is None else conditionals[coord]
+        ext = [(x, f, (f,) if cond is None else cond[x]) for x, f in entries(coord, th)]
+        nxt = []
+        for prefix, vec, _q in prev:
+            top = max(vec)
+            for x, f, xvec in ext:
+                if top * f < stop:
+                    break  # ext is sorted by f descending: no later x can pass
+                new_vec = tuple(map(operator.mul, vec, xvec))
+                q = 0.0
+                for p_z, v_z in zip(prior, new_vec):
+                    q += p_z * v_z
+                if q >= th:
+                    nxt.append((prefix + (x,), new_vec, q))
+            if total + len(nxt) > cap:
+                raise CapExceededError(f"AllQuery levels exceed {cap} entries")
+        total += len(nxt)
+        levels.append(PartialLevel(j, nxt))
+        prev = nxt
     return levels
 
 
 def scored_answers(levels: list[PartialLevel]) -> dict[JointValue, float]:
     """The last level as {joint value: score}."""
-    return {entry[0]: entry[-1] for entry in levels[-1].entries}
+    return {prefix: q for prefix, _vec, q in levels[-1].entries}
 
 
 def nb_all_query_levels(
     mod: FactorizedModel, t: Subcube, threshold: float | None = None
 ) -> list[PartialLevel]:
     th = mod.params.lam if threshold is None else threshold
-    return grow_levels(mod, t, th, mod.heavy_entries)
+    return grow_levels(t, th, mod.heavy_entries, mixture=mod.mixture())
 
 
 def nb_all_query_scored(

@@ -8,6 +8,7 @@ meant to be slow and right.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ class GroundTruth:
 
     def top_values(self, k: int) -> list[JointValue]:
         """The k most frequent joint values; count ties broken by value."""
-        return sorted(self.counts, key=lambda v: (-self.counts[v], v))[:k]
+        counts = self.counts
+        return heapq.nsmallest(k, counts, key=lambda v: (-counts[v], v))
 
 
 def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:

@@ -337,6 +337,19 @@ class TestConfigBeforeData:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv", [[*RUN, "--subcube", "2,3"], ["oracle", "--subcube", "2,3"]], ids=["run", "oracle"]
+    )
+    def test_missing_out_dir_fails_before_replay(self, ragged_csv, tmp_path, capsys, argv):
+        out = tmp_path / "new" / "out.json"
+        code = main([*argv, "--data", str(ragged_csv), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        # the ragged row would be the error had the data been replayed
+        assert captured.err == f"error: output directory {out.parent} does not exist\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBadValues:
     """Every malformed or nonsensical value exits 2 and writes nothing."""

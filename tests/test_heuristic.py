@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from subcubehh.heuristic import (
     heuristic_query,
 )
 from subcubehh.independence import indep_all_query, indep_pass1, indep_pass2
+from subcubehh.sketches import CountMin
 from subcubehh.stream_io import from_items
 
 
@@ -127,10 +129,19 @@ class TestAllQueryEnumeration:
     THRESHOLDS = (0.004, 0.01, 0.03, 0.08, 0.2)
 
     @staticmethod
-    def brute_levels(mod, t, th):
+    def reference_entries(mod, coord, th):
+        """Point-query every tracked value, keep those reaching th, then sort
+        by estimate descending (ties by value code)."""
+        est = [(x, mod.estimate(coord, x)) for x in mod.mg[coord].tracked()]
+        keep = [(x, f) for x, f in est if f >= th]
+        keep.sort(key=lambda e: (-e[1], e[0]))
+        return keep
+
+    @classmethod
+    def brute_levels(cls, mod, t, th):
         """Per level j, every candidate prefix of length j whose product of
         estimates (multiplied left to right) reaches th, with that product."""
-        entries = [mod.candidate_entries(c, th) for c in t.coords]
+        entries = [cls.reference_entries(mod, c, th) for c in t.coords]
         levels = []
         for j in range(1, t.k + 1):
             level = {}
@@ -153,6 +164,8 @@ class TestAllQueryEnumeration:
         for coords in ([0, 1, 2], [3, 1], [2, 0, 3, 1]):
             t = make_subcube(coords, 4)
             for th in self.THRESHOLDS:
+                for c in coords:
+                    assert mod.candidate_entries(c, th) == self.reference_entries(mod, c, th)
                 expected = self.brute_levels(mod, t, th)[-1]
                 assert heuristic_all_query_scored(mod, t, threshold=th, cap=10**9) == expected
                 n_combos = 1
@@ -176,3 +189,23 @@ class TestAllQueryEnumeration:
             with pytest.raises(CapExceededError):
                 heuristic_all_query(mod, t, threshold=th, cap=cap)
         assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected
+
+    def test_one_point_query_per_tracked_value(self, monkeypatch):
+        rows = random_rows(3, m=400, d=3, n=9)
+        mod = heuristic_build(from_items(rows), memory_slots=3 * 4 * 5, p=HHParams(0.2))
+        calls = collections.Counter()
+        point_query = CountMin.point_query
+
+        def counted(sketch, x):
+            calls[id(sketch), x] += 1
+            return point_query(sketch, x)
+
+        monkeypatch.setattr(CountMin, "point_query", counted)
+        for _ in range(3):
+            for coords in ([0, 1, 2], [2, 1], [1, 0]):
+                for th in self.THRESHOLDS:
+                    heuristic_all_query(mod, make_subcube(coords, 3), threshold=th)
+        assert calls and max(calls.values()) == 1
+        for c in range(3):
+            queried = {x for (sk, x) in calls if sk == id(mod.cms[c])}
+            assert queried == set(mod.mg[c].tracked())

@@ -173,7 +173,7 @@ class TestAllQuery:
         h, p, mod = build(rows, gamma=0.2)
         t = make_subcube([2, 0, 1], 3)
         levels = indep_all_query_levels(mod, t)
-        final = {v for v, _ in levels[-1].entries}
+        final = {v for v, _vec, _q in levels[-1].entries}
         for v in final:
             for j in range(1, t.k + 1):
                 prod = 1.0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
-from subcubehh.errors import ConfigError, NoClassColumnError
+from subcubehh.errors import CapExceededError, ConfigError, NoClassColumnError
 from subcubehh.independence import (
     indep_all_query_scored,
     indep_pass1,
@@ -17,6 +18,7 @@ from subcubehh.naivebayes import (
     CandidateSets,
     ClassPriors,
     NBModel,
+    grow_levels,
     nb_all_query,
     nb_all_query_levels,
     nb_all_query_scored,
@@ -321,3 +323,95 @@ class TestAllQuery:
         reported = nb_all_query(mod, t)
         for v in itertools.product(range(3), range(4)):
             assert ((v in reported)) == (nb_query(mod, t, v) is Verdict.YES)
+
+
+def no_break_levels(t, th, entries, prior, conditionals):
+    """grow_levels without the early break or the cap: every extension of
+    every surviving prefix is scored, in the same order and arithmetic."""
+    levels = []
+    prev = [((), (1.0,) * len(prior), 1.0)]
+    for coord in t.coords:
+        nxt = []
+        for prefix, vec, _q in prev:
+            for x, f in entries(coord, th):
+                xvec = (f,) if conditionals is None else conditionals[coord][x]
+                new_vec = tuple(a * b for a, b in zip(vec, xvec))
+                q = 0.0
+                for p_z, v_z in zip(prior, new_vec):
+                    q += p_z * v_z
+                if q >= th:
+                    nxt.append((prefix + (x,), new_vec, q))
+        levels.append(nxt)
+        prev = nxt
+    return levels
+
+
+@st.composite
+def factorized_models(draw):
+    """A FactorizedModel from consistent integer counts: every candidate's
+    per-class counts on a coordinate sum to at most its class total. Values
+    often sit in a single class, where the mixture meets its bound."""
+    ell = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    rows = [
+        draw(st.lists(
+            st.lists(st.integers(0, 12) | st.just(0), min_size=ell, max_size=ell)
+            .filter(any),
+            min_size=1, max_size=6,
+        ))
+        for _ in range(d)
+    ]
+    class_totals = tuple(
+        max(sum(r[z] for r in coord_rows) for coord_rows in rows) + draw(st.integers(0, 5))
+        for z in range(ell)
+    )
+    class_totals = tuple(max(n, 1) for n in class_totals)
+    m = sum(class_totals)
+    by_value = [dict(enumerate(coord_rows)) for coord_rows in rows]
+    index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
+    tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
+    one_class = ell == 1 and draw(st.booleans())
+    if one_class:  # as indep2p builds it: totals only
+        return NBModel(m, HHParams(0.5), tables, index, ClassPriors((m,), m))
+    conditionals = [
+        {x: tuple(c / n for c, n in zip(row, class_totals)) for x, row in bv.items()}
+        for bv in by_value
+    ]
+    priors = ClassPriors(class_totals, m)
+    return NBModel(m, HHParams(0.5), tables, index, priors, by_value, conditionals)
+
+
+class TestGrowLevelsProof:
+    """grow_levels' early break against the no-break reference above:
+    levels equal entry for entry, scores bit for bit, at thresholds on and
+    one ulp either side of entries' scores, and the cap fires exactly when
+    the levels together exceed it."""
+
+    @settings(max_examples=300)
+    @given(factorized_models(), st.data())
+    def test_matches_no_break_reference(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.tables))))
+        t = make_subcube(coords, len(mod.tables))
+        prior, conditionals = mod.mixture()
+        tiny = no_break_levels(t, 1e-300, mod.heavy_entries, prior, conditionals)
+        scores = sorted({q for level in tiny for _p, _v, q in level})
+        score = data.draw(st.sampled_from(scores))
+        th = data.draw(st.sampled_from(
+            [score, math.nextafter(score, 0.0), math.nextafter(score, 2.0)]
+        ))
+        expected = no_break_levels(t, th, mod.heavy_entries, prior, conditionals)
+        levels = nb_all_query_levels(mod, t, th)
+        assert [level.entries for level in levels] == expected
+        scored = nb_all_query_scored(mod, t, th)
+        assert scored == {prefix: q for prefix, _v, q in expected[-1]}
+        for v, q in scored.items():
+            assert q.hex() == nb_score(mod, t, v, th).hex()
+
+        total = sum(len(level) for level in expected)
+        for cap in sorted({0, *range(max(0, total - 3), total + 2)}):
+            if cap < total:
+                with pytest.raises(CapExceededError):
+                    grow_levels(t, th, mod.heavy_entries, cap, mod.mixture())
+            else:
+                levels = grow_levels(t, th, mod.heavy_entries, cap, mod.mixture())
+                assert [level.entries for level in levels] == expected
