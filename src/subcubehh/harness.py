@@ -303,6 +303,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
             for seed in cfg.seeds:
                 _model, scorer = build_model(algo, h, p, seed, cfg)
                 scored = {t.coords: scorer(t, theta_min) for t in cfg.subcubes}
+                del _model, scorer  # free this model before the next one is built
                 for gs in sweep:
                     tp_total = fp_total = 0
                     for t in cfg.subcubes:
@@ -339,17 +340,19 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The frequency-estimation protocol: for each memory fraction, estimate
     the frequencies of the top-k true heavy values with the one-pass models
-    and report MSE / MAE / MAPE. An algorithm without a frequency estimator
-    fails before the data is read."""
+    and report MSE / MAE / MAPE. An algorithm without a frequency estimator,
+    or a fixed sample size, fails before the data is read."""
     unsupported = [a for a in cfg.algos if a not in FREQ_ALGORITHMS]
     if unsupported:
         raise ConfigError(
             f"no frequency estimator for {unsupported}; algorithms with one: {FREQ_ALGORITHMS}"
         )
+    if cfg.sample_size is not None:
+        raise ConfigError(f"the freq task takes no sample size; got {cfg.sample_size}")
     h, p, truths, report = _prepare(cfg)
     tops = {t.coords: truths[t.coords].top_values(cfg.top_k) for t in cfg.subcubes}
     for frac in cfg.memory_fracs:
-        frac_cfg = replace(cfg, memory_frac=frac, sample_size=None)
+        frac_cfg = replace(cfg, memory_frac=frac)
         for algo in cfg.algos:
             for seed in cfg.seeds:
                 model, _scorer = build_model(algo, h, p, seed, frac_cfg)

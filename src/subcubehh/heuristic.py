@@ -4,9 +4,9 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values. AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) with one class over those candidates, under a hard
-cap; each coordinate's candidates are point-queried once, on first view.
+cannot list values. The build point-queries each tracked value once and
+ranks each coordinate's candidates by estimate; AllQuery runs the factorized
+model's level loop (naivebayes.grow_levels) with one class over them.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -16,7 +16,7 @@ would report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
@@ -29,22 +29,19 @@ DEFAULT_DEPTH = 4
 DEFAULT_ALLQUERY_CAP = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeuristicModel:
+    """Frozen one-pass state. Table entries are sorted by estimate descending
+    (ties by value code) so threshold views are prefixes."""
+
     m: int
     params: HHParams
     cms: list[CountMin]
     mg: list[MisraGries]
-    seed: int
-    # coordinate -> [(tracked value, estimate)] desc, built on first view
-    tables: dict[int, list[tuple[int, float]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    tables: list[list[tuple[int, float]]]  # per coordinate: [(tracked value, estimate)] desc
 
     def estimate(self, coord: int, x: int) -> float:
         """Estimated frequency ratio of x on coordinate coord; >= the true ratio."""
-        if self.m == 0:
-            return 0.0
         return self.cms[coord].point_query(x) / self.m
 
     def product(self, t: Subcube, v: JointValue) -> float:
@@ -57,11 +54,7 @@ class HeuristicModel:
     def candidate_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
         """Tracked values whose estimated ratio reaches the threshold, sorted
         by estimate descending (ties by value code)."""
-        table = self.tables.get(coord)
-        if table is None:
-            est = [(x, self.estimate(coord, x)) for x in self.mg[coord].tracked()]
-            table = self.tables[coord] = sorted(est, key=lambda e: (-e[1], e[0]))
-        return list(takewhile(lambda e: e[1] >= threshold, table))
+        return list(takewhile(lambda e: e[1] >= threshold, self.tables[coord]))
 
 
 def heuristic_build(
@@ -73,7 +66,7 @@ def heuristic_build(
 ) -> HeuristicModel:
     """One pass: a Count-Min sketch per coordinate sized from the slot budget
     (width = memory_slots / (d * depth)), plus a Misra-Gries candidate list
-    per coordinate with budget ceil(8/lam)."""
+    per coordinate with budget ceil(8/lam), whose values are then ranked."""
     width = memory_slots // (h.d * depth)
     if width < 1:
         raise BudgetTooSmallError(
@@ -95,7 +88,11 @@ def heuristic_build(
     for sk, vc in zip(cms, value_counts):
         for x, c in vc.items():
             sk.update(x, c)
-    return HeuristicModel(m=summary.m, params=p, cms=cms, mg=mg, seed=seed)
+    del value_counts  # release the exact tally before the tables are ranked
+    m = summary.m
+    est = ([(x, sk.point_query(x) / m) for x in g.tracked()] for sk, g in zip(cms, mg))
+    tables = [sorted(row, key=lambda e: (-e[1], e[0])) for row in est]
+    return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)
 
 
 def heuristic_query(

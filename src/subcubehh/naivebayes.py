@@ -109,7 +109,7 @@ def _check_model_assumption_budget(p: HHParams) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorizedModel:
     """Frozen two-pass state: exact marginal counts for every candidate value
     and, when built over a class column, its exact per-class counts.

@@ -116,21 +116,22 @@ def empirical_alpha_nb(
 
     Uses the handle's designated class column: the reference score of a joint
     value v is sum_z prior(z) * prod_i cond_i(v_i | z), with empirical priors
-    and conditionals.
+    and conditionals. The joint table is counted in the same pass, so the
+    dataset is read once.
     """
     if h.class_col is None:
         raise NoClassColumnError("empirical_alpha_nb needs a class column")
-    truth = exact_table(h, t)
+    joint: Counter[JointValue] = Counter()
     class_counts: Counter[int] = Counter()
     joint_class: list[Counter[tuple[int, int]]] = [Counter() for _ in t.coords]
 
     def visit(columns: Columns, classes: list[int] | None) -> None:
+        joint.update(zip(*(columns[c] for c in t.coords)))
         class_counts.update(classes)
         for tally, c in zip(joint_class, t.coords):
             tally.update(zip(columns[c], classes))
 
-    h.replay(visit)
-    m = truth.m
+    m = h.replay(visit).m
     classes = sorted(class_counts)
     priors = [class_counts[z] / m for z in classes]
     supports = [sorted({x for (x, _z) in jc}) for jc in joint_class]
@@ -147,7 +148,7 @@ def empirical_alpha_nb(
             for slot, x in enumerate(v):
                 prod *= cond[slot][(x, z)]
             q += prod
-        dev = abs(truth.counts.get(v, 0) / m - q)
+        dev = abs(joint.get(v, 0) / m - q)
         if dev > worst:
             worst = dev
     return worst

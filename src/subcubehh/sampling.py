@@ -19,7 +19,7 @@ from .sketches import Reservoir
 from .stream_io import DatasetHandle
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleModel:
     """Frozen reservoir contents plus query parameters."""
 
@@ -27,7 +27,6 @@ class SampleModel:
     m_prime: int  # effective sample size: len(samples)
     capacity: int
     params: HHParams
-    seed: int
 
 
 def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
@@ -48,9 +47,7 @@ def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> Sam
     """One full pass; keeps min(m, capacity) items uniformly without replacement."""
     res = Reservoir(capacity, seed)
     h.replay(lambda columns, _classes: res.update_many(list(zip(*columns))))
-    return SampleModel(
-        samples=res.samples, m_prime=len(res.samples), capacity=capacity, params=p, seed=seed
-    )
+    return SampleModel(samples=res.samples, m_prime=len(res.samples), capacity=capacity, params=p)
 
 
 def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:

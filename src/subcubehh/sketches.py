@@ -142,11 +142,11 @@ class MisraGries:
 class CountMin:
     """Count-Min sketch: depth x width counters, one-sided overestimates.
 
-    Each row hashes with its own seed derived from the sketch seed; a point
-    query returns the minimum counter across rows.
+    Row r counts x in cell hash_pair(x, hash_pair(r + 1, seed)) % width, which is
+    splitmix64(row_keys[r] ^ x) % width; a point query returns the minimum across rows.
     """
 
-    __slots__ = ("width", "depth", "seed", "row_seeds", "table", "processed")
+    __slots__ = ("width", "depth", "seed", "row_keys", "table", "processed")
 
     def __init__(self, width: int, depth: int = 4, seed: int = 0):
         if width < 1:
@@ -156,7 +156,7 @@ class CountMin:
         self.width = width
         self.depth = depth
         self.seed = seed
-        self.row_seeds = [hash_pair(r + 1, seed) for r in range(depth)]
+        self.row_keys = [splitmix64(hash_pair(r + 1, seed)) for r in range(depth)]
         self.table = [[0] * width for _ in range(depth)]
         self.processed = 0
 
@@ -165,9 +165,9 @@ class CountMin:
             raise ConfigError(f"count must be >= 0, got {count}")
         self.processed += count
         width = self.width
-        for row, rs in zip(self.table, self.row_seeds):
-            row[hash_pair(x, rs) % width] += count
+        for row, key in zip(self.table, self.row_keys):
+            row[splitmix64(key ^ x) % width] += count
 
     def point_query(self, x: int) -> int:
         width = self.width
-        return min(row[hash_pair(x, rs) % width] for row, rs in zip(self.table, self.row_seeds))
+        return min(row[splitmix64(key ^ x) % width] for row, key in zip(self.table, self.row_keys))

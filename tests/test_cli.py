@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from subcubehh import harness
 from subcubehh.cli import main
 
 
@@ -221,6 +222,30 @@ class TestEval:
         assert (tmp_path / "freq.json").exists()
         assert (tmp_path / "freq_freq.csv").exists()
 
+    def test_failure_flushes_partial_results(self, tiny_csv, tmp_path, capsys, monkeypatch):
+        # A heuristic AllQuery that exceeds its cap fails the run after the
+        # sampling rows are done; those rows are written, the report is not.
+        scored = harness.heuristic_all_query_scored
+        monkeypatch.setattr(
+            harness, "heuristic_all_query_scored",
+            lambda mod, t, threshold=None: scored(mod, t, threshold, cap=0),
+        )
+        common = ["eval", "--data", str(tiny_csv), "--gamma", "0.05", "--memory-frac", "0.1",
+                  "--seeds", "1,2", "--subcube", "2,3", "--class-col", "1"]
+        assert main([*common, "--algo", "sampling", "--out", str(tmp_path / "ref" / "s")]) == 0
+        expected = json.loads((tmp_path / "ref" / "s.json").read_text())
+        capsys.readouterr()
+        out = tmp_path / "run" / "rep"
+        code = main([*common, "--algo", "sampling", "--algo", "cms-heuristic", "--out", str(out)])
+        assert code == 3
+        partial_path = tmp_path / "run" / "rep.partial.json"
+        partial = json.loads(partial_path.read_text())
+        assert partial["rows"] == expected["rows"] and partial["rows"]
+        assert partial["roc"] == expected["roc"] == {"sampling": expected["roc"]["sampling"]}
+        assert partial["auc"] == {}
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["rep.partial.json"]
+        assert f"partial results flushed to {partial_path}\n" in capsys.readouterr().err
+
 
 class TestDeterminismSubprocess:
     def test_eval_byte_identical(self, tiny_csv, tmp_path):
@@ -319,10 +344,13 @@ class TestConfigBeforeData:
              "--subcube", "2,3"],
             ["eval", "--task", "freq", "--algo", "sampling", "--algo", "nb2p",
              "--class-col", "1", "--gamma", "0.05", "--subcube", "2,3"],
+            ["eval", "--task", "freq", "--algo", "sampling", "--sample-size", "50",
+             "--gamma", "0.05", "--subcube", "2,3"],
         ],
         ids=["run-memory-frac", "run-subcube", "run-subcube-repeat", "run-gamma-star",
              "run-class-col", "run-nb2p-no-class", "oracle-subcube", "eval-subcube",
-             "eval-nb2p-no-class", "eval-freq-indep2p", "eval-freq-nb2p"],
+             "eval-nb2p-no-class", "eval-freq-indep2p", "eval-freq-nb2p",
+             "eval-freq-sample-size"],
     )
     def test_config_error_first(self, ragged_csv, tmp_path, capsys, argv):
         out = tmp_path / "new" / "out"  # eval would create its parent on success

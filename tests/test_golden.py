@@ -1,5 +1,5 @@
 """Golden answers: the detection and frequency reports of fixed experiments,
-the oracle's JSON and an alpha diagnostic, byte for byte.
+the oracle's JSON and the alpha diagnostics, byte for byte.
 
 Refactors of the answerers and of the oracle must not change what they report. The input is
 written from `random.Random` and the threshold sweep is given explicitly, so
@@ -12,13 +12,14 @@ import random
 from subcubehh import cli
 from subcubehh.core import Subcube
 from subcubehh.harness import ExperimentConfig, run_experiment, run_freq_experiment
-from subcubehh.oracle import empirical_alpha_independence
+from subcubehh.oracle import empirical_alpha_independence, empirical_alpha_nb
 from subcubehh.stream_io import open_dataset
 
 GOLDEN_CSV_SHA256 = "ad51fe029cc75af4bca3b1f4acce757828b813d1f88e57cb055e957afebebf8a"
 GOLDEN_FREQ_CSV_SHA256 = "ffcb5fc9ef84c5474117f2a5bdc4044111bcec1fe8c1aacbdff5417d02a0f57c"
 GOLDEN_ORACLE_JSON_SHA256 = "3f83cda80234979cf422843a46098da6d8bbf8460e1829a7c95b635d2bde8d21"
 GOLDEN_ALPHA_REPR = {(0, 1): "0.09063200000000002", (1, 2, 3): "0.09302190800000001"}
+GOLDEN_ALPHA_NB_REPR = {(0, 1): "0.003641734369514704", (1, 2, 3): "0.00397119884789985"}
 
 
 def _write_skewed_csv(path, m=3000, d=5, ell=3, seed=2024):
@@ -93,3 +94,11 @@ def test_alpha_independence_repr(tmp_path):
     h = open_dataset(path, class_col=0, cache_items=True)
     for coords, expected in GOLDEN_ALPHA_REPR.items():
         assert repr(empirical_alpha_independence(h, Subcube(coords))) == expected
+
+
+def test_alpha_nb_repr(tmp_path):
+    path = tmp_path / "golden.csv"
+    _write_skewed_csv(path)
+    h = open_dataset(path, class_col=0, cache_items=True)
+    for coords, expected in GOLDEN_ALPHA_NB_REPR.items():
+        assert repr(empirical_alpha_nb(h, Subcube(coords))) == expected

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from subcubehh.core import HHParams, Subcube
 from subcubehh.datagen import make_random_nb, sample_to_csv
 from subcubehh.errors import ConfigError
 from subcubehh.harness import (
+    ALGORITHMS,
     ExperimentConfig,
     accounted_memory_slots,
     build_model,
@@ -185,6 +188,17 @@ class TestMemoryAccounting:
         cfg = toy_config(small_dataset, algos=["sampling"])
         model, _ = build_model("sampling", h, HHParams(0.05), seed=0, cfg=cfg)
         assert model.capacity == slot_budget(cfg.memory_frac, h.m, h.d) // h.d
+
+
+class TestBuiltModelsFrozen:
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_fields_cannot_be_assigned(self, small_dataset, algo):
+        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h.replay(lambda _i, _c: None)
+        model, _ = build_model(algo, h, HHParams(0.05), seed=1, cfg=toy_config(small_dataset))
+        for f in dataclasses.fields(model):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, f.name, None)
 
 
 class TestWideShallowShape:

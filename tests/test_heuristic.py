@@ -160,6 +160,8 @@ class TestAllQueryEnumeration:
         h = from_items(rows)
         mod = heuristic_build(h, memory_slots=4 * 4 * 5, p=HHParams(0.2), seed=seed)
         assert mod.cms[0].width == 5  # fewer cells than values: estimates collide
+        for c in range(4):
+            assert mod.tables[c] == self.reference_entries(mod, c, 0.0)
         pruned = reported = 0
         for coords in ([0, 1, 2], [3, 1], [2, 0, 3, 1]):
             t = make_subcube(coords, 4)
@@ -191,8 +193,7 @@ class TestAllQueryEnumeration:
         assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected
 
     def test_one_point_query_per_tracked_value(self, monkeypatch):
-        rows = random_rows(3, m=400, d=3, n=9)
-        mod = heuristic_build(from_items(rows), memory_slots=3 * 4 * 5, p=HHParams(0.2))
+        # The build point-queries each tracked value once; AllQuery none.
         calls = collections.Counter()
         point_query = CountMin.point_query
 
@@ -201,11 +202,15 @@ class TestAllQueryEnumeration:
             return point_query(sketch, x)
 
         monkeypatch.setattr(CountMin, "point_query", counted)
-        for _ in range(3):
-            for coords in ([0, 1, 2], [2, 1], [1, 0]):
-                for th in self.THRESHOLDS:
-                    heuristic_all_query(mod, make_subcube(coords, 3), threshold=th)
+        rows = random_rows(3, m=400, d=3, n=9)
+        mod = heuristic_build(from_items(rows), memory_slots=3 * 4 * 5, p=HHParams(0.2))
         assert calls and max(calls.values()) == 1
         for c in range(3):
             queried = {x for (sk, x) in calls if sk == id(mod.cms[c])}
             assert queried == set(mod.mg[c].tracked())
+        built = calls.copy()
+        for _ in range(3):
+            for coords in ([0, 1, 2], [2, 1], [1, 0]):
+                for th in self.THRESHOLDS:
+                    heuristic_all_query(mod, make_subcube(coords, 3), threshold=th)
+        assert calls == built

@@ -178,6 +178,17 @@ class TestAlphaNB:
         with pytest.raises(NoClassColumnError):
             empirical_alpha_nb(h, make_subcube([0], 2))
 
+    def test_one_replay(self, monkeypatch):
+        # The joint table is counted in the same pass as the class tallies.
+        h = from_items([(i % 3, (i * 5) % 7, i % 2) for i in range(40)], class_col=2)
+        replays = []
+        replay = DatasetHandle.replay
+        monkeypatch.setattr(
+            DatasetHandle, "replay", lambda self, visit: replays.append(1) or replay(self, visit)
+        )
+        empirical_alpha_nb(h, make_subcube([1, 0], 2))
+        assert len(replays) == 1
+
     def test_generated_nb_data_small_alpha(self):
         from subcubehh.datagen import make_random_nb, sample_rows
         from subcubehh.stream_io import from_rows

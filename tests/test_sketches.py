@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from subcubehh.sketches import CountMin, MisraGries, Reservoir
+from subcubehh.sketches import CountMin, MisraGries, Reservoir, hash_pair
 
 
 class TestMisraGries:
@@ -95,6 +95,18 @@ class TestCountMin:
         b.update(42, 5)
         assert a.table == b.table
         assert a.processed == b.processed
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64 + 5])
+    @pytest.mark.parametrize("width", [1, 5, 64, 1009])
+    def test_cells_match_hash_pair_reference(self, seed, width):
+        # Row r counts x in cell hash_pair(x, hash_pair(r + 1, seed)) % width.
+        for x in [0, 1, 41, 2**32 + 3, 2**64 - 1, 2**64, 2**64 + 41, 2**70 + 9, -1]:
+            sk = CountMin(width, depth=3, seed=seed)
+            sk.update(x, 3)
+            for r, row in enumerate(sk.table):
+                assert row[hash_pair(x, hash_pair(r + 1, seed)) % width] == 3
+                assert sum(row) == 3
+            assert sk.point_query(x) == 3
 
     def test_rejects_bad_geometry(self):
         from subcubehh.errors import ConfigError
