@@ -11,7 +11,9 @@ least 0.9, which makes all mandatory verdicts correct at once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import countOf
 
 from .core import HHParams, Item, JointValue, Subcube, Verdict
 from .errors import ConfigError
@@ -21,12 +23,18 @@ from .stream_io import DatasetHandle
 
 @dataclass(frozen=True)
 class SampleModel:
-    """Frozen reservoir contents plus query parameters."""
+    """Frozen reservoir contents plus query parameters. The sample is held
+    column by column: sampled item r is `tuple(col[r] for col in columns)`."""
 
-    samples: list[Item]
-    m_prime: int  # effective sample size: len(samples)
+    columns: list[list[int]]  # one per coordinate, each of length m_prime
+    m_prime: int  # effective sample size
     capacity: int
     params: HHParams
+
+    @property
+    def samples(self) -> list[Item]:
+        """The sampled items as tuples (a copy)."""
+        return list(zip(*self.columns))
 
 
 def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
@@ -46,19 +54,15 @@ def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
 def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
     """One full pass; keeps min(m, capacity) items uniformly without replacement."""
     res = Reservoir(capacity, seed)
-    h.replay(lambda columns, _classes: res.update_many(list(zip(*columns))))
-    return SampleModel(samples=res.samples, m_prime=len(res.samples), capacity=capacity, params=p)
+    h.replay(lambda columns, _classes: res.update_many(columns))
+    return SampleModel(columns=res.columns, m_prime=len(res), capacity=capacity, params=p)
 
 
 def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:
     """Sample frequency of every joint value appearing in the sample."""
     if mod.m_prime == 0:
         return {}
-    counts: dict[JointValue, int] = {}
-    coords = t.coords
-    for item in mod.samples:
-        v = tuple(item[c] for c in coords)
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(zip(*(mod.columns[c] for c in t.coords)))
     m_prime = mod.m_prime
     return {v: c / m_prime for v, c in counts.items()}
 
@@ -72,11 +76,7 @@ def sample_query(
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     if mod.m_prime == 0:
         return Verdict.NO  # empty sample: degenerate but total
-    coords = t.coords
-    count = 0
-    for item in mod.samples:
-        if all(item[c] == x for c, x in zip(coords, v)):
-            count += 1
+    count = countOf(zip(*(mod.columns[c] for c in t.coords)), tuple(v))
     return Verdict.YES if count / mod.m_prime >= th else Verdict.NO
 
 

@@ -16,7 +16,7 @@ Guarantees maintained here:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import compress, repeat
 from operator import mod, xor
 from typing import Sequence
@@ -44,43 +44,67 @@ class Reservoir:
     """Uniform sample without replacement of fixed capacity (Algorithm R).
 
     One hash draw per item past capacity. The draw for the i-th item is a
-    pure function of (seed, i), which keeps runs reproducible.
+    pure function of (seed, i), which keeps runs reproducible. The sample is
+    held column by column, one list per coordinate, the data plane's own
+    shape: slot j is `tuple(col[j] for col in columns)`.
     """
 
-    __slots__ = ("capacity", "seed", "samples", "seen")
+    __slots__ = ("capacity", "seed", "columns", "seen")
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity < 0:
             raise ConfigError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.seed = seed
-        self.samples: list[tuple[int, ...]] = []
+        self.columns: list[list[int]] = []  # one per coordinate, from the first update
         self.seen = 0
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    @property
+    def samples(self) -> list[tuple[int, ...]]:
+        """The sampled items as tuples, slot by slot (a copy)."""
+        return list(zip(*self.columns))
 
     def update(self, item: Sequence[int]) -> None:
         self.seen += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(tuple(item))
+        if not self.columns:
+            self.columns = [[] for _ in item]
+        if len(self) < self.capacity:
+            for col, x in zip(self.columns, item):
+                col.append(x)
         elif self.capacity > 0:
             j = hash_pair(self.seen, self.seed) % self.seen
             if j < self.capacity:
-                self.samples[j] = tuple(item)
+                for col, x in zip(self.columns, item):
+                    col[j] = x
 
-    def update_many(self, items: Sequence[Sequence[int]]) -> None:
-        """`update` on each item in turn, with the same draws: items fill the
-        free slots, then the i-th item seen replaces slot j = hash_pair(i,
-        seed) % i when j < capacity."""
-        cap, samples, seen = self.capacity, self.samples, self.seen
-        fill = min(max(cap - len(samples), 0), len(items))
-        samples.extend(map(tuple, items[:fill]))
-        self.seen = seen + len(items)
-        if cap == 0 or fill == len(items):
+    def update_many(self, columns: Sequence[Sequence[int]]) -> None:
+        """`update` on each row of the chunk `columns` (one sequence per
+        coordinate) in turn, with the same draws: rows fill the free slots,
+        then the i-th row seen replaces slot j = hash_pair(i, seed) % i when
+        j < capacity."""
+        n = len(columns[0]) if columns else 0
+        if n == 0:
+            return
+        if not self.columns:
+            self.columns = [[] for _ in columns]
+        cap, kept, seen = self.capacity, self.columns, self.seen
+        fill = min(max(cap - len(self), 0), n)
+        for col, new in zip(kept, columns):
+            col.extend(new[:fill])
+        self.seen = seen + n
+        if cap == 0 or fill == n:
             return
         # hash_pair(i, seed) without re-mixing the seed per item; i < 2**64.
         ids = range(seen + fill + 1, self.seen + 1)
         slots = list(map(mod, map(splitmix64, map(xor, repeat(splitmix64(self.seed)), ids)), ids))
-        for k in compress(range(len(slots)), map(cap.__gt__, slots)):
-            samples[slots[k]] = tuple(items[fill + k])
+        hits = list(compress(range(fill, n), map(cap.__gt__, slots)))
+        targets = [slots[r - fill] for r in hits]
+        for col, new in zip(kept, columns):
+            # In row order, so a slot drawn twice keeps the later row.
+            deque(map(col.__setitem__, targets, map(new.__getitem__, hits)), maxlen=0)
 
 
 class MisraGries:

@@ -18,6 +18,16 @@ item or cell. A cached handle keeps these chunk columns, not rows, and
 hands the same lists to every pass: visitors read them and never modify
 them.
 
+An uncached file is parsed once per handle. Its freezing replay also writes
+each chunk's codes, class codes included, as 32-bit unsigned ints to an
+anonymous temporary file: 4*d*m bytes of temporary disk, 4*(d+1)*m with a
+class column, so every code must fit in 32 bits. Before it parses, it
+records the CRC32 and byte count of the source. A later replay recomputes
+them; on a match it reads the chunks back from that spill, decoded to the
+dictionaries' own int objects, and on a mismatch it parses the file again,
+so a changed source still fails (or passes) exactly as a re-parse would. A
+spill that cannot be written is dropped, and later replays parse the file.
+
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
 """
@@ -25,11 +35,15 @@ feature columns and handed to the visitor separately.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import tempfile
+import weakref
+import zlib
+from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConfigError,
@@ -39,6 +53,7 @@ from .errors import (
 )
 
 CHUNK_ROWS = 1024
+_DIGEST_BLOCK = 1 << 16
 
 Columns = tuple[list[int], ...]
 Visitor = Callable[[Columns, "list[int] | None"], None]
@@ -73,6 +88,10 @@ class DatasetHandle:
         self.class_col = class_col
         self._cache_items = cache_items
         self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
+        # An uncached file's codes as the freezing replay encoded them, and
+        # the (CRC32, byte count) of the source they were read from.
+        self._spill: BinaryIO | None = None
+        self._spill_digest: tuple[int, int] | None = None
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
@@ -168,9 +187,65 @@ class DatasetHandle:
                 for columns, classes in self._cached_chunks:
                     visitor(columns, classes)
                 return PassSummary(self.m)
+            if self._spill is not None and _source_digest(self._path) == self._spill_digest:
+                return self._replay_spill(visitor)
+            if self.m is None and not self._cache_items:
+                return self._replay_source_to_spill(visitor)
             return self._replay_source(visitor)
         finally:
             self._replaying = False
+
+    def _replay_source_to_spill(self, visitor: Visitor) -> PassSummary:
+        """The freezing replay of an uncached file. It also spills each
+        chunk's codes, and keeps the source's digest taken before the parse.
+        A spill that cannot be written (no temporary disk) is dropped, and
+        later replays parse the file."""
+        digest = _source_digest(self._path)
+        spill: BinaryIO | None = None
+        with suppress(OSError):
+            spill = tempfile.TemporaryFile()
+
+        def spilling(columns: Columns, classes: list[int] | None) -> None:
+            nonlocal spill
+            if spill is not None:
+                codes = array("I")
+                for col in (*columns, classes) if classes is not None else columns:
+                    codes.fromlist(col)
+                try:
+                    spill.write(codes)
+                except OSError:
+                    spill.close()
+                    spill = None
+            visitor(columns, classes)
+
+        try:
+            summary = self._replay_source(spilling)
+        except BaseException:
+            if spill is not None:
+                spill.close()
+            raise
+        if spill is not None:
+            weakref.finalize(self, spill.close)  # closed with the handle
+        self._spill, self._spill_digest = spill, digest
+        return summary
+
+    def _replay_spill(self, visitor: Visitor) -> PassSummary:
+        """The chunks the freezing replay spilled. Codes are decoded to the
+        dictionaries' own int objects, so a chunk holds what parsing holds."""
+        cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
+        objs = [list(self._dicts[j].values()) for j in cols]  # code -> the dict's int
+        spill = self._spill
+        spill.seek(0)
+        for start in range(0, self.m, CHUNK_ROWS):
+            n = min(CHUNK_ROWS, self.m - start)
+            codes = array("I")
+            codes.fromfile(spill, n * len(cols))  # column by column, as spilled
+            decoded = [
+                list(map(o.__getitem__, codes[i * n : (i + 1) * n])) for i, o in enumerate(objs)
+            ]
+            classes = None if self.class_col is None else decoded.pop()
+            visitor(tuple(decoded), classes)
+        return PassSummary(self.m)
 
     def _replay_source(self, visitor: Visitor) -> PassSummary:
         n_cols = self._n_cols
@@ -201,6 +276,18 @@ class DatasetHandle:
         if chunks is not None:
             self._cached_chunks = chunks
         return PassSummary(m)
+
+
+def _source_digest(path: Path) -> tuple[int, int]:
+    """CRC32 and byte count of a file, read through one reused buffer."""
+    crc = size = 0
+    buf = bytearray(_DIGEST_BLOCK)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            crc = zlib.crc32(view[:n], crc)
+            size += n
+    return crc, size
 
 
 def open_dataset(

@@ -179,8 +179,9 @@ def test_replay_takes_two_argument_noop(class_csv, cache_items):
     assert h.replay(lambda _item, _cls: None).m == 3000
 
 
-def test_stream_path_never_imports_numpy(class_csv):
-    # stream-1m's peak RSS bound leaves no room for numpy (~12.5 MB).
+def run_stream_path(class_csv, check: str) -> None:
+    """Build every answerer on an uncached handle, one pass each, in a fresh
+    interpreter, then run `check` there."""
     code = (
         "import sys, subcubehh\n"
         "from subcubehh import heuristic, naivebayes, sampling, sketches, stream_io\n"
@@ -191,7 +192,7 @@ def test_stream_path_never_imports_numpy(class_csv):
         "subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p), p)\n"
         "subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p), p)\n"
         "subcubehh.heuristic_build(h, 600, p)\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        f"{check}\n"
     )
     src = str(Path(subcubehh.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -199,3 +200,14 @@ def test_stream_path_never_imports_numpy(class_csv):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stream_path_never_imports_numpy(class_csv):
+    # stream-1m's peak RSS bound leaves no room for numpy (~12.5 MB).
+    run_stream_path(class_csv, "assert 'numpy' not in sys.modules, 'numpy imported'")
+
+
+def test_stream_path_never_imports_openssl(class_csv):
+    # Later replays check the source with zlib.crc32: importing hashlib loads
+    # OpenSSL (_hashlib), which raised VmHWM from 15.8 to 19.4 MB.
+    run_stream_path(class_csv, "assert '_hashlib' not in sys.modules, '_hashlib imported'")

@@ -4,11 +4,13 @@ import pytest
 
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import ConfigError
+from subcubehh.harness import accounted_memory_slots
 from subcubehh.sampling import (
     build_sample,
     required_sample_size,
     sample_all_query,
     sample_all_query_scored,
+    sample_frequencies,
     sample_query,
 )
 from subcubehh.stream_io import from_items
@@ -71,6 +73,34 @@ class TestBuildSample:
         t = make_subcube([0, 1], 2)
         assert sample_query(mod, t, (0, 0)) is Verdict.NO
         assert sample_all_query(mod, t) == set()
+
+
+class TestColumnarModel:
+    """The model holds one list per coordinate; `samples` zips them."""
+
+    def stream_model(self, capacity=40):
+        h = from_items([(i % 5, (i * 7) % 11, i % 3) for i in range(300)])
+        return build_sample(h, capacity=capacity, seed=3, p=HHParams(0.2))
+
+    def test_frequencies_equal_per_item_loop(self):
+        mod = self.stream_model()
+        for coords in ([0], [1, 2], [2, 0, 1], [0, 1, 2]):
+            t = make_subcube(coords, 3)
+            # The per-item loop this model replaced, over the tuple view.
+            counts = {}
+            for item in mod.samples:
+                v = tuple(item[c] for c in t.coords)
+                counts[v] = counts.get(v, 0) + 1
+            expect = {v: c / mod.m_prime for v, c in counts.items()}
+            got = sample_frequencies(mod, t)
+            assert got == expect
+            assert list(got) == list(expect)  # same insertion order
+
+    @pytest.mark.parametrize("capacity", [0, 1, 40, 1000])
+    def test_charge_equals_allocated_slots(self, capacity):
+        mod = self.stream_model(capacity)
+        charged = accounted_memory_slots("sampling", mod, 3)
+        assert charged == sum(map(len, mod.columns)) == 3 * min(capacity, 300)
 
 
 class TestSampleQuery:

@@ -156,6 +156,24 @@ class TestReservoir:
         assert run(11) == run(11)
         assert run(11) != run(12)  # different draws almost surely diverge
 
+    @pytest.mark.parametrize("capacity", [0, 1, 4, 30])
+    def test_columns_hold_algorithm_r_rows(self, capacity):
+        # Algorithm R over whole rows, with the same draws, is the reference
+        # for the column-wise scalar update.
+        stream = [(i % 7, i, -i) for i in range(120)]
+        slots = []
+        for i, item in enumerate(stream, start=1):
+            if len(slots) < capacity:
+                slots.append(item)
+            elif capacity > 0 and (j := hash_pair(i, 5) % i) < capacity:
+                slots[j] = item
+        res = Reservoir(capacity, seed=5)
+        for item in stream:
+            res.update(item)
+        assert res.samples == slots
+        assert res.columns == [[item[c] for item in slots] for c in range(3)]
+        assert len(res) == len(slots)
+
     def test_final_sample_uniform_chi_squared(self):
         # capacity 1, stream of 8: the survivor should be uniform over the 8.
         n, trials = 8, 10_000
@@ -190,6 +208,11 @@ def chunked(stream, cuts):
     """`stream` split at the given positions (clipped to its length)."""
     bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
     return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def as_columns(rows, d):
+    """The data plane's shape of a chunk: one list per coordinate."""
+    return tuple([row[c] for row in rows] for c in range(d))
 
 
 def count_scalar_updates(monkeypatch, cls) -> list:
@@ -255,14 +278,14 @@ class TestChunkedUpdatesEqualScalar:
         st.lists(st.integers(0, 70), max_size=6),
     )
     def test_reservoir(self, n, capacity, seed, cuts):
-        stream = [[i, i % 3] for i in range(n)]  # lists: both store tuples
+        stream = [(i, i % 3) for i in range(n)]
         ref, fast = Reservoir(capacity, seed), Reservoir(capacity, seed)
         for item in stream:
             ref.update(item)
         for chunk in chunked(stream, cuts):
-            fast.update_many(chunk)
+            fast.update_many(as_columns(chunk, 2))
+        assert fast.columns == ref.columns
         assert fast.samples == ref.samples
-        assert all(type(item) is tuple for item in fast.samples)
         assert fast.seen == ref.seen
 
     @pytest.mark.parametrize("capacity", [0, 1, 5])
@@ -274,6 +297,6 @@ class TestChunkedUpdatesEqualScalar:
         for item in stream:
             ref.update(item)
         for chunk in (stream[:3], stream[3:11], stream[11:]):
-            fast.update_many(chunk)
-        assert (fast.samples, fast.seen) == (ref.samples, ref.seen)
-        assert len(fast.samples) == capacity
+            fast.update_many(as_columns(chunk, 1))
+        assert (fast.columns, fast.seen) == (ref.columns, ref.seen)
+        assert len(fast) == len(fast.columns[0]) == capacity

@@ -1,4 +1,11 @@
+import csv
+import errno
+import io
+import tempfile
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcubehh.errors import (
     ConfigError,
@@ -6,7 +13,7 @@ from subcubehh.errors import (
     IngestInconsistencyError,
     RaggedRowError,
 )
-from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
+from subcubehh.stream_io import CHUNK_ROWS, PassSummary, from_rows, open_dataset
 
 
 def write_csv(path, rows, delimiter=","):
@@ -222,3 +229,160 @@ class TestChunks:
         h = open_dataset(p, has_header=True)
         assert [item for item, _ in collect(h)] == first_seen_codes(rows)
         assert h.m == CHUNK_ROWS + 2
+
+
+def record(handle):
+    """Every chunk the replay hands over, as (columns, classes) copies, and
+    the replay's summary."""
+    chunks = []
+
+    def visit(columns, classes):
+        chunks.append((list(map(list, columns)), None if classes is None else list(classes)))
+
+    return chunks, handle.replay(visit)
+
+
+def count_readers():
+    """Patch csv.reader to count the parses made while the patch holds."""
+    return mock.patch.object(csv, "reader", wraps=csv.reader)
+
+
+# Row counts at and around 1, 2 and 3 chunks, and a few below one chunk.
+NEAR_CHUNK_MULTIPLES = st.one_of(
+    st.integers(1, 5),
+    st.integers(1, 3).flatmap(
+        lambda k: st.integers(k * CHUNK_ROWS - 2, k * CHUNK_ROWS + 2)
+    ),
+)
+
+
+class TestSpill:
+    """Later replays of an uncached file read the codes its freezing replay
+    spilled, and hand over exactly what parsing the file again would."""
+
+    @settings(max_examples=25)
+    @given(m=NEAR_CHUNK_MULTIPLES, class_col=st.sampled_from([None, 0, 2]))
+    def test_spill_replay_equals_csv_replay(self, tmp_path_factory, m, class_col):
+        rows = token_rows(m)
+        p = tmp_path_factory.mktemp("spill") / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=class_col)
+        with count_readers() as reader:
+            parsed, summary = record(h)  # the freezing replay parses the file
+            assert reader.call_count == 1
+            for _ in range(2):
+                spilled, again = record(h)
+                assert reader.call_count == 1  # served from the spill
+                assert again == summary == PassSummary(m)
+                assert spilled == parsed  # sizes, codes and class codes
+        sizes = [len(columns[0]) for columns, _classes in parsed]
+        assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
+        features = [j for j in range(3) if j != class_col]
+        expect = first_seen_codes(rows)
+        got_items = [row for columns, _z in spilled for row in zip(*columns)]
+        assert got_items == [tuple(codes[j] for j in features) for codes in expect]
+        got_classes = [z for _c, classes in spilled for z in (classes or [])]
+        assert got_classes == ([] if class_col is None else [c[class_col] for c in expect])
+
+    def test_spilled_code_is_the_dictionary_int(self, tmp_path):
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2)
+        h.replay(lambda _c, _z: None)
+        chunks = []
+        with count_readers() as reader:
+            h.replay(lambda columns, classes: chunks.append((columns, classes)))
+        assert reader.call_count == 0
+        code = h.code(0, rows[-1][0])
+        assert code > 256  # outside CPython's small-int cache
+        assert chunks[-1][0][0][-1] is code
+        assert chunks[-1][1][-1] is h.class_code(rows[-1][2])
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
+        rows = token_rows(CHUNK_ROWS + 40)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2)
+        h.replay(lambda _c, _z: None)
+        size = p.stat().st_size
+        new_rows = rows[::-1]  # the same length, and only tokens seen before
+        write_csv(p, new_rows)
+        assert p.stat().st_size == size
+        expect = [
+            ((h.code(0, a), h.code(1, b)), h.class_code(c)) for a, b, c in new_rows
+        ]
+        with count_readers() as reader:
+            assert collect(h) == expect
+            assert collect(h) == expect
+            assert reader.call_count == 2  # the digest differs on every replay
+        write_csv(p, rows)  # the original bytes again: the spill serves them
+        with count_readers() as reader:
+            assert [item for item, _z in collect(h)] == [
+                codes[:2] for codes in first_seen_codes(rows)
+            ]
+            assert reader.call_count == 0
+
+    def test_deleted_file_raises_as_before(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, token_rows(10))
+        h = open_dataset(p)
+        h.replay(lambda _c, _z: None)
+        p.unlink()
+        with pytest.raises(FileNotFoundError) as parse_error:
+            open(p, "r", newline="")
+        with pytest.raises(FileNotFoundError) as replay_error:
+            h.replay(lambda _c, _z: None)
+        assert str(replay_error.value) == str(parse_error.value)
+
+    def test_unchanged_file_parsed_once_per_handle(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, token_rows(3 * CHUNK_ROWS))
+        h = open_dataset(p, class_col=2)  # reads the first row only
+        with count_readers() as reader:
+            for _ in range(7):
+                assert h.replay(lambda _c, _z: None).m == 3 * CHUNK_ROWS
+        assert reader.call_count == 1
+
+    def test_failed_freezing_replay_leaves_no_spill(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, token_rows(CHUNK_ROWS + 3))
+        h = open_dataset(p)
+
+        def fail(_columns, _classes):
+            raise RuntimeError("visitor failed")
+
+        with pytest.raises(RuntimeError):
+            h.replay(fail)
+        assert h.m is None
+        with count_readers() as reader:
+            first, _ = record(h)  # freezes now
+            second, _ = record(h)
+        assert reader.call_count == 1
+        assert first == second
+
+    @pytest.mark.parametrize("fails", ["open", "write"])
+    def test_unwritable_spill_falls_back_to_parsing(self, tmp_path, fails):
+        rows = token_rows(2 * CHUNK_ROWS + 1)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                if self.tell() > 0:  # the first chunk fits, the second does not
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        def temporary_file():
+            if fails == "open":
+                raise OSError(errno.ENOENT, "No usable temporary directory")
+            return FullDisk()
+
+        h = open_dataset(p, class_col=2)
+        with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
+            parsed, summary = record(h)
+        assert summary.m == len(rows)
+        with count_readers() as reader:
+            assert record(h) == (parsed, summary)
+            assert record(h) == (parsed, summary)
+            assert reader.call_count == 2  # no spill: every replay parses
