@@ -69,21 +69,16 @@ class HHParams:
     step away from it pass an explicit threshold to the query functions
     instead of building new params.
 
-    alpha_budget is the assumed bound on the model error of the factorized
-    frequency approximations; the model-based passes refuse to run when it
-    exceeds gamma/10.
+    The factorized answerers' guarantee also needs model error alpha <=
+    gamma/10. That is a property of the data, not a setting: the oracle's
+    empirical_alpha_* diagnostics measure it on a given dataset.
     """
 
     gamma: float
-    alpha_budget: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.alpha_budget is None:
-            object.__setattr__(self, "alpha_budget", self.gamma / 10.0)
-        if not 0.0 <= self.alpha_budget <= 1.0:
-            raise ConfigError(f"alpha_budget must be in [0, 1], got {self.alpha_budget}")
 
     @property
     def lam(self) -> float:

@@ -197,8 +197,6 @@ def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: Experi
         model = indep_pass2(h, indep_pass1(h, p, share), p)
         score = indep_all_query_scored
     else:
-        if h.class_col is None:
-            raise NoClassColumnError("algorithm nb2p needs --class-col")
         priors, cands = nb_pass1(h, p, share)
         model = nb_pass2(h, priors, cands, p)
         score = nb_all_query_scored

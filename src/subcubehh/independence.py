@@ -1,12 +1,12 @@
 """Two-pass subcube heavy hitters under near-independence.
 
 The near-independence algorithm is the class-conditional algorithm of
-naivebayes.py with a single class: the score sum_z prior(z) * prod_i
-cond_i(v_i|z) is then exactly 1.0 * prod_i f_i(v_i), the product of the
-exact per-coordinate marginals. This module names that one-class case. Its
-passes put every item in one class and ignore any class column the dataset
-has; its queries are the factorized model's, which with one class multiply
-marginals and prune every AllQuery prefix whose partial product already
+naivebayes.py with a single class. Its passes ignore any class column the
+dataset has and build the factorized model with one class holding every
+item: priors (m,), and for a candidate with count c the counts [c] and the
+conditional (c/m,). The score sum_z prior(z) * prod_i cond_i(v_i|z) is then
+exactly 1.0 * prod_i f_i(v_i), the product of the exact per-coordinate
+marginals, and AllQuery prunes every prefix whose partial product already
 falls below the threshold (default lam = gamma/2).
 """
 
@@ -15,9 +15,11 @@ from __future__ import annotations
 from .core import HHParams
 from .naivebayes import (  # candidate helpers re-exported under their old home
     CandidateSets,
+    ClassPriors,
     FactorizedModel,
+    _model,
     _pass1,
-    _pass2,
+    _recount,
     candidate_cutoff,
     default_counter_budget,
     nb_all_query,
@@ -38,8 +40,12 @@ def indep_pass1(
 
 
 def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> FactorizedModel:
-    """Second pass over the same stream: exact counts for candidate values only."""
-    return _pass2(h, None, cands, p)
+    """Second pass over the same stream: exact counts for candidate values,
+    all in one class."""
+    m, by_value = _recount(
+        h, cands, lambda s, col, _zs: filter(s.__contains__, col), lambda tally, x: [tally[x]]
+    )
+    return _model(p, ClassPriors((m,), m), by_value)
 
 
 indep_query = nb_query

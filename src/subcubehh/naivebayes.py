@@ -12,8 +12,8 @@ v as
 
 over the stored exact conditionals and answers YES when every v_i is a
 stored heavy candidate and q(v) reaches the threshold (default lam =
-gamma/2). With one class the score is exactly the product of the exact
-marginals, so a model built without a class column stores only those.
+gamma/2). Built without a class column, it has one class: a candidate of
+count c has conditional (c/m,), so q(v) is the product of exact marginals.
 
 Stored counts satisfy sum_z prior(z) * cond_i(x|z) == marginal_i(x) exactly
 as rationals, which is why pruning on marginals is sound: dropping a
@@ -101,18 +101,10 @@ def candidate_cutoff(lam: float, budget: int) -> float:
     return max(0.0, min(3.0 * lam / 8.0, lam / 2.0 - 1.0 / budget))
 
 
-def _check_model_assumption_budget(p: HHParams) -> None:
-    if p.alpha_budget > p.gamma / 10.0:
-        raise ConfigError(
-            f"model-based algorithms need alpha_budget <= gamma/10, "
-            f"got {p.alpha_budget} > {p.gamma / 10.0}"
-        )
-
-
 @dataclass(frozen=True)
 class FactorizedModel:
-    """Frozen two-pass state: exact marginal counts for every candidate value
-    and, when built over a class column, its exact per-class counts.
+    """Frozen two-pass state: exact marginal and per-class counts for every
+    candidate value, and its conditionals cond(x|z) = count(x, z) / count(z).
 
     Entries are sorted by count descending (ties by value code) so threshold
     views are prefixes and the AllQuery level scan of a prefix can stop early.
@@ -123,18 +115,15 @@ class FactorizedModel:
     tables: list[list[tuple[int, int]]]  # per coordinate: [(value, total count)] desc
     index: list[dict[int, int]]  # per coordinate: value -> total count
     priors: ClassPriors
-    # Only on models built over a class column (nb_pass2):
-    class_counts_by_value: list[dict[int, list[int]]] | None = None  # value -> count per class
-    conditionals: list[dict[int, tuple[float, ...]]] | None = None  # value -> cond(x|z) per class
+    class_counts_by_value: list[dict[int, list[int]]]  # value -> count per class
+    conditionals: list[dict[int, tuple[float, ...]]]  # value -> cond(x|z) per class
 
     @property
     def ell(self) -> int:
         return self.priors.ell
 
     def mixture(self) -> Mixture:
-        """(prior per class, conditionals); ONE_CLASS on a one-class model."""
-        if self.conditionals is None:
-            return ONE_CLASS
+        """(prior per class, conditionals)."""
         return [self.priors.prior(z) for z in range(self.ell)], self.conditionals
 
     def marginal(self, coord: int, x: int) -> float | None:
@@ -160,8 +149,7 @@ def _pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None, one_class: bool
 ) -> tuple[ClassPriors, CandidateSets]:
     """Class counts plus per-coordinate candidate sets, in one pass. With
-    `one_class`, every item counts towards a single class."""
-    _check_model_assumption_budget(p)
+    `one_class`, the class column is not read: all m items form one class."""
     budget = default_counter_budget(p) if counter_budget is None else counter_budget
     sketches = [MisraGries(budget) for _ in range(h.d)]
     class_counts: Counter[int] = Counter()
@@ -173,56 +161,48 @@ def _pass1(
             sk.update_many(col)
 
     summary = h.replay(visit)
-    ell = 1 if one_class else len(class_counts)
-    if ell > MAX_CLASS_VALUES:
+    counts = tuple(class_counts[z] for z in range(len(class_counts))) or (summary.m,)
+    if len(counts) > MAX_CLASS_VALUES:
         raise ConfigError(
-            f"{ell} distinct class values (> {MAX_CLASS_VALUES}); "
+            f"{len(counts)} distinct class values (> {MAX_CLASS_VALUES}); "
             "the class column is expected to be low-cardinality"
         )
-    counts = (summary.m,) if one_class else tuple(class_counts[z] for z in range(ell))
-    priors = ClassPriors(counts, summary.m)
     # Nudge below the real cutoff so integer counts sitting exactly on it are
     # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
     cutoff = candidate_cutoff(p.lam, budget) * summary.m - 1e-9
-    sets = tuple(
-        frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches
-    )
-    return priors, CandidateSets(sets)
+    sets = tuple(frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches)
+    return ClassPriors(counts, summary.m), CandidateSets(sets)
 
 
-def _pass2(
-    h: DatasetHandle, priors: ClassPriors | None, cands: CandidateSets, p: HHParams
-) -> FactorizedModel:
-    """Exact (value, class) counts for every candidate. Without `priors`,
-    every item counts towards a single class and only totals are kept."""
+def _recount(
+    h: DatasetHandle, cands: CandidateSets, cells: Callable, row: Callable
+) -> tuple[int, list[dict[int, list[int]]]]:
+    """Pass 2: m, and per coordinate each candidate's count per class. Each
+    chunk's tally counts `cells(candidate set, column, classes)`, and
+    `row(tally, x)` reads x's count per class back."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
-    ell = 1 if priors is None else priors.ell
     tallies: list[Counter] = [Counter() for _ in cands.sets]
 
     def visit(columns: Columns, classes: list[int] | None) -> None:
         for tally, s, col in zip(tallies, cands.sets, columns):
-            if ell == 1:
-                tally.update(filter(s.__contains__, col))
-            else:
-                tally.update(compress(zip(col, classes), map(s.__contains__, col)))
+            tally.update(cells(s, col, classes))
 
-    summary = h.replay(visit)
-    by_value: list[dict[int, list[int]]] = [
-        {x: [tally[x]] if ell == 1 else [tally[x, z] for z in range(ell)] for x in sorted(s)}
-        for tally, s in zip(tallies, cands.sets)
-    ]
+    m = h.replay(visit).m
+    return m, [{x: row(t, x) for x in sorted(s)} for t, s in zip(tallies, cands.sets)]
+
+
+def _model(
+    p: HHParams, priors: ClassPriors, by_value: list[dict[int, list[int]]]
+) -> FactorizedModel:
+    """The model over pass 2's counts: per coordinate, value -> count per class."""
     index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
     tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
-    if priors is None:
-        return FactorizedModel(summary.m, p, tables, index, ClassPriors((summary.m,), summary.m))
-    if summary.m != priors.m:
-        raise ConfigError("pass-2 stream length differs from pass-1 priors")
     conditionals = [
         {x: tuple(c / n for c, n in zip(row, priors.counts)) for x, row in bv.items()}
         for bv in by_value
     ]
-    return FactorizedModel(summary.m, p, tables, index, priors, by_value, conditionals)
+    return FactorizedModel(priors.m, p, tables, index, priors, by_value, conditionals)
 
 
 def nb_pass1(
@@ -240,7 +220,13 @@ def nb_pass2(
     """Second pass: exact (value, class) joint counts for every candidate."""
     if h.class_col is None:
         raise NoClassColumnError("nb_pass2 needs a dataset with a class column")
-    return _pass2(h, priors, cands, p)
+    m, by_value = _recount(
+        h, cands, lambda s, col, zs: compress(zip(col, zs), map(s.__contains__, col)),
+        lambda tally, x: [tally[x, z] for z in range(priors.ell)],
+    )
+    if m != priors.m:
+        raise ConfigError("pass-2 stream length differs from pass-1 priors")
+    return _model(p, priors, by_value)
 
 
 def nb_score(
@@ -258,7 +244,7 @@ def nb_score(
         f = mod.marginal(coord, x)
         if f is None or f < th:
             return None
-        vecs.append((f,) if conditionals is None else conditionals[coord][x])
+        vecs.append(conditionals[coord][x])
     q = 0.0
     for z, p_z in enumerate(prior):
         prod = 1.0
@@ -290,9 +276,9 @@ def grow_levels(
     largest marginal ratio f first. Each entry carries its per-class product
     vector vec, and an extension is kept when its class mixture
     sum_z prior(z) * vec(z) reaches the threshold. `mixture` is (prior per
-    class, per coordinate {value: cond(x|z) per class}); the default is one
-    class of prior 1.0 whose vector for x is (f,), so the score is the plain
-    product of the f's.
+    class, per coordinate {value: cond(x|z) per class}). The default, the
+    Count-Min heuristic's, is one class of prior 1.0 whose vector for x is
+    (f,), so the score is the plain product of the f's.
 
     Since sum_z prior(z) * cond(x|z) == f(x), extending a prefix by x
     scores at most max(vec) * f(x), which only falls along the sorted

@@ -3,10 +3,7 @@
 A DatasetHandle replays its source as a sequence of encoded chunks, any
 number of times, in identical order. Tokens are opaque categorical strings;
 each column gets its own first-seen-first-coded dictionary, built during the
-first full replay and frozen afterwards. A later pass that sees a token
-missing from the frozen dictionary (or a different row count) fails with
-IngestInconsistencyError, since multi-pass algorithms require both passes to
-observe the same stream.
+first full replay and frozen afterwards.
 
 The visitor is called once per chunk of up to CHUNK_ROWS rows, as
 `visitor(columns, classes)`: `columns` is a tuple of d lists of feature
@@ -18,15 +15,16 @@ item or cell. A cached handle keeps these chunk columns, not rows, and
 hands the same lists to every pass: visitors read them and never modify
 them.
 
-An uncached file is parsed once per handle. Its freezing replay also writes
-each chunk's codes, class codes included, as 32-bit unsigned ints to an
-anonymous temporary file: 4*d*m bytes of temporary disk, 4*(d+1)*m with a
-class column, so every code must fit in 32 bits. Before it parses, it
-records the CRC32 and byte count of the source. A later replay recomputes
-them; on a match it reads the chunks back from that spill, decoded to the
-dictionaries' own int objects, and on a mismatch it parses the file again,
-so a changed source still fails (or passes) exactly as a re-parse would. A
-spill that cannot be written is dropped, and later replays parse the file.
+An uncached file is parsed once per handle. Before its freezing replay
+parses, it records the CRC32 and byte count of the source, and it also
+writes each chunk's codes, class codes included, as 32-bit unsigned ints to
+an anonymous temporary file: 4*d*m bytes of temporary disk, 4*(d+1)*m with
+a class column, so every code must fit in 32 bits. Multi-pass algorithms
+need every pass to see the same stream, so a later replay whose source
+changed, or can no longer be read, fails with IngestInconsistencyError
+before the visitor sees a chunk. Otherwise it reads the chunks back from the
+spill, decoded to the dictionaries' own int objects; when the spill could
+not be written, it parses the unchanged file again.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -88,10 +86,10 @@ class DatasetHandle:
         self.class_col = class_col
         self._cache_items = cache_items
         self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
-        # An uncached file's codes as the freezing replay encoded them, and
-        # the (CRC32, byte count) of the source they were read from.
+        # An uncached file's (CRC32, byte count) when its freezing replay
+        # read it, and the codes that replay encoded, unless unwritable.
+        self._digest: tuple[int, int] | None = None
         self._spill: BinaryIO | None = None
-        self._spill_digest: tuple[int, int] | None = None
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
@@ -133,19 +131,14 @@ class DatasetHandle:
     # -- encoding -----------------------------------------------------------
 
     def _encode_column(self, col: int, tokens: Sequence[str]) -> list[int]:
-        """Codes of one chunk column. The first replay first codes its unseen
-        tokens in first-seen order; a frozen dictionary rejects them."""
+        """Codes of one chunk column. The freezing replay first codes its
+        unseen tokens in first-seen order."""
         codes = self._dicts[col]
         if self.m is None:
             new = list(filterfalse(codes.__contains__, dict.fromkeys(tokens)))
             codes.update(zip(new, range(len(codes), len(codes) + len(new))))
             self._rev[col].extend(new)
-        try:
-            return list(map(codes.__getitem__, tokens))
-        except KeyError as exc:
-            raise IngestInconsistencyError(
-                f"token {exc.args[0]!r} in column {col} was not seen in the first pass"
-            ) from None
+        return list(map(codes.__getitem__, tokens))
 
     def code(self, coord: int, token: str) -> int:
         """Code of `token` in feature coordinate `coord` (after a replay)."""
@@ -187,10 +180,18 @@ class DatasetHandle:
                 for columns, classes in self._cached_chunks:
                     visitor(columns, classes)
                 return PassSummary(self.m)
-            if self._spill is not None and _source_digest(self._path) == self._spill_digest:
-                return self._replay_spill(visitor)
-            if self.m is None and not self._cache_items:
+            if self.m is None:
+                if self._cache_items:
+                    return self._replay_source(visitor)
                 return self._replay_source_to_spill(visitor)
+            try:  # a frozen uncached file: it must hold the bytes first read
+                same = _source_digest(self._path) == self._digest
+            except OSError as exc:
+                raise IngestInconsistencyError(f"source can no longer be read: {exc}") from exc
+            if not same:
+                raise IngestInconsistencyError(f"{self._path} changed since the first pass")
+            if self._spill is not None:
+                return self._replay_spill(visitor)
             return self._replay_source(visitor)
         finally:
             self._replaying = False
@@ -199,7 +200,7 @@ class DatasetHandle:
         """The freezing replay of an uncached file. It also spills each
         chunk's codes, and keeps the source's digest taken before the parse.
         A spill that cannot be written (no temporary disk) is dropped, and
-        later replays parse the file."""
+        later replays parse the file again."""
         digest = _source_digest(self._path)
         spill: BinaryIO | None = None
         with suppress(OSError):
@@ -226,7 +227,7 @@ class DatasetHandle:
             raise
         if spill is not None:
             weakref.finalize(self, spill.close)  # closed with the handle
-        self._spill, self._spill_digest = spill, digest
+        self._spill, self._digest = spill, digest
         return summary
 
     def _replay_spill(self, visitor: Visitor) -> PassSummary:
@@ -251,7 +252,8 @@ class DatasetHandle:
         n_cols = self._n_cols
         feature_cols = self._feature_cols
         class_col = self.class_col
-        chunks: list | None = [] if self._cache_items and self.m is None else None
+        # A cached handle parses only in its freezing replay, and keeps the chunks.
+        chunks: list | None = [] if self._cache_items else None
         m = 0
         with self._raw_rows() as source:
             while rows := list(islice(source, CHUNK_ROWS)):
@@ -269,10 +271,7 @@ class DatasetHandle:
                 if chunks is not None:
                     chunks.append((columns, classes))
                 visitor(columns, classes)
-        if self.m is None:
-            self.m = m
-        elif m != self.m:
-            raise IngestInconsistencyError(f"pass saw {m} items, first pass saw {self.m}")
+        self.m = m  # a later parse reads the same bytes, so the same m
         if chunks is not None:
             self._cached_chunks = chunks
         return PassSummary(m)

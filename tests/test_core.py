@@ -35,7 +35,6 @@ class TestHHParams:
         p = HHParams(0.1)
         assert p.lam == 0.1 / 2
         assert p.gamma_star == 0.1 / 2
-        assert p.alpha_budget == 0.1 / 10
 
     def test_lam_always_half_gamma(self):
         for gamma in (0.004, 0.25, 1.0):
@@ -48,7 +47,3 @@ class TestHHParams:
             HHParams(1.5)
         with pytest.raises(ConfigError):
             HHParams(-0.2)
-
-    def test_alpha_budget_range(self):
-        with pytest.raises(ConfigError):
-            HHParams(0.2, alpha_budget=-0.1)

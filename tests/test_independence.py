@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
-from subcubehh.errors import ConfigError
 from subcubehh.independence import (
     CandidateSets,
     IndepModel,
@@ -31,14 +30,21 @@ def build(rows, gamma, counter_budget=None):
 
 
 def make_model(tables_ratios, m, gamma):
-    """Model with prescribed exact marginals: {coord: {value: count}}."""
+    """One-class model with prescribed exact marginals: {coord: {value: count}}."""
     tables = []
     index = []
     for counts in tables_ratios:
         index.append(dict(counts))
         tables.append(sorted(counts.items(), key=lambda e: (-e[1], e[0])))
-    priors = ClassPriors((m,), m)
-    return IndepModel(m=m, params=HHParams(gamma), tables=tables, index=index, priors=priors)
+    return IndepModel(
+        m=m,
+        params=HHParams(gamma),
+        tables=tables,
+        index=index,
+        priors=ClassPriors((m,), m),
+        class_counts_by_value=[{x: [c] for x, c in ix.items()} for ix in index],
+        conditionals=[{x: (c / m,) for x, c in ix.items()} for ix in index],
+    )
 
 
 class TestPass1:
@@ -74,11 +80,6 @@ class TestPass1:
             cut = candidate_cutoff(lam, c)
             assert cut <= max(0.0, lam / 2 - 1 / c) + 1e-15
             assert cut <= 3 * lam / 8 + 1e-15
-
-    def test_alpha_budget_guard(self):
-        h = from_items([(1,)] * 4)
-        with pytest.raises(ConfigError):
-            indep_pass1(h, HHParams(0.2, alpha_budget=0.1))
 
 
 class TestPass2:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -241,6 +242,37 @@ class TestSingleClassReduction:
             for v in itertools.product(range(4), repeat=len(coords)):
                 assert nb_query(nb_mod, t, v) == indep_query(ind_mod, t, v)
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 400),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+    )
+    def test_one_class_models_equal_field_for_field(self, seed, m, cards, gamma):
+        """On a class column holding one value, nb2p's model is indep2p's:
+        every field equal, and every score equal bit for bit."""
+        rng = random.Random(seed)
+        rows = [(*(rng.randrange(n) for n in cards), 7) for _ in range(m)]
+        h = from_items(rows, class_col=len(cards))
+        p = HHParams(gamma)
+        ind = indep_pass2(h, indep_pass1(h, p), p)
+        nb = nb_pass2(h, *nb_pass1(h, p), p)
+        for f in dataclasses.fields(NBModel):
+            assert getattr(ind, f.name) == getattr(nb, f.name), f.name
+        d = len(cards)
+        for k in range(1, d + 1):
+            for coords in itertools.permutations(range(d), k):
+                t = make_subcube(coords, d)
+                hexes = [
+                    {v: q.hex() for v, q in nb_all_query_scored(mod, t).items()}
+                    for mod in (ind, nb)
+                ]
+                assert hexes[0] == hexes[1]
+                for v in itertools.product(*(range(cards[c]) for c in coords)):
+                    a, b = (nb_score(mod, t, v) for mod in (ind, nb))
+                    assert (a is None and b is None) or (a.hex() == b.hex()), v
+
 
 class TestSoundnessOnVerifiedData:
     def test_mandatory_verdicts_on_generated_nb_data(self):
@@ -333,9 +365,8 @@ def no_break_levels(t, th, entries, prior, conditionals):
     for coord in t.coords:
         nxt = []
         for prefix, vec, _q in prev:
-            for x, f in entries(coord, th):
-                xvec = (f,) if conditionals is None else conditionals[coord][x]
-                new_vec = tuple(a * b for a, b in zip(vec, xvec))
+            for x, _f in entries(coord, th):
+                new_vec = tuple(a * b for a, b in zip(vec, conditionals[coord][x]))
                 q = 0.0
                 for p_z, v_z in zip(prior, new_vec):
                     q += p_z * v_z
@@ -350,7 +381,8 @@ def no_break_levels(t, th, entries, prior, conditionals):
 def factorized_models(draw):
     """A FactorizedModel from consistent integer counts: every candidate's
     per-class counts on a coordinate sum to at most its class total. Values
-    often sit in a single class, where the mixture meets its bound."""
+    often sit in a single class, where the mixture meets its bound. With
+    ell = 1 it is the model indep2p builds."""
     ell = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     rows = [
@@ -370,9 +402,6 @@ def factorized_models(draw):
     by_value = [dict(enumerate(coord_rows)) for coord_rows in rows]
     index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
     tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
-    one_class = ell == 1 and draw(st.booleans())
-    if one_class:  # as indep2p builds it: totals only
-        return NBModel(m, HHParams(0.5), tables, index, ClassPriors((m,), m))
     conditionals = [
         {x: tuple(c / n for c, n in zip(row, class_totals)) for x, row in bv.items()}
         for bv in by_value

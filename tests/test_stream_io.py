@@ -213,9 +213,9 @@ class TestChunks:
         rows[CHUNK_ROWS + 10][1] = "never-seen"
         write_csv(p, rows)
         chunks = []
-        with pytest.raises(IngestInconsistencyError, match="never-seen"):
+        with pytest.raises(IngestInconsistencyError, match="changed since the first pass"):
             h.replay(lambda columns, _z: chunks.append(columns))
-        assert len(chunks) == 1  # the first chunk still went through
+        assert chunks == []  # rejected before the first chunk
 
     def test_blank_lines_and_header_skipped(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 2)
@@ -299,23 +299,22 @@ class TestSpill:
         assert chunks[-1][0][0][-1] is code
         assert chunks[-1][1][-1] is h.class_code(rows[-1][2])
 
-    def test_rewritten_file_is_parsed_again(self, tmp_path):
+    def test_rewritten_file_is_rejected(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=2)
         h.replay(lambda _c, _z: None)
         size = p.stat().st_size
-        new_rows = rows[::-1]  # the same length, and only tokens seen before
-        write_csv(p, new_rows)
+        write_csv(p, rows[::-1])  # the same length, and only tokens seen before
         assert p.stat().st_size == size
-        expect = [
-            ((h.code(0, a), h.code(1, b)), h.class_code(c)) for a, b, c in new_rows
-        ]
+        chunks = []
         with count_readers() as reader:
-            assert collect(h) == expect
-            assert collect(h) == expect
-            assert reader.call_count == 2  # the digest differs on every replay
+            for _ in range(2):
+                with pytest.raises(IngestInconsistencyError, match="changed since"):
+                    h.replay(lambda columns, _z: chunks.append(columns))
+            assert reader.call_count == 0  # neither replay parsed the file
+        assert chunks == []
         write_csv(p, rows)  # the original bytes again: the spill serves them
         with count_readers() as reader:
             assert [item for item, _z in collect(h)] == [
@@ -323,17 +322,17 @@ class TestSpill:
             ]
             assert reader.call_count == 0
 
-    def test_deleted_file_raises_as_before(self, tmp_path):
+    def test_deleted_file_raises_inconsistency(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, token_rows(10))
         h = open_dataset(p)
         h.replay(lambda _c, _z: None)
         p.unlink()
-        with pytest.raises(FileNotFoundError) as parse_error:
-            open(p, "r", newline="")
-        with pytest.raises(FileNotFoundError) as replay_error:
-            h.replay(lambda _c, _z: None)
-        assert str(replay_error.value) == str(parse_error.value)
+        chunks = []
+        with pytest.raises(IngestInconsistencyError, match="no longer be read") as replay_error:
+            h.replay(lambda columns, _z: chunks.append(columns))
+        assert isinstance(replay_error.value.__cause__, FileNotFoundError)
+        assert chunks == []
 
     def test_unchanged_file_parsed_once_per_handle(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -386,3 +385,7 @@ class TestSpill:
             assert record(h) == (parsed, summary)
             assert record(h) == (parsed, summary)
             assert reader.call_count == 2  # no spill: every replay parses
+            write_csv(p, rows[::-1])  # the same bytes, reordered
+            with pytest.raises(IngestInconsistencyError):
+                record(h)
+            assert reader.call_count == 2  # rejected before parsing
