@@ -4,9 +4,11 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values. The build point-queries each tracked value once and
-ranks each coordinate's candidates by estimate; AllQuery runs the factorized
-model's level loop (naivebayes.grow_levels) with one class over them.
+cannot list values. The build feeds each sketch its coordinate's exact
+value counts, hashing each distinct value once per row, reads each tracked
+value's estimate from those cells and ranks each coordinate's candidates by
+estimate; AllQuery runs the factorized model's level loop
+(naivebayes.grow_levels) with one class over them.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import filterfalse, takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -82,16 +84,18 @@ def heuristic_build(
             sk.update_many(col)
             vc.update(col)
 
-    summary = h.replay(visit)
-    # Count-Min state only depends on the multiset per coordinate, so feed it
-    # the tallied counts instead of one update per item.
-    for sk, vc in zip(cms, value_counts):
-        for x, c in vc.items():
-            sk.update(x, c)
-    del value_counts  # release the exact tally before the tables are ranked
-    m = summary.m
-    est = ([(x, sk.point_query(x) / m) for x in g.tracked()] for sk, g in zip(cms, mg))
-    tables = [sorted(row, key=lambda e: (-e[1], e[0])) for row in est]
+    m = h.replay(visit).m
+    tables = []
+    for sk, g, vc in zip(cms, mg, value_counts):
+        # Count-Min state only depends on the multiset per coordinate, so feed
+        # it the tallied counts, tracked values first: the feed's cells give
+        # their estimates without hashing them again.
+        tracked = g.tracked()
+        values = tracked + list(filterfalse(g.counters.__contains__, vc))
+        estimates = sk.update_counts(values, list(map(vc.__getitem__, values)))
+        vc.clear()  # each exact tally is released once its sketch is fed
+        ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
+        tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
     return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)
 
 

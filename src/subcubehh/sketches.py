@@ -1,7 +1,10 @@
 """One-dimensional stream summaries: reservoir sample, Misra-Gries, Count-Min.
 
 All three are deterministic given (seed, stream order). Randomness comes from
-a counter-based splitmix64 hash rather than a stateful RNG.
+a counter-based splitmix64 hash rather than a stateful RNG. `splitmix64` is
+the scalar reference; `splitmix64_many` computes the same hashes a block of
+up to 1024 values per call, in lanes of one Python int, and serves the
+reservoir's draws and the Count-Min feed.
 
 Guarantees maintained here:
 
@@ -16,9 +19,11 @@ Guarantees maintained here:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter, deque
 from itertools import compress, repeat
-from operator import mod, xor
+from operator import and_, mod
 from typing import Sequence
 
 from .errors import ConfigError
@@ -40,13 +45,82 @@ def hash_pair(x: int, seed: int) -> int:
     return splitmix64(splitmix64(seed) ^ (x & _MASK64))
 
 
+# The batched kernel keeps each 64-bit value in its own 128-bit lane of one
+# Python int, so every mixer step is a few whole-int operations: a lane below
+# 2**64 times a 64-bit constant stays inside its lane, and masking after each
+# right shift drops the bits that crossed in from the next lane. Work goes in
+# blocks of at most _LANES lanes, and constants are kept for a full block
+# only (shorter blocks truncate them), so the memory held stays O(_LANES).
+_LANES = 1024
+_LANE_BYTES = 16
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _lanes(values: Sequence[int]) -> int:
+    """Pack values in [0, 2**64) into consecutive 128-bit lanes."""
+    words = array("Q", bytes(_LANE_BYTES * len(values)))
+    words[::2] = array("Q", values)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+_ONES = _lanes([1] * _LANES)  # 1 in every lane of a full block
+_LOW64 = _MASK64 * _ONES  # the low half of every lane
+_GOLDEN_LANES = _GOLDEN * _ONES
+_RAMP = _lanes(range(_LANES))  # i in lane i
+
+
+def _first_lanes(lanes: int, n: int) -> int:
+    """The first n lanes of a full-block constant."""
+    return lanes if n == _LANES else lanes & ((1 << (8 * _LANE_BYTES * n)) - 1)
+
+
+def _mix_lanes(key: int, z: int, n: int) -> array:
+    """splitmix64(key ^ x) for the value x in each of z's n lanes. A lane
+    value below 2**127 hashes as its low 64 bits: the first mask drops the
+    rest, as the scalar's first mask does."""
+    ones = _first_lanes(_ONES, n)
+    low = _LOW64  # `&` keeps z to its own n lanes
+    z = ((z ^ key * ones) + _first_lanes(_GOLDEN_LANES, n)) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    words = array("Q", (z ^ (z >> 31)).to_bytes(_LANE_BYTES * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]  # the high halves hold bits shifted in from the next lane
+
+
+def splitmix64_many(key: int, xs: Sequence[int]) -> array:
+    """splitmix64(key ^ x) for each x in xs, every x in [0, 2**64), computed
+    a block of lanes at a time; equal to the scalar `splitmix64` item by item."""
+    out = array("Q")
+    for lo in range(0, len(xs), _LANES):
+        block = xs[lo : lo + _LANES]
+        out += _mix_lanes(key, _lanes(block), len(block))
+    return out
+
+
+def _splitmix64_ramp(key: int, start: int, stop: int) -> array:
+    """splitmix64(key ^ (i mod 2**64)) for each id i in range(start, stop):
+    a block's lanes are the cached ramp plus its first id in every lane, so
+    no id is packed one by one."""
+    out = array("Q")
+    for lo in range(start, stop, _LANES):
+        n = min(_LANES, stop - lo)
+        out += _mix_lanes(key, lo * _first_lanes(_ONES, n) + _first_lanes(_RAMP, n), n)
+    return out
+
+
 class Reservoir:
     """Uniform sample without replacement of fixed capacity (Algorithm R).
 
     One hash draw per item past capacity. The draw for the i-th item is a
-    pure function of (seed, i), which keeps runs reproducible. The sample is
-    held column by column, one list per coordinate, the data plane's own
-    shape: slot j is `tuple(col[j] for col in columns)`.
+    pure function of (seed, i), which keeps runs reproducible. `update`
+    draws one at a time and is the reference; `update_many` draws a chunk's
+    ids with the batched kernel, so draws are the same. The sample is held
+    column by column, one list per coordinate, the data plane's own shape:
+    slot j is `tuple(col[j] for col in columns)`.
     """
 
     __slots__ = ("capacity", "seed", "columns", "seen")
@@ -97,9 +171,9 @@ class Reservoir:
         self.seen = seen + n
         if cap == 0 or fill == n:
             return
-        # hash_pair(i, seed) without re-mixing the seed per item; i < 2**64.
+        # hash_pair(i, seed) for each id i, a block of ids per kernel call.
         ids = range(seen + fill + 1, self.seen + 1)
-        slots = list(map(mod, map(splitmix64, map(xor, repeat(splitmix64(self.seed)), ids)), ids))
+        slots = list(map(mod, _splitmix64_ramp(splitmix64(self.seed), ids.start, ids.stop), ids))
         hits = list(compress(range(fill, n), map(cap.__gt__, slots)))
         targets = [slots[r - fill] for r in hits]
         for col, new in zip(kept, columns):
@@ -168,6 +242,9 @@ class CountMin:
 
     Row r counts x in cell hash_pair(x, hash_pair(r + 1, seed)) % width, which is
     splitmix64(row_keys[r] ^ x) % width; a point query returns the minimum across rows.
+    `update` and `point_query` hash one value at a time and are the reference;
+    `update_counts` feeds many (value, count) pairs with one batched kernel
+    call per row and returns their estimates from the same cells.
     """
 
     __slots__ = ("width", "depth", "seed", "row_keys", "table", "processed")
@@ -191,6 +268,23 @@ class CountMin:
         width = self.width
         for row, key in zip(self.table, self.row_keys):
             row[splitmix64(key ^ x) % width] += count
+
+    def update_counts(self, values: Sequence[int], counts: Sequence[int]) -> list[int]:
+        """`update(x, c)` for each x in values and c in counts, then
+        `point_query` of each x, with each x hashed once per row."""
+        if any(map((0).__gt__, counts)):
+            raise ConfigError(f"counts must be >= 0, got {min(counts)}")
+        self.processed += sum(counts)
+        xs = array("Q", map(and_, values, repeat(_MASK64)))  # key ^ x mixes only its low 64 bits
+        width, estimates = self.width, None
+        for row, key in zip(self.table, self.row_keys):
+            cells = array("Q", map(mod, splitmix64_many(key, xs), repeat(width)))
+            for cell, c in zip(cells, counts):
+                row[cell] += c
+            # Rows are independent: this row's cells are final once it is fed.
+            found = map(row.__getitem__, cells)
+            estimates = list(found if estimates is None else map(min, estimates, found))
+        return estimates
 
     def point_query(self, x: int) -> int:
         width = self.width

@@ -206,8 +206,13 @@ class DatasetHandle:
         with suppress(OSError):
             spill = tempfile.TemporaryFile()
 
-        def spilling(columns: Columns, classes: list[int] | None) -> None:
+        def drop_spill() -> None:
             nonlocal spill
+            with suppress(OSError):  # closing flushes, which may fail again
+                spill.close()
+            spill = None
+
+        def spilling(columns: Columns, classes: list[int] | None) -> None:
             if spill is not None:
                 codes = array("I")
                 for col in (*columns, classes) if classes is not None else columns:
@@ -215,18 +220,22 @@ class DatasetHandle:
                 try:
                     spill.write(codes)
                 except OSError:
-                    spill.close()
-                    spill = None
+                    drop_spill()
             visitor(columns, classes)
 
         try:
             summary = self._replay_source(spilling)
         except BaseException:
             if spill is not None:
-                spill.close()
+                drop_spill()
             raise
         if spill is not None:
-            weakref.finalize(self, spill.close)  # closed with the handle
+            try:
+                spill.flush()  # the buffered tail, which no write has pushed out
+            except OSError:
+                drop_spill()
+            else:
+                weakref.finalize(self, spill.close)  # closed with the handle
         self._spill, self._digest = spill, digest
         return summary
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from subcubehh import sketches
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import BudgetTooSmallError, CapExceededError
 from subcubehh.heuristic import (
@@ -192,25 +193,34 @@ class TestAllQueryEnumeration:
                 heuristic_all_query(mod, t, threshold=th, cap=cap)
         assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected
 
-    def test_one_point_query_per_tracked_value(self, monkeypatch):
-        # The build point-queries each tracked value once; AllQuery none.
-        calls = collections.Counter()
-        point_query = CountMin.point_query
+    def test_each_value_hashed_once_per_row(self, monkeypatch):
+        # The build hashes each distinct value once per Count-Min row, and
+        # ranks the tracked values from those cells: no point query. AllQuery
+        # hashes nothing.
+        lanes = collections.Counter()
+        point_queries = []
+        splitmix64_many = sketches.splitmix64_many
 
-        def counted(sketch, x):
-            calls[id(sketch), x] += 1
-            return point_query(sketch, x)
+        def counted(key, xs):
+            lanes.update((key, x) for x in xs)
+            return splitmix64_many(key, xs)
 
-        monkeypatch.setattr(CountMin, "point_query", counted)
-        rows = random_rows(3, m=400, d=3, n=9)
-        mod = heuristic_build(from_items(rows), memory_slots=3 * 4 * 5, p=HHParams(0.2))
-        assert calls and max(calls.values()) == 1
+        monkeypatch.setattr(sketches, "splitmix64_many", counted)
+        monkeypatch.setattr(CountMin, "point_query", lambda _sk, x: point_queries.append(x))
+        h = from_items(random_rows(3, m=400, d=3, n=9))
+        mod = heuristic_build(h, memory_slots=3 * 4 * 5, p=HHParams(0.2))
+        distinct = [set(), set(), set()]
+        h.replay(lambda columns, _z: [v.update(col) for v, col in zip(distinct, columns)])
+        expected = collections.Counter(
+            (key, x) for sk, values in zip(mod.cms, distinct) for key in sk.row_keys for x in values
+        )
+        assert lanes == expected and max(lanes.values()) == 1
+        assert point_queries == []
         for c in range(3):
-            queried = {x for (sk, x) in calls if sk == id(mod.cms[c])}
-            assert queried == set(mod.mg[c].tracked())
-        built = calls.copy()
+            assert {x for x, _f in mod.tables[c]} == set(mod.mg[c].tracked())
+        built = lanes.copy()
         for _ in range(3):
             for coords in ([0, 1, 2], [2, 1], [1, 0]):
                 for th in self.THRESHOLDS:
                     heuristic_all_query(mod, make_subcube(coords, 3), threshold=th)
-        assert calls == built
+        assert lanes == built and point_queries == []

@@ -1,9 +1,95 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from subcubehh.sketches import CountMin, MisraGries, Reservoir, hash_pair
+from subcubehh.errors import ConfigError
+from subcubehh.sketches import (
+    CountMin,
+    MisraGries,
+    Reservoir,
+    hash_pair,
+    _splitmix64_ramp,
+    splitmix64,
+    splitmix64_many,
+)
+
+MASK64 = (1 << 64) - 1
+# Around the kernel's block of 1024 lanes: empty, one lane, a block less one,
+# one block, one block and a lane, two blocks and a lane.
+KERNEL_LENGTHS = [0, 1, 1023, 1024, 1025, 2049]
+EDGE_KEYS = [0, MASK64]
+
+
+def mixed_values(rnd, n):
+    """n values in [0, 2**64): edges, small codes and full 64-bit words."""
+    edges = [0, 1, MASK64, MASK64 - 1, 1 << 63, (1 << 32) - 1]
+    return [
+        rnd.choice(edges) if rnd.random() < 0.2 else rnd.getrandbits(rnd.choice([8, 32, 64]))
+        for _ in range(n)
+    ]
+
+
+class TestSplitmix64Many:
+    """The batched kernel equals the scalar splitmix64 lane by lane."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from(KERNEL_LENGTHS),
+        key=st.one_of(st.sampled_from(EDGE_KEYS), st.integers(0, MASK64)),
+        data_seed=st.integers(0, 2**32),
+    )
+    def test_equals_scalar(self, n, key, data_seed):
+        xs = mixed_values(random.Random(data_seed), n)
+        got = splitmix64_many(key, xs)
+        assert isinstance(got, array) and got.typecode == "Q"
+        assert list(got) == [splitmix64(key ^ x) for x in xs]
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_extreme_values_at_block_edges(self, n, key):
+        # 0 and 2**64 - 1 side by side, so each sits next to the other's lane,
+        # at both ends and across the block boundary.
+        xs = [(0, MASK64)[i % 2] for i in range(n)]
+        assert list(splitmix64_many(key, xs)) == [splitmix64(key ^ x) for x in xs]
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    @pytest.mark.parametrize("start", [0, 5, 2**64 - 1500])
+    def test_id_ramp_equals_scalar(self, n, start):
+        # The reservoir's draws over consecutive ids; ids past 2**64 - 1 hash
+        # as their low 64 bits, as hash_pair does.
+        key = splitmix64(11)
+        got = _splitmix64_ramp(key, start, start + n)
+        assert list(got) == [hash_pair(i, 11) for i in range(start, start + n)]
+
+    def test_out_of_range_value_rejected(self):
+        for x in (-1, 1 << 64):
+            with pytest.raises(OverflowError):
+                splitmix64_many(3, [5, x])
+
+    def test_cached_constants_stay_one_block(self):
+        # Hashing 10k values at 141 lengths, and drawing over as many id
+        # ranges, leaves behind less memory than one block of lanes holds.
+        block_bytes = 1024 * 16
+        splitmix64_many(7, [1])
+        Reservoir(1, 7).update_many([[1, 2]])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lo = 0
+            for n in range(1, 142):
+                assert len(splitmix64_many(n, list(range(lo, lo + n)))) == n
+                res = Reservoir(1, n)
+                res.seen = lo
+                res.update_many([list(range(n + 1))])
+                lo += n
+            assert lo > 10_000
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < block_bytes
 
 
 class TestMisraGries:
@@ -108,9 +194,52 @@ class TestCountMin:
                 assert sum(row) == 3
             assert sk.point_query(x) == 3
 
-    def test_rejects_bad_geometry(self):
-        from subcubehh.errors import ConfigError
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 40),
+                    st.sampled_from([-1, MASK64, 1 << 64, (1 << 64) + 3, 1 << 70]),
+                    st.integers(-(1 << 70), 1 << 70),
+                ),
+                st.integers(0, 9),
+            ),
+            max_size=40,
+        ),
+        width=st.sampled_from([1, 3, 64]),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 2**64 + 5),
+    )
+    def test_update_counts_equals_scalar(self, pairs, width, depth, seed):
+        # Codes of 2**64 and more, and negative ones, hash as their low 64
+        # bits, as in the scalar path; a value may repeat.
+        ref, fast = CountMin(width, depth, seed), CountMin(width, depth, seed)
+        for x, c in pairs:
+            ref.update(x, c)
+        values = [x for x, _c in pairs]
+        estimates = fast.update_counts(values, [c for _x, c in pairs])
+        assert fast.table == ref.table
+        assert fast.processed == ref.processed
+        assert estimates == [ref.point_query(x) for x in values]
 
+    def test_update_counts_over_several_blocks(self):
+        values = mixed_values(random.Random(4), 2049) + [-1, 1 << 64]
+        counts = [i % 5 + 1 for i in range(len(values))]
+        ref, fast = CountMin(97, 3, 11), CountMin(97, 3, 11)
+        for x, c in zip(values, counts):
+            ref.update(x, c)
+        estimates = fast.update_counts(values, counts)
+        assert (fast.table, fast.processed) == (ref.table, ref.processed)
+        assert estimates == [ref.point_query(x) for x in values]
+
+    def test_update_counts_rejects_negative_count(self):
+        sk = CountMin(width=4, depth=2, seed=0)
+        with pytest.raises(ConfigError):
+            sk.update_counts([1, 2], [3, -1])
+        assert sk.table == [[0] * 4, [0] * 4] and sk.processed == 0
+
+    def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigError):
             CountMin(width=0)
         with pytest.raises(ConfigError):
@@ -123,8 +252,6 @@ class TestCountMin:
         assert sk.point_query(7) == 0
 
     def test_negative_count_rejected(self):
-        from subcubehh.errors import ConfigError
-
         sk = CountMin(width=4, depth=2, seed=0)
         with pytest.raises(ConfigError):
             sk.update(7, -1)
@@ -300,3 +427,16 @@ class TestChunkedUpdatesEqualScalar:
             fast.update_many(as_columns(chunk, 1))
         assert (fast.columns, fast.seen) == (ref.columns, ref.seen)
         assert len(fast) == len(fast.columns[0]) == capacity
+
+    @pytest.mark.parametrize("seen", [0, 1000])
+    def test_reservoir_draws_across_blocks(self, seen):
+        # Chunks cut so the draws span whole and partial blocks of ids.
+        stream = [(i % 11, i) for i in range(3100)]
+        ref, fast = Reservoir(7, 13), Reservoir(7, 13)
+        for res in (ref, fast):
+            res.seen = seen
+        for item in stream:
+            ref.update(item)
+        for chunk in chunked(stream, [1, 1025, 2049]):
+            fast.update_many(as_columns(chunk, 2))
+        assert (fast.columns, fast.seen) == (ref.columns, ref.seen)

@@ -389,3 +389,30 @@ class TestSpill:
             with pytest.raises(IngestInconsistencyError):
                 record(h)
             assert reader.call_count == 2  # rejected before parsing
+
+    @pytest.mark.parametrize(
+        "m, buffer_size",
+        [
+            (1000, 1 << 16),  # every chunk fits the buffer: only the final flush fails
+            (2 * CHUNK_ROWS + 1, 1 << 14),  # a write fails with a chunk still buffered
+        ],
+    )
+    def test_unflushable_spill_falls_back_to_parsing(self, tmp_path, m, buffer_size):
+        rows = token_rows(m)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+
+        class FullDiskFile(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def temporary_file():
+            return io.BufferedRandom(FullDiskFile(tmp_path / "spill", "w+b"), buffer_size)
+
+        h = open_dataset(p, class_col=2)
+        with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
+            parsed, summary = record(h)
+        assert summary.m == len(rows)
+        with count_readers() as reader:
+            assert record(h) == (parsed, summary)
+            assert reader.call_count == 1  # no spill: the file is parsed again
