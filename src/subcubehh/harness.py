@@ -42,6 +42,8 @@ from .stream_io import DatasetHandle, open_dataset
 ALGORITHMS = ("sampling", "indep2p", "nb2p", "cms-heuristic")
 # The one-pass answerers that estimate frequencies, which the freq task needs.
 FREQ_ALGORITHMS = ("sampling", "cms-heuristic")
+# The deterministic two-pass answerers, whose builds read no seed.
+SEED_FREE_ALGORITHMS = ("indep2p", "nb2p")
 
 
 @dataclass
@@ -286,6 +288,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The detection protocol: per (algorithm, seed) build one model under
     the memory budget, enumerate each subcube once at the smallest threshold
     in the sweep, then rethreshold the scored answers for every gamma_star.
+    A model of SEED_FREE_ALGORITHMS is built once and scored for every seed.
 
     A failure partway through raises ExperimentError carrying the rows
     finished so far, so callers can flush partial results.
@@ -298,10 +301,13 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         for algo in cfg.algos:
             per_gs_tp: dict[float, list[int]] = {gs: [] for gs in sweep}
             per_gs_fp: dict[float, list[int]] = {gs: [] for gs in sweep}
+            scorer = None  # the last algorithm's model is freed before this one is built
             for seed in cfg.seeds:
-                _model, scorer = build_model(algo, h, p, seed, cfg)
+                if scorer is None:
+                    scorer = build_model(algo, h, p, seed, cfg)[1]
                 scored = {t.coords: scorer(t, theta_min) for t in cfg.subcubes}
-                del _model, scorer  # free this model before the next one is built
+                if algo not in SEED_FREE_ALGORITHMS:
+                    scorer = None  # free this model before the next one is built
                 for gs in sweep:
                     tp_total = fp_total = 0
                     for t in cfg.subcubes:

@@ -8,7 +8,9 @@ cannot list values. The build feeds each sketch its coordinate's exact
 value counts, hashing each distinct value once per row, reads each tracked
 value's estimate from those cells and ranks each coordinate's candidates by
 estimate; AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) with one class over them.
+(naivebayes.grow_levels) with one class over them. The build counts each
+chunk once while a coordinate's summary has never decremented, since its
+counters are then the exact counts.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -77,23 +79,32 @@ def heuristic_build(
     budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]
-    value_counts: list[Counter[int]] = [Counter() for _ in range(h.d)]
+    # A summary that never decremented holds its coordinate's exact counts,
+    # so a coordinate gets a tally of its own only from the first chunk that
+    # does not fit its summary, starting from the counts so far.
+    tallies: list[Counter[int] | None] = [None] * h.d
 
     def visit(columns: Columns, _classes: list[int] | None) -> None:
-        for sk, vc, col in zip(mg, value_counts, columns):
+        for i, (sk, col) in enumerate(zip(mg, columns)):
+            tally = tallies[i]
+            if tally is None and not sk.fits(col):
+                tally = tallies[i] = Counter(sk.counters)
             sk.update_many(col)
-            vc.update(col)
+            if tally is not None:
+                tally.update(col)
 
     m = h.replay(visit).m
     tables = []
-    for sk, g, vc in zip(cms, mg, value_counts):
+    for sk, g, tally in zip(cms, mg, tallies):
         # Count-Min state only depends on the multiset per coordinate, so feed
-        # it the tallied counts, tracked values first: the feed's cells give
+        # it the exact counts, tracked values first: the feed's cells give
         # their estimates without hashing them again.
+        exact = g.counters if tally is None else tally
         tracked = g.tracked()
-        values = tracked + list(filterfalse(g.counters.__contains__, vc))
-        estimates = sk.update_counts(values, list(map(vc.__getitem__, values)))
-        vc.clear()  # each exact tally is released once its sketch is fed
+        values = tracked + list(filterfalse(g.counters.__contains__, exact))
+        estimates = sk.update_counts(values, list(map(exact.__getitem__, values)))
+        if tally is not None:
+            tally.clear()  # each exact tally is released once its sketch is fed
         ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
         tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
     return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)

@@ -186,9 +186,11 @@ class MisraGries:
 
     update(x): increment x's counter if tracked; start it at 1 if a slot is
     free; otherwise decrement every counter and drop the ones that hit zero.
+    `decrements` counts those rounds; while it is 0 the counters are the
+    exact counts of everything processed.
     """
 
-    __slots__ = ("counter_budget", "counters", "processed")
+    __slots__ = ("counter_budget", "counters", "processed", "decrements")
 
     def __init__(self, counter_budget: int):
         if counter_budget < 0:
@@ -196,6 +198,7 @@ class MisraGries:
         self.counter_budget = counter_budget
         self.counters: Counter[int] = Counter()
         self.processed = 0
+        self.decrements = 0
 
     def update(self, x: int) -> None:
         self.processed += 1
@@ -205,6 +208,7 @@ class MisraGries:
         elif len(counters) < self.counter_budget:
             counters[x] = 1
         else:
+            self.decrements += 1
             dead = []
             for key in counters:
                 counters[key] -= 1
@@ -213,21 +217,25 @@ class MisraGries:
             for key in dead:
                 del counters[key]
 
-    def update_many(self, xs: Sequence[int]) -> None:
-        """`update` on each x in turn. When the distinct values not yet
-        tracked fit in the free counters no decrement can happen, and the
-        whole chunk is counted at once; otherwise each x goes through
-        `update`."""
+    def fits(self, xs: Sequence[int]) -> bool:
+        """True when the distinct values of xs not yet tracked fit in the
+        free counters, so `update_many(xs)` makes no decrement."""
         counters = self.counters
         room = self.counter_budget - len(counters)
-        if len(xs) > room:
-            values = set(xs)
-            if len(values) - sum(map(counters.__contains__, values)) > room:
-                for x in xs:
-                    self.update(x)
-                return
+        if len(xs) <= room:
+            return True
+        values = set(xs)
+        return len(values) - sum(map(counters.__contains__, values)) <= room
+
+    def update_many(self, xs: Sequence[int]) -> None:
+        """`update` on each x in turn. A chunk that `fits` is counted at
+        once; otherwise each x goes through `update`."""
+        if not self.fits(xs):
+            for x in xs:
+                self.update(x)
+            return
         self.processed += len(xs)
-        counters.update(xs)
+        self.counters.update(xs)
 
     def estimate(self, x: int) -> int:
         return self.counters.get(x, 0)

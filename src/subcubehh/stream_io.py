@@ -24,7 +24,8 @@ need every pass to see the same stream, so a later replay whose source
 changed, or can no longer be read, fails with IngestInconsistencyError
 before the visitor sees a chunk. Otherwise it reads the chunks back from the
 spill, decoded to the dictionaries' own int objects; when the spill could
-not be written, it parses the unchanged file again.
+not be written, it parses the unchanged file again, and a token the first
+pass never coded raises IngestInconsistencyError.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -37,9 +38,10 @@ import tempfile
 import weakref
 import zlib
 from array import array
+from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import count, islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -103,7 +105,9 @@ class DatasetHandle:
         self.d = len(self._feature_cols)
         if self.d == 0:
             raise ConfigError("dataset has no feature columns")
-        self._dicts: list[dict[str, int]] = [{} for _ in range(n_cols)]
+        # Token -> code per file column. Only the freezing replay gives them
+        # a default factory, which codes a new token next in its column.
+        self._dicts: list[defaultdict[str, int]] = [defaultdict(None) for _ in range(n_cols)]
         self._rev: list[list[str]] = [[] for _ in range(n_cols)]
 
     # -- raw row access -----------------------------------------------------
@@ -130,19 +134,35 @@ class DatasetHandle:
 
     # -- encoding -----------------------------------------------------------
 
+    @contextmanager
+    def _coding_new_tokens(self) -> Iterator[None]:
+        """While the freezing replay runs, a token not yet seen in a column
+        gets that column's next code, so codes follow first-seen order. Then
+        an unseen token raises KeyError again, and the decode lists are
+        rebuilt from the dictionaries' key order."""
+        for codes in self._dicts:
+            codes.default_factory = count(len(codes)).__next__
+        try:
+            yield
+        finally:
+            for codes in self._dicts:
+                codes.default_factory = None
+            self._rev = [list(codes) for codes in self._dicts]
+
     def _encode_column(self, col: int, tokens: Sequence[str]) -> list[int]:
-        """Codes of one chunk column. The freezing replay first codes its
-        unseen tokens in first-seen order."""
-        codes = self._dicts[col]
-        if self.m is None:
-            new = list(filterfalse(codes.__contains__, dict.fromkeys(tokens)))
-            codes.update(zip(new, range(len(codes), len(codes) + len(new))))
-            self._rev[col].extend(new)
-        return list(map(codes.__getitem__, tokens))
+        """Codes of one chunk column. In the freezing replay a new token is
+        coded as it is met; afterwards a token that replay never saw raises
+        IngestInconsistencyError."""
+        try:
+            return list(map(self._dicts[col].__getitem__, tokens))
+        except KeyError as exc:
+            raise IngestInconsistencyError(
+                f"column {col + 1} holds {exc.args[0]!r}, unseen by the first pass"
+            ) from None
 
     def code(self, coord: int, token: str) -> int:
         """Code of `token` in feature coordinate `coord` (after a replay)."""
-        return self._dicts[self._feature_cols[coord]][token]
+        return _known_code(self._dicts[self._feature_cols[coord]], token)
 
     def decode(self, coord: int, code: int) -> str:
         return self._rev[self._feature_cols[coord]][code]
@@ -153,7 +173,7 @@ class DatasetHandle:
         return self.class_col
 
     def class_code(self, token: str) -> int:
-        return self._dicts[self._class_column()][token]
+        return _known_code(self._dicts[self._class_column()], token)
 
     def decode_class(self, code: int) -> str:
         return self._rev[self._class_column()][code]
@@ -181,9 +201,10 @@ class DatasetHandle:
                     visitor(columns, classes)
                 return PassSummary(self.m)
             if self.m is None:
-                if self._cache_items:
-                    return self._replay_source(visitor)
-                return self._replay_source_to_spill(visitor)
+                with self._coding_new_tokens():
+                    if self._cache_items:
+                        return self._replay_source(visitor)
+                    return self._replay_source_to_spill(visitor)
             try:  # a frozen uncached file: it must hold the bytes first read
                 same = _source_digest(self._path) == self._digest
             except OSError as exc:
@@ -284,6 +305,14 @@ class DatasetHandle:
         if chunks is not None:
             self._cached_chunks = chunks
         return PassSummary(m)
+
+
+def _known_code(codes: dict[str, int], token: str) -> int:
+    """The code of a token already coded; a lookup that never codes one."""
+    code = codes.get(token)
+    if code is None:
+        raise KeyError(token)
+    return code
 
 
 def _source_digest(path: Path) -> tuple[int, int]:

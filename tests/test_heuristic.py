@@ -3,19 +3,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcubehh import sketches
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import BudgetTooSmallError, CapExceededError
 from subcubehh.heuristic import (
+    DEFAULT_DEPTH,
     heuristic_all_query,
     heuristic_all_query_scored,
     heuristic_build,
     heuristic_query,
 )
 from subcubehh.independence import indep_all_query, indep_pass1, indep_pass2
-from subcubehh.sketches import CountMin
-from subcubehh.stream_io import from_items
+from subcubehh.naivebayes import default_counter_budget
+from subcubehh.sketches import CountMin, MisraGries, hash_pair
+from subcubehh.stream_io import PassSummary, from_items
 
 
 def random_rows(seed, m=400, d=2, n=5):
@@ -70,6 +73,106 @@ class TestBuild:
         a = heuristic_build(h, 256, HHParams(0.2), seed=9)
         b = heuristic_build(h, 256, HHParams(0.2), seed=9)
         assert [sk.table for sk in a.cms] == [sk.table for sk in b.cms]
+
+
+class ChunkReplay:
+    """A handle stand-in that replays the given chunks (each a tuple of
+    columns), so a test decides where the chunks are cut."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+        self.d = len(chunks[0])
+
+    def replay(self, visitor):
+        for columns in self.chunks:
+            visitor(columns, None)
+        return PassSummary(sum(len(columns[0]) for columns in self.chunks))
+
+
+def tally_every_chunk_build(h, memory_slots, p, seed=0, depth=DEFAULT_DEPTH):
+    """The reference build: an exact tally of every coordinate, fed from
+    every chunk beside its Misra-Gries summary."""
+    width = memory_slots // (h.d * depth)
+    cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
+    mg = [MisraGries(default_counter_budget(p)) for _ in range(h.d)]
+    value_counts = [collections.Counter() for _ in range(h.d)]
+
+    def visit(columns, _classes):
+        for sk, vc, col in zip(mg, value_counts, columns):
+            sk.update_many(col)
+            vc.update(col)
+
+    m = h.replay(visit).m
+    tables = []
+    for sk, g, vc in zip(cms, mg, value_counts):
+        tracked = g.tracked()
+        values = tracked + [x for x in vc if x not in g.counters]
+        estimates = sk.update_counts(values, [vc[x] for x in values])
+        ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
+        tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
+    return cms, mg, tables
+
+
+def first_decrement_chunk(chunks, coord, budget):
+    """Index of the chunk in which coord's summary first decrements, or None."""
+    sk = MisraGries(budget)
+    for i, columns in enumerate(chunks):
+        sk.update_many(columns[coord])
+        if sk.decrements:
+            return i
+    return None
+
+
+class TestCountEachChunkOnce:
+    """The build tallies a coordinate apart from its summary only from the
+    first chunk that would decrement it, and builds what tallying every
+    chunk builds."""
+
+    P = HHParams(1.0)  # lam 0.5: a budget of 16 counters per coordinate
+    SLOTS = 3 * DEFAULT_DEPTH * 7  # width 7 at d = 3: cells collide
+
+    def assert_same_build(self, chunks, seed):
+        h = ChunkReplay(chunks)
+        mod = heuristic_build(h, self.SLOTS, self.P, seed)
+        cms, mg, tables = tally_every_chunk_build(h, self.SLOTS, self.P, seed)
+        assert [sk.table for sk in mod.cms] == [sk.table for sk in cms]
+        assert mod.tables == tables
+        assert [g.counters for g in mod.mg] == [g.counters for g in mg]
+        assert [g.tracked() for g in mod.mg] == [g.tracked() for g in mg]
+        assert [(g.processed, g.decrements) for g in mod.mg] == [
+            (g.processed, g.decrements) for g in mg
+        ]
+
+    def test_never_first_and_later_chunk_decrements(self):
+        # Coordinate 0 holds 10 values; coordinate 1 meets 20 in chunk 0;
+        # coordinate 2 meets 10 in chunk 0 and 10 new ones in chunk 2.
+        chunks = [
+            ([r % 10 for r in range(30)], [r % 20 for r in range(30)], [r % 10 for r in range(30)]),
+            ([3] * 5, [1] * 5, [2] * 5),
+            ([r % 7 for r in range(25)], [r % 3 for r in range(25)], [10 + r % 10 for r in range(25)]),
+            ([9, 9], [19, 0], [1, 15]),
+        ]
+        budget = default_counter_budget(self.P)
+        assert [first_decrement_chunk(chunks, c, budget) for c in range(3)] == [None, 0, 2]
+        for seed in range(3):
+            self.assert_same_build(chunks, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 9), st.integers(0, 24), st.integers(0, 60)),
+                min_size=1,
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 3),
+    )
+    def test_equals_tallying_every_chunk(self, chunk_rows, seed):
+        # Coordinate 0 never decrements; 1 and 2 do, from any chunk or none.
+        self.assert_same_build([tuple(map(list, zip(*rows))) for rows in chunk_rows], seed)
 
 
 class TestQueries:

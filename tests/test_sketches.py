@@ -1,3 +1,4 @@
+import collections
 import random
 import tracemalloc
 from array import array
@@ -100,6 +101,7 @@ class TestMisraGries:
         for x in [1, 1, 2, 3, 1]:
             sk.update(x)
         assert sk.counters == {1: 2}
+        assert sk.decrements == 1
         assert sk.estimate(1) == 2  # true count 3, error 1 <= m/c = 2.5
         assert sk.estimate(3) == 0
         assert sk.estimate(2) == 0
@@ -368,10 +370,16 @@ class TestChunkedUpdatesEqualScalar:
         for x in stream:
             ref.update(x)
         for chunk in chunked(stream, cuts):
+            before = fast.decrements
+            fits = fast.fits(chunk)
             fast.update_many(chunk)
+            assert (fast.decrements == before) == fits  # a chunk that fits never decrements
         assert fast.counters == ref.counters
         assert fast.tracked() == ref.tracked()  # first-tracked order too
         assert fast.processed == ref.processed
+        assert fast.decrements == ref.decrements
+        if ref.decrements == 0:  # never decremented: the counters are exact
+            assert ref.counters == collections.Counter(stream)
 
     def test_misra_gries_fast_branch(self, monkeypatch):
         # 3 distinct values, 1 already tracked, 2 free counters: no decrement
@@ -379,6 +387,7 @@ class TestChunkedUpdatesEqualScalar:
         sk = MisraGries(3)
         sk.update_many([5])
         calls = count_scalar_updates(monkeypatch, MisraGries)
+        assert sk.fits([5, 6, 7, 6, 5, 5]) and not sk.fits([5, 6, 7, 8])
         sk.update_many([5, 6, 7, 6, 5, 5])
         assert calls == []
         assert sk.counters == {5: 4, 6: 2, 7: 1}

@@ -13,6 +13,7 @@ from subcubehh.errors import (
     IngestInconsistencyError,
     RaggedRowError,
 )
+from subcubehh import stream_io
 from subcubehh.stream_io import CHUNK_ROWS, PassSummary, from_rows, open_dataset
 
 
@@ -171,29 +172,54 @@ def first_seen_codes(rows):
     return [tuple(d.setdefault(tok, len(d)) for d, tok in zip(dicts, row)) for row in rows]
 
 
+def check_first_seen_coding(path, m, cached, class_col):
+    """Chunk sizes, codes, decoding and cardinalities of `token_rows(m)`
+    equal the first-seen reference, in the freezing replay and after it."""
+    rows = token_rows(m)
+    write_csv(path, rows)
+    h = open_dataset(path, class_col=class_col, cache_items=cached)
+    features = [j for j in range(3) if j != class_col]
+    sizes = []
+
+    def visit(columns, classes):
+        assert len(columns) == len(features)
+        sizes.append(len(columns[0]))
+        assert classes is None or len(classes) == sizes[-1]
+        assert all(len(col) == sizes[-1] for col in columns)
+
+    assert h.replay(visit).m == m
+    assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
+    expect = [
+        (tuple(codes[j] for j in features), None if class_col is None else codes[class_col])
+        for codes in first_seen_codes(rows)
+    ]
+    assert collect(h) == expect  # frozen pass: the file again, the spill, or the cache
+    assert collect(h) == expect
+    distinct = [list(dict.fromkeys(col)) for col in zip(*rows)]  # first-seen order
+    assert h.cardinalities == tuple(len(distinct[j]) for j in features)
+    for coord, j in enumerate(features):
+        assert [h.decode(coord, x) for x in range(len(distinct[j]))] == distinct[j]
+        assert [h.code(coord, tok) for tok in distinct[j]] == list(range(len(distinct[j])))
+    if class_col is not None:
+        assert h.n_classes == len(distinct[class_col])
+        assert [h.decode_class(z) for z in range(h.n_classes)] == distinct[class_col]
+        assert [h.class_code(tok) for tok in distinct[class_col]] == list(range(h.n_classes))
+
+
+NEAR_ONE_AND_TWO_CHUNKS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+
+
 class TestChunks:
-    @pytest.mark.parametrize(
-        "m", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
-    )
+    @pytest.mark.parametrize("m", NEAR_ONE_AND_TWO_CHUNKS)
     @pytest.mark.parametrize("cached", [False, True])
     def test_boundaries(self, tmp_path, m, cached):
-        rows = token_rows(m)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2, cache_items=cached)
-        sizes = []
+        check_first_seen_coding(tmp_path / "d.csv", m, cached, class_col=2)
 
-        def visit(columns, classes):
-            assert len(columns) == 2
-            sizes.append(len(classes))
-            assert all(len(col) == len(classes) for col in columns)
-
-        assert h.replay(visit).m == m
-        assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
-        expect = [(codes[:2], codes[2]) for codes in first_seen_codes(rows)]
-        assert collect(h) == expect  # frozen pass: the file again, or the cache
-        assert collect(h) == expect
-        assert h.cardinalities == (len({r[0] for r in rows}), 5)
+    @pytest.mark.parametrize("m", NEAR_ONE_AND_TWO_CHUNKS)
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("class_col", [None, 0])
+    def test_boundaries_class_column_absent_or_first(self, tmp_path, m, cached, class_col):
+        check_first_seen_coding(tmp_path / "d.csv", m, cached, class_col)
 
     def test_ragged_row_in_second_chunk(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 5)
@@ -416,3 +442,82 @@ class TestSpill:
         with count_readers() as reader:
             assert record(h) == (parsed, summary)
             assert reader.call_count == 1  # no spill: the file is parsed again
+
+
+class TestFreezeCoding:
+    """Only the freezing replay codes new tokens; every other lookup leaves
+    the dictionaries as they are."""
+
+    def test_lookups_before_the_freeze_raise_and_code_nothing(self, tmp_path):
+        rows = token_rows(CHUNK_ROWS + 10)  # the last row's first token is new in chunk 2
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2)
+        for lookup in (lambda: h.code(0, "t5"), lambda: h.code(1, "never"),
+                       lambda: h.class_code("c1")):
+            with pytest.raises(KeyError):
+                lookup()
+        missed = []
+
+        def visit(_columns, _classes):
+            try:  # mid-freeze: a token of a later chunk is not coded yet
+                h.code(0, rows[-1][0])
+            except KeyError as exc:
+                missed.append(exc.args[0])
+
+        h.replay(visit)
+        assert missed == [rows[-1][0]]  # the first chunk missed it; the second coded it
+        assert [item for item, _z in collect(h)] == [c[:2] for c in first_seen_codes(rows)]
+        assert h.cardinalities == (len({r[0] for r in rows}), 5)
+        assert h.n_classes == 3
+        with pytest.raises(KeyError):
+            h.code(1, "never")
+        assert h.cardinalities == (len({r[0] for r in rows}), 5)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_failed_freezing_replay_then_retry(self, tmp_path, cached):
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2, cache_items=cached)
+        seen = []
+
+        def fail_in_second_chunk(columns, _classes):
+            seen.append(columns)
+            if len(seen) == 2:
+                raise RuntimeError("visitor failed")
+
+        with pytest.raises(RuntimeError):
+            h.replay(fail_in_second_chunk)
+        assert h.m is None
+        with pytest.raises(KeyError):  # no longer coding: the last chunk's token is unknown
+            h.code(0, rows[-1][0])
+        assert h.decode(0, h.code(0, rows[0][0])) == rows[0][0]  # what was coded decodes
+        assert [item for item, _z in collect(h)] == [c[:2] for c in first_seen_codes(rows)]
+        distinct = list(dict.fromkeys(r[0] for r in rows))
+        assert [h.decode(0, x) for x in range(len(distinct))] == distinct
+        assert [item for item, _z in collect(h)] == [c[:2] for c in first_seen_codes(rows)]
+
+    def test_unseen_token_on_reparse_raises_inconsistency(self, tmp_path):
+        # A change the source check misses (the file rewritten between the
+        # check and the parse) still fails at the first token never coded.
+        rows = token_rows(CHUNK_ROWS + 3)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2)
+
+        def no_temporary_file():
+            raise OSError(errno.ENOENT, "No usable temporary directory")
+
+        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
+            h.replay(lambda _c, _z: None)  # freezes; no spill, so later replays parse
+        cardinalities = h.cardinalities
+        rows[CHUNK_ROWS + 1][1] = "never-seen"
+        write_csv(p, rows)
+        frozen_digest = h._digest
+        with mock.patch.object(stream_io, "_source_digest", lambda _path: frozen_digest):
+            with pytest.raises(IngestInconsistencyError, match="'never-seen', unseen by the first"):
+                h.replay(lambda _c, _z: None)
+        assert h.cardinalities == cardinalities
+        with pytest.raises(KeyError):
+            h.code(1, "never-seen")
