@@ -87,9 +87,10 @@ def heuristic_build(
     def visit(columns: Columns, _classes: list[int] | None) -> None:
         for i, (sk, col) in enumerate(zip(mg, columns)):
             tally = tallies[i]
-            if tally is None and not sk.fits(col):
+            fits = sk.fits(col)
+            if tally is None and not fits:
                 tally = tallies[i] = Counter(sk.counters)
-            sk.update_many(col)
+            sk.update_many(col, fits)
             if tally is not None:
                 tally.update(col)
 

@@ -227,10 +227,11 @@ class MisraGries:
         values = set(xs)
         return len(values) - sum(map(counters.__contains__, values)) <= room
 
-    def update_many(self, xs: Sequence[int]) -> None:
+    def update_many(self, xs: Sequence[int], fits: bool | None = None) -> None:
         """`update` on each x in turn. A chunk that `fits` is counted at
-        once; otherwise each x goes through `update`."""
-        if not self.fits(xs):
+        once; otherwise each x goes through `update`. `fits` is
+        `self.fits(xs)` when the caller has already asked it."""
+        if not (self.fits(xs) if fits is None else fits):
             for x in xs:
                 self.update(x)
             return

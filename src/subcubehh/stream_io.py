@@ -9,11 +9,15 @@ The visitor is called once per chunk of up to CHUNK_ROWS rows, as
 `visitor(columns, classes)`: `columns` is a tuple of d lists of feature
 codes, one list per coordinate, and `classes` the list of class codes, or
 None without a class column. Row r of the chunk is
-`tuple(col[r] for col in columns)`. A chunk is transposed and encoded by
-C-level builtins (zip, map), so reading a chunk costs no Python call per
-item or cell. A cached handle keeps these chunk columns, not rows, and
-hands the same lists to every pass: visitors read them and never modify
-them.
+`tuple(col[r] for col in columns)`. A file with no '"' and no NUL byte is
+read in text blocks and cut into lines at every \\r and \\n; each chunk of
+lines is split into fields by one join and one split, and column j is every
+n-th field from j. Any other file (quoted fields, embedded line ends) goes
+through csv.reader and a zip transpose, as does an in-memory source. Both
+read exactly what csv.reader reads. Chunks are then encoded by map over the
+dictionaries, so reading a chunk costs no Python call per item or cell. A
+cached handle keeps these chunk columns, not rows, and hands the same lists
+to every pass: visitors read them and never modify them.
 
 An uncached file is parsed once per handle. Before its freezing replay
 parses, it records the CRC32 and byte count of the source, and it also
@@ -41,9 +45,9 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import (
     ConfigError,
@@ -54,6 +58,9 @@ from .errors import (
 
 CHUNK_ROWS = 1024
 _DIGEST_BLOCK = 1 << 16
+# Characters per read of a plain file. Larger blocks raised the freezing
+# replay's peak RSS and measured no faster.
+_TEXT_BLOCK = 1 << 14
 
 Columns = tuple[list[int], ...]
 Visitor = Callable[[Columns, "list[int] | None"], None]
@@ -76,6 +83,10 @@ class DatasetHandle:
         class_col: int | None = None,
         cache_items: bool = False,
     ):
+        if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '\r\n"':
+            raise ConfigError(
+                f"delimiter must be one character other than \\r, \\n and '\"', got {delimiter!r}"
+            )
         self._path: Path | None = None
         self._rows: Sequence[Sequence[str]] | None = None
         if isinstance(source, (str, Path)):
@@ -88,9 +99,9 @@ class DatasetHandle:
         self.class_col = class_col
         self._cache_items = cache_items
         self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
-        # An uncached file's (CRC32, byte count) when its freezing replay
-        # read it, and the codes that replay encoded, unless unwritable.
-        self._digest: tuple[int, int] | None = None
+        # An uncached file's digest when its freezing replay read it, and
+        # the codes that replay encoded, unless unwritable.
+        self._digest: _Digest | None = None
         self._spill: BinaryIO | None = None
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
@@ -121,8 +132,8 @@ class DatasetHandle:
 
     @contextmanager
     def _raw_rows(self) -> Iterator[Iterator[Sequence[str]]]:
-        """An iterator over the source rows. A file skips its blank lines
-        and, with has_header, its first line."""
+        """An iterator over the source rows, read by csv.reader from a file.
+        A file skips its blank lines and, with has_header, its first line."""
         if self._rows is not None:
             yield iter(self._rows)
             return
@@ -131,6 +142,19 @@ class DatasetHandle:
             if self.has_header:
                 next(reader, None)
             yield filter(None, reader)
+
+    @contextmanager
+    def _token_chunks(self, plain: bool) -> Iterator[Iterator[list[Sequence[str]]]]:
+        """The one parse of the source: the token columns of each chunk of
+        up to CHUNK_ROWS rows, `tokens[j]` for file column j. A plain file
+        (see _source_digest) is split by text blocks; any other file, and an
+        in-memory source, goes through its rows."""
+        if plain:
+            with open(self._path, "r", newline="") as fh:
+                yield _split_chunks(fh, self.delimiter, self.has_header, self._n_cols)
+        else:
+            with self._raw_rows() as rows:
+                yield _row_chunks(rows, self._n_cols)
 
     # -- encoding -----------------------------------------------------------
 
@@ -203,7 +227,8 @@ class DatasetHandle:
             if self.m is None:
                 with self._coding_new_tokens():
                     if self._cache_items:
-                        return self._replay_source(visitor)
+                        plain = self._path is not None and _source_digest(self._path).plain
+                        return self._replay_source(visitor, plain)
                     return self._replay_source_to_spill(visitor)
             try:  # a frozen uncached file: it must hold the bytes first read
                 same = _source_digest(self._path) == self._digest
@@ -213,7 +238,7 @@ class DatasetHandle:
                 raise IngestInconsistencyError(f"{self._path} changed since the first pass")
             if self._spill is not None:
                 return self._replay_spill(visitor)
-            return self._replay_source(visitor)
+            return self._replay_source(visitor, self._digest.plain)
         finally:
             self._replaying = False
 
@@ -245,7 +270,7 @@ class DatasetHandle:
             visitor(columns, classes)
 
         try:
-            summary = self._replay_source(spilling)
+            summary = self._replay_source(spilling, digest.plain)
         except BaseException:
             if spill is not None:
                 drop_spill()
@@ -278,22 +303,15 @@ class DatasetHandle:
             visitor(tuple(decoded), classes)
         return PassSummary(self.m)
 
-    def _replay_source(self, visitor: Visitor) -> PassSummary:
-        n_cols = self._n_cols
+    def _replay_source(self, visitor: Visitor, plain: bool) -> PassSummary:
         feature_cols = self._feature_cols
         class_col = self.class_col
         # A cached handle parses only in its freezing replay, and keeps the chunks.
         chunks: list | None = [] if self._cache_items else None
         m = 0
-        with self._raw_rows() as source:
-            while rows := list(islice(source, CHUNK_ROWS)):
-                if set(map(len, rows)) != {n_cols}:
-                    r = next(r for r, row in enumerate(rows) if len(row) != n_cols)
-                    raise RaggedRowError(
-                        f"row {m + r + 1} has {len(rows[r])} fields, expected {n_cols}"
-                    )
-                m += len(rows)
-                tokens = list(zip(*rows))
+        with self._token_chunks(plain) as source:
+            for tokens in source:
+                m += len(tokens[0])
                 columns = tuple(self._encode_column(j, tokens[j]) for j in feature_cols)
                 classes = None
                 if class_col is not None:
@@ -315,16 +333,80 @@ def _known_code(codes: dict[str, int], token: str) -> int:
     return code
 
 
-def _source_digest(path: Path) -> tuple[int, int]:
-    """CRC32 and byte count of a file, read through one reused buffer."""
+def _row_chunks(rows: Iterator[Sequence[str]], n_cols: int) -> Iterator[list[Sequence[str]]]:
+    """Token columns of each chunk of rows, transposed by zip."""
+    m = 0
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        if set(map(len, chunk)) != {n_cols}:
+            raise _ragged_row(m, list(map(len, chunk)), n_cols)
+        m += len(chunk)
+        yield list(zip(*chunk))
+
+
+def _split_chunks(
+    fh: TextIO, delimiter: str, has_header: bool, n_cols: int
+) -> Iterator[list[list[str]]]:
+    """Token columns of each chunk of a plain file's rows, as csv.reader
+    would read them. The text is read in blocks of _TEXT_BLOCK characters
+    and a line ends at every \\r and \\n: a \\r\\n leaves a blank line
+    between, and blank lines are dropped as csv drops them. A partial last
+    line waits for the next block. Each chunk is cut into fields by one
+    join and one split, and column j is every n_cols-th field from j."""
+    limit = csv.field_size_limit()
+    skip_header = has_header
+    lines: list[str] = []  # whole non-blank lines not yet chunked
+    tail = ""
+    m = 0
+    while True:
+        block = fh.read(_TEXT_BLOCK)
+        split = (tail + block).replace("\r", "\n").split("\n")
+        tail = split.pop() if block else ""
+        if skip_header and split:
+            del split[0]  # the first line, even a blank one, as next(csv.reader) skips it
+            skip_header = False
+        lines += filter(None, split)
+        while len(lines) >= CHUNK_ROWS or not block and lines:
+            chunk = lines[:CHUNK_ROWS]
+            del lines[:CHUNK_ROWS]
+            text = delimiter.join(chunk)
+            if len(text) > limit and max(map(len, chunk)) > limit:
+                list(csv.reader(chunk, delimiter=delimiter))  # raises csv's field size error
+            if set(map(str.count, chunk, repeat(delimiter))) != {n_cols - 1}:
+                raise _ragged_row(m, [line.count(delimiter) + 1 for line in chunk], n_cols)
+            m += len(chunk)
+            fields = text.split(delimiter)
+            yield [fields[j::n_cols] for j in range(n_cols)]
+        if not block:
+            return
+
+
+def _ragged_row(m: int, widths: list[int], n_cols: int) -> RaggedRowError:
+    """The error for the first row of a chunk, after m rows, whose field
+    count is not n_cols."""
+    r = next(r for r, width in enumerate(widths) if width != n_cols)
+    return RaggedRowError(f"row {m + r + 1} has {widths[r]} fields, expected {n_cols}")
+
+
+class _Digest(NamedTuple):
+    crc: int
+    size: int
+    plain: bool  # no '"' and no NUL byte: each line is a row of fields split at the delimiter
+
+
+def _source_digest(path: Path) -> _Digest:
+    """CRC32 and byte count of a file, and whether it is plain, read through
+    one reused buffer. In UTF-8 neither '"' nor NUL occurs inside a
+    multi-byte sequence, so the bytes tell."""
     crc = size = 0
+    plain = True
     buf = bytearray(_DIGEST_BLOCK)
     view = memoryview(buf)
     with open(path, "rb") as fh:
         while n := fh.readinto(buf):
             crc = zlib.crc32(view[:n], crc)
             size += n
-    return crc, size
+            plain = plain and buf.find(b'"', 0, n) < 0 and buf.find(b"\0", 0, n) < 0
+    return _Digest(crc, size, plain)
 
 
 def open_dataset(

@@ -419,3 +419,25 @@ class TestBadValues:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delimiter", [",,", "", '"', "\r", "\n"])
+    @pytest.mark.parametrize("command", ["oracle", "eval"])
+    def test_delimiter_not_one_plain_character(
+        self, tiny_csv, tmp_path, capsys, delimiter, command
+    ):
+        # Not one character, or a line end or csv's quote character.
+        extra = ["--algo", "sampling", "--gamma", "0.05"] if command == "eval" else []
+        code = main(
+            [
+                command, "--data", str(tiny_csv), "--subcube", "1,2",
+                "--out", str(tmp_path / "r" / "out.json"), "--delimiter", delimiter, *extra,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: delimiter must be one character other than \\r, \\n and '\"', "
+            f"got {delimiter!r}\n"
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,9 @@
 import csv
 import errno
 import io
+import random
 import tempfile
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -268,9 +270,13 @@ def record(handle):
     return chunks, handle.replay(visit)
 
 
-def count_readers():
-    """Patch csv.reader to count the parses made while the patch holds."""
-    return mock.patch.object(csv, "reader", wraps=csv.reader)
+def count_parses():
+    """Patch the one parse entry point to count the parses made while the
+    patch holds."""
+    parse = stream_io.DatasetHandle._token_chunks
+    return mock.patch.object(
+        stream_io.DatasetHandle, "_token_chunks", autospec=True, side_effect=parse
+    )
 
 
 # Row counts at and around 1, 2 and 3 chunks, and a few below one chunk.
@@ -293,12 +299,12 @@ class TestSpill:
         p = tmp_path_factory.mktemp("spill") / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=class_col)
-        with count_readers() as reader:
+        with count_parses() as parses:
             parsed, summary = record(h)  # the freezing replay parses the file
-            assert reader.call_count == 1
+            assert parses.call_count == 1
             for _ in range(2):
                 spilled, again = record(h)
-                assert reader.call_count == 1  # served from the spill
+                assert parses.call_count == 1  # served from the spill
                 assert again == summary == PassSummary(m)
                 assert spilled == parsed  # sizes, codes and class codes
         sizes = [len(columns[0]) for columns, _classes in parsed]
@@ -317,9 +323,9 @@ class TestSpill:
         h = open_dataset(p, class_col=2)
         h.replay(lambda _c, _z: None)
         chunks = []
-        with count_readers() as reader:
+        with count_parses() as parses:
             h.replay(lambda columns, classes: chunks.append((columns, classes)))
-        assert reader.call_count == 0
+        assert parses.call_count == 0
         code = h.code(0, rows[-1][0])
         assert code > 256  # outside CPython's small-int cache
         assert chunks[-1][0][0][-1] is code
@@ -335,18 +341,18 @@ class TestSpill:
         write_csv(p, rows[::-1])  # the same length, and only tokens seen before
         assert p.stat().st_size == size
         chunks = []
-        with count_readers() as reader:
+        with count_parses() as parses:
             for _ in range(2):
                 with pytest.raises(IngestInconsistencyError, match="changed since"):
                     h.replay(lambda columns, _z: chunks.append(columns))
-            assert reader.call_count == 0  # neither replay parsed the file
+            assert parses.call_count == 0  # neither replay parsed the file
         assert chunks == []
         write_csv(p, rows)  # the original bytes again: the spill serves them
-        with count_readers() as reader:
+        with count_parses() as parses:
             assert [item for item, _z in collect(h)] == [
                 codes[:2] for codes in first_seen_codes(rows)
             ]
-            assert reader.call_count == 0
+            assert parses.call_count == 0
 
     def test_deleted_file_raises_inconsistency(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -364,10 +370,10 @@ class TestSpill:
         p = tmp_path / "d.csv"
         write_csv(p, token_rows(3 * CHUNK_ROWS))
         h = open_dataset(p, class_col=2)  # reads the first row only
-        with count_readers() as reader:
+        with count_parses() as parses:
             for _ in range(7):
                 assert h.replay(lambda _c, _z: None).m == 3 * CHUNK_ROWS
-        assert reader.call_count == 1
+        assert parses.call_count == 1
 
     def test_failed_freezing_replay_leaves_no_spill(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -380,10 +386,10 @@ class TestSpill:
         with pytest.raises(RuntimeError):
             h.replay(fail)
         assert h.m is None
-        with count_readers() as reader:
+        with count_parses() as parses:
             first, _ = record(h)  # freezes now
             second, _ = record(h)
-        assert reader.call_count == 1
+        assert parses.call_count == 1
         assert first == second
 
     @pytest.mark.parametrize("fails", ["open", "write"])
@@ -407,14 +413,14 @@ class TestSpill:
         with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
             parsed, summary = record(h)
         assert summary.m == len(rows)
-        with count_readers() as reader:
+        with count_parses() as parses:
             assert record(h) == (parsed, summary)
             assert record(h) == (parsed, summary)
-            assert reader.call_count == 2  # no spill: every replay parses
+            assert parses.call_count == 2  # no spill: every replay parses
             write_csv(p, rows[::-1])  # the same bytes, reordered
             with pytest.raises(IngestInconsistencyError):
                 record(h)
-            assert reader.call_count == 2  # rejected before parsing
+            assert parses.call_count == 2  # rejected before parsing
 
     @pytest.mark.parametrize(
         "m, buffer_size",
@@ -439,9 +445,9 @@ class TestSpill:
         with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
             parsed, summary = record(h)
         assert summary.m == len(rows)
-        with count_readers() as reader:
+        with count_parses() as parses:
             assert record(h) == (parsed, summary)
-            assert reader.call_count == 1  # no spill: the file is parsed again
+            assert parses.call_count == 1  # no spill: the file is parsed again
 
 
 class TestFreezeCoding:
@@ -521,3 +527,193 @@ class TestFreezeCoding:
         assert h.cardinalities == cardinalities
         with pytest.raises(KeyError):
             h.code(1, "never-seen")
+
+
+def csv_reference(path, delimiter, has_header):
+    """The csv.reader parse, kept as the reference for the split path: the
+    token columns of each chunk of up to CHUNK_ROWS non-blank rows, the
+    first line skipped with has_header, and a ragged row or an empty file
+    raising as the handle raises."""
+    chunks = []
+    m = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        if has_header:
+            next(reader, None)
+        rows = filter(None, reader)
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            n_cols = len(chunks[0]) if chunks else len(chunk[0])
+            for r, row in enumerate(chunk):
+                if len(row) != n_cols:
+                    raise RaggedRowError(
+                        f"row {m + r + 1} has {len(row)} fields, expected {n_cols}"
+                    )
+            m += len(chunk)
+            chunks.append([list(col) for col in zip(*chunk)])
+    if not chunks:
+        raise EmptyFileError("no data rows in source")
+    return chunks
+
+
+def handle_tokens(path, delimiter, has_header, mode):
+    """The token columns of each chunk the handle hands over: in its
+    freezing replay, and, for mode "reparse" (an uncached file whose spill
+    could not be written), in the replay that parses the file again."""
+    h = open_dataset(path, delimiter=delimiter, has_header=has_header, cache_items=mode == "cached")
+    if mode == "reparse":
+
+        def no_temporary_file():
+            raise OSError(errno.ENOENT, "No usable temporary directory")
+
+        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
+            chunks, _ = record(h)
+        again, _ = record(h)
+        assert again == chunks
+    else:
+        chunks, _ = record(h)
+    return [
+        [[h.decode(j, x) for x in col] for j, col in enumerate(columns)] for columns, _z in chunks
+    ]
+
+
+def outcome(parse):
+    """What a parse returns, or the type and message of what it raises."""
+    try:
+        return parse()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestSplitPath:
+    """A file with no '"' and no NUL byte is split by text blocks, and reads
+    exactly as csv.reader reads it: the same chunks, tokens and errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=NEAR_CHUNK_MULTIPLES,
+        n_cols=st.integers(1, 4),
+        delimiter=st.sampled_from([",", "\t"]),
+        endings=st.sampled_from(["\n", "\r\n", "\r", "mixed"]),
+        blank_every=st.sampled_from([0, 1, 5, 300]),
+        has_header=st.booleans(),
+        blank_first=st.booleans(),
+        trailing_newline=st.booleans(),
+        odd_row=st.sampled_from([None, "ragged", "quote", "long"]),
+        block=st.sampled_from([1, 2, 7, 64, 1 << 14]),
+        field_limit=st.sampled_from([None, 8]),
+        mode=st.sampled_from(["cached", "uncached", "reparse"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_split_path_equals_csv_reader(
+        self, tmp_path_factory, m, n_cols, delimiter, endings, blank_every, has_header,
+        blank_first, trailing_newline, odd_row, block, field_limit, mode, seed,
+    ):
+        rnd = random.Random(seed)
+        # Whitespace, and characters str.splitlines() would split at but csv does not.
+        alphabet = "ab \x0b\x0c\x1c\x85\u2028é"
+        rows = [
+            ["".join(rnd.choices(alphabet, k=rnd.randint(0, 4))) for _ in range(n_cols)]
+            for _ in range(m)
+        ]
+        r = rnd.randrange(m)
+        if odd_row == "ragged" and (n_cols == 1 or rnd.random() < 0.5):
+            rows[r].append("extra")
+        elif odd_row == "ragged":
+            rows[r].pop()
+        elif odd_row == "quote":  # a quoted field holding the delimiter and a line end
+            rows[r][0] = f'"q{delimiter}\nq"'
+        elif odd_row == "long":
+            rows[r][-1] = "x" * 12
+        lines = ["h" * n_cols] if has_header else []
+        if blank_first:
+            lines.insert(0, "")
+        for i, row in enumerate(rows):
+            lines.append(delimiter.join(row))
+            if blank_every and i % blank_every == 0:
+                lines.append("")
+        ends = ["\n", "\r\n", "\r"] if endings == "mixed" else [endings]
+        text = "".join(line + rnd.choice(ends) for line in lines)
+        if not trailing_newline:
+            text = text.rstrip("\r\n")
+        p = tmp_path_factory.mktemp("split") / "d.csv"
+        p.write_text(text, newline="")
+        plain = odd_row != "quote"
+        assert stream_io._source_digest(p).plain == plain
+        limit = csv.field_size_limit()
+        try:
+            if field_limit is not None:
+                csv.field_size_limit(field_limit)
+            expect = outcome(lambda: csv_reference(p, delimiter, has_header))
+            with mock.patch.object(stream_io, "_TEXT_BLOCK", block), mock.patch.object(
+                stream_io, "_split_chunks", wraps=stream_io._split_chunks
+            ) as split:
+                got = outcome(lambda: handle_tokens(p, delimiter, has_header, mode))
+        finally:
+            csv.field_size_limit(limit)
+        assert got == expect
+        assert plain or not split.called
+        if isinstance(got, list):  # the file was read: a plain file by the split path
+            assert split.called == plain
+
+    @pytest.mark.parametrize("long_field", [False, True])
+    @pytest.mark.parametrize("mode", ["cached", "uncached", "reparse"])
+    def test_line_over_field_size_limit(self, tmp_path, long_field, mode):
+        # Lines of "t293,u4,c2" are longer than the limit, and their fields
+        # are not; a 20-character field in the second chunk is. csv meets
+        # that field before the chunk's ragged row is checked.
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        rows[CHUNK_ROWS + 9].append("extra")
+        if long_field:
+            rows[CHUNK_ROWS + 3][1] = "x" * 20
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        limit = csv.field_size_limit(9)
+        try:
+            expect = outcome(lambda: csv_reference(p, ",", False))
+            got = outcome(lambda: handle_tokens(p, ",", False, mode))
+        finally:
+            csv.field_size_limit(limit)
+        assert got == expect
+        if long_field:
+            assert got == (csv.Error, "field larger than field limit (9)")
+        else:
+            assert got == (RaggedRowError, f"row {CHUNK_ROWS + 10} has 4 fields, expected 3")
+
+    @pytest.mark.parametrize("body", [b"a,b\nc,\x00d\ne,f\n", b'a,b\n"c\n,d",e\n'])
+    @pytest.mark.parametrize("mode", ["cached", "uncached", "reparse"])
+    def test_nul_or_quote_takes_the_csv_path(self, tmp_path, body, mode):
+        # csv before Python 3.11 rejects NUL ("line contains NUL"); later
+        # versions read it as a character. The handle does what csv does.
+        p = tmp_path / "d.csv"
+        p.write_bytes(body)
+        assert not stream_io._source_digest(p).plain
+        expect = outcome(lambda: csv_reference(p, ",", False))
+        with mock.patch.object(stream_io, "_split_chunks") as split:
+            assert outcome(lambda: handle_tokens(p, ",", False, mode)) == expect
+        assert not split.called
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_failing_visitor_closes_the_file(self, tmp_path, cached):
+        p = tmp_path / "d.csv"
+        write_csv(p, token_rows(3 * CHUNK_ROWS))
+        h = open_dataset(p, class_col=2, cache_items=cached)
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        seen = []
+
+        def fail_in_second_chunk(columns, _classes):
+            seen.append(columns)
+            if len(seen) == 2:
+                raise RuntimeError("visitor failed")
+
+        with mock.patch.object(stream_io, "open", tracking_open, create=True), mock.patch.object(
+            stream_io, "_split_chunks", wraps=stream_io._split_chunks
+        ) as split:
+            with pytest.raises(RuntimeError):
+                h.replay(fail_in_second_chunk)
+        assert split.call_count == 1
+        assert opened and all(f.closed for f in opened)  # not left to the garbage collector
