@@ -33,7 +33,6 @@ from .errors import (
 from .heuristic import HeuristicModel, heuristic_all_query, heuristic_build, heuristic_query
 from .independence import (
     CandidateSets,
-    IndepModel,
     indep_all_query,
     indep_pass1,
     indep_pass2,
@@ -42,7 +41,6 @@ from .independence import (
 from .naivebayes import (
     ClassPriors,
     FactorizedModel,
-    NBModel,
     nb_all_query,
     nb_pass1,
     nb_pass2,
@@ -80,9 +78,9 @@ __all__ = [
     "GroundTruth", "TruthLabel", "exact_table", "truth_label",
     "empirical_alpha_independence", "empirical_alpha_nb",
     "SampleModel", "required_sample_size", "build_sample", "sample_query", "sample_all_query",
-    "CandidateSets", "IndepModel", "indep_pass1", "indep_pass2", "indep_query",
+    "CandidateSets", "indep_pass1", "indep_pass2", "indep_query",
     "indep_all_query",
-    "ClassPriors", "FactorizedModel", "NBModel", "nb_pass1", "nb_pass2", "nb_score",
+    "ClassPriors", "FactorizedModel", "nb_pass1", "nb_pass2", "nb_score",
     "nb_query", "nb_all_query",
     "HeuristicModel", "heuristic_build", "heuristic_query", "heuristic_all_query",
     "__version__",

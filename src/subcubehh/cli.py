@@ -8,10 +8,12 @@ Subcommands:
           emit a JSON report plus plot-ready CSVs
 
 Coordinates and column indices are 1-based on the command line and converted
-internally. `oracle`, `run` and `eval` check their whole configuration,
-subcubes included, before they read the data past its first row; `run`
-and `oracle` then check that the directory of `--out` exists. Exit
-codes: 0 success, 2 configuration error, 3 runtime error.
+internally. `oracle`, `run` and `eval` check their flags, subcubes
+included, before they read the data past its first row; `run` and `oracle`
+then check that the directory of `--out` exists. A memory budget too small
+for an algorithm is found only when that model is built, since the budget
+is a fraction of m. Exit codes: 0 success, 2 configuration error, 3
+runtime error.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit features only, conditioned on this class value ('top' = most frequent)",
     )
     gen.add_argument("-o", "--out", required=True, help="output CSV path")
+    gen.set_defaults(handler=_cmd_gen)
 
     orc = sub.add_parser("oracle", help="exact frequency table of a subcube (JSON)")
     _add_dataset_args(orc)
@@ -111,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="1-based feature coordinates, e.g. 1,2,3 (repeatable)",
     )
     orc.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    orc.set_defaults(handler=_cmd_oracle)
 
     run = sub.add_parser("run", help="build one model and answer AllQuery")
     _add_dataset_args(run)
@@ -122,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--subcube", required=True, action="append")
     run.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    run.set_defaults(handler=_cmd_run)
 
     ev = sub.add_parser("eval", help="full experiment with oracle scoring")
     _add_dataset_args(ev)
@@ -141,6 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", default="detect", choices=["detect", "freq"])
     ev.add_argument("--top-k", type=int, default=10)
     ev.add_argument("--out", required=True, help="output path prefix")
+    ev.set_defaults(handler=_cmd_eval)
     return ap
 
 
@@ -278,15 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports bad flags itself
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

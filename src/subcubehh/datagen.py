@@ -152,7 +152,8 @@ def sample_rows(
 ) -> Iterator[list[str]]:
     """Sample m rows. Without fix_class the first column is the class value
     and the features follow; with fix_class only the features are emitted,
-    all conditioned on that class."""
+    all conditioned on that class. The arguments are checked, and every
+    value drawn, before the first row is read."""
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
     if fix_class is not None and not 0 <= fix_class < g.ell:
@@ -171,11 +172,8 @@ def sample_rows(
             if count:
                 col[mask] = _AliasTable(g.dists[j][z]).draw(rng, count)
         columns[j] = col
-    emit_class = fix_class is None
-    for i in range(m):
-        row = [str(int(classes[i]))] if emit_class else []
-        row.extend(str(int(columns[j, i])) for j in range(g.d))
-        yield row
+    table = [*columns] if fix_class is not None else [classes, *columns]
+    return map(list, zip(*(map(str, col) for col in table)))
 
 
 def sample_to_csv(
@@ -183,8 +181,7 @@ def sample_to_csv(
 ) -> Path:
     """Write a sampled dataset as CSV; returns the path."""
     out = Path(path)
+    rows = sample_rows(g, m, seed, fix_class)  # checked before the file is opened
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in sample_rows(g, m, seed, fix_class):
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return out

@@ -76,6 +76,8 @@ class ExperimentConfig:
         for gs in self.gamma_stars:
             if not gs > 0.0:
                 raise ConfigError(f"decision threshold must be > 0, got {gs}")
+        if len(set(self.gamma_stars)) < len(self.gamma_stars):
+            raise ConfigError(f"decision thresholds repeat a value: {self.gamma_stars}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.memory_fracs is None:
@@ -299,8 +301,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     theta_min = min(sweep)
     try:
         for algo in cfg.algos:
-            per_gs_tp: dict[float, list[int]] = {gs: [] for gs in sweep}
-            per_gs_fp: dict[float, list[int]] = {gs: [] for gs in sweep}
+            tp_sums = dict.fromkeys(sweep, 0)  # over seeds and subcubes
+            fp_sums = dict.fromkeys(sweep, 0)
             scorer = None  # the last algorithm's model is freed before this one is built
             for seed in cfg.seeds:
                 if scorer is None:
@@ -309,24 +311,17 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
                 if algo not in SEED_FREE_ALGORITHMS:
                     scorer = None  # free this model before the next one is built
                 for gs in sweep:
-                    tp_total = fp_total = 0
                     for t in cfg.subcubes:
                         reported = {v for v, s in scored[t.coords].items() if s >= gs}
                         tp, fp = compute_detection_metrics(reported, heavy[t.coords])
                         report.rows.append(
                             DetectionRow(algo, t, gs, seed, tp, fp, len(reported))
                         )
-                        tp_total += tp
-                        fp_total += fp
-                    per_gs_tp[gs].append(tp_total)
-                    per_gs_fp[gs].append(fp_total)
-            n_seeds = len(cfg.seeds)
+                        tp_sums[gs] += tp
+                        fp_sums[gs] += fp
+            n = len(cfg.seeds)
             report.roc[algo] = [
-                {
-                    "gamma_star": gs,
-                    "tp_mean": sum(per_gs_tp[gs]) / n_seeds,
-                    "fp_mean": sum(per_gs_fp[gs]) / n_seeds,
-                }
+                {"gamma_star": gs, "tp_mean": tp_sums[gs] / n, "fp_mean": fp_sums[gs] / n}
                 for gs in sweep
             ]
     except ConfigError:

@@ -94,7 +94,7 @@ def heuristic_build(
             if tally is not None:
                 tally.update(col)
 
-    m = h.replay(visit).m
+    m = h.replay(visit)
     tables = []
     for sk, g, tally in zip(cms, mg, tallies):
         # Count-Min state only depends on the multiset per coordinate, so feed

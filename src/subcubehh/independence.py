@@ -7,29 +7,26 @@ item: priors (m,), and for a candidate with count c the counts [c] and the
 conditional (c/m,). The score sum_z prior(z) * prod_i cond_i(v_i|z) is then
 exactly 1.0 * prod_i f_i(v_i), the product of the exact per-coordinate
 marginals, and AllQuery prunes every prefix whose partial product already
-falls below the threshold (default lam = gamma/2).
+falls below the threshold (default lam = gamma/2). The model is
+naivebayes.FactorizedModel, and the candidate helpers live there too.
 """
 
 from __future__ import annotations
 
 from .core import HHParams
-from .naivebayes import (  # candidate helpers re-exported under their old home
+from .naivebayes import (
     CandidateSets,
     ClassPriors,
     FactorizedModel,
     _model,
     _pass1,
     _recount,
-    candidate_cutoff,
-    default_counter_budget,
     nb_all_query,
     nb_all_query_levels,
     nb_all_query_scored,
     nb_query,
 )
 from .stream_io import DatasetHandle
-
-IndepModel = FactorizedModel
 
 
 def indep_pass1(

@@ -81,7 +81,6 @@ class ClassPriors:
 class PartialLevel(NamedTuple):
     """One AllQuery level: entries (prefix, per-class product vector, score)."""
 
-    level: int
     entries: list[tuple]
 
 
@@ -142,9 +141,6 @@ class FactorizedModel:
         return list(takewhile(lambda e: e[1] >= threshold, entries))
 
 
-NBModel = FactorizedModel
-
-
 def _pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None, one_class: bool
 ) -> tuple[ClassPriors, CandidateSets]:
@@ -160,8 +156,8 @@ def _pass1(
         for sk, col in zip(sketches, columns):
             sk.update_many(col)
 
-    summary = h.replay(visit)
-    counts = tuple(class_counts[z] for z in range(len(class_counts))) or (summary.m,)
+    m = h.replay(visit)
+    counts = tuple(class_counts[z] for z in range(len(class_counts))) or (m,)
     if len(counts) > MAX_CLASS_VALUES:
         raise ConfigError(
             f"{len(counts)} distinct class values (> {MAX_CLASS_VALUES}); "
@@ -169,9 +165,9 @@ def _pass1(
         )
     # Nudge below the real cutoff so integer counts sitting exactly on it are
     # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
-    cutoff = candidate_cutoff(p.lam, budget) * summary.m - 1e-9
+    cutoff = candidate_cutoff(p.lam, budget) * m - 1e-9
     sets = tuple(frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches)
-    return ClassPriors(counts, summary.m), CandidateSets(sets)
+    return ClassPriors(counts, m), CandidateSets(sets)
 
 
 def _recount(
@@ -188,7 +184,7 @@ def _recount(
         for tally, s, col in zip(tallies, cands.sets, columns):
             tally.update(cells(s, col, classes))
 
-    m = h.replay(visit).m
+    m = h.replay(visit)
     return m, [{x: row(t, x) for x in sorted(s)} for t, s in zip(tallies, cands.sets)]
 
 
@@ -292,7 +288,7 @@ def grow_levels(
     prior, conditionals = mixture
     levels = []
     prev, total = [((), (1.0,) * len(prior), 1.0)], 0
-    for j, coord in enumerate(t.coords, start=1):
+    for coord in t.coords:
         cond = None if conditionals is None else conditionals[coord]
         ext = [(x, f, (f,) if cond is None else cond[x]) for x, f in entries(coord, th)]
         nxt = []
@@ -310,7 +306,7 @@ def grow_levels(
             if total + len(nxt) > cap:
                 raise CapExceededError(f"AllQuery levels exceed {cap} entries")
         total += len(nxt)
-        levels.append(PartialLevel(j, nxt))
+        levels.append(PartialLevel(nxt))
         prev = nxt
     return levels
 

@@ -3,13 +3,16 @@
 Everything here counts with integers and only converts to floating point at
 the API boundary, so summation identities can be asserted exactly. The
 oracle is the reference every approximate algorithm is scored against; it is
-meant to be slow and right.
+meant to be slow and right. Both factorization-error diagnostics enumerate
+through one routine: near-independence is the one-class case of the class
+mixture, as in the two-pass model.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +59,7 @@ def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
     def visit(columns: Columns, _classes: list[int] | None) -> None:
         counts.update(zip(*(columns[c] for c in t.coords)))
 
-    summary = h.replay(visit)
-    return GroundTruth(t, summary.m, counts)
+    return GroundTruth(t, h.replay(visit), counts)
 
 
 def truth_label(f: float, p: HHParams) -> TruthLabel:
@@ -79,34 +81,50 @@ def _check_support(sizes: list[int], cap: int) -> None:
             )
 
 
+def _worst_deviation(
+    joint: Counter[JointValue], m: int, priors: list[float], conds: list[dict], cap: int
+) -> float:
+    """max |joint(v)/m - sum_z priors[z] * prod_i conds[i][v_i][z]| over the
+    cartesian product of the supports, the keys of each conds[i]. A joint
+    value never observed counts with frequency 0. The per-class products of
+    a prefix are formed once, left to right from the prior, so each score
+    is the same float as a product over v alone."""
+    supports = [sorted(c) for c in conds]
+    _check_support([len(s) for s in supports], cap)
+    *head, last = supports
+    worst = 0.0
+    for prefix in itertools.product(*head):
+        vec = priors
+        for c, x in zip(conds, prefix):
+            vec = tuple(map(operator.mul, vec, c[x]))
+        for x in last:
+            q = 0.0
+            for p_z, c_z in zip(vec, conds[-1][x]):
+                q += p_z * c_z
+            dev = abs(joint.get((*prefix, x), 0) / m - q)
+            if dev > worst:
+                worst = dev
+    return worst
+
+
 def empirical_alpha_independence(
     h: DatasetHandle, t: Subcube, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> float:
     """Worst deviation of the joint table from the product of its marginals.
 
-    Enumerates the cartesian product of the observed per-coordinate supports;
-    joint values never observed count with frequency 0 (their deviation is
-    the marginal product itself). The marginals are summed out of the joint
-    table, so the dataset is read once.
+    This is the one-class case of empirical_alpha_nb: prior 1.0, and each
+    value's marginal f_i(x) as its conditional, so a joint value scores
+    1.0 * prod_i f_i(v_i). The marginals are summed out of the joint table,
+    so the dataset is read once.
     """
     truth = exact_table(h, t)
     marginals: list[Counter[int]] = [Counter() for _ in t.coords]
     for v, n in truth.counts.items():
         for tally, x in zip(marginals, v):
             tally[x] += n
-    supports = [sorted(mc) for mc in marginals]
-    _check_support([len(s) for s in supports], support_cap)
     m = truth.m
-    marg_f = [{x: c / m for x, c in mc.items()} for mc in marginals]
-    worst = 0.0
-    for v in itertools.product(*supports):
-        prod = 1.0
-        for slot, x in enumerate(v):
-            prod *= marg_f[slot][x]
-        dev = abs(truth.counts.get(v, 0) / m - prod)
-        if dev > worst:
-            worst = dev
-    return worst
+    conds = [{x: (c / m,) for x, c in mc.items()} for mc in marginals]
+    return _worst_deviation(truth.counts, m, [1.0], conds, support_cap)
 
 
 def empirical_alpha_nb(
@@ -131,24 +149,11 @@ def empirical_alpha_nb(
         for tally, c in zip(joint_class, t.coords):
             tally.update(zip(columns[c], classes))
 
-    m = h.replay(visit).m
+    m = h.replay(visit)
     classes = sorted(class_counts)
     priors = [class_counts[z] / m for z in classes]
-    supports = [sorted({x for (x, _z) in jc}) for jc in joint_class]
-    _check_support([len(s) for s in supports], support_cap)
-    cond = [
-        {(x, z): jc.get((x, z), 0) / class_counts[z] for x in supports[slot] for z in classes}
-        for slot, jc in enumerate(joint_class)
+    conds = [
+        {x: tuple(jc[x, z] / class_counts[z] for z in classes) for x in {x for x, _z in jc}}
+        for jc in joint_class
     ]
-    worst = 0.0
-    for v in itertools.product(*supports):
-        q = 0.0
-        for zi, z in enumerate(classes):
-            prod = priors[zi]
-            for slot, x in enumerate(v):
-                prod *= cond[slot][(x, z)]
-            q += prod
-        dev = abs(joint.get(v, 0) / m - q)
-        if dev > worst:
-            worst = dev
-    return worst
+    return _worst_deviation(joint, m, priors, conds, support_cap)

@@ -1,7 +1,8 @@
 """Dataset ingestion: delimited text with per-coordinate dictionary encoding.
 
 A DatasetHandle replays its source as a sequence of encoded chunks, any
-number of times, in identical order. Tokens are opaque categorical strings;
+number of times, in identical order; each replay returns m, the item count,
+which the handle also keeps as `h.m`. Tokens are opaque categorical strings;
 each column gets its own first-seen-first-coded dictionary, built during the
 first full replay and frozen afterwards.
 
@@ -44,7 +45,6 @@ import zlib
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from itertools import count, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -64,13 +64,6 @@ _TEXT_BLOCK = 1 << 14
 
 Columns = tuple[list[int], ...]
 Visitor = Callable[[Columns, "list[int] | None"], None]
-
-
-@dataclass(frozen=True)
-class PassSummary:
-    """What one full replay saw: its item count."""
-
-    m: int
 
 
 class DatasetHandle:
@@ -213,9 +206,9 @@ class DatasetHandle:
 
     # -- replay -------------------------------------------------------------
 
-    def replay(self, visitor: Visitor) -> PassSummary:
+    def replay(self, visitor: Visitor) -> int:
         """Invoke `visitor(columns, classes)` once per chunk of up to
-        CHUNK_ROWS items, in source order."""
+        CHUNK_ROWS items, in source order; returns m, the item count."""
         if self._replaying:
             raise ConfigError("handle supports one active replay at a time")
         self._replaying = True
@@ -223,7 +216,7 @@ class DatasetHandle:
             if self._cached_chunks is not None:
                 for columns, classes in self._cached_chunks:
                     visitor(columns, classes)
-                return PassSummary(self.m)
+                return self.m
             if self.m is None:
                 with self._coding_new_tokens():
                     if self._cache_items:
@@ -242,7 +235,7 @@ class DatasetHandle:
         finally:
             self._replaying = False
 
-    def _replay_source_to_spill(self, visitor: Visitor) -> PassSummary:
+    def _replay_source_to_spill(self, visitor: Visitor) -> int:
         """The freezing replay of an uncached file. It also spills each
         chunk's codes, and keeps the source's digest taken before the parse.
         A spill that cannot be written (no temporary disk) is dropped, and
@@ -270,7 +263,7 @@ class DatasetHandle:
             visitor(columns, classes)
 
         try:
-            summary = self._replay_source(spilling, digest.plain)
+            m = self._replay_source(spilling, digest.plain)
         except BaseException:
             if spill is not None:
                 drop_spill()
@@ -283,9 +276,9 @@ class DatasetHandle:
             else:
                 weakref.finalize(self, spill.close)  # closed with the handle
         self._spill, self._digest = spill, digest
-        return summary
+        return m
 
-    def _replay_spill(self, visitor: Visitor) -> PassSummary:
+    def _replay_spill(self, visitor: Visitor) -> int:
         """The chunks the freezing replay spilled. Codes are decoded to the
         dictionaries' own int objects, so a chunk holds what parsing holds."""
         cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
@@ -301,9 +294,9 @@ class DatasetHandle:
             ]
             classes = None if self.class_col is None else decoded.pop()
             visitor(tuple(decoded), classes)
-        return PassSummary(self.m)
+        return self.m
 
-    def _replay_source(self, visitor: Visitor, plain: bool) -> PassSummary:
+    def _replay_source(self, visitor: Visitor, plain: bool) -> int:
         feature_cols = self._feature_cols
         class_col = self.class_col
         # A cached handle parses only in its freezing replay, and keeps the chunks.
@@ -322,7 +315,7 @@ class DatasetHandle:
         self.m = m  # a later parse reads the same bytes, so the same m
         if chunks is not None:
             self._cached_chunks = chunks
-        return PassSummary(m)
+        return m
 
 
 def _known_code(codes: dict[str, int], token: str) -> int:

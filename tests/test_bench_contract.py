@@ -177,8 +177,8 @@ def test_replay_calls_per_builder(class_csv, monkeypatch):
 @pytest.mark.parametrize("cache_items", [False, True])
 def test_replay_takes_two_argument_noop(class_csv, cache_items):
     h = subcubehh.open_dataset(class_csv, class_col=0, cache_items=cache_items)
-    assert h.replay(lambda _item, _cls: None).m == 3000  # freezes
-    assert h.replay(lambda _item, _cls: None).m == 3000
+    assert h.replay(lambda _item, _cls: None) == 3000  # freezes
+    assert h.replay(lambda _item, _cls: None) == 3000
 
 
 def run_stream_path(class_csv, check: str) -> None:

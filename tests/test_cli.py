@@ -63,6 +63,17 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [["--m", "0"], ["--m", "30", "--fix-class", "99"]])
+    def test_bad_args_write_nothing(self, tmp_path, capsys, bad):
+        # The arguments are checked before the output file is opened.
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"1,2,3\n")
+        for out in (existing, new):
+            assert main(["gen", *bad, "--seed", "1", "-o", str(out)]) == 2
+        assert existing.read_bytes() == b"1,2,3\n"
+        assert not new.exists()
+        assert capsys.readouterr().out == ""
+
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["gen", "--m", "500", "--seed", "9", "--profile", "custom",
@@ -247,6 +258,33 @@ class TestEval:
         assert f"partial results flushed to {partial_path}\n" in capsys.readouterr().err
 
 
+    def test_config_error_partway_writes_nothing(self, tiny_csv, tmp_path, capsys):
+        # 2000 rows x 3 features x 0.001 = 6 slots: two sampled items, but no
+        # Count-Min column (depth 4 needs 12). The heuristic fails after the
+        # sampling rows are done, as a config error, so no partial report.
+        out = tmp_path / "run" / "rep"
+        code = main(
+            [
+                "eval", "--data", str(tiny_csv), "--algo", "sampling", "--algo", "cms-heuristic",
+                "--gamma", "0.05", "--memory-frac", "0.001", "--subcube", "2,3",
+                "--class-col", "1", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "leaves width 0" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: subcubehh")
+
+
 class TestDeterminismSubprocess:
     def test_eval_byte_identical(self, tiny_csv, tmp_path):
         outs = []
@@ -334,6 +372,7 @@ class TestConfigBeforeData:
             [*RUN, "--subcube", "2,3", "--memory-frac", "0"],
             [*RUN, "--subcube", "1,9"],
             [*RUN, "--subcube", "2,2"],
+            [*RUN, "--subcube", "2,x"],
             [*RUN, "--subcube", "2,3", "--gamma-star", "0"],
             [*RUN, "--subcube", "2,3", "--class-col", "0"],
             ["run", "--algo", "nb2p", "--gamma", "0.05", "--subcube", "2,3"],
@@ -347,7 +386,8 @@ class TestConfigBeforeData:
             ["eval", "--task", "freq", "--algo", "sampling", "--sample-size", "50",
              "--gamma", "0.05", "--subcube", "2,3"],
         ],
-        ids=["run-memory-frac", "run-subcube", "run-subcube-repeat", "run-gamma-star",
+        ids=["run-memory-frac", "run-subcube", "run-subcube-repeat", "run-subcube-unparsed",
+             "run-gamma-star",
              "run-class-col", "run-nb2p-no-class", "oracle-subcube", "eval-subcube",
              "eval-nb2p-no-class", "eval-freq-indep2p", "eval-freq-nb2p",
              "eval-freq-sample-size"],
@@ -407,6 +447,7 @@ class TestBadValues:
             ["--gamma-star-sweep", "low"],
             ["--gamma-star-sweep", ","],
             ["--task", "freq", "--memory-fracs", "a"],
+            ["--gamma-star-sweep", "0.02,0.05,0.05"],
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

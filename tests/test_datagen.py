@@ -61,6 +61,8 @@ class TestGeneratorConstruction:
             make_random_nb(1, [5], 0, 1.0, seed=0)
         with pytest.raises(ConfigError):
             make_random_nb(1, [5], 1, -1.0, seed=0)
+        with pytest.raises(ConfigError):
+            make_random_nb(2, [5, 0], 1, 1.0, seed=0)
 
 
 class TestAliasTable:
@@ -96,8 +98,7 @@ class TestSampling:
         g = make_random_nb(2, [4, 4], 3, 1.0, seed=11)
         path = sample_to_csv(g, 300, seed=0, path=tmp_path / "d.csv")
         h = open_dataset(path, class_col=0)
-        summary = h.replay(lambda _i, _c: None)
-        assert summary.m == 300
+        assert h.replay(lambda _i, _c: None) == 300
         assert h.d == 2
         assert h.n_classes <= 3
 
@@ -105,6 +106,13 @@ class TestSampling:
         g = make_random_nb(1, [4], 2, 1.0, seed=0)
         with pytest.raises(ConfigError):
             list(sample_rows(g, 10, seed=0, fix_class=5))
+
+    @pytest.mark.parametrize("m, fix_class", [(0, None), (-3, None), (10, 2)])
+    def test_bad_arguments_fail_at_the_call(self, m, fix_class):
+        # Before any row is read, so sample_to_csv opens no file.
+        g = make_random_nb(1, [4], 2, 1.0, seed=0)
+        with pytest.raises(ConfigError):
+            sample_rows(g, m, seed=0, fix_class=fix_class)
 
     def test_single_class_alpha_small(self):
         # ell = 1 gives exactly independent coordinates; the empirical alpha

@@ -17,6 +17,7 @@ from subcubehh.harness import (
 )
 from subcubehh.metrics import compute_detection_metrics, compute_error_metrics, roc_auc
 from subcubehh.oracle import GroundTruth
+from subcubehh.sampling import required_sample_size
 from subcubehh.stream_io import open_dataset
 
 
@@ -83,6 +84,11 @@ class TestRocAuc:
         # one point at (2, 4), extended flat to fp_max 10
         area = roc_auc([(2.0, 4.0)], fp_max=10.0)
         assert area == pytest.approx(0.5 * 4 * 2 + 4 * 8)
+
+    def test_segment_cut_at_fp_max(self):
+        # (2, 4) -> (10, 8) is cut at fp 6, where the line reaches tp 6.
+        area = roc_auc([(2.0, 4.0), (10.0, 8.0)], fp_max=6.0)
+        assert area == pytest.approx(0.5 * 4 * 2 + 0.5 * (4 + 6) * 4)
 
 
 class TestSweep:
@@ -161,6 +167,24 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             toy_config(small_dataset, **bad)
 
+    @pytest.mark.parametrize("bad", [{"subcubes": []}, {"seeds": []}])
+    def test_empty_subcubes_or_seeds_rejected(self, small_dataset, bad):
+        with pytest.raises(ConfigError):
+            toy_config(small_dataset, **bad)
+
+    def test_repeated_threshold_rejected(self, small_dataset):
+        # Each threshold owns one ROC point; a repeated one would add its
+        # answers into that point twice.
+        with pytest.raises(ConfigError, match="repeat"):
+            toy_config(small_dataset, gamma_stars=[0.02, 0.05, 0.05])
+        report = run_experiment(toy_config(small_dataset, gamma_stars=[0.02, 0.05]))
+        for algo, pts in report.roc.items():
+            for pt in pts:
+                gs = pt["gamma_star"]
+                rows = [r for r in report.rows if r.algo == algo and r.gamma_star == gs]
+                assert pt["tp_mean"] == sum(r.tp for r in rows) / 2  # two seeds
+                assert pt["fp_mean"] == sum(r.fp for r in rows) / 2
+
     def test_thresholds_above_one_accepted(self, small_dataset):
         # The default sweep reaches 2 * gamma.
         assert toy_config(small_dataset, gamma=1.0).gamma_stars[-1] == pytest.approx(2.0)
@@ -181,6 +205,25 @@ class TestMemoryAccounting:
         for algo in cfg.algos:
             model, _ = build_model(algo, h, p, seed=1, cfg=cfg)
             assert accounted_memory_slots(algo, model, h.d) <= budget
+
+    def test_unknown_algo_rejected_by_build_and_charge(self, small_dataset):
+        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h.replay(lambda _i, _c: None)
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            build_model("quantum", h, HHParams(0.05), seed=0, cfg=toy_config(small_dataset))
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            accounted_memory_slots("quantum", None, h.d)
+
+    def test_sampling_default_capacity(self, small_dataset):
+        # Neither a budget nor a size: the guaranteed size for subcubes of
+        # up to 3 dimensions at the largest cardinality.
+        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h.replay(lambda _i, _c: None)
+        p = HHParams(0.05)
+        cfg = toy_config(small_dataset, algos=["sampling"], memory_frac=None)
+        model, _ = build_model("sampling", h, p, seed=0, cfg=cfg)
+        assert model.capacity == required_sample_size(p, h.d, min(3, h.d), max(h.cardinalities))
+        assert model.capacity > 0
 
     def test_sampling_capacity_from_budget(self, small_dataset):
         h = open_dataset(small_dataset, class_col=0, cache_items=True)

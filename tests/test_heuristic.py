@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subcubehh import sketches
 from subcubehh.core import HHParams, Verdict, make_subcube
-from subcubehh.errors import BudgetTooSmallError, CapExceededError
+from subcubehh.errors import BudgetTooSmallError, CapExceededError, ConfigError
 from subcubehh.heuristic import (
     DEFAULT_DEPTH,
     heuristic_all_query,
@@ -18,7 +18,7 @@ from subcubehh.heuristic import (
 from subcubehh.independence import indep_all_query, indep_pass1, indep_pass2
 from subcubehh.naivebayes import default_counter_budget
 from subcubehh.sketches import CountMin, MisraGries, hash_pair
-from subcubehh.stream_io import PassSummary, from_items
+from subcubehh.stream_io import from_items
 
 
 def random_rows(seed, m=400, d=2, n=5):
@@ -86,7 +86,7 @@ class ChunkReplay:
     def replay(self, visitor):
         for columns in self.chunks:
             visitor(columns, None)
-        return PassSummary(sum(len(columns[0]) for columns in self.chunks))
+        return sum(len(columns[0]) for columns in self.chunks)
 
 
 def tally_every_chunk_build(h, memory_slots, p, seed=0, depth=DEFAULT_DEPTH):
@@ -102,7 +102,7 @@ def tally_every_chunk_build(h, memory_slots, p, seed=0, depth=DEFAULT_DEPTH):
             sk.update_many(col)
             vc.update(col)
 
-    m = h.replay(visit).m
+    m = h.replay(visit)
     tables = []
     for sk, g, vc in zip(cms, mg, value_counts):
         tracked = g.tracked()
@@ -176,6 +176,13 @@ class TestCountEachChunkOnce:
 
 
 class TestQueries:
+    def test_wrong_length_joint_value(self):
+        h = from_items(random_rows(1))
+        p = HHParams(0.2)
+        mod = heuristic_build(h, memory_slots=2 * 4 * 8, p=p)
+        with pytest.raises(ConfigError, match="joint value of length 1 for a 2-dim subcube"):
+            heuristic_query(mod, make_subcube([0, 1], 2), (0,))
+
     def test_overestimate_never_misses_exact_yes(self):
         # The heuristic's YES set contains the YES set of the exact-marginal
         # product test at the same threshold.

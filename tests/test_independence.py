@@ -7,9 +7,6 @@ from hypothesis import given, settings, strategies as st
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.independence import (
     CandidateSets,
-    IndepModel,
-    candidate_cutoff,
-    default_counter_budget,
     indep_all_query,
     indep_all_query_levels,
     indep_all_query_scored,
@@ -17,7 +14,12 @@ from subcubehh.independence import (
     indep_pass2,
     indep_query,
 )
-from subcubehh.naivebayes import ClassPriors
+from subcubehh.naivebayes import (
+    ClassPriors,
+    FactorizedModel,
+    candidate_cutoff,
+    default_counter_budget,
+)
 from subcubehh.oracle import exact_table
 from subcubehh.stream_io import from_items
 
@@ -36,7 +38,7 @@ def make_model(tables_ratios, m, gamma):
     for counts in tables_ratios:
         index.append(dict(counts))
         tables.append(sorted(counts.items(), key=lambda e: (-e[1], e[0])))
-    return IndepModel(
+    return FactorizedModel(
         m=m,
         params=HHParams(gamma),
         tables=tables,
@@ -71,6 +73,10 @@ class TestPass1:
         assert candidate_cutoff(lam, default_counter_budget(HHParams(0.2))) == pytest.approx(
             3 * lam / 8
         )
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_cutoff_without_counters_keeps_everything(self, budget):
+        assert candidate_cutoff(0.1, budget) == 0.0
 
     def test_cutoff_small_budget_keeps_recall(self):
         # With budget c the Misra-Gries error is at most m/c, so the cutoff

@@ -18,7 +18,7 @@ from subcubehh.independence import (
 from subcubehh.naivebayes import (
     CandidateSets,
     ClassPriors,
-    NBModel,
+    FactorizedModel,
     grow_levels,
     nb_all_query,
     nb_all_query_levels,
@@ -99,6 +99,33 @@ class TestPass2:
         assert mod.conditionals[0][h.code(0, "0")][h.class_code("1")] == 0.0
 
 
+class TestPass2Checks:
+    def test_candidate_sets_of_another_d(self):
+        h = from_items(D0X_ROWS, class_col=2)
+        p = HHParams(0.5)
+        priors, cands = nb_pass1(h, p)
+        other = CandidateSets(cands.sets + (frozenset(),))
+        with pytest.raises(ConfigError, match="candidate sets cover 3 coordinates, dataset has 2"):
+            nb_pass2(h, priors, other, p)
+        with pytest.raises(ConfigError, match="candidate sets cover 3"):
+            indep_pass2(h, other, p)
+
+    def test_needs_class_column(self):
+        h = from_items([(0, 1)] * 4)
+        p = HHParams(0.5)
+        cands = indep_pass1(h, p)
+        with pytest.raises(NoClassColumnError):
+            nb_pass2(h, ClassPriors((4,), 4), cands, p)
+
+    def test_priors_of_another_stream(self):
+        h = from_items(D0X_ROWS, class_col=2)
+        p = HHParams(0.5)
+        _priors, cands = nb_pass1(h, p)
+        longer, _ = nb_pass1(from_items(D0X_ROWS * 2, class_col=2), p)
+        with pytest.raises(ConfigError, match="pass-2 stream length"):
+            nb_pass2(h, longer, cands, p)
+
+
 class TestPass2EqualsRowCount:
     """Pass-2 counts equal a per-row dict count over the same items."""
 
@@ -148,7 +175,7 @@ class TestScore:
 
     def test_arithmetic(self):
         # priors (1/2, 1/2) with per-class products (0.4, 0.1) scores 0.25.
-        mod = NBModel(
+        mod = FactorizedModel(
             m=10,
             params=HHParams(0.2),
             priors=ClassPriors((5, 5), 10),
@@ -169,6 +196,11 @@ class TestScore:
     def test_absent_value(self):
         h, p, mod = build_nb(D0X_ROWS, gamma=0.5, class_col=2)
         assert nb_score(mod, make_subcube([0], 2), (99,)) is None
+
+    def test_wrong_length_joint_value(self):
+        h, p, mod = build_nb(D0X_ROWS, gamma=0.5, class_col=2)
+        with pytest.raises(ConfigError, match="joint value of length 1 for a 2-dim subcube"):
+            nb_score(mod, make_subcube([0, 1], 2), (h.code(0, "1"),))
 
 
 class TestQuery:
@@ -258,7 +290,7 @@ class TestSingleClassReduction:
         p = HHParams(gamma)
         ind = indep_pass2(h, indep_pass1(h, p), p)
         nb = nb_pass2(h, *nb_pass1(h, p), p)
-        for f in dataclasses.fields(NBModel):
+        for f in dataclasses.fields(FactorizedModel):
             assert getattr(ind, f.name) == getattr(nb, f.name), f.name
         d = len(cards)
         for k in range(1, d + 1):
@@ -304,7 +336,7 @@ class TestSoundnessOnVerifiedData:
 
 class TestAllQuery:
     def test_two_class_hand_model_matches_brute_force(self):
-        mod = NBModel(
+        mod = FactorizedModel(
             m=100,
             params=HHParams(0.3),  # lambda 0.15
             priors=ClassPriors((60, 40), 100),
@@ -407,7 +439,7 @@ def factorized_models(draw):
         for bv in by_value
     ]
     priors = ClassPriors(class_totals, m)
-    return NBModel(m, HHParams(0.5), tables, index, priors, by_value, conditionals)
+    return FactorizedModel(m, HHParams(0.5), tables, index, priors, by_value, conditionals)
 
 
 class TestGrowLevelsProof:

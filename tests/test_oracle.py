@@ -10,6 +10,7 @@ from subcubehh.core import HHParams, make_subcube
 from subcubehh.errors import NoClassColumnError, SupportTooLargeError
 from subcubehh.oracle import (
     TruthLabel,
+    _worst_deviation,
     empirical_alpha_independence,
     empirical_alpha_nb,
     exact_table,
@@ -198,3 +199,44 @@ class TestAlphaNB:
         h = from_rows(rows, class_col=0)
         alpha = empirical_alpha_nb(h, make_subcube([0, 1], 2))
         assert alpha <= 0.02
+
+
+def per_value_worst_deviation(joint, m, priors, conds):
+    """The reference: every joint value scored on its own, per class, as
+    prior * cond_1 * ... * cond_k, the classes summed in order."""
+    worst = 0.0
+    for v in itertools.product(*(sorted(c) for c in conds)):
+        q = 0.0
+        for z, prior in enumerate(priors):
+            prod = prior
+            for c, x in zip(conds, v):
+                prod *= c[x][z]
+            q += prod
+        worst = max(worst, abs(joint.get(v, 0) / m - q))
+    return worst
+
+
+@st.composite
+def mixtures(draw):
+    """(joint, m, priors, conds) over 1-3 coordinates and 1-3 classes."""
+    ell = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    priors = draw(st.lists(unit, min_size=ell, max_size=ell))
+    conds = [
+        {x: tuple(draw(st.lists(unit, min_size=ell, max_size=ell))) for x in values}
+        for values in draw(
+            st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=3)
+        )
+    ]
+    values = list(itertools.product(*(sorted(c) for c in conds)))
+    joint = Counter(draw(st.lists(st.sampled_from(values), max_size=30)))
+    return joint, draw(st.integers(max(1, sum(joint.values())), 100)), priors, conds
+
+
+class TestWorstDeviation:
+    @settings(max_examples=200, deadline=None)
+    @given(mixtures())
+    def test_equals_per_value_reference(self, mixture):
+        # Same float, not just close: the reports pin alpha's repr.
+        assert _worst_deviation(*mixture, cap=10**7) == per_value_worst_deviation(*mixture)
+

@@ -36,6 +36,11 @@ class TestRequiredSampleSize:
         hi = required_sample_size(HHParams(0.1), d=4, k=2, n_max=100)
         assert abs(lo - 2 * hi) <= 2  # up to rounding
 
+    @pytest.mark.parametrize("d, k, n_max", [(0, 1, 10), (2, 0, 10), (2, 1, 0)])
+    def test_nonpositive_shape_rejected(self, d, k, n_max):
+        with pytest.raises(ConfigError, match=">= 1"):
+            required_sample_size(HHParams(0.1), d=d, k=k, n_max=n_max)
+
     def test_k_exceeding_d_rejected(self):
         with pytest.raises(ConfigError):
             required_sample_size(HHParams(0.1), d=2, k=3, n_max=10)

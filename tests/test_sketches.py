@@ -94,6 +94,10 @@ class TestSplitmix64Many:
 
 
 class TestMisraGries:
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigError, match="counter_budget"):
+            MisraGries(-1)
+
     def test_hand_simulation(self):
         # budget 2, stream [1,1,2,3,1]: the arrival of 3 decrements {1:2,2:1}
         # to {1:1} and is not inserted; the final 1 brings it back to 2.
@@ -260,6 +264,10 @@ class TestCountMin:
 
 
 class TestReservoir:
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ConfigError, match="capacity"):
+            Reservoir(-1)
+
     def test_under_capacity_keeps_all_in_order(self):
         res = Reservoir(10, seed=1)
         stream = [(i,) for i in range(5)]

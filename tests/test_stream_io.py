@@ -16,7 +16,7 @@ from subcubehh.errors import (
     RaggedRowError,
 )
 from subcubehh import stream_io
-from subcubehh.stream_io import CHUNK_ROWS, PassSummary, from_rows, open_dataset
+from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
 
 
 def write_csv(path, rows, delimiter=","):
@@ -41,8 +41,7 @@ class TestOpenDataset:
         write_csv(p, [["a", "b", "c"]] * 8)
         h = open_dataset(p)
         assert h.d == 3
-        summary = h.replay(lambda _i, _c: None)
-        assert summary.m == 8
+        assert h.replay(lambda _i, _c: None) == 8
         assert h.m == 8
 
     def test_class_column_split(self, tmp_path):
@@ -55,6 +54,15 @@ class TestOpenDataset:
         assert items[1] == ((0, 0, 1), 1)
         assert h.n_classes == 2
         assert h.decode_class(1) == "z1"
+
+    def test_class_lookups_need_a_class_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [["a", "b"]] * 3)
+        h = open_dataset(p)
+        h.replay(lambda _i, _c: None)
+        for lookup in (lambda: h.n_classes, lambda: h.class_code("a"), lambda: h.decode_class(0)):
+            with pytest.raises(ConfigError, match="no class column"):
+                lookup()
 
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -89,7 +97,7 @@ class TestOpenDataset:
         p = tmp_path / "d.csv"
         write_csv(p, [["c1", "c2"], ["a", "b"], ["a", "c"]])
         h = open_dataset(p, has_header=True)
-        assert h.replay(lambda _i, _c: None).m == 2
+        assert h.replay(lambda _i, _c: None) == 2
 
 
 class TestReplay:
@@ -114,8 +122,7 @@ class TestReplay:
 
     def test_distinct_counts(self):
         h = from_rows([["a", "p"], ["b", "p"], ["a", "q"]])
-        summary = h.replay(lambda _i, _c: None)
-        assert summary.m == 3
+        assert h.replay(lambda _i, _c: None) == 3
         assert h.cardinalities == (2, 2)
 
     def test_new_token_in_second_pass_fails(self, tmp_path):
@@ -189,7 +196,7 @@ def check_first_seen_coding(path, m, cached, class_col):
         assert classes is None or len(classes) == sizes[-1]
         assert all(len(col) == sizes[-1] for col in columns)
 
-    assert h.replay(visit).m == m
+    assert h.replay(visit) == m
     assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
     expect = [
         (tuple(codes[j] for j in features), None if class_col is None else codes[class_col])
@@ -261,7 +268,7 @@ class TestChunks:
 
 def record(handle):
     """Every chunk the replay hands over, as (columns, classes) copies, and
-    the replay's summary."""
+    the item count the replay returns."""
     chunks = []
 
     def visit(columns, classes):
@@ -300,12 +307,12 @@ class TestSpill:
         write_csv(p, rows)
         h = open_dataset(p, class_col=class_col)
         with count_parses() as parses:
-            parsed, summary = record(h)  # the freezing replay parses the file
+            parsed, first_m = record(h)  # the freezing replay parses the file
             assert parses.call_count == 1
             for _ in range(2):
                 spilled, again = record(h)
                 assert parses.call_count == 1  # served from the spill
-                assert again == summary == PassSummary(m)
+                assert again == first_m == m
                 assert spilled == parsed  # sizes, codes and class codes
         sizes = [len(columns[0]) for columns, _classes in parsed]
         assert sizes == [CHUNK_ROWS] * (m // CHUNK_ROWS) + [m % CHUNK_ROWS] * (m % CHUNK_ROWS > 0)
@@ -372,7 +379,7 @@ class TestSpill:
         h = open_dataset(p, class_col=2)  # reads the first row only
         with count_parses() as parses:
             for _ in range(7):
-                assert h.replay(lambda _c, _z: None).m == 3 * CHUNK_ROWS
+                assert h.replay(lambda _c, _z: None) == 3 * CHUNK_ROWS
         assert parses.call_count == 1
 
     def test_failed_freezing_replay_leaves_no_spill(self, tmp_path):
@@ -411,11 +418,11 @@ class TestSpill:
 
         h = open_dataset(p, class_col=2)
         with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
-            parsed, summary = record(h)
-        assert summary.m == len(rows)
+            parsed, m = record(h)
+        assert m == len(rows)
         with count_parses() as parses:
-            assert record(h) == (parsed, summary)
-            assert record(h) == (parsed, summary)
+            assert record(h) == (parsed, m)
+            assert record(h) == (parsed, m)
             assert parses.call_count == 2  # no spill: every replay parses
             write_csv(p, rows[::-1])  # the same bytes, reordered
             with pytest.raises(IngestInconsistencyError):
@@ -443,10 +450,10 @@ class TestSpill:
 
         h = open_dataset(p, class_col=2)
         with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
-            parsed, summary = record(h)
-        assert summary.m == len(rows)
+            parsed, m = record(h)
+        assert m == len(rows)
         with count_parses() as parses:
-            assert record(h) == (parsed, summary)
+            assert record(h) == (parsed, m)
             assert parses.call_count == 1  # no spill: the file is parsed again
 
 
