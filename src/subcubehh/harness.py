@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import HHParams, JointValue, Subcube, make_subcube
 from .errors import (
-    BudgetTooSmallError,
     ConfigError,
     DuplicateIndexError,
     ExperimentError,
@@ -78,6 +77,8 @@ class ExperimentConfig:
                 raise ConfigError(f"decision threshold must be > 0, got {gs}")
         if len(set(self.gamma_stars)) < len(self.gamma_stars):
             raise ConfigError(f"decision thresholds repeat a value: {self.gamma_stars}")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.memory_fracs is None:
@@ -180,8 +181,6 @@ def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: Experi
     share = None if budget is None else budget // h.d  # slots per coordinate
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}")
-    if algo in ("indep2p", "nb2p") and share is not None and share < 1:
-        raise BudgetTooSmallError(f"{budget} slots over {h.d} coordinates leave no counter")
     if algo == "sampling":
         if cfg.sample_size is not None:
             capacity = cfg.sample_size
@@ -189,8 +188,6 @@ def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: Experi
             capacity = share
         else:
             capacity = required_default_sample_size(h, p)
-        if capacity < 1:
-            raise BudgetTooSmallError(f"sample capacity {capacity} holds no item")
         model = build_sample(h, capacity, seed, p)
         score = sample_all_query_scored
     elif algo == "cms-heuristic":

@@ -4,13 +4,14 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values. The build feeds each sketch its coordinate's exact
-value counts, hashing each distinct value once per row, reads each tracked
-value's estimate from those cells and ranks each coordinate's candidates by
-estimate; AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) with one class over them. The build counts each
-chunk once while a coordinate's summary has never decremented, since its
-counters are then the exact counts.
+cannot list values. The build keeps no exact tally: Count-Min state depends
+only on the multiset it is fed, and a value's exact count is its final
+Misra-Gries counter plus what the summary's decrement rounds removed. So a
+chunk that decrements a summary feeds the sketch the counts it removed at
+once, and the end of the pass feeds each tracked value its final counter,
+reading its estimate from those same cells. Each coordinate's candidates are
+ranked by estimate; AllQuery runs the factorized model's level loop
+(naivebayes.grow_levels) with one class over them.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -19,9 +20,8 @@ would report.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, takewhile
+from itertools import takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -71,6 +71,8 @@ def heuristic_build(
     """One pass: a Count-Min sketch per coordinate sized from the slot budget
     (width = memory_slots / (d * depth)), plus a Misra-Gries candidate list
     per coordinate with budget ceil(8/lam), whose values are then ranked."""
+    if depth < 1:
+        raise ConfigError(f"depth must be >= 1, got {depth}")
     width = memory_slots // (h.d * depth)
     if width < 1:
         raise BudgetTooSmallError(
@@ -79,33 +81,20 @@ def heuristic_build(
     budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]
-    # A summary that never decremented holds its coordinate's exact counts,
-    # so a coordinate gets a tally of its own only from the first chunk that
-    # does not fit its summary, starting from the counts so far.
-    tallies: list[Counter[int] | None] = [None] * h.d
 
     def visit(columns: Columns, _classes: list[int] | None) -> None:
-        for i, (sk, col) in enumerate(zip(mg, columns)):
-            tally = tallies[i]
-            fits = sk.fits(col)
-            if tally is None and not fits:
-                tally = tallies[i] = Counter(sk.counters)
-            sk.update_many(col, fits)
-            if tally is not None:
-                tally.update(col)
+        for sk, g, col in zip(cms, mg, columns):
+            removed = g.update_many(col)
+            if removed:
+                sk.update_counts(list(removed), list(removed.values()))
 
     m = h.replay(visit)
     tables = []
-    for sk, g, tally in zip(cms, mg, tallies):
-        # Count-Min state only depends on the multiset per coordinate, so feed
-        # it the exact counts, tracked values first: the feed's cells give
-        # their estimates without hashing them again.
-        exact = g.counters if tally is None else tally
+    for sk, g in zip(cms, mg):
+        # The final counters complete each value's exact count in the cells,
+        # which then give the tracked values' estimates.
         tracked = g.tracked()
-        values = tracked + list(filterfalse(g.counters.__contains__, exact))
-        estimates = sk.update_counts(values, list(map(exact.__getitem__, values)))
-        if tally is not None:
-            tally.clear()  # each exact tally is released once its sketch is fed
+        estimates = sk.update_counts(tracked, list(g.counters.values()))
         ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
         tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
     return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)

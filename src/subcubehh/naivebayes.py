@@ -42,7 +42,7 @@ from itertools import compress, takewhile
 from typing import Callable, NamedTuple, Sequence
 
 from .core import HHParams, JointValue, Subcube, Verdict
-from .errors import CapExceededError, ConfigError, NoClassColumnError
+from .errors import BudgetTooSmallError, CapExceededError, ConfigError, NoClassColumnError
 from .sketches import MisraGries
 from .stream_io import Columns, DatasetHandle
 
@@ -147,6 +147,8 @@ def _pass1(
     """Class counts plus per-coordinate candidate sets, in one pass. With
     `one_class`, the class column is not read: all m items form one class."""
     budget = default_counter_budget(p) if counter_budget is None else counter_budget
+    if budget < 1:
+        raise BudgetTooSmallError(f"counter budget {budget} holds no value")
     sketches = [MisraGries(budget) for _ in range(h.d)]
     class_counts: Counter[int] = Counter()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import countOf
 
 from .core import HHParams, Item, JointValue, Subcube, Verdict
-from .errors import ConfigError
+from .errors import BudgetTooSmallError, ConfigError
 from .sketches import Reservoir
 from .stream_io import DatasetHandle
 
@@ -53,6 +53,8 @@ def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
 
 def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
     """One full pass; keeps min(m, capacity) items uniformly without replacement."""
+    if capacity < 1:
+        raise BudgetTooSmallError(f"sample capacity {capacity} holds no item")
     res = Reservoir(capacity, seed)
     h.replay(lambda columns, _classes: res.update_many(columns))
     return SampleModel(columns=res.columns, m_prime=len(res), capacity=capacity, params=p)

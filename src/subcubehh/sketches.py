@@ -187,7 +187,9 @@ class MisraGries:
     update(x): increment x's counter if tracked; start it at 1 if a slot is
     free; otherwise decrement every counter and drop the ones that hit zero.
     `decrements` counts those rounds; while it is 0 the counters are the
-    exact counts of everything processed.
+    exact counts of everything processed. `update_many` returns what a
+    chunk's rounds removed, so over a stream the counters plus all the
+    returns are the exact counts.
     """
 
     __slots__ = ("counter_budget", "counters", "processed", "decrements")
@@ -227,16 +229,23 @@ class MisraGries:
         values = set(xs)
         return len(values) - sum(map(counters.__contains__, values)) <= room
 
-    def update_many(self, xs: Sequence[int], fits: bool | None = None) -> None:
+    def update_many(self, xs: Sequence[int]) -> dict[int, int] | None:
         """`update` on each x in turn. A chunk that `fits` is counted at
-        once; otherwise each x goes through `update`. `fits` is
-        `self.fits(xs)` when the caller has already asked it."""
-        if not (self.fits(xs) if fits is None else fits):
-            for x in xs:
-                self.update(x)
-            return
-        self.processed += len(xs)
-        self.counters.update(xs)
+        once and returns None. Otherwise each x goes through `update`, and
+        the return maps each value to what the chunk's decrement rounds
+        removed of it, dropped arrivals included: the positive part of
+        before + Counter(xs) - after."""
+        if self.fits(xs):
+            self.processed += len(xs)
+            self.counters.update(xs)
+            return None
+        total = self.counters.copy()
+        for x in xs:
+            self.update(x)
+        total.update(xs)  # before + Counter(xs)
+        get = self.counters.get
+        # No count ends above before + arrivals, so a nonzero r is positive.
+        return {x: r for x, n in total.items() if (r := n - get(x, 0))}
 
     def estimate(self, x: int) -> int:
         return self.counters.get(x, 0)

@@ -385,12 +385,16 @@ class TestConfigBeforeData:
              "--class-col", "1", "--gamma", "0.05", "--subcube", "2,3"],
             ["eval", "--task", "freq", "--algo", "sampling", "--sample-size", "50",
              "--gamma", "0.05", "--subcube", "2,3"],
+            ["run", "--algo", "sampling", "--gamma", "0.05", "--subcube", "2,3",
+             "--sample-size", "0"],
+            ["eval", "--algo", "sampling", "--gamma", "0.05", "--subcube", "2,3",
+             "--sample-size", "-3"],
         ],
         ids=["run-memory-frac", "run-subcube", "run-subcube-repeat", "run-subcube-unparsed",
              "run-gamma-star",
              "run-class-col", "run-nb2p-no-class", "oracle-subcube", "eval-subcube",
              "eval-nb2p-no-class", "eval-freq-indep2p", "eval-freq-nb2p",
-             "eval-freq-sample-size"],
+             "eval-freq-sample-size", "run-sample-size-zero", "eval-sample-size-negative"],
     )
     def test_config_error_first(self, ragged_csv, tmp_path, capsys, argv):
         out = tmp_path / "new" / "out"  # eval would create its parent on success

@@ -32,6 +32,12 @@ class TestBuild:
         with pytest.raises(BudgetTooSmallError):
             heuristic_build(h, memory_slots=4, p=HHParams(0.5))  # width 0 at d=2
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one(self, depth):
+        h = from_items([(0, 0)])
+        with pytest.raises(ConfigError, match=f"depth must be >= 1, got {depth}$"):
+            heuristic_build(h, memory_slots=64, p=HHParams(0.5), depth=depth)
+
     def test_constant_coordinate_exact_one(self):
         h = from_items([(3,)] * 50)
         mod = heuristic_build(h, memory_slots=64, p=HHParams(0.5))
@@ -124,9 +130,9 @@ def first_decrement_chunk(chunks, coord, budget):
 
 
 class TestCountEachChunkOnce:
-    """The build tallies a coordinate apart from its summary only from the
-    first chunk that would decrement it, and builds what tallying every
-    chunk builds."""
+    """The build feeds Count-Min what each chunk's decrements removed and,
+    at the end, the summaries' final counters, and builds what tallying
+    every chunk builds."""
 
     P = HHParams(1.0)  # lam 0.5: a budget of 16 counters per coordinate
     SLOTS = 3 * DEFAULT_DEPTH * 7  # width 7 at d = 3: cells collide
@@ -304,9 +310,10 @@ class TestAllQueryEnumeration:
         assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected
 
     def test_each_value_hashed_once_per_row(self, monkeypatch):
-        # The build hashes each distinct value once per Count-Min row, and
-        # ranks the tracked values from those cells: no point query. AllQuery
-        # hashes nothing.
+        # The build hashes each value once per Count-Min row for each chunk
+        # whose decrements removed some of its count, and each tracked value
+        # once more at the end, ranking the tracked values from those cells:
+        # no point query. AllQuery hashes nothing.
         lanes = collections.Counter()
         point_queries = []
         splitmix64_many = sketches.splitmix64_many
@@ -317,14 +324,36 @@ class TestAllQueryEnumeration:
 
         monkeypatch.setattr(sketches, "splitmix64_many", counted)
         monkeypatch.setattr(CountMin, "point_query", lambda _sk, x: point_queries.append(x))
-        h = from_items(random_rows(3, m=400, d=3, n=9))
-        mod = heuristic_build(h, memory_slots=3 * 4 * 5, p=HHParams(0.2))
-        distinct = [set(), set(), set()]
-        h.replay(lambda columns, _z: [v.update(col) for v, col in zip(distinct, columns)])
+        rng = random.Random(3)
+        # Coordinate 2 meets about 300 values against a budget of 80, over 3 chunks.
+        rows = [
+            (rng.randrange(9), rng.randrange(9), rng.randrange(4 if rng.random() < 0.5 else 300))
+            for _ in range(2500)
+        ]
+        h = from_items(rows)
+        p = HHParams(0.2)
+        mod = heuristic_build(h, memory_slots=3 * 4 * 5, p=p)
+        assert [g.decrements > 0 for g in mod.mg] == [False, False, True]
+        # Scalar reference: what each chunk's decrements removed, per coordinate.
+        ref = [MisraGries(default_counter_budget(p)) for _ in range(3)]
+        fed = [collections.Counter() for _ in range(3)]
+
+        def removals(columns, _z):
+            for g, values, col in zip(ref, fed, columns):
+                before = g.counters.copy()
+                for x in col:
+                    g.update(x)
+                values.update(list(before + collections.Counter(col) - g.counters))
+
+        h.replay(removals)
+        for g, values in zip(ref, fed):
+            values.update(g.tracked())
         expected = collections.Counter(
-            (key, x) for sk, values in zip(mod.cms, distinct) for key in sk.row_keys for x in values
+            {(key, x): n for sk, values in zip(mod.cms, fed) for key in sk.row_keys
+             for x, n in values.items()}
         )
-        assert lanes == expected and max(lanes.values()) == 1
+        assert lanes == expected
+        assert max(lanes.values()) > 1  # some value of coordinate 2 is fed more than once
         assert point_queries == []
         for c in range(3):
             assert {x for x, _f in mod.tables[c]} == set(mod.mg[c].tracked())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
+from subcubehh.errors import BudgetTooSmallError
 from subcubehh.independence import (
     CandidateSets,
     indep_all_query,
@@ -67,6 +68,13 @@ class TestPass1:
         h = from_items([(1,), (1,), (1,), (2,), (3,)])
         cands = indep_pass1(h, HHParams(1.0))  # lambda 0.5
         assert h.code(0, "1") in cands.sets[0]
+
+    def test_zero_budget_rejected_before_replay(self, monkeypatch):
+        # (0, 0) has f = 2/3 at gamma 0.5; summaries holding nothing would miss it.
+        h = from_items([(0, 0)] * 100 + [(1, 1)] * 50)
+        monkeypatch.setattr(h, "replay", lambda _visitor: pytest.fail("replayed"))
+        with pytest.raises(BudgetTooSmallError, match="counter budget 0 holds no value"):
+            indep_pass1(h, HHParams(0.5), 0)
 
     def test_cutoff_default_budget(self):
         lam = 0.1

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
-from subcubehh.errors import CapExceededError, ConfigError, NoClassColumnError
+from subcubehh.errors import (
+    BudgetTooSmallError,
+    CapExceededError,
+    ConfigError,
+    NoClassColumnError,
+)
 from subcubehh.independence import (
     indep_all_query_scored,
     indep_pass1,
@@ -74,6 +79,13 @@ class TestPass1:
         h = from_items([(0, 1)])
         with pytest.raises(NoClassColumnError):
             nb_pass1(h, HHParams(0.5))
+
+    def test_zero_budget_rejected_before_replay(self, monkeypatch):
+        # (0, 0) has f = 2/3 at gamma 0.5; summaries holding nothing would miss it.
+        h = from_items([(0, 0, 0)] * 100 + [(1, 1, 1)] * 50, class_col=2)
+        monkeypatch.setattr(h, "replay", lambda _visitor: pytest.fail("replayed"))
+        with pytest.raises(BudgetTooSmallError, match="counter budget 0 holds no value"):
+            nb_pass1(h, HHParams(0.5), 0)
 
 
 class TestPass2:

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from subcubehh.core import HHParams, Verdict, make_subcube
-from subcubehh.errors import ConfigError
+from subcubehh.errors import BudgetTooSmallError, ConfigError
 from subcubehh.harness import accounted_memory_slots
 from subcubehh.sampling import (
+    SampleModel,
     build_sample,
     required_sample_size,
     sample_all_query,
@@ -71,10 +72,18 @@ class TestBuildSample:
         b = build_sample(h, capacity=10, seed=42, p=p)
         assert a.samples == b.samples
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_rejected_before_replay(self, monkeypatch, capacity):
+        # (0, 0) has f = 2/3 at gamma 0.5; a sample holding nothing would miss it.
+        h = from_items([(0, 0)] * 100 + [(1, 1)] * 50)
+        monkeypatch.setattr(h, "replay", lambda _visitor: pytest.fail("replayed"))
+        with pytest.raises(BudgetTooSmallError, match=f"sample capacity {capacity} holds no item"):
+            build_sample(h, capacity=capacity, seed=0, p=HHParams(0.5))
+
     def test_zero_capacity_answers_no(self):
-        h = from_items(D0_ROWS)
-        p = HHParams(0.5)
-        mod = build_sample(h, capacity=0, seed=0, p=p)
+        # build_sample rejects a capacity below 1; a model holding no item,
+        # built by hand, still answers every query.
+        mod = SampleModel(columns=[[], []], m_prime=0, capacity=0, params=HHParams(0.5))
         t = make_subcube([0, 1], 2)
         assert sample_query(mod, t, (0, 0)) is Verdict.NO
         assert sample_all_query(mod, t) == set()
@@ -103,7 +112,10 @@ class TestColumnarModel:
 
     @pytest.mark.parametrize("capacity", [0, 1, 40, 1000])
     def test_charge_equals_allocated_slots(self, capacity):
-        mod = self.stream_model(capacity)
+        if capacity:
+            mod = self.stream_model(capacity)
+        else:  # build_sample rejects capacity 0, so this model is built by hand
+            mod = SampleModel(columns=[[], [], []], m_prime=0, capacity=0, params=HHParams(0.2))
         charged = accounted_memory_slots("sampling", mod, 3)
         assert charged == sum(map(len, mod.columns)) == 3 * min(capacity, 300)
 

@@ -377,11 +377,18 @@ class TestChunkedUpdatesEqualScalar:
         ref, fast = MisraGries(budget), MisraGries(budget)
         for x in stream:
             ref.update(x)
+        all_removed = collections.Counter()
         for chunk in chunked(stream, cuts):
-            before = fast.decrements
+            before, decrements = fast.counters.copy(), fast.decrements
             fits = fast.fits(chunk)
-            fast.update_many(chunk)
-            assert (fast.decrements == before) == fits  # a chunk that fits never decrements
+            removed = fast.update_many(chunk)
+            assert (fast.decrements == decrements) == fits  # a chunk that fits never decrements
+            assert (removed is None) == fits
+            if removed is not None:
+                assert removed == before + collections.Counter(chunk) - fast.counters
+                assert min(removed.values()) > 0
+                all_removed += removed
+        assert fast.counters + all_removed == collections.Counter(stream)
         assert fast.counters == ref.counters
         assert fast.tracked() == ref.tracked()  # first-tracked order too
         assert fast.processed == ref.processed
