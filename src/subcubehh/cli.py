@@ -11,9 +11,10 @@ Coordinates and column indices are 1-based on the command line and converted
 internally. `oracle`, `run` and `eval` check their flags, subcubes
 included, before they read the data past its first row; `run` and `oracle`
 then check that the directory of `--out` exists. A memory budget too small
-for an algorithm is found only when that model is built, since the budget
-is a fraction of m. Exit codes: 0 success, 2 configuration error, 3
-runtime error.
+for an algorithm is found once the freezing replay has counted m, since the
+budget is a fraction of m: `eval` checks every algorithm then, before it
+counts an exact table or builds a model. Exit codes: 0 success, 2
+configuration error, 3 runtime error.
 """
 
 from __future__ import annotations

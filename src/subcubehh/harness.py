@@ -6,10 +6,15 @@ the sampling model costs d slots per kept item, and sketch-based models cost
 d times their per-coordinate cell count (Count-Min cells are width*depth;
 Misra-Gries cells are its counter budget, which also bounds the second-pass
 exact counters).
+
+A run holds at most one full exact table at a time: each subcube's table is
+counted, reduced to what the run scores against (its heavy set, or its top-k
+values and their counts) and freed before the next one is counted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -25,13 +30,14 @@ from .errors import (
     NoClassColumnError,
     SubcubeHHError,
 )
-from .heuristic import DEFAULT_DEPTH, heuristic_all_query_scored, heuristic_build
+from .heuristic import DEFAULT_DEPTH, cms_width, heuristic_all_query_scored, heuristic_build
 from .independence import indep_all_query_scored, indep_pass1, indep_pass2
 from .metrics import compute_detection_metrics, compute_error_metrics, roc_auc
-from .naivebayes import nb_all_query_scored, nb_pass1, nb_pass2
-from .oracle import exact_table
+from .naivebayes import nb_all_query_scored, nb_pass1, nb_pass2, pass1_budget
+from .oracle import GroundTruth, exact_table
 from .sampling import (
     build_sample,
+    check_capacity,
     required_sample_size,
     sample_all_query_scored,
     sample_frequencies,
@@ -169,38 +175,60 @@ def slot_budget(memory_frac: float, m: int, d: int) -> int:
     return int(memory_frac * m * d)
 
 
+def _config_budget(cfg: ExperimentConfig, h: DatasetHandle) -> int | None:
+    """The config's slot budget on h, or None when it sets no memory fraction."""
+    return None if cfg.memory_frac is None else slot_budget(cfg.memory_frac, h.m, h.d)
+
+
+def _model_size(algo: str, h: DatasetHandle, p: HHParams, cfg: ExperimentConfig) -> int | None:
+    """The size build_model gives `algo`'s builder under the config: the
+    sample capacity, the heuristic's slot count, or the two-pass counter
+    budget per coordinate (None: that builder's default)."""
+    if algo not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    budget = _config_budget(cfg, h)
+    if algo == "sampling":
+        if cfg.sample_size is not None:
+            return cfg.sample_size
+        return required_default_sample_size(h, p) if budget is None else budget // h.d
+    if algo == "cms-heuristic":
+        return h.d * DEFAULT_DEPTH * 1024 if budget is None else budget
+    return None if budget is None else budget // h.d  # slots per coordinate
+
+
+def _check_model_size(algo: str, h: DatasetHandle, p: HHParams, cfg: ExperimentConfig) -> None:
+    """Raise the error `algo`'s builder would raise for its size under the
+    config, by calling the same size rule, without reading the data."""
+    size = _model_size(algo, h, p, cfg)
+    if algo == "sampling":
+        check_capacity(size)
+    elif algo == "cms-heuristic":
+        cms_width(size, h.d)
+    else:
+        pass1_budget(p, size)
+
+
 def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: ExperimentConfig):
     """Build one model under the config's memory budget; returns
     (model, scorer) where scorer(t, threshold) -> {joint value: score}.
 
     Builders and scorers are looked up in this module's namespace on every
     call, so a wrapper installed there sees each build and query."""
-    budget = None
-    if cfg.memory_frac is not None:
-        budget = slot_budget(cfg.memory_frac, h.m, h.d)
-    share = None if budget is None else budget // h.d  # slots per coordinate
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
+    size = _model_size(algo, h, p, cfg)
     if algo == "sampling":
-        if cfg.sample_size is not None:
-            capacity = cfg.sample_size
-        elif share is not None:
-            capacity = share
-        else:
-            capacity = required_default_sample_size(h, p)
-        model = build_sample(h, capacity, seed, p)
+        model = build_sample(h, size, seed, p)
         score = sample_all_query_scored
     elif algo == "cms-heuristic":
-        slots = budget if budget is not None else h.d * DEFAULT_DEPTH * 1024
-        model = heuristic_build(h, slots, p, seed)
+        model = heuristic_build(h, size, p, seed)
         score = heuristic_all_query_scored
     elif algo == "indep2p":
-        model = indep_pass2(h, indep_pass1(h, p, share), p)
+        model = indep_pass2(h, indep_pass1(h, p, size), p)
         score = indep_all_query_scored
     else:
-        priors, cands = nb_pass1(h, p, share)
+        priors, cands = nb_pass1(h, p, size)
         model = nb_pass2(h, priors, cands, p)
         score = nb_all_query_scored
+    budget = _config_budget(cfg, h)
     if budget is not None and cfg.sample_size is None:
         used = accounted_memory_slots(algo, model, h.d)
         if used > budget:
@@ -275,12 +303,17 @@ def open_config_dataset(
     return h, HHParams(cfg.gamma)
 
 
-def _prepare(cfg: ExperimentConfig):
-    """What both runners start from: the frozen dataset, the params, the
-    exact table of each subcube (keyed by coordinates) and an empty report."""
+def _prepare(cfg: ExperimentConfig, build_cfgs: list[ExperimentConfig]):
+    """What both runners start from: the frozen dataset, the params and an
+    empty report. Every algorithm's size under each of `build_cfgs` is
+    checked once m is known, before any table is counted or model built,
+    so a budget too small for any `--algo` fails with its builder's error
+    at once."""
     h, p = open_config_dataset(cfg)
-    truths = {t.coords: exact_table(h, t) for t in cfg.subcubes}
-    return h, p, truths, MetricsReport(config=_config_dict(cfg, h))
+    for build_cfg in build_cfgs:
+        for algo in cfg.algos:
+            _check_model_size(algo, h, p, build_cfg)
+    return h, p, MetricsReport(config=_config_dict(cfg, h))
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
@@ -289,11 +322,13 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     in the sweep, then rethreshold the scored answers for every gamma_star.
     A model of SEED_FREE_ALGORITHMS is built once and scored for every seed.
 
-    A failure partway through raises ExperimentError carrying the rows
-    finished so far, so callers can flush partial results.
+    Only each subcube's exact heavy set is kept: its table is freed before
+    the next subcube's is counted. A failure partway through raises
+    ExperimentError carrying the rows finished so far, so callers can flush
+    partial results.
     """
-    h, p, truths, report = _prepare(cfg)
-    heavy = {t.coords: truths[t.coords].heavy_set(cfg.gamma) for t in cfg.subcubes}
+    h, p, report = _prepare(cfg, [cfg])
+    heavy = {t.coords: exact_table(h, t).heavy_set(cfg.gamma) for t in cfg.subcubes}
     sweep = sorted(cfg.gamma_stars, reverse=True)
     theta_min = min(sweep)
     try:
@@ -337,7 +372,8 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The frequency-estimation protocol: for each memory fraction, estimate
     the frequencies of the top-k true heavy values with the one-pass models
     and report MSE / MAE / MAPE. An algorithm without a frequency estimator,
-    or a fixed sample size, fails before the data is read."""
+    or a fixed sample size, fails before the data is read. Per subcube only
+    the top-k values and their exact counts are kept."""
     unsupported = [a for a in cfg.algos if a not in FREQ_ALGORITHMS]
     if unsupported:
         raise ConfigError(
@@ -345,21 +381,30 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
         )
     if cfg.sample_size is not None:
         raise ConfigError(f"the freq task takes no sample size; got {cfg.sample_size}")
-    h, p, truths, report = _prepare(cfg)
-    tops = {t.coords: truths[t.coords].top_values(cfg.top_k) for t in cfg.subcubes}
-    for frac in cfg.memory_fracs:
-        frac_cfg = replace(cfg, memory_frac=frac)
+    frac_cfgs = [replace(cfg, memory_frac=frac) for frac in cfg.memory_fracs]
+    h, p, report = _prepare(cfg, frac_cfgs)
+    tops = {t.coords: _top_truth(h, t, cfg.top_k) for t in cfg.subcubes}
+    for frac_cfg in frac_cfgs:
         for algo in cfg.algos:
             for seed in cfg.seeds:
                 model, _scorer = build_model(algo, h, p, seed, frac_cfg)
                 for t in cfg.subcubes:
-                    top = tops[t.coords]
+                    top, truth = tops[t.coords]
                     estimates = _estimate_map(algo, model, t, top)
-                    mse, mae, mape = compute_error_metrics(estimates, truths[t.coords], top)
+                    mse, mae, mape = compute_error_metrics(estimates, truth, top)
                     report.freq_rows.append(
-                        FreqRow(algo, t, frac, seed, mse, mae, mape)
+                        FreqRow(algo, t, frac_cfg.memory_frac, seed, mse, mae, mape)
                     )
     return report
+
+
+def _top_truth(h: DatasetHandle, t: Subcube, k: int) -> tuple[list[JointValue], GroundTruth]:
+    """The k most frequent values of t and a GroundTruth holding the counts
+    of those values only; the full table is freed on return. That is all
+    compute_error_metrics reads: the freq of each top value."""
+    truth = exact_table(h, t)
+    top = truth.top_values(k)
+    return top, GroundTruth(t, truth.m, Counter({v: truth.counts[v] for v in top}))
 
 
 def _estimate_map(algo: str, model, t: Subcube, values: list[JointValue]):

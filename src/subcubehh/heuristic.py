@@ -61,6 +61,19 @@ class HeuristicModel:
         return list(takewhile(lambda e: e[1] >= threshold, self.tables[coord]))
 
 
+def cms_width(memory_slots: int, d: int, depth: int = DEFAULT_DEPTH) -> int:
+    """The heuristic's size rule: the Count-Min width that `memory_slots`
+    leaves over d coordinates at `depth`, which must be at least 1."""
+    if depth < 1:
+        raise ConfigError(f"depth must be >= 1, got {depth}")
+    width = memory_slots // (d * depth)
+    if width < 1:
+        raise BudgetTooSmallError(
+            f"{memory_slots} slots over {d} coordinates x depth {depth} leaves width 0"
+        )
+    return width
+
+
 def heuristic_build(
     h: DatasetHandle,
     memory_slots: int,
@@ -71,13 +84,7 @@ def heuristic_build(
     """One pass: a Count-Min sketch per coordinate sized from the slot budget
     (width = memory_slots / (d * depth)), plus a Misra-Gries candidate list
     per coordinate with budget ceil(8/lam), whose values are then ranked."""
-    if depth < 1:
-        raise ConfigError(f"depth must be >= 1, got {depth}")
-    width = memory_slots // (h.d * depth)
-    if width < 1:
-        raise BudgetTooSmallError(
-            f"{memory_slots} slots over {h.d} coordinates x depth {depth} leaves width 0"
-        )
+    width = cms_width(memory_slots, h.d, depth)
     budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
     mg = [MisraGries(budget) for _ in range(h.d)]

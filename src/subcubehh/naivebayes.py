@@ -88,6 +88,15 @@ def default_counter_budget(p: HHParams) -> int:
     return math.ceil(8.0 / p.lam)
 
 
+def pass1_budget(p: HHParams, counter_budget: int | None) -> int:
+    """The two-pass size rule: the pass-1 counter budget per coordinate
+    (None: the default ceil(8/lam)), which must hold at least one value."""
+    budget = default_counter_budget(p) if counter_budget is None else counter_budget
+    if budget < 1:
+        raise BudgetTooSmallError(f"counter budget {budget} holds no value")
+    return budget
+
+
 def candidate_cutoff(lam: float, budget: int) -> float:
     """Retention threshold on mg_estimate/m for membership in H_i.
 
@@ -146,9 +155,7 @@ def _pass1(
 ) -> tuple[ClassPriors, CandidateSets]:
     """Class counts plus per-coordinate candidate sets, in one pass. With
     `one_class`, the class column is not read: all m items form one class."""
-    budget = default_counter_budget(p) if counter_budget is None else counter_budget
-    if budget < 1:
-        raise BudgetTooSmallError(f"counter budget {budget} holds no value")
+    budget = pass1_budget(p, counter_budget)
     sketches = [MisraGries(budget) for _ in range(h.d)]
     class_counts: Counter[int] = Counter()
 

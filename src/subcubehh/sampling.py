@@ -51,10 +51,15 @@ def required_sample_size(p: HHParams, d: int, k: int, n_max: int) -> int:
     return math.ceil(48.0 / p.gamma * log_union)
 
 
-def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
-    """One full pass; keeps min(m, capacity) items uniformly without replacement."""
+def check_capacity(capacity: int) -> None:
+    """The sample's size rule: a capacity below 1 holds no item."""
     if capacity < 1:
         raise BudgetTooSmallError(f"sample capacity {capacity} holds no item")
+
+
+def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
+    """One full pass; keeps min(m, capacity) items uniformly without replacement."""
+    check_capacity(capacity)
     res = Reservoir(capacity, seed)
     h.replay(lambda columns, _classes: res.update_many(columns))
     return SampleModel(columns=res.columns, m_prime=len(res), capacity=capacity, params=p)
@@ -62,8 +67,6 @@ def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> Sam
 
 def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:
     """Sample frequency of every joint value appearing in the sample."""
-    if mod.m_prime == 0:
-        return {}
     counts = Counter(zip(*(mod.columns[c] for c in t.coords)))
     m_prime = mod.m_prime
     return {v: c / m_prime for v, c in counts.items()}

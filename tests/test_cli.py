@@ -260,8 +260,8 @@ class TestEval:
 
     def test_config_error_partway_writes_nothing(self, tiny_csv, tmp_path, capsys):
         # 2000 rows x 3 features x 0.001 = 6 slots: two sampled items, but no
-        # Count-Min column (depth 4 needs 12). The heuristic fails after the
-        # sampling rows are done, as a config error, so no partial report.
+        # Count-Min column (depth 4 needs 12). The heuristic's size rule fails
+        # the run as a config error, so no partial report.
         out = tmp_path / "run" / "rep"
         code = main(
             [
@@ -334,6 +334,38 @@ class TestBudgets:
 
     def test_zero_sample_size(self, tiny_csv):
         assert self.run_algo(tiny_csv, "sampling", "--sample-size", "0") == 2
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            ["--algo", "sampling", "--algo", "indep2p", "--algo", "cms-heuristic",
+             "--memory-frac", "0.001"],
+            ["--task", "freq", "--algo", "sampling", "--algo", "cms-heuristic",
+             "--memory-fracs", "0.1,0.001"],
+        ],
+        ids=["detect", "freq"],
+    )
+    def test_eval_checks_every_budget_first(self, tiny_csv, tmp_path, capsys, monkeypatch, task):
+        # 0.001 leaves 6 slots: enough for every algorithm but the last, the
+        # heuristic (depth 4 over 3 features needs 12). Its builder's error
+        # comes before any exact table is counted or any model is built.
+        def fail(*_args, **_kwargs):
+            pytest.fail("a table was counted or a model built before the budget check")
+
+        for name in ("exact_table", "build_sample", "indep_pass1", "indep_pass2",
+                     "nb_pass1", "nb_pass2", "heuristic_build"):
+            monkeypatch.setattr(harness, name, fail)
+        code = main(
+            [
+                "eval", "--data", str(tiny_csv), "--gamma", "0.05", "--subcube", "2,3",
+                "--class-col", "1", "--out", str(tmp_path / "r"), *task,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: 6 slots over 3 coordinates x depth 4 leaves width 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_memory_fracs_entry_rejected(self, tiny_csv, tmp_path):
         code = main(

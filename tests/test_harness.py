@@ -1,7 +1,9 @@
 import dataclasses
+import weakref
 
 import pytest
 
+from subcubehh import harness
 from subcubehh.core import HHParams, Subcube
 from subcubehh.datagen import make_random_nb, sample_to_csv
 from subcubehh.errors import ConfigError
@@ -16,7 +18,7 @@ from subcubehh.harness import (
     slot_budget,
 )
 from subcubehh.metrics import compute_detection_metrics, compute_error_metrics, roc_auc
-from subcubehh.oracle import GroundTruth
+from subcubehh.oracle import GroundTruth, exact_table
 from subcubehh.sampling import required_sample_size
 from subcubehh.stream_io import open_dataset
 
@@ -291,3 +293,33 @@ class TestFreqExperiment:
         )
         assert len(run_freq_experiment(cfg).freq_rows) == 16
         assert sorted(calls, key=lambda t: t.coords) == cfg.subcubes
+
+
+class TestTableLifetime:
+    """A run holds at most one full exact table at a time, and none while
+    it builds models."""
+
+    @pytest.mark.parametrize("runner", [run_experiment, run_freq_experiment])
+    def test_one_table_at_a_time(self, small_dataset, monkeypatch, runner):
+        refs = []
+        at_table = []  # tables alive as each one is requested
+        at_build = []  # tables alive as each model build starts
+
+        def alive():
+            return sum(ref() is not None for ref in refs)
+
+        def table(h, t):
+            at_table.append(alive())
+            truth = exact_table(h, t)
+            refs.append(weakref.ref(truth))
+            return truth
+
+        def build(*args, **kwargs):
+            at_build.append(alive())
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "exact_table", table)
+        monkeypatch.setattr(harness, "build_model", build)
+        runner(toy_config(small_dataset, algos=["sampling", "cms-heuristic"]))
+        assert at_table == [0, 0]  # two subcubes: the first is dead at the second
+        assert at_build and set(at_build) == {0}
