@@ -1,11 +1,13 @@
 """Experiment orchestration: build models under a memory budget, sweep the
 decision threshold, and score every reported set against the exact oracle.
 
-Memory is accounted in value-code slots relative to the dataset size m*d:
-the sampling model costs d slots per kept item, and sketch-based models cost
-d times their per-coordinate cell count (Count-Min cells are width*depth;
-Misra-Gries cells are its counter budget, which also bounds the second-pass
-exact counters).
+Memory is accounted in value-code slots relative to the dataset size m*d,
+and each answerer's size rule is its accounting: the sampling model keeps
+budget // d items of d slots each; the heuristic's Count-Min tables take
+width = budget // (d * depth) columns per coordinate; the two-pass models
+keep budget // d Misra-Gries counters per coordinate, which also bound the
+second-pass exact counters. _model_size applies the rule before every
+build, and nothing is charged after it.
 
 A run holds at most one full exact table at a time: each subcube's table is
 counted, reduced to what the run scores against (its heavy set, or its top-k
@@ -81,8 +83,17 @@ class ExperimentConfig:
         for gs in self.gamma_stars:
             if not gs > 0.0:
                 raise ConfigError(f"decision threshold must be > 0, got {gs}")
-        if len(set(self.gamma_stars)) < len(self.gamma_stars):
-            raise ConfigError(f"decision thresholds repeat a value: {self.gamma_stars}")
+        # A repeat would build, score or count its entry twice in the report.
+        # Subcubes repeat when they share a coordinate set, in any order.
+        for name, values, keys in (
+            ("algorithms", self.algos, self.algos),
+            ("subcubes", list(map(_subcube_label, self.subcubes)),
+             [frozenset(t.coords) for t in self.subcubes]),
+            ("seeds", self.seeds, self.seeds),
+            ("decision thresholds", self.gamma_stars, self.gamma_stars),
+        ):
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} repeat a value: {values}")
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
         if self.top_k < 1:
@@ -175,42 +186,36 @@ def slot_budget(memory_frac: float, m: int, d: int) -> int:
     return int(memory_frac * m * d)
 
 
-def _config_budget(cfg: ExperimentConfig, h: DatasetHandle) -> int | None:
-    """The config's slot budget on h, or None when it sets no memory fraction."""
-    return None if cfg.memory_frac is None else slot_budget(cfg.memory_frac, h.m, h.d)
-
-
 def _model_size(algo: str, h: DatasetHandle, p: HHParams, cfg: ExperimentConfig) -> int | None:
-    """The size build_model gives `algo`'s builder under the config: the
-    sample capacity, the heuristic's slot count, or the two-pass counter
-    budget per coordinate (None: that builder's default)."""
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    budget = _config_budget(cfg, h)
+    """The size build_model gives `algo`'s builder under the config, checked
+    by that builder's own size rule: the sample capacity (check_capacity),
+    the heuristic's slot count (cms_width) or the two-pass counter budget
+    per coordinate (pass1_budget; None: its default). Each rule floors the
+    slot budget, so a size it accepts keeps the model inside that budget."""
+    budget = None if cfg.memory_frac is None else slot_budget(cfg.memory_frac, h.m, h.d)
     if algo == "sampling":
         if cfg.sample_size is not None:
-            return cfg.sample_size
-        return required_default_sample_size(h, p) if budget is None else budget // h.d
-    if algo == "cms-heuristic":
-        return h.d * DEFAULT_DEPTH * 1024 if budget is None else budget
-    return None if budget is None else budget // h.d  # slots per coordinate
-
-
-def _check_model_size(algo: str, h: DatasetHandle, p: HHParams, cfg: ExperimentConfig) -> None:
-    """Raise the error `algo`'s builder would raise for its size under the
-    config, by calling the same size rule, without reading the data."""
-    size = _model_size(algo, h, p, cfg)
-    if algo == "sampling":
+            size = cfg.sample_size
+        elif budget is None:  # the guaranteed size for subcubes up to 3 dimensions
+            size = required_sample_size(p, h.d, min(3, h.d), max(h.cardinalities))
+        else:
+            size = budget // h.d
         check_capacity(size)
     elif algo == "cms-heuristic":
+        size = h.d * DEFAULT_DEPTH * 1024 if budget is None else budget
         cms_width(size, h.d)
-    else:
+    elif algo in SEED_FREE_ALGORITHMS:
+        size = None if budget is None else budget // h.d  # slots per coordinate
         pass1_budget(p, size)
+    else:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    return size
 
 
 def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: ExperimentConfig):
-    """Build one model under the config's memory budget; returns
-    (model, scorer) where scorer(t, threshold) -> {joint value: score}.
+    """Build one model at the size _model_size gives it under the config's
+    memory budget; returns (model, scorer) where scorer(t, threshold) ->
+    {joint value: score}.
 
     Builders and scorers are looked up in this module's namespace on every
     call, so a wrapper installed there sees each build and query."""
@@ -228,33 +233,7 @@ def build_model(algo: str, h: DatasetHandle, p: HHParams, seed: int, cfg: Experi
         priors, cands = nb_pass1(h, p, size)
         model = nb_pass2(h, priors, cands, p)
         score = nb_all_query_scored
-    budget = _config_budget(cfg, h)
-    if budget is not None and cfg.sample_size is None:
-        used = accounted_memory_slots(algo, model, h.d)
-        if used > budget:
-            raise ConfigError(
-                f"{algo} model uses {used} slots, over the budget of {budget}"
-            )
     return model, partial(score, model)
-
-
-def required_default_sample_size(h: DatasetHandle, p: HHParams) -> int:
-    """Default capacity when neither a budget nor a size is given: the
-    guaranteed size for subcubes up to 3 dimensions on this dataset."""
-    n_max = max(h.cardinalities) if h.cardinalities else 1
-    return required_sample_size(p, h.d, min(3, h.d), max(n_max, 1))
-
-
-def accounted_memory_slots(algo: str, model, d: int) -> int:
-    """Memory in value-code slots under the experiment's accounting rules."""
-    if algo == "sampling":
-        return d * model.m_prime
-    if algo == "cms-heuristic":
-        return d * model.cms[0].width * model.cms[0].depth
-    if algo in ("indep2p", "nb2p"):
-        # Candidate tables are bounded by the pass-1 counter budget per coordinate.
-        return d * max((len(table) for table in model.tables), default=0)
-    raise ConfigError(f"unknown algorithm {algo!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +284,14 @@ def open_config_dataset(
 
 def _prepare(cfg: ExperimentConfig, build_cfgs: list[ExperimentConfig]):
     """What both runners start from: the frozen dataset, the params and an
-    empty report. Every algorithm's size under each of `build_cfgs` is
-    checked once m is known, before any table is counted or model built,
-    so a budget too small for any `--algo` fails with its builder's error
-    at once."""
+    empty report. Every algorithm's size rule runs under each of
+    `build_cfgs` once m is known, before any table is counted or model
+    built, so a budget too small for any `--algo` fails with its builder's
+    error at once."""
     h, p = open_config_dataset(cfg)
     for build_cfg in build_cfgs:
         for algo in cfg.algos:
-            _check_model_size(algo, h, p, build_cfg)
+            _model_size(algo, h, p, build_cfg)
     return h, p, MetricsReport(config=_config_dict(cfg, h))
 
 

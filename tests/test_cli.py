@@ -484,6 +484,10 @@ class TestBadValues:
             ["--gamma-star-sweep", ","],
             ["--task", "freq", "--memory-fracs", "a"],
             ["--gamma-star-sweep", "0.02,0.05,0.05"],
+            ["--algo", "sampling"],
+            ["--subcube", "2,3"],
+            ["--subcube", "3,2"],
+            ["--seeds", "0,0"],
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

@@ -10,7 +10,6 @@ from subcubehh.errors import ConfigError
 from subcubehh.harness import (
     ALGORITHMS,
     ExperimentConfig,
-    accounted_memory_slots,
     build_model,
     default_gamma_star_sweep,
     run_experiment,
@@ -169,7 +168,19 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             toy_config(small_dataset, **bad)
 
-    @pytest.mark.parametrize("bad", [{"subcubes": []}, {"seeds": []}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"subcubes": []},
+            {"seeds": []},
+            # A repeat would count its entry twice; subcubes repeat when they
+            # share a coordinate set, in any order.
+            {"subcubes": [Subcube((0, 1)), Subcube((1, 0))]},
+            {"subcubes": [Subcube((2,)), Subcube((0, 1)), Subcube((2,))]},
+            {"seeds": [0, 0]},
+            {"algos": ["indep2p", "sampling", "indep2p"]},
+        ],
+    )
     def test_empty_subcubes_or_seeds_rejected(self, small_dataset, bad):
         with pytest.raises(ConfigError):
             toy_config(small_dataset, **bad)
@@ -198,23 +209,36 @@ class TestRunExperiment:
 
 
 class TestMemoryAccounting:
+    @staticmethod
+    def allocated_slots(algo, model, d):
+        """The value-code slots a built model holds, read off the model."""
+        if algo == "sampling":
+            return d * model.m_prime
+        if algo == "cms-heuristic":
+            return d * model.cms[0].width * model.cms[0].depth
+        return d * max(len(t) for t in model.tables)  # both two-pass models
+
     def test_models_fit_budget(self, small_dataset):
-        cfg = toy_config(small_dataset)
+        # Every size rule floors the slot budget, so no model holds more than
+        # it. The tight budget is d*4 + d - 1 slots: it leaves a remainder
+        # under both the per-coordinate and the Count-Min floor division.
         h = open_dataset(small_dataset, class_col=0, cache_items=True)
         h.replay(lambda _i, _c: None)
-        budget = slot_budget(cfg.memory_frac, h.m, h.d)
-        p = HHParams(cfg.gamma)
-        for algo in cfg.algos:
-            model, _ = build_model(algo, h, p, seed=1, cfg=cfg)
-            assert accounted_memory_slots(algo, model, h.d) <= budget
+        p = HHParams(0.05)
+        tight = (h.d * 4 + h.d - 1 + 0.5) / (h.m * h.d)
+        assert slot_budget(tight, h.m, h.d) == h.d * 4 + h.d - 1
+        for frac in (0.05, 0.01, tight):
+            cfg = toy_config(small_dataset, algos=list(ALGORITHMS), memory_frac=frac)
+            budget = slot_budget(frac, h.m, h.d)
+            for algo in ALGORITHMS:
+                model, _ = build_model(algo, h, p, seed=1, cfg=cfg)
+                assert self.allocated_slots(algo, model, h.d) <= budget
 
     def test_unknown_algo_rejected_by_build_and_charge(self, small_dataset):
         h = open_dataset(small_dataset, class_col=0, cache_items=True)
         h.replay(lambda _i, _c: None)
         with pytest.raises(ConfigError, match="unknown algorithm"):
             build_model("quantum", h, HHParams(0.05), seed=0, cfg=toy_config(small_dataset))
-        with pytest.raises(ConfigError, match="unknown algorithm"):
-            accounted_memory_slots("quantum", None, h.d)
 
     def test_sampling_default_capacity(self, small_dataset):
         # Neither a budget nor a size: the guaranteed size for subcubes of
