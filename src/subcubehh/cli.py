@@ -31,6 +31,7 @@ from .harness import (
     ALGORITHMS,
     ExperimentConfig,
     build_model,
+    check_no_repeats,
     open_config_dataset,
     open_frozen,
     run_experiment,
@@ -187,6 +188,7 @@ def _ranked(h, t, scores: dict) -> list[tuple[list[str], float]]:
 
 def _cmd_oracle(args) -> int:
     subcubes = [_parse_subcube(s) for s in args.subcube]
+    check_no_repeats("subcubes", subcubes)
     h = open_frozen(args.data, subcubes, args.out, **_layout(args))
     tables = []
     for t in subcubes:
@@ -215,7 +217,7 @@ def _cmd_run(args) -> int:
     sweep = None if args.gamma_star is None else [args.gamma_star]
     cfg = _experiment_config(args, algos=[args.algo], seeds=[args.seed], gamma_stars=sweep)
     h, p = open_config_dataset(cfg, args.out)
-    threshold = p.lam if args.gamma_star is None else args.gamma_star
+    threshold = p.threshold(args.gamma_star)
     _model, scorer = build_model(args.algo, h, p, args.seed, cfg)
     results = []
     for t in cfg.subcubes:

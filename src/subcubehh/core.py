@@ -89,3 +89,10 @@ class HHParams:
     def gamma_star(self) -> float:
         """The default decision threshold of every answerer; an alias of lam."""
         return self.lam
+
+    def threshold(self, value: float | None) -> float:
+        """`value`, or lam when None; ConfigError unless it is > 0 (nan is not)."""
+        th = self.lam if value is None else value
+        if not th > 0.0:
+            raise ConfigError(f"decision threshold must be > 0, got {th}")
+        return th

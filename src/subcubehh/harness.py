@@ -73,7 +73,7 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
-        HHParams(self.gamma)  # validates gamma
+        p = HHParams(self.gamma)  # validates gamma
         if not self.subcubes:
             raise ConfigError("at least one subcube is required")
         if not self.seeds:
@@ -81,19 +81,10 @@ class ExperimentConfig:
         if self.gamma_stars is None:
             self.gamma_stars = default_gamma_star_sweep(self.gamma)
         for gs in self.gamma_stars:
-            if not gs > 0.0:
-                raise ConfigError(f"decision threshold must be > 0, got {gs}")
-        # A repeat would build, score or count its entry twice in the report.
-        # Subcubes repeat when they share a coordinate set, in any order.
-        for name, values, keys in (
-            ("algorithms", self.algos, self.algos),
-            ("subcubes", list(map(_subcube_label, self.subcubes)),
-             [frozenset(t.coords) for t in self.subcubes]),
-            ("seeds", self.seeds, self.seeds),
-            ("decision thresholds", self.gamma_stars, self.gamma_stars),
-        ):
-            if len(set(keys)) < len(keys):
-                raise ConfigError(f"{name} repeat a value: {values}")
+            p.threshold(gs)  # a decision threshold must be > 0
+        for name, values in (("algorithms", self.algos), ("subcubes", self.subcubes),
+                             ("seeds", self.seeds), ("decision thresholds", self.gamma_stars)):
+            check_no_repeats(name, values)
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
         if self.top_k < 1:
@@ -104,6 +95,15 @@ class ExperimentConfig:
         for frac in fracs + list(self.memory_fracs):
             if not 0.0 < frac <= 1.0:
                 raise ConfigError(f"memory fraction must be in (0, 1], got {frac}")
+
+
+def check_no_repeats(name: str, values: list) -> None:
+    """Raise ConfigError when a value repeats: the report would count it twice.
+    Subcubes repeat when they share a coordinate set, in any order."""
+    keys = [frozenset(v.coords) if isinstance(v, Subcube) else v for v in values]
+    if len(set(keys)) < len(keys):
+        shown = [_subcube_label(v) if isinstance(v, Subcube) else v for v in values]
+        raise ConfigError(f"{name} repeat a value: {shown}")
 
 
 def default_gamma_star_sweep(gamma: float, points: int = 12) -> list[float]:

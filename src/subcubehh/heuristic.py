@@ -113,7 +113,7 @@ def heuristic_query(
     """YES iff the product of estimated marginals reaches the threshold
     (default lam). No candidate membership is required: Count-Min
     answers point queries for any value."""
-    th = mod.params.lam if threshold is None else threshold
+    th = mod.params.threshold(threshold)
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     return Verdict.YES if mod.product(t, v) >= th else Verdict.NO
@@ -128,7 +128,7 @@ def heuristic_all_query_scored(
     """Candidate combinations whose estimated-marginal product reaches the
     threshold, grown level by level by the two-pass AllQuery loop. Aborts with
     CapExceededError once the levels together hold more than `cap` entries."""
-    th = mod.params.lam if threshold is None else threshold
+    th = mod.params.threshold(threshold)
     return scored_answers(grow_levels(t, th, mod.candidate_entries, cap))
 
 

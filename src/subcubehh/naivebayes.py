@@ -24,6 +24,8 @@ heuristic shares). Each surviving prefix carries its per-class product
 vector, so an extension costs O(ell), and extending it by x scores at most
 max(vector) * marginal(x); candidates are listed by marginal descending, so
 a prefix's scan stops at the first x whose bound falls below the threshold.
+A second bound, the prefix's score times max_z cond(x|z), skips single x
+without stopping the scan, since candidates are not sorted by it.
 
 Candidate promise: with the default pass-1 budget ceil(8/lam), every value
 with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
@@ -35,10 +37,10 @@ promise for any c.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, takewhile
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .core import HHParams, JointValue, Subcube, Verdict
@@ -240,7 +242,7 @@ def nb_score(
     """The class-mixture score of v, or None when some v_i is not a heavy
     candidate at the threshold (default lam). With one class the score is
     the product of the exact marginals."""
-    th = mod.params.lam if threshold is None else threshold
+    th = mod.params.threshold(threshold)
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     prior, conditionals = mod.mixture()
@@ -262,7 +264,7 @@ def nb_score(
 def nb_query(
     mod: FactorizedModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> Verdict:
-    th = mod.params.lam if threshold is None else threshold
+    th = mod.params.threshold(threshold)
     q = nb_score(mod, t, v, threshold)
     return Verdict.YES if q is not None and q >= th else Verdict.NO
 
@@ -288,29 +290,33 @@ def grow_levels(
     Since sum_z prior(z) * cond(x|z) == f(x), extending a prefix by x
     scores at most max(vec) * f(x), which only falls along the sorted
     entries: the scan of a prefix stops at the first x where that bound is
-    below the threshold (less a 1e-9 relative margin for float rounding).
-    Raises CapExceededError, without finishing the level, once the levels
-    together hold more than `cap` entries.
+    below the threshold. It also scores at most q0 * max_z cond(x|z), q0 the
+    prefix's score: an x below that is skipped, not a stop, as entries are
+    not sorted by it (with one class it is the first bound). Both allow a
+    1e-9 relative margin for rounding. Raises CapExceededError, without
+    finishing the level, once the levels hold more than `cap` entries.
     """
-    th = threshold
-    stop = th * (1.0 - 1e-9)
+    stop = threshold * (1.0 - 1e-9)
     prior, conditionals = mixture
     levels = []
     prev, total = [((), (1.0,) * len(prior), 1.0)], 0
     for coord in t.coords:
-        cond = None if conditionals is None else conditionals[coord]
-        ext = [(x, f, (f,) if cond is None else cond[x]) for x, f in entries(coord, th)]
+        cond = None if len(prior) == 1 else conditionals[coord]  # one class: cond(x|z) is f
+        ext = [(x, f, (f,), f) if cond is None else (x, f, cond[x], max(cond[x]))
+               for x, f in entries(coord, threshold)]
         nxt = []
-        for prefix, vec, _q in prev:
-            top = max(vec)
-            for x, f, xvec in ext:
+        for prefix, vec, q0 in prev:
+            top = q0 if cond is None else max(vec)  # one class: vec is (q0,)
+            for x, f, xvec, cmax in ext:
                 if top * f < stop:
                     break  # ext is sorted by f descending: no later x can pass
-                new_vec = tuple(map(operator.mul, vec, xvec))
+                if q0 * cmax < stop:
+                    continue
+                new_vec = tuple(map(mul, vec, xvec))
                 q = 0.0
                 for p_z, v_z in zip(prior, new_vec):
                     q += p_z * v_z
-                if q >= th:
+                if q >= threshold:
                     nxt.append((prefix + (x,), new_vec, q))
             if total + len(nxt) > cap:
                 raise CapExceededError(f"AllQuery levels exceed {cap} entries")
@@ -328,8 +334,7 @@ def scored_answers(levels: list[PartialLevel]) -> dict[JointValue, float]:
 def nb_all_query_levels(
     mod: FactorizedModel, t: Subcube, threshold: float | None = None
 ) -> list[PartialLevel]:
-    th = mod.params.lam if threshold is None else threshold
-    return grow_levels(t, th, mod.heavy_entries, mixture=mod.mixture())
+    return grow_levels(t, mod.params.threshold(threshold), mod.heavy_entries, mixture=mod.mixture())
 
 
 def nb_all_query_scored(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from operator import countOf
 
 from .core import HHParams, Item, JointValue, Subcube, Verdict
@@ -65,18 +66,21 @@ def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> Sam
     return SampleModel(columns=res.columns, m_prime=len(res), capacity=capacity, params=p)
 
 
+def _joint_counts(mod: SampleModel, t: Subcube) -> Counter[JointValue]:
+    return Counter(zip(*(mod.columns[c] for c in t.coords)))
+
+
 def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:
     """Sample frequency of every joint value appearing in the sample."""
-    counts = Counter(zip(*(mod.columns[c] for c in t.coords)))
     m_prime = mod.m_prime
-    return {v: c / m_prime for v, c in counts.items()}
+    return {v: c / m_prime for v, c in _joint_counts(mod, t).items()}
 
 
 def sample_query(
     mod: SampleModel, t: Subcube, v: JointValue, threshold: float | None = None
 ) -> Verdict:
     """YES iff the sample frequency of v on t is >= threshold (default lam)."""
-    th = mod.params.lam if threshold is None else threshold
+    th = mod.params.threshold(threshold)
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
     if mod.m_prime == 0:
@@ -88,9 +92,12 @@ def sample_query(
 def sample_all_query_scored(
     mod: SampleModel, t: Subcube, threshold: float | None = None
 ) -> dict[JointValue, float]:
-    """Joint values at or above the threshold, with their sample frequencies."""
-    th = mod.params.lam if threshold is None else threshold
-    return {v: f for v, f in sample_frequencies(mod, t).items() if f >= th}
+    """sample_frequencies at or above the threshold, in its order. Only counts
+    c > th*m' - 1 are divided: rounding cannot carry a smaller c/m' to th."""
+    th = mod.params.threshold(threshold)
+    m_prime, counts = mod.m_prime, _joint_counts(mod, t)
+    kept = compress(counts.items(), map((th * m_prime - 1).__le__, counts.values()))
+    return {v: c / m_prime for v, c in kept if c / m_prime >= th}
 
 
 def sample_all_query(

@@ -522,3 +522,18 @@ class TestBadValues:
         )
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_repeated_subcube(self, tiny_csv, tmp_path, capsys):
+        # The same coordinate set in another order, as eval and run reject it.
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle", "--data", str(tiny_csv), "--class-col", "1",
+                "--subcube", "2,3", "--subcube", "3,2", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: subcubes repeat a value: ['2-3', '3-2']\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -488,3 +488,23 @@ class TestGrowLevelsProof:
             else:
                 levels = grow_levels(t, th, mod.heavy_entries, cap, mod.mixture())
                 assert [level.entries for level in levels] == expected
+
+
+class TestLevelBound:
+    """The factorized model's scores form a sub-probability distribution:
+    summed over every joint value of a level's coordinates they are at most 1.
+    So no AllQuery level holds more than 1/threshold prefixes, whatever the
+    model error alpha is. (The Count-Min heuristic overcounts, so its levels
+    have no such bound; it keeps a cap instead.)"""
+
+    @settings(max_examples=300)
+    @given(factorized_models(), st.data())
+    def test_levels_within_one_over_threshold(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.tables))))
+        t = make_subcube(coords, len(mod.tables))
+        prior, conditionals = mod.mixture()
+        tiny = no_break_levels(t, 1e-300, mod.heavy_entries, prior, conditionals)
+        scores = sorted({q for level in tiny for _p, _v, q in level})
+        th = data.draw(st.sampled_from(scores) | st.floats(1e-3, 1.0))
+        for level in nb_all_query_levels(mod, t, th):
+            assert len(level.entries) <= (1.0 / th) * (1.0 + 1e-9)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import BudgetTooSmallError, ConfigError
@@ -185,6 +186,36 @@ class TestSampleAllQuery:
         scored = sample_all_query_scored(mod, t)
         c = h.code
         assert scored[(c(0, "1"), c(1, "1"))] == pytest.approx(3 / 8)
+
+
+@st.composite
+def sample_models(draw):
+    """A small columnar SampleModel: up to 3 coordinates of up to 60 sampled
+    items over few values, so joint values repeat."""
+    d = draw(st.integers(1, 3))
+    m_prime = draw(st.integers(0, 60))
+    values = st.integers(0, draw(st.integers(0, 4)))
+    columns = [draw(st.lists(values, min_size=m_prime, max_size=m_prime)) for _ in range(d)]
+    return SampleModel(columns=columns, m_prime=m_prime, capacity=60, params=HHParams(0.5))
+
+
+class TestAllQueryFastPath:
+    """sample_all_query_scored against the reference filter of
+    sample_frequencies: the same keys, floats and order, at thresholds on
+    each sampled frequency c/m' and one ulp either side of it."""
+
+    @settings(max_examples=300)
+    @given(sample_models(), st.data())
+    def test_matches_frequency_filter(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.columns))))
+        t = make_subcube(coords[: data.draw(st.integers(1, len(coords)))], len(mod.columns))
+        freqs = sample_frequencies(mod, t)
+        th = data.draw(st.sampled_from(sorted(set(freqs.values())) or [0.5]))
+        th = data.draw(st.sampled_from([th, math.nextafter(th, 0.0), math.nextafter(th, 2.0)]))
+        ref = {v: f for v, f in freqs.items() if f >= th}
+        out = sample_all_query_scored(mod, t, th)
+        assert out == ref
+        assert list(out) == list(ref)
 
 
 class TestUnbiasedness:
