@@ -164,8 +164,12 @@ def _cmd_gen(args) -> int:
         skew = 1.0 if args.skew is None else args.skew
         gen = datagen.make_random_nb(args.d, cards, args.ell, skew, model_seed)
     fix_class = None
-    if args.fix_class is not None:
-        fix_class = gen.most_frequent_class() if args.fix_class == "top" else int(args.fix_class)
+    if args.fix_class == "top":
+        fix_class = gen.most_frequent_class()
+    elif args.fix_class is not None:
+        if not args.fix_class.isdecimal():
+            raise ConfigError(f"--fix-class {args.fix_class!r} is not 'top' or a class index")
+        fix_class = int(args.fix_class)
     datagen.sample_to_csv(gen, args.m, args.seed, args.out, fix_class)
     cols = gen.d if fix_class is not None else gen.d + 1
     sys.stdout.write(f"wrote {args.m} rows x {cols} columns to {args.out}\n")

@@ -64,10 +64,10 @@ def _skewed_shares(rng: np.random.Generator, n: int, skew: float) -> np.ndarray:
     return out
 
 
-def _zipf_prior(rng: np.random.Generator, ell: int, exponent: float = 1.5) -> np.ndarray:
-    """Zipf shares over a random class order: a deterministic level of
-    concentration (top share ~0.53 for 7 classes), random assignment."""
-    shares = np.arange(1, ell + 1, dtype=np.float64) ** (-exponent)
+def _zipf_prior(rng: np.random.Generator, ell: int) -> np.ndarray:
+    """Zipf shares (exponent 1.5) over a random class order: a deterministic
+    level of concentration (top share ~0.53 for 7 classes), random assignment."""
+    shares = np.arange(1, ell + 1, dtype=np.float64) ** -1.5
     shares /= shares.sum()
     out = np.empty(ell)
     out[rng.permutation(ell)] = shares
@@ -85,10 +85,12 @@ def make_random_nb(
         raise ConfigError(f"{len(cardinalities)} cardinalities for d={d}")
     if ell < 1:
         raise ConfigError(f"ell must be >= 1, got {ell}")
-    if skew < 0:
+    if not skew >= 0:
         raise ConfigError(f"skew must be >= 0, got {skew}")
     if any(n < 1 for n in cardinalities):
         raise ConfigError("cardinalities must all be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # Class columns such as country or weekday have one dominant value; a
     # near-flat prior would dilute the mixture so much that nothing in the
@@ -158,6 +160,8 @@ def sample_rows(
         raise ConfigError(f"m must be >= 1, got {m}")
     if fix_class is not None and not 0 <= fix_class < g.ell:
         raise ConfigError(f"fix_class {fix_class} outside [0, {g.ell})")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if fix_class is None:
         classes = _AliasTable(g.class_prior).draw(rng, m)

@@ -106,9 +106,9 @@ def check_no_repeats(name: str, values: list) -> None:
         raise ConfigError(f"{name} repeat a value: {shown}")
 
 
-def default_gamma_star_sweep(gamma: float, points: int = 12) -> list[float]:
+def default_gamma_star_sweep(gamma: float) -> list[float]:
     """12 log-spaced decision thresholds covering [gamma/4, 2*gamma]."""
-    return [float(x) for x in np.geomspace(gamma / 4.0, 2.0 * gamma, points)]
+    return [float(x) for x in np.geomspace(gamma / 4.0, 2.0 * gamma, 12)]
 
 
 @dataclass

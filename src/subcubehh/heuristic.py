@@ -11,7 +11,7 @@ chunk that decrements a summary feeds the sketch the counts it removed at
 once, and the end of the pass feeds each tracked value its final counter,
 reading its estimate from those same cells. Each coordinate's candidates are
 ranked by estimate; AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) with one class over them.
+(naivebayes.grow_levels) over them as one-class rows built per call.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -59,6 +59,10 @@ class HeuristicModel:
         """Tracked values whose estimated ratio reaches the threshold, sorted
         by estimate descending (ties by value code)."""
         return list(takewhile(lambda e: e[1] >= threshold, self.tables[coord]))
+
+    def rows(self, coord: int, threshold: float) -> list[tuple]:
+        """`candidate_entries` as one-class AllQuery rows (x, f, (f,), f)."""
+        return [(x, f, (f,), f) for x, f in self.candidate_entries(coord, threshold)]
 
 
 def cms_width(memory_slots: int, d: int, depth: int = DEFAULT_DEPTH) -> int:
@@ -129,7 +133,7 @@ def heuristic_all_query_scored(
     threshold, grown level by level by the two-pass AllQuery loop. Aborts with
     CapExceededError once the levels together hold more than `cap` entries."""
     th = mod.params.threshold(threshold)
-    return scored_answers(grow_levels(t, th, mod.candidate_entries, cap))
+    return scored_answers(grow_levels(t, th, mod.rows, (1.0,), cap))
 
 
 def heuristic_all_query(

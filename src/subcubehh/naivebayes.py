@@ -1,8 +1,8 @@
 """Two-pass subcube heavy hitters under a class-conditional factorization.
 
-This is the one factorized model behind both two-pass answerers: `nb2p`
-builds it over the dataset's class column, and `indep2p` (independence.py)
-builds it with a single class holding every item.
+This is the one factorized model behind both two-pass answerers, and both
+builds: `nb2p`'s over the dataset's class column, and `indep2p`'s (which
+independence.py re-exports) with a single class holding every item.
 
 Pass 1 computes exact class counts and per-coordinate Misra-Gries candidate
 sets H_i; pass 2 recounts each candidate exactly, per class. A query scores
@@ -10,8 +10,8 @@ v as
 
     q(v) = sum_z prior(z) * prod_i cond_i(v_i | z)
 
-over the stored exact conditionals and answers YES when every v_i is a
-stored heavy candidate and q(v) reaches the threshold (default lam =
+with cond_i(x|z) = count_i(x, z) / count(z), and answers YES when every v_i
+is a stored heavy candidate and q(v) reaches the threshold (default lam =
 gamma/2). Built without a class column, it has one class: a candidate of
 count c has conditional (c/m,), so q(v) is the product of exact marginals.
 
@@ -20,12 +20,13 @@ as rationals, which is why pruning on marginals is sound: dropping a
 coordinate from the score can only increase it, so every prefix of an
 answer scores at least the threshold. AllQuery exploits that by extending
 prefixes one coordinate at a time (grow_levels, which the Count-Min
-heuristic shares). Each surviving prefix carries its per-class product
+heuristic shares) over rows (x, f(x), cond(x|z) per class, max_z cond(x|z))
+frozen at build. Each surviving prefix carries its per-class product
 vector, so an extension costs O(ell), and extending it by x scores at most
-max(vector) * marginal(x); candidates are listed by marginal descending, so
-a prefix's scan stops at the first x whose bound falls below the threshold.
-A second bound, the prefix's score times max_z cond(x|z), skips single x
-without stopping the scan, since candidates are not sorted by it.
+max(vector) * f(x); rows are listed by f descending, so a prefix's scan
+stops at the first x whose bound falls below the threshold. A second bound,
+the prefix's score times max_z cond(x|z), skips single x without stopping
+the scan, since rows are not sorted by it.
 
 Candidate promise: with the default pass-1 budget ceil(8/lam), every value
 with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
@@ -37,9 +38,10 @@ promise for any c.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, takewhile
+from itertools import compress
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,9 +51,6 @@ from .sketches import MisraGries
 from .stream_io import Columns, DatasetHandle
 
 MAX_CLASS_VALUES = 1024
-
-Mixture = tuple[Sequence[float], list[dict[int, tuple[float, ...]]] | None]
-ONE_CLASS: Mixture = ((1.0,), None)
 
 
 @dataclass(frozen=True)
@@ -114,42 +113,53 @@ def candidate_cutoff(lam: float, budget: int) -> float:
 @dataclass(frozen=True)
 class FactorizedModel:
     """Frozen two-pass state: exact marginal and per-class counts for every
-    candidate value, and its conditionals cond(x|z) = count(x, z) / count(z).
+    candidate value, and per coordinate its AllQuery rows (x, count/m,
+    cond(x|z) = count(x, z) / count(z) per class, max_z cond(x|z)).
 
-    Entries are sorted by count descending (ties by value code) so threshold
+    Rows are sorted by count descending (ties by value code) so threshold
     views are prefixes and the AllQuery level scan of a prefix can stop early.
     """
 
     m: int
     params: HHParams
-    tables: list[list[tuple[int, int]]]  # per coordinate: [(value, total count)] desc
+    tables: list[list[tuple]]  # per coordinate: rows (x, f, cond per class, max cond) desc
     index: list[dict[int, int]]  # per coordinate: value -> total count
     priors: ClassPriors
     class_counts_by_value: list[dict[int, list[int]]]  # value -> count per class
-    conditionals: list[dict[int, tuple[float, ...]]]  # value -> cond(x|z) per class
+
+    @classmethod
+    def from_counts(
+        cls, p: HHParams, priors: ClassPriors, by_value: list[dict[int, list[int]]]
+    ) -> FactorizedModel:
+        """The model over pass 2's counts: per coordinate, value -> count per class."""
+        index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
+        tables = []
+        for bv, ix in zip(by_value, index):
+            rows = []
+            for x, c in sorted(ix.items(), key=lambda e: (-e[1], e[0])):
+                cond = tuple(n / total for n, total in zip(bv[x], priors.counts))
+                rows.append((x, c / priors.m, cond, max(cond)))
+            tables.append(rows)
+        return cls(priors.m, p, tables, index, priors, by_value)
 
     @property
     def ell(self) -> int:
         return self.priors.ell
-
-    def mixture(self) -> Mixture:
-        """(prior per class, conditionals)."""
-        return [self.priors.prior(z) for z in range(self.ell)], self.conditionals
 
     def marginal(self, coord: int, x: int) -> float | None:
         """Exact frequency ratio of candidate x on coordinate coord, else None."""
         c = self.index[coord].get(x)
         return None if c is None else c / self.m
 
-    def heavy_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
-        """Candidates with exact marginal ratio >= threshold, most frequent first.
+    def rows(self, coord: int, threshold: float) -> list[tuple]:
+        """The rows with f >= threshold, most frequent first. f is the c/m that
+        `marginal` computes, so query and AllQuery agree at the boundary."""
+        table = self.tables[coord]
+        return table[:bisect_right(table, -threshold, key=lambda r: -r[1])]
 
-        Compares c/m >= threshold with the same float division the query path
-        uses, so the two paths agree bit-for-bit at the boundary.
-        """
-        m = self.m
-        entries = ((x, c / m) for x, c in self.tables[coord])
-        return list(takewhile(lambda e: e[1] >= threshold, entries))
+    def heavy_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
+        """`rows` as (x, f) pairs."""
+        return [(x, f) for x, f, _cond, _cmax in self.rows(coord, threshold)]
 
 
 def _pass1(
@@ -199,19 +209,6 @@ def _recount(
     return m, [{x: row(t, x) for x in sorted(s)} for t, s in zip(tallies, cands.sets)]
 
 
-def _model(
-    p: HHParams, priors: ClassPriors, by_value: list[dict[int, list[int]]]
-) -> FactorizedModel:
-    """The model over pass 2's counts: per coordinate, value -> count per class."""
-    index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
-    tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
-    conditionals = [
-        {x: tuple(c / n for c, n in zip(row, priors.counts)) for x, row in bv.items()}
-        for bv in by_value
-    ]
-    return FactorizedModel(priors.m, p, tables, index, priors, by_value, conditionals)
-
-
 def nb_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> tuple[ClassPriors, CandidateSets]:
@@ -233,7 +230,24 @@ def nb_pass2(
     )
     if m != priors.m:
         raise ConfigError("pass-2 stream length differs from pass-1 priors")
-    return _model(p, priors, by_value)
+    return FactorizedModel.from_counts(p, priors, by_value)
+
+
+def indep_pass1(
+    h: DatasetHandle, p: HHParams, counter_budget: int | None = None
+) -> CandidateSets:
+    """indep2p's first pass: one Misra-Gries summary per coordinate,
+    thresholded into H_i. Any class column is not read."""
+    return _pass1(h, p, counter_budget, one_class=True)[1]
+
+
+def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> FactorizedModel:
+    """indep2p's second pass over the same stream: exact counts for candidate
+    values, all in one class."""
+    m, by_value = _recount(
+        h, cands, lambda s, col, _zs: filter(s.__contains__, col), lambda tally, x: [tally[x]]
+    )
+    return FactorizedModel.from_counts(p, ClassPriors((m,), m), by_value)
 
 
 def nb_score(
@@ -245,19 +259,18 @@ def nb_score(
     th = mod.params.threshold(threshold)
     if len(v) != t.k:
         raise ConfigError(f"joint value of length {len(v)} for a {t.k}-dim subcube")
-    prior, conditionals = mod.mixture()
-    vecs = []
+    counts = []
     for coord, x in zip(t.coords, v):
         f = mod.marginal(coord, x)
         if f is None or f < th:
             return None
-        vecs.append(conditionals[coord][x])
+        counts.append(mod.class_counts_by_value[coord][x])
     q = 0.0
-    for z, p_z in enumerate(prior):
+    for z, n in enumerate(mod.priors.counts):
         prod = 1.0
-        for vec in vecs:
-            prod *= vec[z]
-        q += p_z * prod
+        for row in counts:
+            prod *= row[z] / n
+        q += mod.priors.prior(z) * prod
     return q
 
 
@@ -272,44 +285,42 @@ def nb_query(
 def grow_levels(
     t: Subcube,
     threshold: float,
-    entries: Callable[[int, float], list[tuple[int, float]]],
+    rows: Callable[[int, float], list[tuple]],
+    prior: Sequence[float],
     cap: float = math.inf,
-    mixture: Mixture = ONE_CLASS,
 ) -> list[PartialLevel]:
     """AllQuery one coordinate at a time; returns every level.
 
     Level j extends each prefix of level j-1 (level 0 is the empty prefix)
-    by the values `entries(coord, threshold)` lists for the j-th coordinate,
-    largest marginal ratio f first. Each entry carries its per-class product
-    vector vec, and an extension is kept when its class mixture
-    sum_z prior(z) * vec(z) reaches the threshold. `mixture` is (prior per
-    class, per coordinate {value: cond(x|z) per class}). The default, the
-    Count-Min heuristic's, is one class of prior 1.0 whose vector for x is
-    (f,), so the score is the plain product of the f's.
+    by the rows (x, f, cond(x|z) per class, max_z cond(x|z)) that
+    `rows(coord, threshold)` lists for the j-th coordinate, largest marginal
+    ratio f first. Each prefix carries its per-class product vector vec, and
+    an extension is kept when its class mixture sum_z prior(z) * vec(z)
+    reaches the threshold. With one class of prior 1.0 and rows
+    (x, f, (f,), f), as the Count-Min heuristic passes, the score is the
+    plain product of the f's.
 
     Since sum_z prior(z) * cond(x|z) == f(x), extending a prefix by x
     scores at most max(vec) * f(x), which only falls along the sorted
-    entries: the scan of a prefix stops at the first x where that bound is
+    rows: the scan of a prefix stops at the first x where that bound is
     below the threshold. It also scores at most q0 * max_z cond(x|z), q0 the
-    prefix's score: an x below that is skipped, not a stop, as entries are
+    prefix's score: an x below that is skipped, not a stop, as rows are
     not sorted by it (with one class it is the first bound). Both allow a
     1e-9 relative margin for rounding. Raises CapExceededError, without
     finishing the level, once the levels hold more than `cap` entries.
     """
     stop = threshold * (1.0 - 1e-9)
-    prior, conditionals = mixture
+    one_class = len(prior) == 1
     levels = []
     prev, total = [((), (1.0,) * len(prior), 1.0)], 0
     for coord in t.coords:
-        cond = None if len(prior) == 1 else conditionals[coord]  # one class: cond(x|z) is f
-        ext = [(x, f, (f,), f) if cond is None else (x, f, cond[x], max(cond[x]))
-               for x, f in entries(coord, threshold)]
+        ext = rows(coord, threshold)
         nxt = []
         for prefix, vec, q0 in prev:
-            top = q0 if cond is None else max(vec)  # one class: vec is (q0,)
+            top = q0 if one_class else max(vec)  # one class: vec is (q0,)
             for x, f, xvec, cmax in ext:
                 if top * f < stop:
-                    break  # ext is sorted by f descending: no later x can pass
+                    break  # rows are sorted by f descending: no later x can pass
                 if q0 * cmax < stop:
                     continue
                 new_vec = tuple(map(mul, vec, xvec))
@@ -334,7 +345,8 @@ def scored_answers(levels: list[PartialLevel]) -> dict[JointValue, float]:
 def nb_all_query_levels(
     mod: FactorizedModel, t: Subcube, threshold: float | None = None
 ) -> list[PartialLevel]:
-    return grow_levels(t, mod.params.threshold(threshold), mod.heavy_entries, mixture=mod.mixture())
+    prior = [mod.priors.prior(z) for z in range(mod.ell)]
+    return grow_levels(t, mod.params.threshold(threshold), mod.rows, prior)
 
 
 def nb_all_query_scored(

@@ -63,13 +63,18 @@ class TestGen:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("bad", [["--m", "0"], ["--m", "30", "--fix-class", "99"]])
+    @pytest.mark.parametrize("bad", [
+        ["--m", "0"], ["--m", "30", "--fix-class", "99"], ["--m", "30", "--fix-class", "abc"],
+        ["--m", "30", "--seed", "-1"], ["--m", "30", "--model-seed", "-3"],
+        ["--m", "30", "--skew", "nan"],
+    ])
     def test_bad_args_write_nothing(self, tmp_path, capsys, bad):
-        # The arguments are checked before the output file is opened.
+        # The arguments are checked before the output file is opened. --seed 1
+        # comes first, so that the case's own --seed wins.
         existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
         existing.write_bytes(b"1,2,3\n")
         for out in (existing, new):
-            assert main(["gen", *bad, "--seed", "1", "-o", str(out)]) == 2
+            assert main(["gen", "--seed", "1", *bad, "-o", str(out)]) == 2
         assert existing.read_bytes() == b"1,2,3\n"
         assert not new.exists()
         assert capsys.readouterr().out == ""

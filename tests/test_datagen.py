@@ -63,6 +63,12 @@ class TestGeneratorConstruction:
             make_random_nb(1, [5], 1, -1.0, seed=0)
         with pytest.raises(ConfigError):
             make_random_nb(2, [5, 0], 1, 1.0, seed=0)
+        with pytest.raises(ConfigError, match="skew must be >= 0, got nan"):
+            make_random_nb(1, [5], 1, float("nan"), seed=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            make_random_nb(1, [5], 1, 1.0, seed=-3)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            sample_rows(make_random_nb(1, [5], 1, 1.0, seed=0), 10, seed=-1)
 
 
 class TestAliasTable:

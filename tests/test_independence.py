@@ -34,20 +34,8 @@ def build(rows, gamma, counter_budget=None):
 
 def make_model(tables_ratios, m, gamma):
     """One-class model with prescribed exact marginals: {coord: {value: count}}."""
-    tables = []
-    index = []
-    for counts in tables_ratios:
-        index.append(dict(counts))
-        tables.append(sorted(counts.items(), key=lambda e: (-e[1], e[0])))
-    return FactorizedModel(
-        m=m,
-        params=HHParams(gamma),
-        tables=tables,
-        index=index,
-        priors=ClassPriors((m,), m),
-        class_counts_by_value=[{x: [c] for x, c in ix.items()} for ix in index],
-        conditionals=[{x: (c / m,) for x, c in ix.items()} for ix in index],
-    )
+    by_value = [{x: [c] for x, c in counts.items()} for counts in tables_ratios]
+    return FactorizedModel.from_counts(HHParams(gamma), ClassPriors((m,), m), by_value)
 
 
 class TestPass1:

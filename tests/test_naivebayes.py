@@ -43,6 +43,11 @@ D0X_ROWS = [
 ]
 
 
+def cond(mod, coord, x):
+    """The frozen cond(x|z) per class of candidate x on coordinate coord."""
+    return next(r[2] for r in mod.tables[coord] if r[0] == x)
+
+
 def build_nb(rows, gamma, class_col, counter_budget=None):
     h = from_items(rows, class_col=class_col)
     p = HHParams(gamma)
@@ -94,21 +99,21 @@ class TestPass2:
         h, p, mod = build_nb(rows, gamma=0.5, class_col=1)
         a0, a1 = h.code(0, "0"), h.code(0, "1")
         z0, z1 = h.class_code("0"), h.class_code("1")
-        assert mod.conditionals[0][a0][z0] == 1.0
-        assert mod.conditionals[0][a0][z1] == 0.0
-        assert mod.conditionals[0][a1][z1] == 1.0
+        assert cond(mod, 0, a0)[z0] == 1.0
+        assert cond(mod, 0, a0)[z1] == 0.0
+        assert cond(mod, 0, a1)[z1] == 1.0
 
     def test_d0_extended_conditionals(self):
         h, p, mod = build_nb(D0X_ROWS, gamma=0.5, class_col=2)
         one = h.code(0, "1")
         z0, z1 = h.class_code("0"), h.class_code("1")
-        assert mod.conditionals[0][one][z0] == pytest.approx(3 / 4)
-        assert mod.conditionals[0][one][z1] == pytest.approx(2 / 4)
+        assert cond(mod, 0, one)[z0] == pytest.approx(3 / 4)
+        assert cond(mod, 0, one)[z1] == pytest.approx(2 / 4)
 
     def test_zero_cooccurrence_stored_as_zero(self):
         rows = [(0, 0)] * 5 + [(1, 1)] * 5
         h, p, mod = build_nb(rows, gamma=0.5, class_col=1)
-        assert mod.conditionals[0][h.code(0, "0")][h.class_code("1")] == 0.0
+        assert cond(mod, 0, h.code(0, "0"))[h.class_code("1")] == 0.0
 
 
 class TestPass2Checks:
@@ -187,15 +192,7 @@ class TestScore:
 
     def test_arithmetic(self):
         # priors (1/2, 1/2) with per-class products (0.4, 0.1) scores 0.25.
-        mod = FactorizedModel(
-            m=10,
-            params=HHParams(0.2),
-            priors=ClassPriors((5, 5), 10),
-            tables=[[(0, 6)]],
-            index=[{0: 6}],
-            class_counts_by_value=[{0: [2, 4]}],
-            conditionals=[{0: (0.4, 0.1)}],
-        )
+        mod = FactorizedModel.from_counts(HHParams(0.2), ClassPriors((10, 10), 20), [{0: [4, 1]}])
         q = nb_score(mod, make_subcube([0], 1), (0,))
         assert q == pytest.approx(0.25)
 
@@ -348,20 +345,10 @@ class TestSoundnessOnVerifiedData:
 
 class TestAllQuery:
     def test_two_class_hand_model_matches_brute_force(self):
-        mod = FactorizedModel(
-            m=100,
-            params=HHParams(0.3),  # lambda 0.15
-            priors=ClassPriors((60, 40), 100),
-            tables=[[(0, 50), (1, 30)], [(0, 45), (1, 25)]],
-            index=[{0: 50, 1: 30}, {0: 45, 1: 25}],
-            class_counts_by_value=[
-                {0: [40, 10], 1: [10, 20]},
-                {0: [35, 10], 1: [5, 20]},
-            ],
-            conditionals=[
-                {0: (40 / 60, 10 / 40), 1: (10 / 60, 20 / 40)},
-                {0: (35 / 60, 10 / 40), 1: (5 / 60, 20 / 40)},
-            ],
+        mod = FactorizedModel.from_counts(
+            HHParams(0.3),  # lambda 0.15
+            ClassPriors((60, 40), 100),
+            [{0: [40, 10], 1: [10, 20]}, {0: [35, 10], 1: [5, 20]}],
         )
         t = make_subcube([0, 1], 2)
         brute = set()
@@ -401,16 +388,17 @@ class TestAllQuery:
             assert ((v in reported)) == (nb_query(mod, t, v) is Verdict.YES)
 
 
-def no_break_levels(t, th, entries, prior, conditionals):
-    """grow_levels without the early break or the cap: every extension of
-    every surviving prefix is scored, in the same order and arithmetic."""
+def no_break_levels(t, th, rows, prior):
+    """grow_levels without the early break, the skip or the cap: every
+    extension of every surviving prefix is scored, in the same order and
+    arithmetic."""
     levels = []
     prev = [((), (1.0,) * len(prior), 1.0)]
     for coord in t.coords:
         nxt = []
         for prefix, vec, _q in prev:
-            for x, _f in entries(coord, th):
-                new_vec = tuple(a * b for a, b in zip(vec, conditionals[coord][x]))
+            for x, _f, xvec, _cmax in rows(coord, th):
+                new_vec = tuple(a * b for a, b in zip(vec, xvec))
                 q = 0.0
                 for p_z, v_z in zip(prior, new_vec):
                     q += p_z * v_z
@@ -444,14 +432,7 @@ def factorized_models(draw):
     class_totals = tuple(max(n, 1) for n in class_totals)
     m = sum(class_totals)
     by_value = [dict(enumerate(coord_rows)) for coord_rows in rows]
-    index = [{x: sum(row) for x, row in bv.items()} for bv in by_value]
-    tables = [sorted(ix.items(), key=lambda e: (-e[1], e[0])) for ix in index]
-    conditionals = [
-        {x: tuple(c / n for c, n in zip(row, class_totals)) for x, row in bv.items()}
-        for bv in by_value
-    ]
-    priors = ClassPriors(class_totals, m)
-    return FactorizedModel(m, HHParams(0.5), tables, index, priors, by_value, conditionals)
+    return FactorizedModel.from_counts(HHParams(0.5), ClassPriors(class_totals, m), by_value)
 
 
 class TestGrowLevelsProof:
@@ -465,14 +446,14 @@ class TestGrowLevelsProof:
     def test_matches_no_break_reference(self, mod, data):
         coords = data.draw(st.permutations(range(len(mod.tables))))
         t = make_subcube(coords, len(mod.tables))
-        prior, conditionals = mod.mixture()
-        tiny = no_break_levels(t, 1e-300, mod.heavy_entries, prior, conditionals)
+        prior = [mod.priors.prior(z) for z in range(mod.ell)]
+        tiny = no_break_levels(t, 1e-300, mod.rows, prior)
         scores = sorted({q for level in tiny for _p, _v, q in level})
         score = data.draw(st.sampled_from(scores))
         th = data.draw(st.sampled_from(
             [score, math.nextafter(score, 0.0), math.nextafter(score, 2.0)]
         ))
-        expected = no_break_levels(t, th, mod.heavy_entries, prior, conditionals)
+        expected = no_break_levels(t, th, mod.rows, prior)
         levels = nb_all_query_levels(mod, t, th)
         assert [level.entries for level in levels] == expected
         scored = nb_all_query_scored(mod, t, th)
@@ -484,9 +465,9 @@ class TestGrowLevelsProof:
         for cap in sorted({0, *range(max(0, total - 3), total + 2)}):
             if cap < total:
                 with pytest.raises(CapExceededError):
-                    grow_levels(t, th, mod.heavy_entries, cap, mod.mixture())
+                    grow_levels(t, th, mod.rows, prior, cap)
             else:
-                levels = grow_levels(t, th, mod.heavy_entries, cap, mod.mixture())
+                levels = grow_levels(t, th, mod.rows, prior, cap)
                 assert [level.entries for level in levels] == expected
 
 
@@ -502,9 +483,53 @@ class TestLevelBound:
     def test_levels_within_one_over_threshold(self, mod, data):
         coords = data.draw(st.permutations(range(len(mod.tables))))
         t = make_subcube(coords, len(mod.tables))
-        prior, conditionals = mod.mixture()
-        tiny = no_break_levels(t, 1e-300, mod.heavy_entries, prior, conditionals)
+        prior = [mod.priors.prior(z) for z in range(mod.ell)]
+        tiny = no_break_levels(t, 1e-300, mod.rows, prior)
         scores = sorted({q for level in tiny for _p, _v, q in level})
         th = data.draw(st.sampled_from(scores) | st.floats(1e-3, 1.0))
         for level in nb_all_query_levels(mod, t, th):
             assert len(level.entries) <= (1.0 / th) * (1.0 + 1e-9)
+
+
+def check_frozen_rows(mod):
+    """Each coordinate's rows against the counts they are frozen from: every
+    row is (x, count/m, count(x,z)/count(z) per class, the max of those)
+    bit for bit, rows are sorted by (-count, x), and heavy_entries equals a
+    takewhile over the sorted counts at each row's f and one ulp either side."""
+    for coord, table in enumerate(mod.tables):
+        counts = mod.index[coord]
+        ranked = sorted(counts, key=lambda x: (-counts[x], x))
+        assert [row[0] for row in table] == ranked
+        for x, f, cond_x, cmax in table:
+            expect = [c / n for c, n in zip(mod.class_counts_by_value[coord][x], mod.priors.counts)]
+            assert f.hex() == (counts[x] / mod.m).hex()
+            assert [c.hex() for c in cond_x] == [c.hex() for c in expect]
+            assert cmax.hex() == max(expect).hex()
+        pairs = [(x, counts[x] / mod.m) for x in ranked]
+        for _x, f, _cond, _cmax in table:
+            for th in (f, math.nextafter(f, 0.0), math.nextafter(f, 2.0)):
+                assert mod.heavy_entries(coord, th) == list(
+                    itertools.takewhile(lambda e: e[1] >= th, pairs)
+                )
+
+
+class TestFrozenRows:
+    @settings(max_examples=200)
+    @given(factorized_models())
+    def test_hand_counts(self, mod):
+        check_frozen_rows(mod)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**16), st.integers(1, 600), st.booleans(),
+           st.sampled_from([0.05, 0.2, 0.5]))
+    def test_two_pass_builds(self, seed, m, with_class, gamma):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randrange(n) for n in (9, 4, 3)) for _ in range(m)]
+        p = HHParams(gamma)
+        if with_class:
+            h = from_items(rows, class_col=2)
+            mod = nb_pass2(h, *nb_pass1(h, p), p)
+        else:
+            h = from_items(rows)
+            mod = indep_pass2(h, indep_pass1(h, p), p)
+        check_frozen_rows(mod)
