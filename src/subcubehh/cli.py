@@ -24,7 +24,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import datagen
 from .core import Subcube
 from .errors import ConfigError, ExperimentError, SubcubeHHError
 from .harness import (
@@ -153,8 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    from . import datagen  # here, so eval, run and oracle never load its array library
     model_seed = args.seed if args.model_seed is None else args.model_seed
     if args.profile == "paper-synthetic":
+        if (args.d, args.cardinalities, args.ell) != (None, None, None):
+            raise ConfigError("--d, --cardinalities and --ell are for the custom profile")
         skew = datagen.PAPER_PROFILE_SKEW if args.skew is None else args.skew
         gen = datagen.paper_profile(model_seed, skew)
     else:

@@ -16,12 +16,11 @@ values and their counts) and freed before the next one is counted.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from .core import HHParams, JointValue, Subcube, make_subcube
 from .errors import (
@@ -107,8 +106,11 @@ def check_no_repeats(name: str, values: list) -> None:
 
 
 def default_gamma_star_sweep(gamma: float) -> list[float]:
-    """12 log-spaced decision thresholds covering [gamma/4, 2*gamma]."""
-    return [float(x) for x in np.geomspace(gamma / 4.0, 2.0 * gamma, 12)]
+    """12 log-spaced decision thresholds covering [gamma/4, 2*gamma], endpoints
+    exact. Computed in the interpreter's floats, so the same on every host."""
+    lo, hi = math.log10(gamma / 4.0), math.log10(2.0 * gamma)
+    step = (hi - lo) / 11
+    return [gamma / 4.0, *(10.0 ** (i * step + lo) for i in range(1, 11)), 2.0 * gamma]
 
 
 @dataclass
@@ -351,8 +353,8 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The frequency-estimation protocol: for each memory fraction, estimate
     the frequencies of the top-k true heavy values with the one-pass models
     and report MSE / MAE / MAPE. An algorithm without a frequency estimator,
-    or a fixed sample size, fails before the data is read. Per subcube only
-    the top-k values and their exact counts are kept."""
+    a fixed sample size or a single memory fraction fails before the data is
+    read. Per subcube only the top-k values and their exact counts are kept."""
     unsupported = [a for a in cfg.algos if a not in FREQ_ALGORITHMS]
     if unsupported:
         raise ConfigError(
@@ -360,6 +362,8 @@ def run_freq_experiment(cfg: ExperimentConfig) -> MetricsReport:
         )
     if cfg.sample_size is not None:
         raise ConfigError(f"the freq task takes no sample size; got {cfg.sample_size}")
+    if cfg.memory_frac is not None:
+        raise ConfigError(f"the freq task takes memory_fracs only; got {cfg.memory_frac}")
     frac_cfgs = [replace(cfg, memory_frac=frac) for frac in cfg.memory_fracs]
     h, p, report = _prepare(cfg, frac_cfgs)
     tops = {t.coords: _top_truth(h, t, cfg.top_k) for t in cfg.subcubes}

@@ -209,6 +209,37 @@ def test_stream_path_never_imports_numpy(class_csv):
     run_stream_path(class_csv, "assert 'numpy' not in sys.modules, 'numpy imported'")
 
 
+def test_answer_commands_never_import_numpy(class_csv, tmp_path):
+    # Only `gen` imports numpy (through datagen); `eval`, `run` and `oracle`
+    # answer and score without it, the default sweep included.
+    data, out = str(class_csv), str(tmp_path)
+    runs = [
+        ["eval", "--data", data, "--class-col", "1", "--algo", "sampling", "--algo", "indep2p",
+         "--algo", "nb2p", "--algo", "cms-heuristic", "--gamma", "0.05", "--memory-frac",
+         "0.05", "--seeds", "0", "--subcube", "1,2", "--out", out + "/report"],
+        ["run", "--data", data, "--class-col", "1", "--algo", "nb2p", "--gamma", "0.05",
+         "--subcube", "1,2", "--out", out + "/run.json"],
+        ["oracle", "--data", data, "--class-col", "1", "--subcube", "1,2",
+         "--out", out + "/oracle.json"],
+    ]
+    code = (
+        "import sys\n"
+        "from subcubehh.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    src = str(Path(subcubehh.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "oracle.json", "report.csv", "report.json", "run.json"
+    ]
+
+
 def test_stream_path_never_imports_openssl(class_csv):
     # Later replays check the source with zlib.crc32: importing hashlib loads
     # OpenSSL (_hashlib), which raised VmHWM from 15.8 to 19.4 MB.

@@ -66,7 +66,9 @@ class TestGen:
     @pytest.mark.parametrize("bad", [
         ["--m", "0"], ["--m", "30", "--fix-class", "99"], ["--m", "30", "--fix-class", "abc"],
         ["--m", "30", "--seed", "-1"], ["--m", "30", "--model-seed", "-3"],
-        ["--m", "30", "--skew", "nan"],
+        ["--m", "30", "--skew", "nan"], ["--m", "30", "--d", "2"],
+        ["--m", "30", "--cardinalities", "3,3"], ["--m", "30", "--ell", "2"],
+        ["--m", "30", "--d", "2", "--cardinalities", "3,3", "--ell", "2"],
     ])
     def test_bad_args_write_nothing(self, tmp_path, capsys, bad):
         # The arguments are checked before the output file is opened. --seed 1
@@ -493,6 +495,7 @@ class TestBadValues:
             ["--subcube", "2,3"],
             ["--subcube", "3,2"],
             ["--seeds", "0,0"],
+            ["--task", "freq", "--memory-frac", "0.5"],  # freq builds at --memory-fracs
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

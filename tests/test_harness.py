@@ -100,6 +100,25 @@ class TestSweep:
         assert sweep[-1] == pytest.approx(0.4)
         assert all(a < b for a, b in zip(sweep, sweep[1:]))
 
+    # numpy.geomspace(gamma / 4, 2 * gamma, 12) with numpy's AVX-512 kernels
+    # switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"),
+    # which then reads libm's log10 and pow. With them on, an AVX-512 host
+    # moves one point of each by one ulp: the sweep must not depend on the CPU.
+    @pytest.mark.parametrize("gamma, expected", [
+        (0.002, [0.0005, 0.0006040447222022236, 0.0007297400528407231, 0.0008815912549960212,
+                 0.0010650410894399627, 0.0012866648980094319, 0.0015544062817709195,
+                 0.001877861821323413, 0.0022686250443909256, 0.002740701969440248,
+                 0.0033110131195392438, 0.004]),
+        (0.05, [0.0125, 0.015101118055055594, 0.018243501321018082, 0.022039781374900536,
+                0.026626027235999074, 0.032166622450235806, 0.038860157044272974,
+                0.04694654553308531, 0.056715626109773126, 0.06851754923600618,
+                0.08277532798848107, 0.1]),
+    ])
+    def test_default_sweep_values(self, gamma, expected):
+        sweep = default_gamma_star_sweep(gamma)
+        assert sweep == expected
+        assert sweep[0] == gamma / 4 and sweep[-1] == 2 * gamma
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -297,6 +316,7 @@ class TestFreqExperiment:
         cfg = toy_config(
             small_dataset,
             algos=["sampling", "cms-heuristic"],
+            memory_frac=None,
             memory_fracs=[0.01, 0.05],
         )
         report = run_freq_experiment(cfg)
@@ -313,7 +333,8 @@ class TestFreqExperiment:
             GroundTruth, "top_values", lambda gt, k: calls.append(gt.subcube) or top_values(gt, k)
         )
         cfg = toy_config(
-            small_dataset, algos=["sampling", "cms-heuristic"], memory_fracs=[0.01, 0.05]
+            small_dataset, algos=["sampling", "cms-heuristic"], memory_frac=None,
+            memory_fracs=[0.01, 0.05],
         )
         assert len(run_freq_experiment(cfg).freq_rows) == 16
         assert sorted(calls, key=lambda t: t.coords) == cfg.subcubes
@@ -344,6 +365,7 @@ class TestTableLifetime:
 
         monkeypatch.setattr(harness, "exact_table", table)
         monkeypatch.setattr(harness, "build_model", build)
-        runner(toy_config(small_dataset, algos=["sampling", "cms-heuristic"]))
+        frac = None if runner is run_freq_experiment else 0.05  # freq builds at memory_fracs
+        runner(toy_config(small_dataset, algos=["sampling", "cms-heuristic"], memory_frac=frac))
         assert at_table == [0, 0]  # two subcubes: the first is dead at the second
         assert at_build and set(at_build) == {0}
