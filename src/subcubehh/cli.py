@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seeds", default="0", help="comma list of seeds")
     ev.add_argument("--subcube", required=True, action="append")
     ev.add_argument("--task", default="detect", choices=["detect", "freq"])
-    ev.add_argument("--top-k", type=int, default=10)
+    ev.add_argument("--top-k", type=int, default=None, help="for --task freq (default 10)")
     ev.add_argument("--out", required=True, help="output path prefix")
     ev.set_defaults(handler=_cmd_eval)
     return ap
@@ -246,13 +246,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.task == "detect":
+        freq_only = [
+            flag for flag, value in (("--memory-fracs", args.memory_fracs), ("--top-k", args.top_k))
+            if value is not None
+        ]
+        if freq_only:
+            raise ConfigError(f"the detect task takes no {' or '.join(freq_only)}")
     cfg = _experiment_config(
         args,
         algos=args.algos,
         seeds=_parse_list(args.seeds, int, "--seeds"),
         gamma_stars=_parse_list(args.gamma_star_sweep, float, "--gamma-star-sweep"),
         memory_fracs=_parse_list(args.memory_fracs, float, "--memory-fracs"),
-        top_k=args.top_k,
+        top_k=ExperimentConfig.top_k if args.top_k is None else args.top_k,
     )
     prefix = Path(args.out)
     try:

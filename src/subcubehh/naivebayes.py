@@ -5,7 +5,12 @@ builds: `nb2p`'s over the dataset's class column, and `indep2p`'s (which
 independence.py re-exports) with a single class holding every item.
 
 Pass 1 computes exact class counts and per-coordinate Misra-Gries candidate
-sets H_i; pass 2 recounts each candidate exactly, per class. A query scores
+sets H_i; pass 2 counts each candidate exactly, per class. A summary that
+never decremented already holds its candidates' exact totals, so on that
+coordinate pass 2 counts (x, z) only in rows outside the largest class z*
+and takes count(x, z*) as the total minus the other classes' counts. With
+one class no row lies outside it: such a coordinate counts nothing, and
+when every coordinate is exact pass 2 reads no row. A query scores
 v as
 
     q(v) = sum_z prior(z) * prod_i cond_i(v_i | z)
@@ -55,9 +60,15 @@ MAX_CLASS_VALUES = 1024
 
 @dataclass(frozen=True)
 class CandidateSets:
-    """Per-coordinate candidate value sets from pass 1."""
+    """Per-coordinate candidate value sets from pass 1, and what pass 1
+    knows of them exactly: `totals[i]` maps each candidate of coordinate i
+    to its count over the stream's m items when coordinate i's summary
+    never decremented, else it is None. Sets built by hand carry no totals
+    and no m, so pass 2 counts every candidate in every row."""
 
     sets: tuple[frozenset[int], ...]
+    totals: tuple[dict[int, int] | None, ...] | None = None
+    m: int | None = None
 
     @property
     def d(self) -> int:
@@ -187,26 +198,62 @@ def _pass1(
     # Nudge below the real cutoff so integer counts sitting exactly on it are
     # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
     cutoff = candidate_cutoff(p.lam, budget) * m - 1e-9
-    sets = tuple(frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches)
-    return ClassPriors(counts, m), CandidateSets(sets)
+    kept = [{x: c for x, c in sk.counters.items() if c >= cutoff} for sk in sketches]
+    totals = tuple(None if sk.decrements else t for sk, t in zip(sketches, kept))
+    return ClassPriors(counts, m), CandidateSets(tuple(map(frozenset, kept)), totals, m)
 
 
 def _recount(
-    h: DatasetHandle, cands: CandidateSets, cells: Callable, row: Callable
+    h: DatasetHandle, cands: CandidateSets, priors: ClassPriors | None
 ) -> tuple[int, list[dict[int, list[int]]]]:
-    """Pass 2: m, and per coordinate each candidate's count per class. Each
-    chunk's tally counts `cells(candidate set, column, classes)`, and
-    `row(tally, x)` reads x's count per class back."""
+    """Pass 2: m, and per coordinate each candidate's count per class of
+    `priors` (None: one class holding every item; the class column is not
+    read). A coordinate whose pass-1 totals are known is counted only in
+    rows outside the largest class `top`, and count(x, top) is its total
+    minus x's other counts. With one class that leaves nothing to count,
+    and when no coordinate needs counting no row is read."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
+    ell = 1 if priors is None else priors.ell
+    top = 0 if priors is None else priors.counts.index(max(priors.counts))
+    totals = cands.totals or (None,) * cands.d
     tallies: list[Counter] = [Counter() for _ in cands.sets]
+    # The coordinates left to count: a known one only outside `top`, so
+    # with one class none.
+    jobs = [
+        (tally, s, col, t is not None)
+        for col, (tally, s, t) in enumerate(zip(tallies, cands.sets, totals))
+        if t is None or ell > 1
+    ]
+    split = any(known for *_, known in jobs)  # only with several classes
 
     def visit(columns: Columns, classes: list[int] | None) -> None:
-        for tally, s, col in zip(tallies, cands.sets, columns):
-            tally.update(cells(s, col, classes))
+        if split:
+            outside = [z != top for z in classes]
+            other_classes = list(compress(classes, outside))
+        for tally, s, col, known in jobs:
+            xs = columns[col]
+            if priors is None:
+                tally.update(filter(s.__contains__, xs))
+                continue
+            zs = classes
+            if known:
+                xs, zs = list(compress(xs, outside)), other_classes
+            tally.update(compress(zip(xs, zs), map(s.__contains__, xs)))
 
-    m = h.replay(visit)
-    return m, [{x: row(t, x) for x in sorted(s)} for t, s in zip(tallies, cands.sets)]
+    m = h.replay(visit) if jobs or h.m is None else h.m
+    if cands.m is not None and cands.m != m:
+        raise ConfigError(f"candidate sets are of a {cands.m}-item stream, dataset has {m}")
+    by_value = []
+    for tally, s, t in zip(tallies, cands.sets, totals):
+        counts = {}
+        for x in sorted(s):
+            row = [tally[x]] if priors is None else [tally[x, z] for z in range(ell)]
+            if t is not None:
+                row[top] = t[x] - sum(row)  # row[top] is 0: its rows went uncounted
+            counts[x] = row
+        by_value.append(counts)
+    return m, by_value
 
 
 def nb_pass1(
@@ -221,13 +268,11 @@ def nb_pass1(
 def nb_pass2(
     h: DatasetHandle, priors: ClassPriors, cands: CandidateSets, p: HHParams
 ) -> FactorizedModel:
-    """Second pass: exact (value, class) joint counts for every candidate."""
+    """Second pass: exact (value, class) joint counts for every candidate,
+    read from the rows only where pass 1's totals leave them unknown."""
     if h.class_col is None:
         raise NoClassColumnError("nb_pass2 needs a dataset with a class column")
-    m, by_value = _recount(
-        h, cands, lambda s, col, zs: compress(zip(col, zs), map(s.__contains__, col)),
-        lambda tally, x: [tally[x, z] for z in range(priors.ell)],
-    )
+    m, by_value = _recount(h, cands, priors)
     if m != priors.m:
         raise ConfigError("pass-2 stream length differs from pass-1 priors")
     return FactorizedModel.from_counts(p, priors, by_value)
@@ -243,10 +288,9 @@ def indep_pass1(
 
 def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> FactorizedModel:
     """indep2p's second pass over the same stream: exact counts for candidate
-    values, all in one class."""
-    m, by_value = _recount(
-        h, cands, lambda s, col, _zs: filter(s.__contains__, col), lambda tally, x: [tally[x]]
-    )
+    values, all in one class. A coordinate whose pass-1 summary never
+    decremented is not counted again, so when none decremented no row is read."""
+    m, by_value = _recount(h, cands, None)
     return FactorizedModel.from_counts(p, ClassPriors((m,), m), by_value)
 
 

@@ -153,8 +153,10 @@ def test_freq_task_builds_through_harness(class_csv, monkeypatch):
 
 
 def test_replay_calls_per_builder(class_csv, monkeypatch):
-    # stream-1m counts its replays (7) and times the first as ingest: each
-    # builder is one full pass, each pass one replay.
+    # stream-1m counts its replays (6) and times the first as ingest: each
+    # builder is one full pass, each pass one replay. indep_pass2 reads no
+    # row when every pass-1 summary is exact: budget 50 holds all 8 values of
+    # each coordinate, budget 5 does not.
     h, _p = harness.open_config_dataset(config(class_csv))
     p = HHParams(GAMMA)
     calls = count_calls(monkeypatch, stream_io.DatasetHandle, ["replay"])
@@ -162,12 +164,16 @@ def test_replay_calls_per_builder(class_csv, monkeypatch):
         "build_sample": lambda: subcubehh.build_sample(h, 100, 0, p),
         "indep_pass1": lambda: subcubehh.indep_pass1(h, p, 50),
         "indep_pass2": lambda: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 50), p),
+        "indep_pass2 decrementing": lambda: subcubehh.indep_pass2(
+            h, subcubehh.indep_pass1(h, p, 5), p
+        ),
         "nb_pass1": lambda: subcubehh.nb_pass1(h, p, 50),
         "nb_pass2": lambda: subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p, 50), p),
         "heuristic_build": lambda: subcubehh.heuristic_build(h, 600, p, 0),
         "exact_table": lambda: subcubehh.exact_table(h, Subcube((0, 1))),
     }
-    passes = {"indep_pass2": 2, "nb_pass2": 2}  # their pass 1 runs first
+    # Pass 1 runs first: then pass 2 needs no replay when pass 1 is exact.
+    passes = {"indep_pass2": 1, "indep_pass2 decrementing": 2, "nb_pass2": 2}
     for name, build in builds.items():
         calls.clear()
         build()

@@ -496,6 +496,9 @@ class TestBadValues:
             ["--subcube", "3,2"],
             ["--seeds", "0,0"],
             ["--task", "freq", "--memory-frac", "0.5"],  # freq builds at --memory-fracs
+            ["--memory-frac", "0.5", "--memory-fracs", "0.1"],  # detect reads neither
+            ["--memory-frac", "0.5", "--top-k", "3"],
+            ["--top-k", "10"],  # the freq default, given to detect
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

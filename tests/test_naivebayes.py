@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,24 @@ class TestPass2Checks:
         with pytest.raises(ConfigError, match="candidate sets cover 3"):
             indep_pass2(h, other, p)
 
+    def test_candidate_sets_of_another_stream(self):
+        # Pass 2 reads pass 1's exact totals, so candidates of a stream of
+        # another length are refused, whether or not a row is read.
+        h = from_items(D0X_ROWS, class_col=2)
+        p = HHParams(0.5)
+        priors, _cands = nb_pass1(h, p)
+        longer = from_items(D0X_ROWS * 2, class_col=2)
+        _, other = nb_pass1(longer, p)
+        assert all(t is not None for t in other.totals)
+        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream, dataset has 8"):
+            nb_pass2(h, priors, other, p)
+        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream"):
+            indep_pass2(h, other, p)
+        _, other = nb_pass1(longer, p, 1)  # decrements: every candidate is recounted
+        assert all(t is None for t in other.totals)
+        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream"):
+            indep_pass2(h, other, p)
+
     def test_needs_class_column(self):
         h = from_items([(0, 1)] * 4)
         p = HHParams(0.5)
@@ -180,6 +199,67 @@ class TestPass2EqualsRowCount:
                 x: sum(n for (y, _z), n in expect[j].items() if y == x)
                 for x in sorted(cands.sets[j])
             }
+
+
+class TestPass2KnownTotals:
+    """Pass 2 recounts only what pass 1 left unknown. A coordinate whose
+    summary never decremented (its distinct values fit the budget) is
+    counted outside the largest class only, its largest-class count taken
+    by subtraction; with one class it is not counted at all. Either way the
+    counts equal a brute-force count of (x, z) over the rows."""
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 2 * CHUNK_ROWS + 3),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        st.integers(1, 8),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_counts_equal_brute_force(self, seed, m, ell, cards, budget, tie, private):
+        rng = random.Random(seed)
+        d = len(cards)
+        rows = [(*(rng.randrange(n) for n in cards), rng.randrange(ell)) for _ in range(m)]
+        sizes = Counter(row[d] for row in rows)
+        if private:
+            # A value of coordinate 0 seen in the largest class only.
+            top = max(sizes, key=sizes.__getitem__)
+            rows += [(cards[0], *row[1:d], top) for row in rows[: m // 2 + 1]]
+            sizes = Counter(row[d] for row in rows)
+        if tie and len(sizes) > 1:
+            # Pad the second-largest class up to the largest.
+            (_, a), (second, b) = sizes.most_common(2)
+            rows += [(*(rng.randrange(n) for n in cards), second) for _ in range(a - b)]
+        rng.shuffle(rows)
+        h = from_items(rows, class_col=d)
+        p = HHParams(0.5)  # at budgets <= 8 every tracked value is a candidate
+        priors, cands = nb_pass1(h, p, budget)
+        nb = nb_pass2(h, priors, cands, p)
+        replays = 0
+
+        def counted(visitor, _replay=h.replay):
+            nonlocal replays
+            replays += 1
+            return _replay(visitor)
+
+        h.replay = counted
+        ind = indep_pass2(h, indep_pass1(h, p, budget), p)
+        # indep_pass1 replayed once; pass 2 reads the rows again only when
+        # some coordinate's distinct values overflowed the budget.
+        exact = [len({row[j] for row in rows}) <= budget for j in range(d)]
+        assert replays - 1 == (0 if all(exact) else 1)
+        assert [t is not None for t in cands.totals] == exact
+        for j in range(d):
+            pairs = Counter((h.code(j, str(row[j])), h.class_code(str(row[d]))) for row in rows)
+            assert nb.class_counts_by_value[j] == {
+                x: [pairs[x, z] for z in range(priors.ell)] for x in sorted(cands.sets[j])
+            }
+            assert ind.class_counts_by_value[j] == {
+                x: [sum(pairs[x, z] for z in range(priors.ell))] for x in sorted(cands.sets[j])
+            }
+        assert ind.priors == ClassPriors((len(rows),), len(rows))
 
 
 class TestScore:
