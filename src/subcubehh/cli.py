@@ -135,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gamma", type=float, required=True)
     ev.add_argument(
         "--gamma-star-sweep", default=None,
-        help="comma list of thresholds; default 12 log-spaced in [gamma/4, 2*gamma]",
+        help="comma list of thresholds for --task detect; "
+        "default 12 log-spaced in [gamma/4, 2*gamma]",
     )
     ev.add_argument("--memory-frac", type=float, default=None)
     ev.add_argument(
@@ -246,13 +247,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.task == "detect":
-        freq_only = [
-            flag for flag, value in (("--memory-fracs", args.memory_fracs), ("--top-k", args.top_k))
-            if value is not None
-        ]
-        if freq_only:
-            raise ConfigError(f"the detect task takes no {' or '.join(freq_only)}")
+    other_task = {
+        "detect": (("--memory-fracs", args.memory_fracs), ("--top-k", args.top_k)),
+        "freq": (("--gamma-star-sweep", args.gamma_star_sweep),),
+    }[args.task]
+    given = [flag for flag, value in other_task if value is not None]
+    if given:
+        raise ConfigError(f"the {args.task} task takes no {' or '.join(given)}")
     cfg = _experiment_config(
         args,
         algos=args.algos,

@@ -9,9 +9,13 @@ only on the multiset it is fed, and a value's exact count is its final
 Misra-Gries counter plus what the summary's decrement rounds removed. So a
 chunk that decrements a summary feeds the sketch the counts it removed at
 once, and the end of the pass feeds each tracked value its final counter,
-reading its estimate from those same cells. Each coordinate's candidates are
-ranked by estimate; AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) over them as one-class rows built per call.
+reading its estimate from those same cells. A list that cannot decrement
+is rebuilt from the exact counts the handle stores, when an earlier build
+stored them (naivebayes.misra_gries_pass), and feeds Count-Min its final
+counters only; when every list is rebuilt the build reads no row. Each
+coordinate's candidates are ranked by estimate; AllQuery runs the
+factorized model's level loop (naivebayes.grow_levels) over them as
+one-class rows built per call.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -25,9 +29,9 @@ from itertools import takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
-from .naivebayes import default_counter_budget, grow_levels, scored_answers
+from .naivebayes import default_counter_budget, grow_levels, misra_gries_pass, scored_answers
 from .sketches import CountMin, MisraGries, hash_pair
-from .stream_io import Columns, DatasetHandle
+from .stream_io import DatasetHandle
 
 DEFAULT_DEPTH = 4
 DEFAULT_ALLQUERY_CAP = 10**6
@@ -85,21 +89,17 @@ def heuristic_build(
     seed: int = 0,
     depth: int = DEFAULT_DEPTH,
 ) -> HeuristicModel:
-    """One pass: a Count-Min sketch per coordinate sized from the slot budget
-    (width = memory_slots / (d * depth)), plus a Misra-Gries candidate list
-    per coordinate with budget ceil(8/lam), whose values are then ranked."""
+    """At most one pass: a Count-Min sketch per coordinate sized from the
+    slot budget (width = memory_slots / (d * depth)), plus a Misra-Gries
+    candidate list per coordinate with budget ceil(8/lam), whose values are
+    then ranked. Lists the handle's stored counts give are not read again."""
     width = cms_width(memory_slots, h.d, depth)
-    budget = default_counter_budget(p)
     cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
-    mg = [MisraGries(budget) for _ in range(h.d)]
 
-    def visit(columns: Columns, _classes: list[int] | None) -> None:
-        for sk, g, col in zip(cms, mg, columns):
-            removed = g.update_many(col)
-            if removed:
-                sk.update_counts(list(removed), list(removed.values()))
+    def feed(i: int, removed: dict[int, int]) -> None:
+        cms[i].update_counts(list(removed), list(removed.values()))
 
-    m = h.replay(visit)
+    m, mg, _ = misra_gries_pass(h, default_counter_budget(p), on_removed=feed)
     tables = []
     for sk, g in zip(cms, mg):
         # The final counters complete each value's exact count in the cells,

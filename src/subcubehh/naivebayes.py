@@ -5,7 +5,15 @@ builds: `nb2p`'s over the dataset's class column, and `indep2p`'s (which
 independence.py re-exports) with a single class holding every item.
 
 Pass 1 computes exact class counts and per-coordinate Misra-Gries candidate
-sets H_i; pass 2 counts each candidate exactly, per class. A summary that
+sets H_i; pass 2 counts each candidate exactly, per class. A summary of c
+counters over a coordinate of at most c values never decrements, so its
+counters are that coordinate's exact counts. The handle keeps them, and the
+class counts, once a build has counted them (DatasetHandle.exact_counts,
+8 bytes per value), and every later pass 1 or heuristic build on it
+rebuilds such a summary from them instead of counting again: a build with
+no summary left to feed reads no row. So `nb_pass1` after `indep_pass1`
+at the same budget, whose replay also counted the class column, reads
+nothing when every coordinate fits the budget. A summary that
 never decremented already holds its candidates' exact totals, so on that
 coordinate pass 2 counts (x, z) only in rows outside the largest class z*
 and takes count(x, z*) as the total minus the other classes' counts. With
@@ -173,23 +181,63 @@ class FactorizedModel:
         return [(x, f) for x, f, _cond, _cmax in self.rows(coord, threshold)]
 
 
+def misra_gries_pass(
+    h: DatasetHandle,
+    budget: int,
+    on_removed: Callable[[int, dict[int, int]], None] | None = None,
+) -> tuple[int, list[MisraGries], dict[int, int] | None]:
+    """m, one Misra-Gries summary of `budget` counters per coordinate over
+    the whole stream, and the class counts as {code: count} (None without
+    a class column).
+
+    A coordinate of cardinality at most `budget` can never decrement, so
+    where the handle stores its exact counts its summary is rebuilt from
+    them (`MisraGries.from_counts`). The other summaries are fed in one
+    replay, which hands `on_removed(i, removed)` what each chunk's rounds
+    removed on coordinate i, and which also counts a class column not yet
+    stored. Each summary that never decremented, and those class counts,
+    are then stored on the handle. So once any build has replayed, the
+    class counts are stored, and a build with no summary left to feed
+    makes no replay.
+    """
+
+    def summary(i: int, n: int) -> MisraGries:
+        counts = h.exact_counts(i) if n <= budget else None
+        return MisraGries(budget) if counts is None else MisraGries.from_counts(budget, counts)
+
+    sketches = [summary(i, n) for i, n in enumerate(h.cardinalities)]
+    fed = [(i, sk) for i, sk in enumerate(sketches) if not sk.processed]  # not rebuilt
+    class_counts = None if h.class_col is None else h.exact_counts(None)
+    tally = Counter() if h.class_col is not None and class_counts is None else None
+    if not fed and tally is None:
+        return h.m, sketches, class_counts
+
+    def visit(columns: Columns, classes: list[int] | None) -> None:
+        if tally is not None:
+            tally.update(classes)
+        for i, sk in fed:
+            removed = sk.update_many(columns[i])
+            if removed and on_removed is not None:
+                on_removed(i, removed)
+
+    m = h.replay(visit)
+    for i, sk in fed:
+        if not sk.decrements:
+            # Keyed by first-seen order, which is code order.
+            h.exact_counts(i, sk.counters.values())
+    if tally is not None:
+        class_counts = h.exact_counts(None, tally.values())
+    return m, sketches, class_counts
+
+
 def _pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None, one_class: bool
 ) -> tuple[ClassPriors, CandidateSets]:
-    """Class counts plus per-coordinate candidate sets, in one pass. With
-    `one_class`, the class column is not read: all m items form one class."""
+    """Class counts plus per-coordinate candidate sets, in at most one pass.
+    With `one_class`, all m items form one class."""
     budget = pass1_budget(p, counter_budget)
-    sketches = [MisraGries(budget) for _ in range(h.d)]
-    class_counts: Counter[int] = Counter()
-
-    def visit(columns: Columns, classes: list[int] | None) -> None:
-        if not one_class:
-            class_counts.update(classes)
-        for sk, col in zip(sketches, columns):
-            sk.update_many(col)
-
-    m = h.replay(visit)
-    counts = tuple(class_counts[z] for z in range(len(class_counts))) or (m,)
+    m, sketches, class_counts = misra_gries_pass(h, budget)
+    counts = (m,) if one_class else tuple(class_counts.values())
     if len(counts) > MAX_CLASS_VALUES:
         raise ConfigError(
             f"{len(counts)} distinct class values (> {MAX_CLASS_VALUES}); "
@@ -259,7 +307,7 @@ def _recount(
 def nb_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> tuple[ClassPriors, CandidateSets]:
-    """Exact class priors plus per-coordinate candidate sets, in one pass."""
+    """Exact class priors plus per-coordinate candidate sets, in at most one pass."""
     if h.class_col is None:
         raise NoClassColumnError("nb_pass1 needs a dataset with a class column")
     return _pass1(h, p, counter_budget, one_class=False)
@@ -282,7 +330,8 @@ def indep_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> CandidateSets:
     """indep2p's first pass: one Misra-Gries summary per coordinate,
-    thresholded into H_i. Any class column is not read."""
+    thresholded into H_i. A class column is counted only for later builds,
+    and only when this pass replays the stream anyway."""
     return _pass1(h, p, counter_budget, one_class=True)[1]
 
 

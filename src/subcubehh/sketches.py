@@ -24,7 +24,7 @@ from array import array
 from collections import Counter, deque
 from itertools import compress, repeat
 from operator import and_, mod
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigError
 
@@ -201,6 +201,19 @@ class MisraGries:
         self.counters: Counter[int] = Counter()
         self.processed = 0
         self.decrements = 0
+
+    @classmethod
+    def from_counts(cls, counter_budget: int, counts: Mapping[int, int]) -> MisraGries:
+        """The summary of a stream holding counts[x] > 0 copies of each x,
+        met first in the mapping's order: with no more values than counters
+        no round ever decremented, so the counters are the counts, keyed in
+        that order."""
+        if len(counts) > counter_budget:
+            raise ConfigError(f"{len(counts)} values overflow {counter_budget} counters")
+        sk = cls(counter_budget)
+        sk.counters.update(counts)
+        sk.processed = sum(counts.values())
+        return sk
 
     def update(self, x: int) -> None:
         self.processed += 1

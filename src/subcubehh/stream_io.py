@@ -34,6 +34,15 @@ pass never coded raises IngestInconsistencyError.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
+
+A handle also keeps the exact count of each code of a column once a build
+has counted it over the whole stream (`exact_counts`): one array('Q') per
+feature coordinate and for the class column, 8 bytes x (sum of the
+cardinalities + ell) at most, about 0.23 MB on the benchmark's 1M-row file.
+The freezing replay counts nothing. The Misra-Gries builds (naivebayes,
+heuristic) store the summaries that never decremented, and a later build
+that finds stored all it would count reads no row, so it makes no source
+check either.
 """
 
 from __future__ import annotations
@@ -96,6 +105,9 @@ class DatasetHandle:
         # the codes that replay encoded, unless unwritable.
         self._digest: _Digest | None = None
         self._spill: BinaryIO | None = None
+        # File column -> the exact count of each of its codes, once a build
+        # has stored them (exact_counts).
+        self._exact: dict[int, array] = {}
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
@@ -203,6 +215,28 @@ class DatasetHandle:
     @property
     def n_classes(self) -> int:
         return len(self._dicts[self._class_column()])
+
+    def exact_counts(
+        self, coord: int | None, counts: Iterable[int] | None = None
+    ) -> dict[int, int] | None:
+        """The exact count of each code of feature coordinate `coord` (None:
+        the class column) over the whole stream, as {code: count} in code
+        order, or None until a build has stored them. The handle keeps the
+        counts as one array('Q'); the codes handed out are its
+        dictionary's own ints, as in a replayed chunk. A build that counted
+        every item passes `counts`, in code order, to store them; counts
+        already stored are kept."""
+        col = self._class_column() if coord is None else self._feature_cols[coord]
+        if counts is not None and col not in self._exact:
+            stored = array("Q", counts)
+            if len(stored) != len(self._dicts[col]) or sum(stored) != self.m:
+                raise ConfigError(
+                    f"{len(stored)} counts summing to {sum(stored)} for a column of "
+                    f"{len(self._dicts[col])} codes over {self.m} items"
+                )
+            self._exact[col] = stored
+        stored = self._exact.get(col)
+        return None if stored is None else dict(zip(self._dicts[col].values(), stored))
 
     # -- replay -------------------------------------------------------------
 

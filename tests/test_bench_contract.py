@@ -153,31 +153,53 @@ def test_freq_task_builds_through_harness(class_csv, monkeypatch):
 
 
 def test_replay_calls_per_builder(class_csv, monkeypatch):
-    # stream-1m counts its replays (6) and times the first as ingest: each
-    # builder is one full pass, each pass one replay. indep_pass2 reads no
-    # row when every pass-1 summary is exact: budget 50 holds all 8 values of
-    # each coordinate, budget 5 does not.
-    h, _p = harness.open_config_dataset(config(class_csv))
+    # stream-1m counts its replays (5) and times the first as ingest. Each
+    # build makes at most one replay, and none when the handle already holds
+    # what it would count: pass 1 and the heuristic rebuild a summary that
+    # cannot decrement from the exact counts an earlier build stored, and
+    # pass 2 takes pass 1's exact totals. Budget 50 and the heuristic's 320
+    # counters hold all 8 values of each coordinate, budget 5 does not.
     p = HHParams(GAMMA)
     calls = count_calls(monkeypatch, stream_io.DatasetHandle, ["replay"])
-    builds = {
-        "build_sample": lambda: subcubehh.build_sample(h, 100, 0, p),
-        "indep_pass1": lambda: subcubehh.indep_pass1(h, p, 50),
-        "indep_pass2": lambda: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 50), p),
-        "indep_pass2 decrementing": lambda: subcubehh.indep_pass2(
-            h, subcubehh.indep_pass1(h, p, 5), p
-        ),
-        "nb_pass1": lambda: subcubehh.nb_pass1(h, p, 50),
-        "nb_pass2": lambda: subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p, 50), p),
-        "heuristic_build": lambda: subcubehh.heuristic_build(h, 600, p, 0),
-        "exact_table": lambda: subcubehh.exact_table(h, Subcube((0, 1))),
+
+    def replays(h, steps):
+        counts = {}
+        for name, build in steps:
+            calls.clear()
+            build(h)
+            counts[name] = calls["replay"]
+        return counts
+
+    # stream-1m's order; each pass-2 entry runs its pass 1 again first.
+    # There the heuristic still replays, to feed
+    # coordinates 0 and 1, whose cardinalities exceed its 8,000 counters.
+    stream_1m = [
+        ("build_sample", lambda h: subcubehh.build_sample(h, 100, 0, p)),
+        ("indep_pass1", lambda h: subcubehh.indep_pass1(h, p, 50)),
+        ("indep_pass2", lambda h: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 50), p)),
+        ("nb_pass1", lambda h: subcubehh.nb_pass1(h, p, 50)),
+        ("nb_pass2", lambda h: subcubehh.nb_pass2(h, *subcubehh.nb_pass1(h, p, 50), p)),
+        ("heuristic_build", lambda h: subcubehh.heuristic_build(h, 600, p, 0)),
+        ("exact_table", lambda h: subcubehh.exact_table(h, Subcube((0, 1)))),
+    ]
+    h, _p = harness.open_config_dataset(config(class_csv))
+    assert replays(h, stream_1m) == {
+        "build_sample": 1, "indep_pass1": 1, "indep_pass2": 0, "nb_pass1": 0,
+        "nb_pass2": 1, "heuristic_build": 0, "exact_table": 1,
     }
-    # Pass 1 runs first: then pass 2 needs no replay when pass 1 is exact.
-    passes = {"indep_pass2": 1, "indep_pass2 decrementing": 2, "nb_pass2": 2}
-    for name, build in builds.items():
-        calls.clear()
-        build()
-        assert calls["replay"] == passes.get(name, 1), name
+    # Decrementing summaries store nothing; the heuristic's exact ones do.
+    decrementing = [
+        ("indep_pass1", lambda h: subcubehh.indep_pass1(h, p, 5)),
+        ("indep_pass2", lambda h: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 5), p)),
+        ("nb_pass1", lambda h: subcubehh.nb_pass1(h, p, 5)),
+        ("heuristic_build", lambda h: subcubehh.heuristic_build(h, 600, p, 0)),
+        ("nb_pass1 exact", lambda h: subcubehh.nb_pass1(h, p, 50)),
+    ]
+    h, _p = harness.open_config_dataset(config(class_csv))
+    assert replays(h, decrementing) == {
+        "indep_pass1": 1, "indep_pass2": 2, "nb_pass1": 1, "heuristic_build": 1,
+        "nb_pass1 exact": 0,
+    }
 
 
 @pytest.mark.parametrize("cache_items", [False, True])

@@ -499,6 +499,7 @@ class TestBadValues:
             ["--memory-frac", "0.5", "--memory-fracs", "0.1"],  # detect reads neither
             ["--memory-frac", "0.5", "--top-k", "3"],
             ["--top-k", "10"],  # the freq default, given to detect
+            ["--task", "freq", "--memory-fracs", "0.1", "--gamma-star-sweep", "0.01,0.02"],
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

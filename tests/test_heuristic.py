@@ -83,16 +83,30 @@ class TestBuild:
 
 class ChunkReplay:
     """A handle stand-in that replays the given chunks (each a tuple of
-    columns), so a test decides where the chunks are cut."""
+    columns), so a test decides where the chunks are cut. Its values are
+    not codes in first-seen order, so it stores no exact counts: a build
+    feeds every summary from its own replay."""
+
+    class_col = None
 
     def __init__(self, chunks):
         self.chunks = chunks
         self.d = len(chunks[0])
+        self.cardinalities = tuple(
+            len({x for columns in chunks for x in columns[j]}) for j in range(self.d)
+        )
+        self.m = None
+        self.replays = 0
+
+    def exact_counts(self, coord, counts=None):
+        return None
 
     def replay(self, visitor):
+        self.replays += 1
         for columns in self.chunks:
             visitor(columns, None)
-        return sum(len(columns[0]) for columns in self.chunks)
+        self.m = sum(len(columns[0]) for columns in self.chunks)
+        return self.m
 
 
 def tally_every_chunk_build(h, memory_slots, p, seed=0, depth=DEFAULT_DEPTH):
@@ -140,6 +154,7 @@ class TestCountEachChunkOnce:
     def assert_same_build(self, chunks, seed):
         h = ChunkReplay(chunks)
         mod = heuristic_build(h, self.SLOTS, self.P, seed)
+        assert h.replays == 1
         cms, mg, tables = tally_every_chunk_build(h, self.SLOTS, self.P, seed)
         assert [sk.table for sk in mod.cms] == [sk.table for sk in cms]
         assert mod.tables == tables

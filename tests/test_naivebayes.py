@@ -1,18 +1,24 @@
+import csv
 import dataclasses
 import itertools
 import math
 import random
+import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcubehh import naivebayes
 from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import (
     BudgetTooSmallError,
     CapExceededError,
     ConfigError,
+    IngestInconsistencyError,
     NoClassColumnError,
 )
 from subcubehh.independence import (
@@ -34,7 +40,8 @@ from subcubehh.naivebayes import (
     nb_query,
     nb_score,
 )
-from subcubehh.stream_io import CHUNK_ROWS, from_items
+from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
+from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items, open_dataset
 
 # D0's coordinate-0 column, paired with a second coordinate and a class
 # column split half and half.
@@ -246,10 +253,12 @@ class TestPass2KnownTotals:
 
         h.replay = counted
         ind = indep_pass2(h, indep_pass1(h, p, budget), p)
-        # indep_pass1 replayed once; pass 2 reads the rows again only when
-        # some coordinate's distinct values overflowed the budget.
+        # nb_pass1 stored the exact counts of every coordinate whose distinct
+        # values fit the budget, and the class counts. So indep_pass1 reads
+        # the rows only when some coordinate overflowed the budget, and so
+        # does pass 2.
         exact = [len({row[j] for row in rows}) <= budget for j in range(d)]
-        assert replays - 1 == (0 if all(exact) else 1)
+        assert replays == (0 if all(exact) else 2)
         assert [t is not None for t in cands.totals] == exact
         for j in range(d):
             pairs = Counter((h.code(j, str(row[j])), h.class_code(str(row[d]))) for row in rows)
@@ -260,6 +269,149 @@ class TestPass2KnownTotals:
                 x: [sum(pairs[x, z] for z in range(priors.ell))] for x in sorted(cands.sets[j])
             }
         assert ind.priors == ClassPriors((len(rows),), len(rows))
+
+
+class TestNoRowRead:
+    """A build that finds everything it counts stored on the handle reads
+    no row, so it makes no source check either."""
+
+    def test_changed_file_unnoticed_until_a_replay(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = [(x % 3, x % 5, x % 2) for x in range(40)]
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        h = open_dataset(path, class_col=2)
+        p = HHParams(0.5)
+        priors, cands = nb_pass1(h, p, 5)
+        path.write_text("0,0,0\n")
+        assert nb_pass1(h, p, 5) == (priors, cands)
+        assert indep_pass1(h, p, 5) == indep_pass1(from_items(rows, class_col=2), p, 5)
+        with pytest.raises(IngestInconsistencyError):
+            nb_pass1(h, p, 4)  # coordinate 1's 5 values overflow 4 counters
+
+
+def summary_state(sk):
+    """Everything a Misra-Gries summary holds, its counters' key order included."""
+    return sk.counter_budget, list(sk.counters.items()), sk.processed, sk.decrements
+
+
+@contextmanager
+def pass1_summaries():
+    """Records the state of the summaries behind each pass-1 call."""
+    seen = []
+    real = naivebayes.misra_gries_pass
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append([summary_state(sk) for sk in out[1]])
+        return out
+
+    naivebayes.misra_gries_pass = recording
+    try:
+        yield seen
+    finally:
+        naivebayes.misra_gries_pass = real
+
+
+class TestStoredCounts:
+    """A summary that cannot decrement is rebuilt from the exact counts an
+    earlier build stored on the handle, and a build with nothing left to
+    count reads no row. Every build equals the same build on a fresh
+    handle, whatever ran before it on the same handle."""
+
+    P = HHParams(1.0)
+    HEURISTIC_BUDGET = 16  # ceil(8 / lam) at lam 0.5
+
+    def build(self, h, kind, budget):
+        """What one build (pass 1 and, for a two-pass model, pass 2) makes,
+        and its replays per pass."""
+        replays = []
+
+        def counted(visitor):
+            replays[-1] += 1
+            return DatasetHandle.replay(h, visitor)
+
+        h.replay = counted
+        replays.append(0)
+        if kind == "heuristic":
+            mod = heuristic_build(h, h.d * DEFAULT_DEPTH * 7, self.P, seed=1)
+            cells = [sk.table for sk in mod.cms]
+            return (mod.m, mod.tables, cells, [summary_state(g) for g in mod.mg]), replays
+        with pass1_summaries() as seen:
+            first = nb_pass1(h, self.P, budget) if kind == "nb" else indep_pass1(h, self.P, budget)
+        replays.append(0)
+        if kind == "nb":
+            mod = nb_pass2(h, *first, self.P)
+        else:
+            mod = indep_pass2(h, first, self.P)
+        return (first, seen, mod), replays
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, CHUNK_ROWS + 40),
+        st.lists(st.integers(1, 20), min_size=1, max_size=3),
+        st.one_of(st.none(), st.integers(1, 3)),
+        st.data(),
+    )
+    def test_builds_equal_fresh_builds(self, seed, m, sizes, ell, data):
+        rng = random.Random(seed)
+        d = len(sizes)
+        rows = [tuple(rng.randrange(n) for n in sizes) for _ in range(m)]
+        if ell is not None:
+            rows = [(*row, rng.randrange(ell)) for row in rows]
+        class_col = None if ell is None else d
+        cards = [len({row[j] for row in rows}) for j in range(d)]
+        n_classes = None if ell is None else len({row[d] for row in rows})
+        # Pass-1 budgets below, at and above each cardinality.
+        near = sorted({max(1, c + delta) for c in cards for delta in (-1, 0, 1)})
+        kinds = ["indep", "heuristic"] + ([] if ell is None else ["nb"])
+        budgets = {k: data.draw(st.sampled_from(near), label=k) for k in kinds}
+        budgets["heuristic"] = self.HEURISTIC_BUDGET
+        fresh = {}
+        for kind in kinds:
+            ref = from_items(rows, class_col=class_col)
+            ref.replay(lambda _c, _z: None)
+            fresh[kind] = self.build(ref, kind, budgets[kind])[0]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            for handle_kind in ("cached", "spilled", "unfrozen"):
+                for order in itertools.permutations(kinds):
+                    h = open_dataset(path, class_col=class_col, cache_items=handle_kind == "cached")
+                    if handle_kind != "unfrozen":
+                        h.replay(lambda _c, _z: None)
+                    stored, classes_stored = set(), False
+                    for kind in order:
+                        b = budgets[kind]
+                        made, replays = self.build(h, kind, b)
+                        assert made == fresh[kind], (handle_kind, order, kind)
+                        # Pass 1 replays to feed the coordinates it cannot
+                        # rebuild. The first replay also stores the class
+                        # counts, so they never need a replay of their own.
+                        fed = [j for j in range(d) if not (j in stored and cards[j] <= b)]
+                        expected = [1 if fed else 0]
+                        if fed:
+                            stored |= {j for j in fed if cards[j] <= b}
+                            classes_stored = ell is not None
+                        # Pass 2 counts what pass 1 left unknown: with one
+                        # class only the coordinates that overflowed.
+                        overflow = any(c > b for c in cards)
+                        if kind == "indep":
+                            expected.append(1 if overflow else 0)
+                        elif kind == "nb":
+                            expected.append(1 if overflow or n_classes > 1 else 0)
+                        assert replays == expected, (handle_kind, order, kind)
+                    for j in range(d):
+                        counts = h.exact_counts(j)
+                        if j in stored:
+                            tally = Counter(h.code(j, str(row[j])) for row in rows)
+                            assert list(counts.items()) == list(tally.items())
+                        else:
+                            assert counts is None
+                    if ell is not None:
+                        assert (h.exact_counts(None) is not None) == classes_stored
 
 
 class TestScore:

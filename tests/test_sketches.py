@@ -130,6 +130,20 @@ class TestMisraGries:
             sk.update(rng.randrange(20))
             assert len(sk.counters) <= 3
 
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_from_counts_equals_feeding_in_code_order(self, budget):
+        stream = [0, 1, 0, 2, 1, 0]
+        sk = MisraGries(budget)
+        for x in stream:
+            sk.update(x)
+        rebuilt = MisraGries.from_counts(budget, {0: 3, 1: 2, 2: 1})
+        assert list(rebuilt.counters.items()) == list(sk.counters.items())
+        assert (rebuilt.counter_budget, rebuilt.processed, rebuilt.decrements) == (budget, 6, 0)
+
+    def test_from_counts_overflow_rejected(self):
+        with pytest.raises(ConfigError, match="3 values overflow 2 counters"):
+            MisraGries.from_counts(2, {5: 1, 6: 1, 7: 1})
+
     def test_zero_budget_tracks_nothing(self):
         sk = MisraGries(0)
         for x in [1, 2, 1, 1]:

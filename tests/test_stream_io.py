@@ -164,6 +164,32 @@ class TestReplay:
         with pytest.raises(ConfigError):
             from_rows([["a", "b"]], class_col=2)
 
+    def test_exact_counts_stored_once(self):
+        h = from_rows([["a", "x"], ["b", "y"], ["a", "x"]], class_col=1)
+        h.replay(lambda _i, _c: None)
+        assert h.exact_counts(0) is None and h.exact_counts(None) is None
+        assert h.exact_counts(0, [2, 1]) == {0: 2, 1: 1}
+        assert h.exact_counts(0, [1, 2]) == {0: 2, 1: 1}  # the first store is kept
+        assert h.exact_counts(None, iter([2, 1])) == {0: 2, 1: 1}
+        counts = h.exact_counts(0)
+        assert list(counts.items()) == [(0, 2), (1, 1)]
+        # Keyed by the dictionary's own ints, as a replayed chunk is.
+        assert [x is h.code(0, t) for x, t in zip(counts, "ab")] == [True, True]
+
+    @pytest.mark.parametrize("counts", [[3], [1, 1], [2, 1, 0]])
+    def test_exact_counts_of_another_column_rejected(self, counts):
+        # Counts must cover every code and sum to m.
+        h = from_rows([["a"], ["b"], ["a"]])
+        h.replay(lambda _i, _c: None)
+        with pytest.raises(ConfigError, match="counts summing to"):
+            h.exact_counts(0, counts)
+        assert h.exact_counts(0) is None
+
+    def test_exact_counts_need_a_class_column(self):
+        h = from_rows([["a"]])
+        with pytest.raises(ConfigError, match="no class column"):
+            h.exact_counts(None)
+
     def test_class_only_file_rejected(self):
         with pytest.raises(ConfigError):
             from_rows([["a"]], class_col=0)
