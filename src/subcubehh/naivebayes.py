@@ -212,7 +212,7 @@ def misra_gries_pass(
     if not fed and tally is None:
         return h.m, sketches, class_counts
 
-    def visit(columns: Columns, classes: list[int] | None) -> None:
+    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
         if tally is not None:
             tally.update(classes)
         for i, sk in fed:
@@ -275,7 +275,7 @@ def _recount(
     ]
     split = any(known for *_, known in jobs)  # only with several classes
 
-    def visit(columns: Columns, classes: list[int] | None) -> None:
+    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
         if split:
             outside = [z != top for z in classes]
             other_classes = list(compress(classes, outside))

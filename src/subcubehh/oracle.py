@@ -16,6 +16,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .core import HHParams, JointValue, Subcube
 from .errors import NoClassColumnError, SupportTooLargeError
@@ -56,7 +57,7 @@ def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
     """Count every joint value of `t` by a full pass over the dataset."""
     counts: Counter[JointValue] = Counter()
 
-    def visit(columns: Columns, _classes: list[int] | None) -> None:
+    def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
         counts.update(zip(*(columns[c] for c in t.coords)))
 
     return GroundTruth(t, h.replay(visit), counts)
@@ -143,7 +144,7 @@ def empirical_alpha_nb(
     class_counts: Counter[int] = Counter()
     joint_class: list[Counter[tuple[int, int]]] = [Counter() for _ in t.coords]
 
-    def visit(columns: Columns, classes: list[int] | None) -> None:
+    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
         joint.update(zip(*(columns[c] for c in t.coords)))
         class_counts.update(classes)
         for tally, c in zip(joint_class, t.coords):

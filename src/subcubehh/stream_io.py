@@ -7,10 +7,11 @@ each column gets its own first-seen-first-coded dictionary, built during the
 first full replay and frozen afterwards.
 
 The visitor is called once per chunk of up to CHUNK_ROWS rows, as
-`visitor(columns, classes)`: `columns` is a tuple of d lists of feature
-codes, one list per coordinate, and `classes` the list of class codes, or
-None without a class column. Row r of the chunk is
-`tuple(col[r] for col in columns)`. A file with no '"' and no NUL byte is
+`visitor(columns, classes)`: `columns` is a tuple of d read-only sequences
+of feature codes, one per coordinate, and `classes` the sequence of class
+codes, or None without a class column. Row r of the chunk is
+`tuple(col[r] for col in columns)`. Visitors use only len, iteration,
+index and slice (a slice is a list). A file with no '"' and no NUL byte is
 read in text blocks and cut into lines at every \\r and \\n; each chunk of
 lines is split into fields by one join and one split, and column j is every
 n-th field from j. Any other file (quoted fields, embedded line ends) goes
@@ -28,9 +29,13 @@ a class column, so every code must fit in 32 bits. Multi-pass algorithms
 need every pass to see the same stream, so a later replay whose source
 changed, or can no longer be read, fails with IngestInconsistencyError
 before the visitor sees a chunk. Otherwise it reads the chunks back from the
-spill, decoded to the dictionaries' own int objects; when the spill could
-not be written, it parses the unchanged file again, and a token the first
-pass never coded raises IngestInconsistencyError.
+spill, each column a lazy sequence over the chunk's packed codes: a code
+is decoded to its dictionary's own int object only when the visitor reads
+it, so a column no visitor reads costs nothing to decode, and a column is
+decoded once however often it is iterated. When the spill could not be
+written, the replay parses the unchanged file again, and a token the first
+pass never coded raises IngestInconsistencyError. Cached chunks, the
+freezing replay and a parse hand plain lists.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -71,8 +76,8 @@ _DIGEST_BLOCK = 1 << 16
 # replay's peak RSS and measured no faster.
 _TEXT_BLOCK = 1 << 14
 
-Columns = tuple[list[int], ...]
-Visitor = Callable[[Columns, "list[int] | None"], None]
+Columns = tuple[Sequence[int], ...]
+Visitor = Callable[[Columns, "Sequence[int] | None"], None]
 
 
 class DatasetHandle:
@@ -312,22 +317,27 @@ class DatasetHandle:
         self._spill, self._digest = spill, digest
         return m
 
+    def _decode_table(self, col: int) -> list[int]:
+        """Code -> the dictionary's own int object, for file column `col`."""
+        return list(self._dicts[col].values())
+
     def _replay_spill(self, visitor: Visitor) -> int:
-        """The chunks the freezing replay spilled. Codes are decoded to the
-        dictionaries' own int objects, so a chunk holds what parsing holds."""
+        """The chunks the freezing replay spilled, each column a
+        _SpilledColumn, so a chunk reads as parsing's lists do and a column
+        nobody reads is never decoded."""
         cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
-        objs = [list(self._dicts[j].values()) for j in cols]  # code -> the dict's int
+        tables = [self._decode_table(j) for j in cols]
         spill = self._spill
         spill.seek(0)
         for start in range(0, self.m, CHUNK_ROWS):
             n = min(CHUNK_ROWS, self.m - start)
             codes = array("I")
             codes.fromfile(spill, n * len(cols))  # column by column, as spilled
-            decoded = [
-                list(map(o.__getitem__, codes[i * n : (i + 1) * n])) for i, o in enumerate(objs)
+            columns = [
+                _SpilledColumn(codes[i * n : (i + 1) * n], table) for i, table in enumerate(tables)
             ]
-            classes = None if self.class_col is None else decoded.pop()
-            visitor(tuple(decoded), classes)
+            classes = None if self.class_col is None else columns.pop()
+            visitor(tuple(columns), classes)
         return self.m
 
     def _replay_source(self, visitor: Visitor, plain: bool) -> int:
@@ -350,6 +360,35 @@ class DatasetHandle:
         if chunks is not None:
             self._cached_chunks = chunks
         return m
+
+
+class _SpilledColumn(Sequence[int]):
+    """One column of a chunk read back from the spill, read-only. Its codes
+    stay packed until read: an index or a slice decodes only those
+    positions, to the decode table's ints, and the first iteration decodes
+    the whole column and keeps the list for the chunk's later reads."""
+
+    __slots__ = ("_codes", "_table", "_values")
+
+    def __init__(self, codes: array, table: list[int]):
+        self._codes = codes
+        self._table = table
+        self._values: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int | slice) -> int | list[int]:
+        if self._values is not None:
+            return self._values[i]
+        if isinstance(i, slice):
+            return list(map(self._table.__getitem__, self._codes[i]))
+        return self._table[self._codes[i]]
+
+    def __iter__(self) -> Iterator[int]:
+        if self._values is None:
+            self._values = list(map(self._table.__getitem__, self._codes))
+        return iter(self._values)
 
 
 def _known_code(codes: dict[str, int], token: str) -> int:

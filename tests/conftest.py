@@ -22,3 +22,25 @@ def d0_handle():
     h = from_items(D0_ROWS)
     h.replay(lambda _i, _c: None)
     return h
+
+
+def cached_and_spilled(path, rows, class_col=None):
+    """Two frozen handles on `rows` written to `path`: one caching its
+    chunks, one replaying the spill its freezing replay wrote."""
+    import csv
+
+    from subcubehh.stream_io import open_dataset
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    handles = [open_dataset(path, class_col=class_col, cache_items=c) for c in (True, False)]
+    for h in handles:
+        h.replay(lambda _c, _z: None)
+    assert handles[1]._spill is not None
+    return handles
+
+
+def is_dictionary_int(h, coord, x):
+    """True when code x of feature coordinate `coord` is the handle's
+    dictionary's own int object, not an equal copy."""
+    return x is h.code(coord, h.decode(coord, x))

@@ -17,6 +17,7 @@ from subcubehh.oracle import (
     truth_label,
 )
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items
+from tests.conftest import cached_and_spilled, is_dictionary_int
 
 
 class TestExactTable:
@@ -99,6 +100,32 @@ class TestExactTable:
         top = gt.top_values(2)
         assert len(top) == 2
         assert gt.counts[top[0]] >= gt.counts[top[1]]
+
+
+class TestSpilledHandle:
+    """The oracle's tables and diagnostics on a handle that replays its
+    spill equal those on a cached handle; table keys are the dictionary's
+    own ints."""
+
+    ROWS = [(r * 7 % 600, r % 7, r * r % 11, r % 3) for r in range(2 * CHUNK_ROWS + 37)]
+
+    @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
+    def test_exact_table_equals_cached(self, tmp_path, coords):
+        cached, spilled = cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)
+        t = make_subcube(coords, 3)
+        want, got = exact_table(cached, t), exact_table(spilled, t)
+        assert got == want
+        assert list(got.counts) == list(want.counts)  # same first-seen order
+        assert got.heavy_set(0.01) == want.heavy_set(0.01)
+        assert all(
+            is_dictionary_int(spilled, c, x) for v in got.counts for c, x in zip(coords, v)
+        )
+
+    @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
+    def test_alpha_nb_equals_cached(self, tmp_path, coords):
+        cached, spilled = cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)
+        t = make_subcube(coords, 3)
+        assert empirical_alpha_nb(spilled, t) == empirical_alpha_nb(cached, t)
 
 
 class TestTruthLabel:

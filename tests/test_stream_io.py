@@ -3,6 +3,9 @@ import errno
 import io
 import random
 import tempfile
+from array import array
+from collections import defaultdict
+from contextlib import contextmanager
 from itertools import islice
 from unittest import mock
 
@@ -16,7 +19,12 @@ from subcubehh.errors import (
     RaggedRowError,
 )
 from subcubehh import stream_io
-from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
+from subcubehh.core import HHParams
+from subcubehh.heuristic import heuristic_build
+from subcubehh.sampling import build_sample
+from subcubehh.sketches import MisraGries, hash_pair
+from subcubehh.stream_io import CHUNK_ROWS, _SpilledColumn, from_rows, open_dataset
+from tests.conftest import cached_and_spilled
 
 
 def write_csv(path, rows, delimiter=","):
@@ -481,6 +489,139 @@ class TestSpill:
         with count_parses() as parses:
             assert record(h) == (parsed, m)
             assert parses.call_count == 1  # no spill: the file is parsed again
+
+
+class CountingTable(list):
+    """A decode table that counts the codes read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def read_or_raise(read):
+    """What a read returns, or the type of what it raises."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc)
+
+
+class TestSpilledColumn:
+    """A spilled chunk column reads as the list it decodes to, decoding
+    only the positions read, until its first iteration decodes it whole."""
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))
+        ),
+        st.data(),
+    )
+    def test_reads_equal_the_decoded_list(self, drawn, data):
+        n_codes, codes = drawn
+        # Fresh ints above CPython's small-int cache, so `is` tells copies apart.
+        table = CountingTable(int(str(1000 + k)) for k in range(n_codes))
+        ref = [list.__getitem__(table, c) for c in codes]
+        col = _SpilledColumn(array("I", codes), table)
+        n = len(codes)
+        assert len(col) == n
+        assert table.reads == 0
+        bound = st.integers(-2 * n - 3, 2 * n + 3)
+        decoded = 0
+        for i in data.draw(st.lists(bound, max_size=6), label="indexes"):
+            got = read_or_raise(lambda: col[i])
+            if -n <= i < n:
+                assert got is ref[i]
+                decoded += 1
+            else:
+                assert got is IndexError
+        step = st.none() | st.integers(-3, 3)  # 0 raises ValueError, as for a list
+        slices = st.builds(slice, st.none() | bound, st.none() | bound, step)
+        for sl in data.draw(st.lists(slices, max_size=6), label="slices"):
+            got, want = read_or_raise(lambda: col[sl]), read_or_raise(lambda: ref[sl])
+            assert got == want
+            if isinstance(want, list):
+                assert type(got) is list
+                assert all(a is b for a, b in zip(got, want))
+                decoded += len(want)
+        assert table.reads == decoded  # only the positions read
+        assert all(a is b for a, b in zip(col, ref, strict=True))
+        assert table.reads == decoded + n
+        # Later reads, a second iteration included, reuse the decoded list.
+        assert list(col) == ref
+        assert col[::-1] == ref[::-1]
+        assert [col[i] for i in range(-n, n)] == ref + ref
+        assert table.reads == decoded + n
+
+    @pytest.mark.parametrize("budget", [2, 5, 50])
+    def test_misra_gries_decodes_a_chunk_once(self, budget):
+        # update_many takes set(xs), then counts xs: with room or without.
+        codes = [r * 7 % 13 for r in range(CHUNK_ROWS)]
+        table = CountingTable(range(13))
+        want, got = MisraGries(budget), MisraGries(budget)
+        want.update_many(codes)
+        got.update_many(_SpilledColumn(array("I", codes), table))
+        assert (got.counters, got.decrements) == (want.counters, want.decrements)
+        assert table.reads == CHUNK_ROWS
+
+
+@contextmanager
+def decode_reads():
+    """Counts the codes each file column's decode tables hand out while the
+    patch holds; the returned function gives {file column: codes read}."""
+    tables = defaultdict(list)
+    real = stream_io.DatasetHandle._decode_table
+
+    def counting(self, col):
+        table = CountingTable(real(self, col))
+        tables[col].append(table)
+        return table
+
+    with mock.patch.object(stream_io.DatasetHandle, "_decode_table", counting):
+        yield lambda: {col: sum(t.reads for t in ts) for col, ts in tables.items()}
+
+
+class TestDecodeOnRead:
+    """A replay of the spill decodes the codes its visitor reads, no more."""
+
+    # Coordinate 0 overflows the heuristic's 16 counters; the rest fit.
+    ROWS = [(r * 7 % 40, r % 5, r % 3, r % 4) for r in range(3 * CHUNK_ROWS + 37)]
+    M = len(ROWS)
+
+    def spilled(self, tmp_path):
+        return cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)[1]
+
+    def test_no_op_visitor_decodes_nothing(self, tmp_path):
+        h = self.spilled(tmp_path)
+        with decode_reads() as reads:
+            assert h.replay(lambda _c, _z: None) == self.M
+        assert reads() == {0: 0, 1: 0, 2: 0, 3: 0}
+
+    def test_heuristic_decodes_only_what_it_feeds(self, tmp_path):
+        h = self.spilled(tmp_path)
+        p = HHParams(1.0)  # 16 counters per coordinate
+        with decode_reads() as reads:
+            first = heuristic_build(h, 3 * 4 * 7, p, seed=1)
+        assert reads() == {0: self.M, 1: self.M, 2: self.M, 3: self.M}
+        # Coordinates 1 and 2 and the class counts are stored now: a second
+        # build feeds coordinate 0 alone.
+        with decode_reads() as reads:
+            second = heuristic_build(h, 3 * 4 * 7, p, seed=1)
+        assert reads() == {0: self.M, 1: 0, 2: 0, 3: 0}
+        assert second.tables == first.tables
+
+    @pytest.mark.parametrize("capacity", [300, CHUNK_ROWS + 5])
+    def test_sample_decodes_fill_and_hit_rows(self, tmp_path, capacity):
+        h = self.spilled(tmp_path)
+        seed = 3
+        hits = sum(hash_pair(i, seed) % i < capacity for i in range(capacity + 1, self.M + 1))
+        with decode_reads() as reads:
+            build_sample(h, capacity, seed, HHParams(0.5))
+        assert hits > 0
+        assert reads() == {0: capacity + hits, 1: capacity + hits, 2: capacity + hits, 3: 0}
 
 
 class TestFreezeCoding:
