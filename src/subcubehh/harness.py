@@ -86,6 +86,8 @@ class ExperimentConfig:
             check_no_repeats(name, values)
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
+        if self.sample_size is not None and "sampling" not in self.algos:
+            raise ConfigError(f"a sample size is for the sampling algorithm; got {self.algos}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.memory_fracs is None:

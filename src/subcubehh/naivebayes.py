@@ -192,13 +192,13 @@ def misra_gries_pass(
 
     A coordinate of cardinality at most `budget` can never decrement, so
     where the handle stores its exact counts its summary is rebuilt from
-    them (`MisraGries.from_counts`). The other summaries are fed in one
-    replay, which hands `on_removed(i, removed)` what each chunk's rounds
-    removed on coordinate i, and which also counts a class column not yet
-    stored. Each summary that never decremented, and those class counts,
-    are then stored on the handle. So once any build has replayed, the
-    class counts are stored, and a build with no summary left to feed
-    makes no replay.
+    them (`MisraGries.from_counts`). The others are fed in one replay, which
+    hands `on_removed(i, removed)` what each chunk's rounds removed on
+    coordinate i and counts a class column not yet stored; they are then
+    re-keyed to the dictionary's own ints (`code_table`). Each that never
+    decremented, and those class counts, are stored on the handle. So once
+    any build has replayed, the class counts are stored, and a build with
+    no summary left to feed makes no replay.
     """
 
     def summary(i: int, n: int) -> MisraGries:
@@ -222,8 +222,9 @@ def misra_gries_pass(
 
     m = h.replay(visit)
     for i, sk in fed:
-        if not sk.decrements:
-            # Keyed by first-seen order, which is code order.
+        table = h.code_table(i)
+        sk.counters = Counter({table[x]: n for x, n in sk.counters.items()})
+        if not sk.decrements:  # keyed in first-seen order, which is code order
             h.exact_counts(i, sk.counters.values())
     if tally is not None:
         class_counts = h.exact_counts(None, tally.values())
@@ -277,7 +278,7 @@ def _recount(
 
     def visit(columns: Columns, classes: Sequence[int] | None) -> None:
         if split:
-            outside = [z != top for z in classes]
+            outside = list(map(top.__ne__, classes))
             other_classes = list(compress(classes, outside))
         for tally, s, col, known in jobs:
             xs = columns[col]

@@ -58,7 +58,7 @@ def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
     counts: Counter[JointValue] = Counter()
 
     def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
-        counts.update(zip(*(columns[c] for c in t.coords)))
+        counts.update(zip(*(columns[c][:] for c in t.coords)))  # a slice keeps own ints
 
     return GroundTruth(t, h.replay(visit), counts)
 

@@ -11,15 +11,18 @@ The visitor is called once per chunk of up to CHUNK_ROWS rows, as
 of feature codes, one per coordinate, and `classes` the sequence of class
 codes, or None without a class column. Row r of the chunk is
 `tuple(col[r] for col in columns)`. Visitors use only len, iteration,
-index and slice (a slice is a list). A file with no '"' and no NUL byte is
-read in text blocks and cut into lines at every \\r and \\n; each chunk of
-lines is split into fields by one join and one split, and column j is every
-n-th field from j. Any other file (quoted fields, embedded line ends) goes
-through csv.reader and a zip transpose, as does an in-memory source. Both
-read exactly what csv.reader reads. Chunks are then encoded by map over the
-dictionaries, so reading a chunk costs no Python call per item or cell. A
-cached handle keeps these chunk columns, not rows, and hands the same lists
-to every pass: visitors read them and never modify them.
+index and slice (a slice is a list).
+Iteration yields ints equal to the codes (not, on a spilled chunk, the
+dictionary's own objects); an index or a slice yields the dictionary's own
+ints. A file with no '"' and no NUL byte is read in text blocks and cut
+into lines at every \\r and \\n; each chunk of lines is split into fields
+by one join and one split, and column j is every n-th field from j. Any
+other file (quoted fields, embedded line ends) goes through csv.reader and
+a zip transpose, as does an in-memory source. Both read exactly what
+csv.reader reads. Chunks are then encoded by map over the dictionaries, so
+reading a chunk costs no Python call per item or cell. A cached handle
+keeps these chunk columns, not rows, and hands the same lists to every
+pass: visitors read them and never modify them.
 
 An uncached file is parsed once per handle. Before its freezing replay
 parses, it records the CRC32 and byte count of the source, and it also
@@ -28,14 +31,13 @@ an anonymous temporary file: 4*d*m bytes of temporary disk, 4*(d+1)*m with
 a class column, so every code must fit in 32 bits. Multi-pass algorithms
 need every pass to see the same stream, so a later replay whose source
 changed, or can no longer be read, fails with IngestInconsistencyError
-before the visitor sees a chunk. Otherwise it reads the chunks back from the
-spill, each column a lazy sequence over the chunk's packed codes: a code
-is decoded to its dictionary's own int object only when the visitor reads
-it, so a column no visitor reads costs nothing to decode, and a column is
-decoded once however often it is iterated. When the spill could not be
-written, the replay parses the unchanged file again, and a token the first
-pass never coded raises IngestInconsistencyError. Cached chunks, the
-freezing replay and a parse hand plain lists.
+before the visitor sees a chunk. Otherwise it reads the chunks back from
+the spill, each column a sequence over the chunk's packed codes: iteration
+hands out the codes themselves, so a visitor that only counts decodes
+nothing, and an index or a slice decodes just the codes it reads. When the
+spill could not be written, the replay parses the unchanged file again, and
+a token the first pass never coded raises IngestInconsistencyError. Cached
+chunks, the freezing replay and a parse hand plain lists.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -227,10 +229,10 @@ class DatasetHandle:
         """The exact count of each code of feature coordinate `coord` (None:
         the class column) over the whole stream, as {code: count} in code
         order, or None until a build has stored them. The handle keeps the
-        counts as one array('Q'); the codes handed out are its
-        dictionary's own ints, as in a replayed chunk. A build that counted
-        every item passes `counts`, in code order, to store them; counts
-        already stored are kept."""
+        counts as one array('Q'); the codes handed out are its dictionary's own
+        ints, as a replayed chunk's index gives. A build that counted every
+        item passes `counts`, in code order, to store them; counts already
+        stored are kept."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
         if counts is not None and col not in self._exact:
             stored = array("Q", counts)
@@ -242,6 +244,12 @@ class DatasetHandle:
             self._exact[col] = stored
         stored = self._exact.get(col)
         return None if stored is None else dict(zip(self._dicts[col].values(), stored))
+
+    def code_table(self, coord: int | None) -> list[int]:
+        """Code -> the dictionary's own int object, for feature coordinate
+        `coord` (None: the class column), as a chunk's index gives it."""
+        col = self._class_column() if coord is None else self._feature_cols[coord]
+        return list(self._dicts[col].values())
 
     # -- replay -------------------------------------------------------------
 
@@ -317,22 +325,18 @@ class DatasetHandle:
         self._spill, self._digest = spill, digest
         return m
 
-    def _decode_table(self, col: int) -> list[int]:
-        """Code -> the dictionary's own int object, for file column `col`."""
-        return list(self._dicts[col].values())
-
     def _replay_spill(self, visitor: Visitor) -> int:
         """The chunks the freezing replay spilled, each column a
-        _SpilledColumn, so a chunk reads as parsing's lists do and a column
-        nobody reads is never decoded."""
-        cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
-        tables = [self._decode_table(j) for j in cols]
+        _SpilledColumn, so a chunk reads as parsing's lists do and only
+        what a visitor indexes or slices is decoded."""
+        coords = [*range(self.d), *([] if self.class_col is None else [None])]
+        tables = [self.code_table(i) for i in coords]
         spill = self._spill
         spill.seek(0)
         for start in range(0, self.m, CHUNK_ROWS):
             n = min(CHUNK_ROWS, self.m - start)
             codes = array("I")
-            codes.fromfile(spill, n * len(cols))  # column by column, as spilled
+            codes.fromfile(spill, n * len(coords))  # column by column, as spilled
             columns = [
                 _SpilledColumn(codes[i * n : (i + 1) * n], table) for i, table in enumerate(tables)
             ]
@@ -363,32 +367,27 @@ class DatasetHandle:
 
 
 class _SpilledColumn(Sequence[int]):
-    """One column of a chunk read back from the spill, read-only. Its codes
-    stay packed until read: an index or a slice decodes only those
-    positions, to the decode table's ints, and the first iteration decodes
-    the whole column and keeps the list for the chunk's later reads."""
+    """One column of a chunk read back from the spill, read-only. Iteration
+    yields its packed codes, ints equal to the decoded ones but new
+    objects, all a counter needs; an index or a slice decodes only those
+    positions, to the decode table's own ints, as a visitor keeps them."""
 
-    __slots__ = ("_codes", "_table", "_values")
+    __slots__ = ("_codes", "_table")
 
     def __init__(self, codes: array, table: list[int]):
         self._codes = codes
         self._table = table
-        self._values: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def __getitem__(self, i: int | slice) -> int | list[int]:
-        if self._values is not None:
-            return self._values[i]
         if isinstance(i, slice):
             return list(map(self._table.__getitem__, self._codes[i]))
         return self._table[self._codes[i]]
 
     def __iter__(self) -> Iterator[int]:
-        if self._values is None:
-            self._values = list(map(self._table.__getitem__, self._codes))
-        return iter(self._values)
+        return iter(self._codes)
 
 
 def _known_code(codes: dict[str, int], token: str) -> int:

@@ -513,6 +513,28 @@ class TestBadValues:
         assert capsys.readouterr().err.startswith("config error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--algo", "nb2p", "--algo", "indep2p", "--sample-size", "50"],
+            ["run", "--algo", "nb2p", "--sample-size", "50"],
+        ],
+        ids=["eval", "run"],
+    )
+    def test_sample_size_without_sampling(self, tiny_csv, tmp_path, capsys, argv):
+        # Only a sampling build reads a sample size, so one given without it is an error.
+        code = main(
+            [
+                *argv, "--data", str(tiny_csv), "--gamma", "0.05", "--subcube", "2,3",
+                "--class-col", "1", "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: a sample size is for the sampling algorithm")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("delimiter", [",,", "", '"', "\r", "\n"])
     @pytest.mark.parametrize("command", ["oracle", "eval"])
     def test_delimiter_not_one_plain_character(

@@ -85,7 +85,7 @@ class ChunkReplay:
     """A handle stand-in that replays the given chunks (each a tuple of
     columns), so a test decides where the chunks are cut. Its values are
     not codes in first-seen order, so it stores no exact counts: a build
-    feeds every summary from its own replay."""
+    feeds every summary from its own replay. Each value is its own code."""
 
     class_col = None
 
@@ -100,6 +100,9 @@ class ChunkReplay:
 
     def exact_counts(self, coord, counts=None):
         return None
+
+    def code_table(self, coord):
+        return range(1 + max(x for columns in self.chunks for x in columns[coord]))
 
     def replay(self, visitor):
         self.replays += 1

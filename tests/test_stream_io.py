@@ -19,12 +19,14 @@ from subcubehh.errors import (
     RaggedRowError,
 )
 from subcubehh import stream_io
-from subcubehh.core import HHParams
-from subcubehh.heuristic import heuristic_build
+from subcubehh.core import HHParams, make_subcube
+from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
+from subcubehh.naivebayes import indep_pass1, indep_pass2, nb_pass1, nb_pass2
+from subcubehh.oracle import exact_table
 from subcubehh.sampling import build_sample
 from subcubehh.sketches import MisraGries, hash_pair
 from subcubehh.stream_io import CHUNK_ROWS, _SpilledColumn, from_rows, open_dataset
-from tests.conftest import cached_and_spilled
+from tests.conftest import cached_and_spilled, is_dictionary_int
 
 
 def write_csv(path, rows, delimiter=","):
@@ -369,7 +371,10 @@ class TestSpill:
         assert parses.call_count == 0
         code = h.code(0, rows[-1][0])
         assert code > 256  # outside CPython's small-int cache
-        assert chunks[-1][0][0][-1] is code
+        col = chunks[-1][0][0]
+        assert col[-1] is code and col[-1:][0] is code  # an index and a slice decode
+        iterated = list(col)[-1]  # iteration hands out the packed code: equal, a copy
+        assert iterated == code and iterated is not code
         assert chunks[-1][1][-1] is h.class_code(rows[-1][2])
 
     def test_rewritten_file_is_rejected(self, tmp_path):
@@ -510,8 +515,9 @@ def read_or_raise(read):
 
 
 class TestSpilledColumn:
-    """A spilled chunk column reads as the list it decodes to, decoding
-    only the positions read, until its first iteration decodes it whole."""
+    """A spilled chunk column reads as the list it decodes to. Iteration
+    yields the packed codes, equal in value, and decodes nothing; an index
+    or a slice decodes only the positions read, to the table's own ints."""
 
     @settings(max_examples=200)
     @given(
@@ -521,13 +527,18 @@ class TestSpilledColumn:
         st.data(),
     )
     def test_reads_equal_the_decoded_list(self, drawn, data):
-        n_codes, codes = drawn
-        # Fresh ints above CPython's small-int cache, so `is` tells copies apart.
-        table = CountingTable(int(str(1000 + k)) for k in range(n_codes))
+        n_codes, drawn_codes = drawn
+        # Code k decodes to k, as a dictionary's values do. Codes above
+        # CPython's small-int cache and fresh ints, so `is` tells copies apart.
+        table = CountingTable(int(str(k)) for k in range(1000 + n_codes))
+        codes = [1000 + c for c in drawn_codes]
         ref = [list.__getitem__(table, c) for c in codes]
         col = _SpilledColumn(array("I", codes), table)
         n = len(codes)
         assert len(col) == n
+        for _ in range(2):  # the packed codes: equal to the decoded ints, not them
+            assert list(col) == ref
+            assert not any(a is b for a, b in zip(col, ref))
         assert table.reads == 0
         bound = st.integers(-2 * n - 3, 2 * n + 3)
         decoded = 0
@@ -548,16 +559,11 @@ class TestSpilledColumn:
                 assert all(a is b for a, b in zip(got, want))
                 decoded += len(want)
         assert table.reads == decoded  # only the positions read
-        assert all(a is b for a, b in zip(col, ref, strict=True))
-        assert table.reads == decoded + n
-        # Later reads, a second iteration included, reuse the decoded list.
         assert list(col) == ref
-        assert col[::-1] == ref[::-1]
-        assert [col[i] for i in range(-n, n)] == ref + ref
-        assert table.reads == decoded + n
+        assert table.reads == decoded  # iteration, even after reads, decodes nothing
 
     @pytest.mark.parametrize("budget", [2, 5, 50])
-    def test_misra_gries_decodes_a_chunk_once(self, budget):
+    def test_misra_gries_decodes_nothing(self, budget):
         # update_many takes set(xs), then counts xs: with room or without.
         codes = [r * 7 % 13 for r in range(CHUNK_ROWS)]
         table = CountingTable(range(13))
@@ -565,27 +571,29 @@ class TestSpilledColumn:
         want.update_many(codes)
         got.update_many(_SpilledColumn(array("I", codes), table))
         assert (got.counters, got.decrements) == (want.counters, want.decrements)
-        assert table.reads == CHUNK_ROWS
+        assert table.reads == 0
 
 
 @contextmanager
 def decode_reads():
-    """Counts the codes each file column's decode tables hand out while the
-    patch holds; the returned function gives {file column: codes read}."""
+    """Counts the codes each coordinate's code tables hand out while the
+    patch holds (None: the class column); the returned function gives
+    {coordinate: codes read}."""
     tables = defaultdict(list)
-    real = stream_io.DatasetHandle._decode_table
+    real = stream_io.DatasetHandle.code_table
 
-    def counting(self, col):
-        table = CountingTable(real(self, col))
-        tables[col].append(table)
+    def counting(self, coord):
+        table = CountingTable(real(self, coord))
+        tables[coord].append(table)
         return table
 
-    with mock.patch.object(stream_io.DatasetHandle, "_decode_table", counting):
-        yield lambda: {col: sum(t.reads for t in ts) for col, ts in tables.items()}
+    with mock.patch.object(stream_io.DatasetHandle, "code_table", counting):
+        yield lambda: {coord: sum(t.reads for t in ts) for coord, ts in tables.items()}
 
 
 class TestDecodeOnRead:
-    """A replay of the spill decodes the codes its visitor reads, no more."""
+    """A replay of the spill decodes the codes its visitor indexes or
+    slices, no more; a build decodes what it keeps."""
 
     # Coordinate 0 overflows the heuristic's 16 counters; the rest fit.
     ROWS = [(r * 7 % 40, r % 5, r % 3, r % 4) for r in range(3 * CHUNK_ROWS + 37)]
@@ -598,20 +606,27 @@ class TestDecodeOnRead:
         h = self.spilled(tmp_path)
         with decode_reads() as reads:
             assert h.replay(lambda _c, _z: None) == self.M
-        assert reads() == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert reads() == {0: 0, 1: 0, 2: 0, None: 0}
 
     def test_heuristic_decodes_only_what_it_feeds(self, tmp_path):
+        # Counting decodes nothing: each fed summary's final keys are
+        # decoded once, at the end of the pass.
         h = self.spilled(tmp_path)
         p = HHParams(1.0)  # 16 counters per coordinate
         with decode_reads() as reads:
             first = heuristic_build(h, 3 * 4 * 7, p, seed=1)
-        assert reads() == {0: self.M, 1: self.M, 2: self.M, 3: self.M}
+        kept = [len(sk.counters) for sk in first.mg]
+        assert kept[1:] == [5, 3] and first.mg[0].decrements > 0
+        assert reads() == {0: kept[0], 1: 5, 2: 3, None: 0}
         # Coordinates 1 and 2 and the class counts are stored now: a second
         # build feeds coordinate 0 alone.
         with decode_reads() as reads:
             second = heuristic_build(h, 3 * 4 * 7, p, seed=1)
-        assert reads() == {0: self.M, 1: 0, 2: 0, 3: 0}
+        assert reads() == {0: kept[0], 1: 0, 2: 0, None: 0}
         assert second.tables == first.tables
+        for mod in (first, second):
+            for j, (sk, table) in enumerate(zip(mod.mg, mod.tables)):
+                assert all(is_dictionary_int(h, j, x) for x in [*sk.counters, *dict(table)])
 
     @pytest.mark.parametrize("capacity", [300, CHUNK_ROWS + 5])
     def test_sample_decodes_fill_and_hit_rows(self, tmp_path, capacity):
@@ -621,7 +636,88 @@ class TestDecodeOnRead:
         with decode_reads() as reads:
             build_sample(h, capacity, seed, HHParams(0.5))
         assert hits > 0
-        assert reads() == {0: capacity + hits, 1: capacity + hits, 2: capacity + hits, 3: 0}
+        assert reads() == {0: capacity + hits, 1: capacity + hits, 2: capacity + hits, None: 0}
+
+
+def build_all(h, budget, capacity, width, seed, heuristic_first):
+    """Every model and oracle table on `h`, in an order that decides which
+    pass-1 summaries are fed and which are rebuilt from stored counts."""
+    p = HHParams(0.5)  # the heuristic's summaries hold 32 counters
+    built = {}
+    if heuristic_first:
+        built["heuristic"] = heuristic_build(h, DEFAULT_DEPTH * h.d * width, p, seed)
+    built["nb_pass1"] = nb_pass1(h, p, budget)
+    built["nb"] = nb_pass2(h, *built["nb_pass1"], p)
+    built["indep_pass1"] = indep_pass1(h, p, budget)
+    built["indep"] = indep_pass2(h, built["indep_pass1"], p)
+    if not heuristic_first:
+        built["heuristic"] = heuristic_build(h, DEFAULT_DEPTH * h.d * width, p, seed)
+    built["sample"] = build_sample(h, capacity, seed, p)
+    for coords in ([0, 1], [2, 0, 1]):
+        built[tuple(coords)] = exact_table(h, make_subcube(coords, h.d))
+    return built
+
+
+def kept_codes(built):
+    """(coordinate, code) for every feature code the models and tables keep."""
+    heur = built["heuristic"]
+    yield from ((j, x) for j, col in enumerate(built["sample"].columns) for x in col)
+    for j, (sk, table) in enumerate(zip(heur.mg, heur.tables)):
+        yield from ((j, x) for x in [*sk.counters, *dict(table)])
+    for cands in (built["nb_pass1"][1], built["indep_pass1"]):
+        for j, (s, totals) in enumerate(zip(cands.sets, cands.totals)):
+            yield from ((j, x) for x in [*s, *(totals or ())])
+    for mod in (built["nb"], built["indep"]):
+        for j in range(len(mod.tables)):
+            rows = [x for x, *_ in mod.tables[j]]
+            yield from ((j, x) for x in [*rows, *mod.index[j], *mod.class_counts_by_value[j]])
+    for coords in ((0, 1), (2, 0, 1)):
+        yield from ((c, x) for v in built[coords].counts for c, x in zip(coords, v))
+
+
+class TestModelsOnSpill:
+    """Every model and oracle table built on a handle replaying its spill
+    equals the one built on a cached handle, and keeps only the
+    dictionary's own ints, whether its summaries decrement or not."""
+
+    @settings(max_examples=30)
+    @given(
+        data_seed=st.integers(0, 2**16),
+        m=st.integers(1, 3 * CHUNK_ROWS),
+        cards=st.tuples(st.integers(300, 700), st.integers(1, 40), st.integers(1, 40)),
+        ell=st.integers(1, 4),
+        budget=st.integers(1, 60),  # below and above coordinates 1 and 2
+        capacity=st.integers(1, 3 * CHUNK_ROWS),
+        width=st.integers(1, 50),
+        seed=st.integers(0, 3),
+        heuristic_first=st.booleans(),
+    )
+    def test_models_equal_cached_and_keep_dictionary_ints(
+        self, tmp_path_factory, data_seed, m, cards, ell, budget, capacity, width, seed,
+        heuristic_first,
+    ):
+        rng = random.Random(data_seed)
+        # Half the draws from the first 3 values of a coordinate, so some are heavy.
+        rows = [
+            (*(rng.randrange(min(n, 3) if rng.random() < 0.5 else n) for n in cards),
+             rng.randrange(ell))
+            for _ in range(m)
+        ]
+        path = tmp_path_factory.mktemp("models") / "d.csv"
+        cached, spilled = cached_and_spilled(path, rows, class_col=3)
+        args = budget, capacity, width, seed, heuristic_first
+        want, got = build_all(cached, *args), build_all(spilled, *args)
+        for key in want:
+            if key == "heuristic":
+                summaries = [
+                    [(sk.counters, sk.processed, sk.decrements) for sk in mod.mg]
+                    for mod in (got[key], want[key])
+                ]
+                assert got[key].tables == want[key].tables
+                assert summaries[0] == summaries[1]
+            else:
+                assert got[key] == want[key], key
+        assert all(is_dictionary_int(spilled, j, x) for j, x in kept_codes(got))
 
 
 class TestFreezeCoding:
