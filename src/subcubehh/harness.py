@@ -81,8 +81,11 @@ class ExperimentConfig:
             self.gamma_stars = default_gamma_star_sweep(self.gamma)
         for gs in self.gamma_stars:
             p.threshold(gs)  # a decision threshold must be > 0
+        if self.memory_fracs is None:
+            self.memory_fracs = [0.001, 0.005, 0.01]
         for name, values in (("algorithms", self.algos), ("subcubes", self.subcubes),
-                             ("seeds", self.seeds), ("decision thresholds", self.gamma_stars)):
+                             ("seeds", self.seeds), ("decision thresholds", self.gamma_stars),
+                             ("memory fractions", self.memory_fracs)):
             check_no_repeats(name, values)
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
@@ -90,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError(f"a sample size is for the sampling algorithm; got {self.algos}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.memory_fracs is None:
-            self.memory_fracs = [0.001, 0.005, 0.01]
         fracs = [] if self.memory_frac is None else [self.memory_frac]
         for frac in fracs + list(self.memory_fracs):
             if not 0.0 < frac <= 1.0:
@@ -200,8 +201,9 @@ def _model_size(algo: str, h: DatasetHandle, p: HHParams, cfg: ExperimentConfig)
     if algo == "sampling":
         if cfg.sample_size is not None:
             size = cfg.sample_size
-        elif budget is None:  # the guaranteed size for subcubes up to 3 dimensions
-            size = required_sample_size(p, h.d, min(3, h.d), max(h.cardinalities))
+        elif budget is None:  # the guaranteed size for k = 3, or the largest queried k
+            k = max(min(3, h.d), *(t.k for t in cfg.subcubes))
+            size = required_sample_size(p, h.d, k, max(h.cardinalities))
         else:
             size = budget // h.d
         check_capacity(size)

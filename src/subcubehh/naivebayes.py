@@ -194,11 +194,12 @@ def misra_gries_pass(
     where the handle stores its exact counts its summary is rebuilt from
     them (`MisraGries.from_counts`). The others are fed in one replay, which
     hands `on_removed(i, removed)` what each chunk's rounds removed on
-    coordinate i and counts a class column not yet stored; they are then
-    re-keyed to the dictionary's own ints (`code_table`). Each that never
-    decremented, and those class counts, are stored on the handle. So once
-    any build has replayed, the class counts are stored, and a build with
-    no summary left to feed makes no replay.
+    coordinate i and counts a class column not yet stored. A replayed
+    column holds ints equal to the codes, not always the dictionary's own,
+    so each fed summary is then re-keyed once through `code_table`. Each
+    that never decremented, and those class counts, are stored on the
+    handle. So once any build has replayed, the class counts are stored,
+    and a build with no summary left to feed makes no replay.
     """
 
     def summary(i: int, n: int) -> MisraGries:

@@ -54,11 +54,12 @@ class GroundTruth:
 
 
 def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
-    """Count every joint value of `t` by a full pass over the dataset."""
+    """Count every joint value of `t` by a full pass over the dataset. Keys are
+    not mapped through `code_table`: on a spilled handle they are equal ints."""
     counts: Counter[JointValue] = Counter()
 
     def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
-        counts.update(zip(*(columns[c][:] for c in t.coords)))  # a slice keeps own ints
+        counts.update(zip(*(columns[c] for c in t.coords)))
 
     return GroundTruth(t, h.replay(visit), counts)
 

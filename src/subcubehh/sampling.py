@@ -59,11 +59,13 @@ def check_capacity(capacity: int) -> None:
 
 
 def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> SampleModel:
-    """One full pass; keeps min(m, capacity) items uniformly without replacement."""
+    """One full pass; keeps min(m, capacity) items uniformly without
+    replacement, each code mapped to the dictionary's own int (`code_table`)."""
     check_capacity(capacity)
     res = Reservoir(capacity, seed)
     h.replay(lambda columns, _classes: res.update_many(columns))
-    return SampleModel(columns=res.columns, m_prime=len(res), capacity=capacity, params=p)
+    columns = [list(map(h.code_table(i).__getitem__, col)) for i, col in enumerate(res.columns)]
+    return SampleModel(columns=columns, m_prime=len(res), capacity=capacity, params=p)
 
 
 def _joint_counts(mod: SampleModel, t: Subcube) -> Counter[JointValue]:

@@ -10,11 +10,12 @@ The visitor is called once per chunk of up to CHUNK_ROWS rows, as
 `visitor(columns, classes)`: `columns` is a tuple of d read-only sequences
 of feature codes, one per coordinate, and `classes` the sequence of class
 codes, or None without a class column. Row r of the chunk is
-`tuple(col[r] for col in columns)`. Visitors use only len, iteration,
-index and slice (a slice is a list).
-Iteration yields ints equal to the codes (not, on a spilled chunk, the
-dictionary's own objects); an index or a slice yields the dictionary's own
-ints. A file with no '"' and no NUL byte is read in text blocks and cut
+`tuple(col[r] for col in columns)`. A column is a list when parsed or
+cached and an array('I') when read back from the spill; either way it
+holds ints equal to the codes, and visitors use only len, iteration,
+index and slice. Only a list holds the dictionary's own int objects, so a
+build that keeps codes maps them once, at the end, through `code_table`.
+A file with no '"' and no NUL byte is read in text blocks and cut
 into lines at every \\r and \\n; each chunk of lines is split into fields
 by one join and one split, and column j is every n-th field from j. Any
 other file (quoted fields, embedded line ends) goes through csv.reader and
@@ -32,12 +33,10 @@ a class column, so every code must fit in 32 bits. Multi-pass algorithms
 need every pass to see the same stream, so a later replay whose source
 changed, or can no longer be read, fails with IngestInconsistencyError
 before the visitor sees a chunk. Otherwise it reads the chunks back from
-the spill, each column a sequence over the chunk's packed codes: iteration
-hands out the codes themselves, so a visitor that only counts decodes
-nothing, and an index or a slice decodes just the codes it reads. When the
-spill could not be written, the replay parses the unchanged file again, and
-a token the first pass never coded raises IngestInconsistencyError. Cached
-chunks, the freezing replay and a parse hand plain lists.
+the spill, each column a slice of the chunk's packed codes, so a replay
+decodes nothing. When the spill could not be written, the replay parses
+the unchanged file again, and a token the first pass never coded raises
+IngestInconsistencyError.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -230,9 +229,9 @@ class DatasetHandle:
         the class column) over the whole stream, as {code: count} in code
         order, or None until a build has stored them. The handle keeps the
         counts as one array('Q'); the codes handed out are its dictionary's own
-        ints, as a replayed chunk's index gives. A build that counted every
-        item passes `counts`, in code order, to store them; counts already
-        stored are kept."""
+        ints, as `code_table` gives. A build that counted every item passes
+        `counts`, in code order, to store them; counts already stored are
+        kept."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
         if counts is not None and col not in self._exact:
             stored = array("Q", counts)
@@ -247,7 +246,9 @@ class DatasetHandle:
 
     def code_table(self, coord: int | None) -> list[int]:
         """Code -> the dictionary's own int object, for feature coordinate
-        `coord` (None: the class column), as a chunk's index gives it."""
+        `coord` (None: the class column). A cached chunk's column holds these
+        objects; a spilled one holds equal ints, which a build maps through
+        this table once for the codes it keeps."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
         return list(self._dicts[col].values())
 
@@ -326,20 +327,16 @@ class DatasetHandle:
         return m
 
     def _replay_spill(self, visitor: Visitor) -> int:
-        """The chunks the freezing replay spilled, each column a
-        _SpilledColumn, so a chunk reads as parsing's lists do and only
-        what a visitor indexes or slices is decoded."""
-        coords = [*range(self.d), *([] if self.class_col is None else [None])]
-        tables = [self.code_table(i) for i in coords]
+        """The chunks the freezing replay spilled, each column an
+        array('I') slice of the chunk's packed codes."""
+        width = self.d + (self.class_col is not None)
         spill = self._spill
         spill.seek(0)
         for start in range(0, self.m, CHUNK_ROWS):
             n = min(CHUNK_ROWS, self.m - start)
             codes = array("I")
-            codes.fromfile(spill, n * len(coords))  # column by column, as spilled
-            columns = [
-                _SpilledColumn(codes[i * n : (i + 1) * n], table) for i, table in enumerate(tables)
-            ]
+            codes.fromfile(spill, n * width)  # column by column, as spilled
+            columns = [codes[i * n : (i + 1) * n] for i in range(width)]
             classes = None if self.class_col is None else columns.pop()
             visitor(tuple(columns), classes)
         return self.m
@@ -364,30 +361,6 @@ class DatasetHandle:
         if chunks is not None:
             self._cached_chunks = chunks
         return m
-
-
-class _SpilledColumn(Sequence[int]):
-    """One column of a chunk read back from the spill, read-only. Iteration
-    yields its packed codes, ints equal to the decoded ones but new
-    objects, all a counter needs; an index or a slice decodes only those
-    positions, to the decode table's own ints, as a visitor keeps them."""
-
-    __slots__ = ("_codes", "_table")
-
-    def __init__(self, codes: array, table: list[int]):
-        self._codes = codes
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i: int | slice) -> int | list[int]:
-        if isinstance(i, slice):
-            return list(map(self._table.__getitem__, self._codes[i]))
-        return self._table[self._codes[i]]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._codes)
 
 
 def _known_code(codes: dict[str, int], token: str) -> int:

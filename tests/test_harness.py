@@ -259,9 +259,10 @@ class TestMemoryAccounting:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             build_model("quantum", h, HHParams(0.05), seed=0, cfg=toy_config(small_dataset))
 
-    def test_sampling_default_capacity(self, small_dataset):
+    def test_sampling_default_capacity(self, small_dataset, tmp_path):
         # Neither a budget nor a size: the guaranteed size for subcubes of
-        # up to 3 dimensions at the largest cardinality.
+        # up to 3 dimensions at the largest cardinality, or of the largest
+        # queried subcube's k when that is more.
         h = open_dataset(small_dataset, class_col=0, cache_items=True)
         h.replay(lambda _i, _c: None)
         p = HHParams(0.05)
@@ -269,6 +270,18 @@ class TestMemoryAccounting:
         model, _ = build_model("sampling", h, p, seed=0, cfg=cfg)
         assert model.capacity == required_sample_size(p, h.d, min(3, h.d), max(h.cardinalities))
         assert model.capacity > 0
+        wide = tmp_path / "wide.csv"
+        gen = make_random_nb(d=5, cardinalities=[6] * 5, ell=2, skew=1.2, seed=21)
+        sample_to_csv(gen, 500, seed=2, path=wide)
+        h = open_dataset(wide, class_col=0, cache_items=True)
+        h.replay(lambda _i, _c: None)
+        n_max = max(h.cardinalities)
+        for coords, k in (((1, 2), 3), ((1, 2, 3), 3), ((0, 1, 2, 3), 4), ((0, 1, 2, 3, 4), 5)):
+            subcubes = [Subcube((0, 1)), Subcube(coords)]
+            cfg = toy_config(wide, algos=["sampling"], memory_frac=None, subcubes=subcubes)
+            model, _ = build_model("sampling", h, p, seed=0, cfg=cfg)
+            assert model.capacity == required_sample_size(p, 5, k, n_max)
+        assert required_sample_size(p, 5, 5, n_max) > required_sample_size(p, 5, 3, n_max)
 
     def test_sampling_capacity_from_budget(self, small_dataset):
         h = open_dataset(small_dataset, class_col=0, cache_items=True)

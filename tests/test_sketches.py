@@ -380,19 +380,23 @@ def count_scalar_updates(monkeypatch, cls) -> list:
 
 
 class TestChunkedUpdatesEqualScalar:
-    """`update_many` over any chunking equals `update` item by item."""
+    """`update_many` over any chunking equals `update` item by item, on
+    list chunks and on array('I') chunks, as a replay of the spill hands."""
 
     @given(
         st.lists(st.integers(0, 9), max_size=80),
         st.integers(0, 6),
         st.lists(st.integers(0, 80), max_size=6),
+        st.booleans(),
     )
-    def test_misra_gries(self, stream, budget, cuts):
+    def test_misra_gries(self, stream, budget, cuts, packed):
         ref, fast = MisraGries(budget), MisraGries(budget)
         for x in stream:
             ref.update(x)
         all_removed = collections.Counter()
         for chunk in chunked(stream, cuts):
+            if packed:
+                chunk = array("I", chunk)
             before, decrements = fast.counters.copy(), fast.decrements
             fits = fast.fits(chunk)
             removed = fast.update_many(chunk)
@@ -441,14 +445,18 @@ class TestChunkedUpdatesEqualScalar:
         st.sampled_from([0, 1, 2, 5, 16, 100]),
         st.integers(0, 3),
         st.lists(st.integers(0, 70), max_size=6),
+        st.booleans(),
     )
-    def test_reservoir(self, n, capacity, seed, cuts):
+    def test_reservoir(self, n, capacity, seed, cuts, packed):
         stream = [(i, i % 3) for i in range(n)]
         ref, fast = Reservoir(capacity, seed), Reservoir(capacity, seed)
         for item in stream:
             ref.update(item)
         for chunk in chunked(stream, cuts):
-            fast.update_many(as_columns(chunk, 2))
+            columns = as_columns(chunk, 2)
+            if packed:
+                columns = tuple(array("I", col) for col in columns)
+            fast.update_many(columns)
         assert fast.columns == ref.columns
         assert fast.samples == ref.samples
         assert fast.seen == ref.seen

@@ -4,7 +4,7 @@ import io
 import random
 import tempfile
 from array import array
-from collections import defaultdict
+from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
 from unittest import mock
@@ -24,8 +24,7 @@ from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
 from subcubehh.naivebayes import indep_pass1, indep_pass2, nb_pass1, nb_pass2
 from subcubehh.oracle import exact_table
 from subcubehh.sampling import build_sample
-from subcubehh.sketches import MisraGries, hash_pair
-from subcubehh.stream_io import CHUNK_ROWS, _SpilledColumn, from_rows, open_dataset
+from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
 from tests.conftest import cached_and_spilled, is_dictionary_int
 
 
@@ -183,7 +182,7 @@ class TestReplay:
         assert h.exact_counts(None, iter([2, 1])) == {0: 2, 1: 1}
         counts = h.exact_counts(0)
         assert list(counts.items()) == [(0, 2), (1, 1)]
-        # Keyed by the dictionary's own ints, as a replayed chunk is.
+        # Keyed by the dictionary's own ints, as code_table gives them.
         assert [x is h.code(0, t) for x, t in zip(counts, "ab")] == [True, True]
 
     @pytest.mark.parametrize("counts", [[3], [1, 1], [2, 1, 0]])
@@ -359,23 +358,20 @@ class TestSpill:
         got_classes = [z for _c, classes in spilled for z in (classes or [])]
         assert got_classes == ([] if class_col is None else [c[class_col] for c in expect])
 
-    def test_spilled_code_is_the_dictionary_int(self, tmp_path):
+    def test_spilled_codes_equal_the_cached_handles(self, tmp_path):
         rows = token_rows(2 * CHUNK_ROWS + 5)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2)
-        h.replay(lambda _c, _z: None)
+        cached, spilled = cached_and_spilled(tmp_path / "d.csv", rows, class_col=2)
         chunks = []
         with count_parses() as parses:
-            h.replay(lambda columns, classes: chunks.append((columns, classes)))
+            spilled.replay(lambda columns, classes: chunks.append((columns, classes)))
         assert parses.call_count == 0
-        code = h.code(0, rows[-1][0])
+        for columns, classes in chunks:  # each column a slice of the packed codes
+            assert all(type(col) is array and col.typecode == "I" for col in (*columns, classes))
+        assert [(list(map(list, c)), list(z)) for c, z in chunks] == record(cached)[0]
+        code = spilled.code(0, rows[-1][0])
         assert code > 256  # outside CPython's small-int cache
-        col = chunks[-1][0][0]
-        assert col[-1] is code and col[-1:][0] is code  # an index and a slice decode
-        iterated = list(col)[-1]  # iteration hands out the packed code: equal, a copy
-        assert iterated == code and iterated is not code
-        assert chunks[-1][1][-1] is h.class_code(rows[-1][2])
+        last = chunks[-1][0][0][-1]
+        assert last == code and last is not code  # an equal int, not the dictionary's
 
     def test_rewritten_file_is_rejected(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 40)
@@ -496,104 +492,24 @@ class TestSpill:
             assert parses.call_count == 1  # no spill: the file is parsed again
 
 
-class CountingTable(list):
-    """A decode table that counts the codes read from it."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
-
-
-def read_or_raise(read):
-    """What a read returns, or the type of what it raises."""
-    try:
-        return read()
-    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
-        return type(exc)
-
-
-class TestSpilledColumn:
-    """A spilled chunk column reads as the list it decodes to. Iteration
-    yields the packed codes, equal in value, and decodes nothing; an index
-    or a slice decodes only the positions read, to the table's own ints."""
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(1, 8).flatmap(
-            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))
-        ),
-        st.data(),
-    )
-    def test_reads_equal_the_decoded_list(self, drawn, data):
-        n_codes, drawn_codes = drawn
-        # Code k decodes to k, as a dictionary's values do. Codes above
-        # CPython's small-int cache and fresh ints, so `is` tells copies apart.
-        table = CountingTable(int(str(k)) for k in range(1000 + n_codes))
-        codes = [1000 + c for c in drawn_codes]
-        ref = [list.__getitem__(table, c) for c in codes]
-        col = _SpilledColumn(array("I", codes), table)
-        n = len(codes)
-        assert len(col) == n
-        for _ in range(2):  # the packed codes: equal to the decoded ints, not them
-            assert list(col) == ref
-            assert not any(a is b for a, b in zip(col, ref))
-        assert table.reads == 0
-        bound = st.integers(-2 * n - 3, 2 * n + 3)
-        decoded = 0
-        for i in data.draw(st.lists(bound, max_size=6), label="indexes"):
-            got = read_or_raise(lambda: col[i])
-            if -n <= i < n:
-                assert got is ref[i]
-                decoded += 1
-            else:
-                assert got is IndexError
-        step = st.none() | st.integers(-3, 3)  # 0 raises ValueError, as for a list
-        slices = st.builds(slice, st.none() | bound, st.none() | bound, step)
-        for sl in data.draw(st.lists(slices, max_size=6), label="slices"):
-            got, want = read_or_raise(lambda: col[sl]), read_or_raise(lambda: ref[sl])
-            assert got == want
-            if isinstance(want, list):
-                assert type(got) is list
-                assert all(a is b for a, b in zip(got, want))
-                decoded += len(want)
-        assert table.reads == decoded  # only the positions read
-        assert list(col) == ref
-        assert table.reads == decoded  # iteration, even after reads, decodes nothing
-
-    @pytest.mark.parametrize("budget", [2, 5, 50])
-    def test_misra_gries_decodes_nothing(self, budget):
-        # update_many takes set(xs), then counts xs: with room or without.
-        codes = [r * 7 % 13 for r in range(CHUNK_ROWS)]
-        table = CountingTable(range(13))
-        want, got = MisraGries(budget), MisraGries(budget)
-        want.update_many(codes)
-        got.update_many(_SpilledColumn(array("I", codes), table))
-        assert (got.counters, got.decrements) == (want.counters, want.decrements)
-        assert table.reads == 0
-
-
 @contextmanager
-def decode_reads():
-    """Counts the codes each coordinate's code tables hand out while the
-    patch holds (None: the class column); the returned function gives
-    {coordinate: codes read}."""
-    tables = defaultdict(list)
+def code_table_calls():
+    """Counts the code_table calls per coordinate (None: the class column)
+    made while the patch holds."""
+    calls = Counter()
     real = stream_io.DatasetHandle.code_table
 
     def counting(self, coord):
-        table = CountingTable(real(self, coord))
-        tables[coord].append(table)
-        return table
+        calls[coord] += 1
+        return real(self, coord)
 
     with mock.patch.object(stream_io.DatasetHandle, "code_table", counting):
-        yield lambda: {coord: sum(t.reads for t in ts) for coord, ts in tables.items()}
+        yield calls
 
 
 class TestDecodeOnRead:
-    """A replay of the spill decodes the codes its visitor indexes or
-    slices, no more; a build decodes what it keeps."""
+    """A replay of the spill decodes nothing; a build maps the codes it
+    keeps through code_table once per coordinate, at the end."""
 
     # Coordinate 0 overflows the heuristic's 16 counters; the rest fit.
     ROWS = [(r * 7 % 40, r % 5, r % 3, r % 4) for r in range(3 * CHUNK_ROWS + 37)]
@@ -604,39 +520,36 @@ class TestDecodeOnRead:
 
     def test_no_op_visitor_decodes_nothing(self, tmp_path):
         h = self.spilled(tmp_path)
-        with decode_reads() as reads:
+        with code_table_calls() as calls:
             assert h.replay(lambda _c, _z: None) == self.M
-        assert reads() == {0: 0, 1: 0, 2: 0, None: 0}
+        assert calls == {}
 
     def test_heuristic_decodes_only_what_it_feeds(self, tmp_path):
-        # Counting decodes nothing: each fed summary's final keys are
-        # decoded once, at the end of the pass.
         h = self.spilled(tmp_path)
         p = HHParams(1.0)  # 16 counters per coordinate
-        with decode_reads() as reads:
+        with code_table_calls() as calls:
             first = heuristic_build(h, 3 * 4 * 7, p, seed=1)
         kept = [len(sk.counters) for sk in first.mg]
         assert kept[1:] == [5, 3] and first.mg[0].decrements > 0
-        assert reads() == {0: kept[0], 1: 5, 2: 3, None: 0}
+        assert calls == {0: 1, 1: 1, 2: 1}
         # Coordinates 1 and 2 and the class counts are stored now: a second
         # build feeds coordinate 0 alone.
-        with decode_reads() as reads:
+        with code_table_calls() as calls:
             second = heuristic_build(h, 3 * 4 * 7, p, seed=1)
-        assert reads() == {0: kept[0], 1: 0, 2: 0, None: 0}
+        assert calls == {0: 1}
         assert second.tables == first.tables
         for mod in (first, second):
             for j, (sk, table) in enumerate(zip(mod.mg, mod.tables)):
                 assert all(is_dictionary_int(h, j, x) for x in [*sk.counters, *dict(table)])
 
     @pytest.mark.parametrize("capacity", [300, CHUNK_ROWS + 5])
-    def test_sample_decodes_fill_and_hit_rows(self, tmp_path, capacity):
+    def test_sample_maps_each_coordinate_once(self, tmp_path, capacity):
         h = self.spilled(tmp_path)
-        seed = 3
-        hits = sum(hash_pair(i, seed) % i < capacity for i in range(capacity + 1, self.M + 1))
-        with decode_reads() as reads:
-            build_sample(h, capacity, seed, HHParams(0.5))
-        assert hits > 0
-        assert reads() == {0: capacity + hits, 1: capacity + hits, 2: capacity + hits, None: 0}
+        with code_table_calls() as calls:
+            mod = build_sample(h, capacity, 3, HHParams(0.5))
+        assert calls == {0: 1, 1: 1, 2: 1}
+        assert mod.m_prime == capacity
+        assert all(is_dictionary_int(h, j, x) for j, col in enumerate(mod.columns) for x in col)
 
 
 def build_all(h, budget, capacity, width, seed, heuristic_first):
@@ -659,7 +572,7 @@ def build_all(h, budget, capacity, width, seed, heuristic_first):
 
 
 def kept_codes(built):
-    """(coordinate, code) for every feature code the models and tables keep."""
+    """(coordinate, code) for every feature code the models keep."""
     heur = built["heuristic"]
     yield from ((j, x) for j, col in enumerate(built["sample"].columns) for x in col)
     for j, (sk, table) in enumerate(zip(heur.mg, heur.tables)):
@@ -671,14 +584,13 @@ def kept_codes(built):
         for j in range(len(mod.tables)):
             rows = [x for x, *_ in mod.tables[j]]
             yield from ((j, x) for x in [*rows, *mod.index[j], *mod.class_counts_by_value[j]])
-    for coords in ((0, 1), (2, 0, 1)):
-        yield from ((c, x) for v in built[coords].counts for c, x in zip(coords, v))
 
 
 class TestModelsOnSpill:
     """Every model and oracle table built on a handle replaying its spill
-    equals the one built on a cached handle, and keeps only the
-    dictionary's own ints, whether its summaries decrement or not."""
+    equals the one built on a cached handle, oracle keys in the same order.
+    Every model keeps only the dictionary's own ints, whether its summaries
+    decrement or not."""
 
     @settings(max_examples=30)
     @given(
@@ -717,6 +629,8 @@ class TestModelsOnSpill:
                 assert summaries[0] == summaries[1]
             else:
                 assert got[key] == want[key], key
+            if isinstance(key, tuple):  # an oracle table
+                assert list(got[key].counts) == list(want[key].counts)
         assert all(is_dictionary_int(spilled, j, x) for j, x in kept_codes(got))
 
 
