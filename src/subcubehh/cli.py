@@ -147,7 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--subcube", required=True, action="append")
     ev.add_argument("--task", default="detect", choices=["detect", "freq"])
     ev.add_argument("--top-k", type=int, default=None, help="for --task freq (default 10)")
-    ev.add_argument("--out", required=True, help="output path prefix")
+    ev.add_argument(
+        "--out", required=True,
+        help="output path prefix: writes <out>.json and <out>.csv or <out>_freq.csv",
+    )
     ev.set_defaults(handler=_cmd_eval)
     return ap
 
@@ -254,6 +257,9 @@ def _cmd_eval(args) -> int:
     given = [flag for flag, value in other_task if value is not None]
     if given:
         raise ConfigError(f"the {args.task} task takes no {' or '.join(given)}")
+    prefix = Path(args.out)
+    if not prefix.name:
+        raise ConfigError(f"--out {args.out!r} names no file to prefix")
     cfg = _experiment_config(
         args,
         algos=args.algos,
@@ -262,7 +268,10 @@ def _cmd_eval(args) -> int:
         memory_fracs=_parse_list(args.memory_fracs, float, "--memory-fracs"),
         top_k=ExperimentConfig.top_k if args.top_k is None else args.top_k,
     )
-    prefix = Path(args.out)
+
+    def named(tail: str) -> Path:  # appended to the whole name, which may hold dots
+        return prefix.parent / (prefix.name + tail)
+
     try:
         if args.task == "detect":
             report = run_experiment(cfg)
@@ -271,20 +280,20 @@ def _cmd_eval(args) -> int:
     except ExperimentError as exc:
         if exc.partial is not None:
             prefix.parent.mkdir(parents=True, exist_ok=True)
-            partial_path = prefix.parent / (prefix.stem + ".partial.json")
+            partial_path = named(".partial.json")
             _emit(exc.partial.to_json_dict(), partial_path)
             sys.stderr.write(f"partial results flushed to {partial_path}\n")
         raise
     prefix.parent.mkdir(parents=True, exist_ok=True)  # only once there is a report
-    json_path = prefix.with_suffix(".json")
+    json_path = named(".json")
     _emit(report.to_json_dict(), json_path)
     written = [str(json_path)]
     if report.rows:
-        csv_path = prefix.with_suffix(".csv")
+        csv_path = named(".csv")
         csv_path.write_text(report.to_csv())
         written.append(str(csv_path))
     if report.freq_rows:
-        freq_path = prefix.parent / (prefix.stem + "_freq.csv")
+        freq_path = named("_freq.csv")
         freq_path.write_text(report.freq_csv())
         written.append(str(freq_path))
     for path in written:

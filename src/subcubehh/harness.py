@@ -9,9 +9,14 @@ keep budget // d Misra-Gries counters per coordinate, which also bound the
 second-pass exact counters. _model_size applies the rule before every
 build, and nothing is charged after it.
 
-A run holds at most one full exact table at a time: each subcube's table is
+A run holds at most one exact table at a time: each subcube's table is
 counted, reduced to what the run scores against (its heavy set, or its top-k
-values and their counts) and freed before the next one is counted.
+values and their counts) and freed before the next one is counted. The
+detection protocol's tables are pruned at gamma (oracle.exact_table's
+heavy_at): they count only the rows whose every value on the subcube is
+itself heavy, which is all a heavy set needs, and the marginal counts that
+pruning reads stay on the handle for the builds that follow. The freq task
+ranks its top-k values from full tables.
 """
 
 from __future__ import annotations
@@ -307,13 +312,14 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     in the sweep, then rethreshold the scored answers for every gamma_star.
     A model of SEED_FREE_ALGORITHMS is built once and scored for every seed.
 
-    Only each subcube's exact heavy set is kept: its table is freed before
-    the next subcube's is counted. A failure partway through raises
+    Only each subcube's exact heavy set is kept: its table, pruned at gamma
+    to the rows whose every value is marginally heavy, is freed before the
+    next subcube's is counted. A failure partway through raises
     ExperimentError carrying the rows finished so far, so callers can flush
     partial results.
     """
     h, p, report = _prepare(cfg, [cfg])
-    heavy = {t.coords: exact_table(h, t).heavy_set(cfg.gamma) for t in cfg.subcubes}
+    heavy = {t.coords: exact_table(h, t, cfg.gamma).heavy_set(cfg.gamma) for t in cfg.subcubes}
     sweep = sorted(cfg.gamma_stars, reverse=True)
     theta_min = min(sweep)
     try:

@@ -3,9 +3,11 @@
 Everything here counts with integers and only converts to floating point at
 the API boundary, so summation identities can be asserted exactly. The
 oracle is the reference every approximate algorithm is scored against; it is
-meant to be slow and right. Both factorization-error diagnostics enumerate
-through one routine: near-independence is the one-class case of the class
-mixture, as in the two-pass model.
+meant to be right, and no larger than the question: a heavy set needs only
+a table pruned by marginals (`exact_table`'s `heavy_at`). Both
+factorization-error diagnostics enumerate through one routine:
+near-independence is the one-class case of the class mixture, as in the
+two-pass model.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
+from itertools import compress
 from typing import Sequence
 
 from .core import HHParams, JointValue, Subcube
-from .errors import NoClassColumnError, SupportTooLargeError
+from .errors import ConfigError, NoClassColumnError, SupportTooLargeError
 from .stream_io import Columns, DatasetHandle
 
 DEFAULT_SUPPORT_CAP = 10**7
@@ -33,35 +37,95 @@ class TruthLabel(Enum):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact joint-value counts for one subcube over one dataset."""
+    """Exact joint-value counts for one subcube over one dataset. A table
+    with a `floor` holds only the joint values whose every coordinate value
+    occurs at least floor*m times, each with its exact count: it answers
+    heavy_set at the floor and above, and refuses everything else."""
 
     subcube: Subcube
     m: int
     counts: Counter[JointValue]
+    floor: float | None = None
+
+    def _check_full(self, what: str) -> None:
+        if self.floor is not None:
+            raise ConfigError(f"{what} needs a full table; this one is pruned at {self.floor}")
 
     def freq(self, v: JointValue) -> float:
+        self._check_full("freq")
         return self.counts.get(v, 0) / self.m
 
     def heavy_set(self, gamma: float) -> set[JointValue]:
         """Joint values with exact frequency ratio >= gamma."""
+        if self.floor is not None and not gamma >= self.floor:
+            raise ConfigError(f"heavy_set({gamma}) is below this table's floor {self.floor}")
         threshold = gamma * self.m
         return {v for v, c in self.counts.items() if c >= threshold}
 
     def top_values(self, k: int) -> list[JointValue]:
         """The k most frequent joint values; count ties broken by value."""
+        self._check_full("top_values")
         counts = self.counts
         return heapq.nsmallest(k, counts, key=lambda v: (-counts[v], v))
 
 
-def exact_table(h: DatasetHandle, t: Subcube) -> GroundTruth:
-    """Count every joint value of `t` by a full pass over the dataset. Keys are
-    not mapped through `code_table`: on a spilled handle they are equal ints."""
+def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> GroundTruth:
+    """Count the joint values of `t` by a full pass over the dataset. Keys are
+    not mapped through `code_table`: on a spilled handle they are equal ints.
+
+    With `heavy_at`, a row is counted only when each of its values on t
+    occurs at least heavy_at*m times, so the table (floor heavy_at) holds
+    every joint value that can reach that count, and answers heavy_set at
+    heavy_at and above. The marginals are the handle's stored exact counts,
+    those it lacks counted first in a replay of their own (_store_marginals).
+    Each chunk's selector ands every coordinate's heavy-value test; only the
+    rows it keeps are zipped."""
     counts: Counter[JointValue] = Counter()
+    if heavy_at is None:
 
-    def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
-        counts.update(zip(*(columns[c] for c in t.coords)))
+        def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
+            counts.update(zip(*(columns[c] for c in t.coords)))
 
-    return GroundTruth(t, h.replay(visit), counts)
+        return GroundTruth(t, h.replay(visit), counts)
+    threshold = heavy_at * _store_marginals(h, t.coords)
+    tests = [
+        frozenset(x for x, n in h.exact_counts(c).items() if n >= threshold).__contains__
+        for c in t.coords
+    ]
+
+    def visit_heavy(columns: Columns, _classes: Sequence[int] | None) -> None:
+        cols = [columns[c] for c in t.coords]
+        keep = list(reduce(partial(map, operator.and_), map(map, tests, cols)))
+        counts.update(zip(*(compress(col, keep) for col in cols)))
+
+    return GroundTruth(t, h.replay(visit_heavy), counts, heavy_at)
+
+
+def _store_marginals(h: DatasetHandle, coords: Sequence[int]) -> int:
+    """m, once the handle stores the exact counts of each coordinate in
+    `coords` and of its class column (DatasetHandle.exact_counts). Those
+    not yet stored are counted with Counters in one replay, so later
+    Misra-Gries builds that fit their budget rebuild from them too."""
+    lacking = [c for c in coords if h.exact_counts(c) is None]
+    classes_lacking = h.class_col is not None and h.exact_counts(None) is None
+    if not lacking and not classes_lacking:
+        return h.m
+    tallies: list[Counter[int]] = [Counter() for _ in lacking]
+    class_tally: Counter[int] = Counter()
+
+    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
+        for tally, c in zip(tallies, lacking):
+            tally.update(columns[c])
+        if classes_lacking:
+            class_tally.update(classes)
+
+    m = h.replay(visit)
+    # A full pass meets each code first in code order, so each tally is keyed in it.
+    for tally, c in zip(tallies, lacking):
+        h.exact_counts(c, tally.values())
+    if classes_lacking:
+        h.exact_counts(None, class_tally.values())
+    return m
 
 
 def truth_label(f: float, p: HHParams) -> TruthLabel:

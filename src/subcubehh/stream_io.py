@@ -20,10 +20,10 @@ into lines at every \\r and \\n; each chunk of lines is split into fields
 by one join and one split, and column j is every n-th field from j. Any
 other file (quoted fields, embedded line ends) goes through csv.reader and
 a zip transpose, as does an in-memory source. Both read exactly what
-csv.reader reads. Chunks are then encoded by map over the dictionaries, so
-reading a chunk costs no Python call per item or cell. A cached handle
-keeps these chunk columns, not rows, and hands the same lists to every
-pass: visitors read them and never modify them.
+csv.reader reads. Each chunk column is then encoded by one itemgetter call
+on its dictionary, so reading a chunk costs no Python call per item or
+cell. A cached handle keeps these chunk columns, not rows, and hands the
+same lists to every pass: visitors read them and never modify them.
 
 An uncached file is parsed once per handle. Before its freezing replay
 parses, it records the CRC32 and byte count of the source, and it also
@@ -46,9 +46,9 @@ has counted it over the whole stream (`exact_counts`): one array('Q') per
 feature coordinate and for the class column, 8 bytes x (sum of the
 cardinalities + ell) at most, about 0.23 MB on the benchmark's 1M-row file.
 The freezing replay counts nothing. The Misra-Gries builds (naivebayes,
-heuristic) store the summaries that never decremented, and a later build
-that finds stored all it would count reads no row, so it makes no source
-check either.
+heuristic) store the summaries that never decremented, the oracle's pruned
+tables the marginals they prune by, and a later build that finds stored all
+it would count reads no row, so it makes no source check either.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from itertools import count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -185,11 +186,14 @@ class DatasetHandle:
             self._rev = [list(codes) for codes in self._dicts]
 
     def _encode_column(self, col: int, tokens: Sequence[str]) -> list[int]:
-        """Codes of one chunk column. In the freezing replay a new token is
-        coded as it is met; afterwards a token that replay never saw raises
-        IngestInconsistencyError."""
+        """Codes of one chunk column, by one itemgetter call. In the freezing
+        replay a new token is coded as it is met; afterwards a token that
+        replay never saw raises IngestInconsistencyError."""
+        codes = self._dicts[col]
         try:
-            return list(map(self._dicts[col].__getitem__, tokens))
+            if len(tokens) == 1:  # itemgetter of one key gives the bare code
+                return [codes[tokens[0]]]
+            return list(itemgetter(*tokens)(codes))
         except KeyError as exc:
             raise IngestInconsistencyError(
                 f"column {col + 1} holds {exc.args[0]!r}, unseen by the first pass"

@@ -265,6 +265,53 @@ class TestEval:
         assert f"partial results flushed to {partial_path}\n" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "task, flags, tails",
+        [
+            ("detect", ["--memory-frac", "0.1"], [".csv", ".json"]),
+            ("freq", ["--memory-fracs", "0.05"], [".json", "_freq.csv"]),
+        ],
+        ids=["detect", "freq"],
+    )
+    def test_dotted_out_keeps_its_whole_name(
+        self, tiny_csv, tmp_path, capsys, task, flags, tails
+    ):
+        # Each file name is the whole --out name plus its tail, so runs
+        # named by gamma leave separate files.
+        for gamma in ("0.01", "0.05"):
+            code = main(
+                [
+                    "eval", "--data", str(tiny_csv), "--task", task, "--algo", "sampling",
+                    "--gamma", gamma, *flags, "--seeds", "1", "--subcube", "2,3",
+                    "--class-col", "1", "--out", str(tmp_path / "dir" / f"g{gamma}"),
+                ]
+            )
+            assert code == 0
+        names = sorted(f"g{gamma}{tail}" for gamma in ("0.01", "0.05") for tail in tails)
+        assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == names
+        for gamma in ("0.01", "0.05"):
+            blob = json.loads((tmp_path / "dir" / f"g{gamma}.json").read_text())
+            assert blob["config"]["gamma"] == float(gamma)
+        assert f"wrote {tmp_path / 'dir' / 'g0.05.json'}\n" in capsys.readouterr().out
+
+    def test_dotted_out_names_partial_results(self, tiny_csv, tmp_path, capsys, monkeypatch):
+        scored = harness.heuristic_all_query_scored
+        monkeypatch.setattr(
+            harness, "heuristic_all_query_scored",
+            lambda mod, t, threshold=None: scored(mod, t, threshold, cap=0),
+        )
+        code = main(
+            [
+                "eval", "--data", str(tiny_csv), "--algo", "sampling", "--algo", "cms-heuristic",
+                "--gamma", "0.05", "--memory-frac", "0.1", "--seeds", "1", "--subcube", "2,3",
+                "--class-col", "1", "--out", str(tmp_path / "dir" / "g0.05"),
+            ]
+        )
+        assert code == 3
+        assert [p.name for p in (tmp_path / "dir").iterdir()] == ["g0.05.partial.json"]
+        assert json.loads((tmp_path / "dir" / "g0.05.partial.json").read_text())["rows"]
+
+
     def test_config_error_partway_writes_nothing(self, tiny_csv, tmp_path, capsys):
         # 2000 rows x 3 features x 0.001 = 6 slots: two sampled items, but no
         # Count-Min column (depth 4 needs 12). The heuristic's size rule fails
@@ -501,6 +548,7 @@ class TestBadValues:
             ["--top-k", "10"],  # the freq default, given to detect
             ["--task", "freq", "--memory-fracs", "0.1", "--gamma-star-sweep", "0.01,0.02"],
             ["--task", "freq", "--memory-fracs", "0.05,0.05"],
+            ["--out", "."],  # names no file to prefix
         ],
     )
     def test_eval_value(self, tiny_csv, tmp_path, capsys, extra):

@@ -366,9 +366,9 @@ class TestTableLifetime:
         def alive():
             return sum(ref() is not None for ref in refs)
 
-        def table(h, t):
+        def table(h, t, heavy_at=None):
             at_table.append(alive())
-            truth = exact_table(h, t)
+            truth = exact_table(h, t, heavy_at)
             refs.append(weakref.ref(truth))
             return truth
 

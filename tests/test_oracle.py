@@ -1,13 +1,18 @@
 import itertools
+import math
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcubehh.core import HHParams, make_subcube
-from subcubehh.errors import NoClassColumnError, SupportTooLargeError
+from subcubehh.errors import ConfigError, NoClassColumnError, SupportTooLargeError
+from subcubehh.heuristic import heuristic_build
+from subcubehh.naivebayes import indep_pass1, nb_pass1
 from subcubehh.oracle import (
     TruthLabel,
     _worst_deviation,
@@ -123,6 +128,100 @@ class TestSpilledHandle:
         cached, spilled = cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)
         t = make_subcube(coords, 3)
         assert empirical_alpha_nb(spilled, t) == empirical_alpha_nb(cached, t)
+
+
+def ulps(x, n):
+    """x moved n ulps (n in -1, 0, 1)."""
+    return x if n == 0 else math.nextafter(x, math.copysign(math.inf, n))
+
+
+def skewed_rows(seed, m, with_class):
+    """m rows of 3 skewed features, so some values are heavy and some are
+    not, and a 2-valued class after them when `with_class`."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(m):
+        row = tuple(min(int(rng.expovariate(0.6)), 9) for _ in range(3))
+        rows.append(row + (rng.randrange(2),) if with_class else row)
+    return rows
+
+
+class TestPrunedTable:
+    """A table pruned at g counts only the rows whose every value on the
+    subcube occurs at least g*m times: it gives the full table's heavy set
+    at g and above, and refuses what it cannot answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 2 * CHUNK_ROWS + 3),
+        st.permutations(range(3)),
+        st.integers(1, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_heavy_set_equals_full_tables(self, seed, m, order, k, with_class, data):
+        rows = skewed_rows(seed, m, with_class)
+        t = make_subcube(order[:k], 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            cached, spilled = cached_and_spilled(
+                Path(tmp) / "d.csv", rows, class_col=3 if with_class else None
+            )
+            full = exact_table(cached, t)
+            # Count boundaries: every joint count and every marginal count on t.
+            marginal_counts = {n for c in t.coords for n in Counter(r[c] for r in rows).values()}
+            bounds = sorted(set(full.counts.values()) | marginal_counts)
+            g, g2 = sorted(
+                ulps(data.draw(st.sampled_from(bounds)) / m, data.draw(st.integers(-1, 1)))
+                for _ in range(2)
+            )
+            for h in (cached, spilled):
+                pruned = exact_table(h, t, g)
+                assert pruned.floor == g
+                assert pruned.heavy_set(g2) == full.heavy_set(g2)
+                assert pruned.heavy_set(g) == full.heavy_set(g)
+                assert len(pruned.counts) <= len(full.counts)
+                assert all(full.counts[v] == n for v, n in pruned.counts.items())
+
+    def test_refuses_below_its_floor(self):
+        h = from_items([(i % 3, i % 2) for i in range(30)])
+        t = make_subcube([0, 1], 2)
+        pruned = exact_table(h, t, 0.2)
+        assert pruned.heavy_set(0.2) == exact_table(h, t).heavy_set(0.2)
+        with pytest.raises(ConfigError, match="below this table's floor 0.2"):
+            pruned.heavy_set(math.nextafter(0.2, 0.0))
+        with pytest.raises(ConfigError, match="freq needs a full table"):
+            pruned.freq((0, 0))
+        with pytest.raises(ConfigError, match="top_values needs a full table"):
+            pruned.top_values(1)
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    def test_later_builds_replay_nothing(self, tmp_path, monkeypatch, spilled):
+        # The first pruned table counts its coordinates' and the class
+        # column's marginals in one replay before its own; a later one finds
+        # them stored. Pass 1 and the heuristic then rebuild every summary
+        # from them, given a budget that covers every cardinality.
+        rows = skewed_rows(5, 3 * CHUNK_ROWS, with_class=True)
+        h = cached_and_spilled(tmp_path / "d.csv", rows, class_col=3)[spilled]
+        replays = []
+        replay = h.replay
+        monkeypatch.setattr(h, "replay", lambda visit: replays.append(1) or replay(visit))
+        p = HHParams(0.05)
+        exact_table(h, make_subcube([2, 0], 3), 0.05)
+        assert len(replays) == 2
+        exact_table(h, make_subcube([1, 0], 3), 0.05)
+        assert len(replays) == 4
+        exact_table(h, make_subcube([1], 3), 0.05)
+        assert len(replays) == 5
+        budget, slots = max(h.cardinalities), 3 * 4 * 50
+
+        def builds(handle):
+            return (indep_pass1(handle, p, budget), nb_pass1(handle, p, budget),
+                    heuristic_build(handle, slots, p).tables)
+
+        built = builds(h)
+        assert len(replays) == 5
+        assert built == builds(from_items(rows, class_col=3))
 
 
 class TestTruthLabel:

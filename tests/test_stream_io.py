@@ -204,6 +204,11 @@ class TestReplay:
             from_rows([["a"]], class_col=0)
 
 
+def no_temporary_file():
+    """A tempfile.TemporaryFile stand-in: no temporary disk, so no spill."""
+    raise OSError(errno.ENOENT, "No usable temporary directory")
+
+
 def token_rows(m):
     """m rows whose first column meets a new token every 7 rows, so each
     chunk codes new tokens; the last column is a 3-valued class."""
@@ -696,9 +701,6 @@ class TestFreezeCoding:
         write_csv(p, rows)
         h = open_dataset(p, class_col=2)
 
-        def no_temporary_file():
-            raise OSError(errno.ENOENT, "No usable temporary directory")
-
         with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
             h.replay(lambda _c, _z: None)  # freezes; no spill, so later replays parse
         cardinalities = h.cardinalities
@@ -712,6 +714,46 @@ class TestFreezeCoding:
         with pytest.raises(KeyError):
             h.code(1, "never-seen")
 
+
+
+class TestEncodeOneCall:
+    """Each chunk column is encoded by one itemgetter call, which hands a
+    bare code, not a tuple, for a single key: a chunk of one row is coded
+    apart."""
+
+    @pytest.mark.parametrize("m", [1, CHUNK_ROWS + 1])  # the last chunk holds one row
+    @pytest.mark.parametrize("mode", ["cached", "spilled", "reparse"])
+    def test_one_row_chunk(self, tmp_path, m, mode):
+        rows = token_rows(m)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2, cache_items=mode == "cached")
+        if mode == "reparse":  # no spill: the replays below parse the file again
+            with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
+                h.replay(lambda _c, _z: None)
+        chunks, n = record(h)
+        assert (n, len(chunks[-1][1])) == (m, 1)
+        assert (h._spill is not None) == (mode == "spilled")
+        rows_seen = [zip(*columns, classes) for columns, classes in chunks]
+        assert [row for chunk in rows_seen for row in chunk] == first_seen_codes(rows)
+        assert record(h) == (chunks, n)
+
+    @pytest.mark.parametrize("m", [1, CHUNK_ROWS + 1])
+    def test_unseen_token_in_one_row_chunk_on_reparse(self, tmp_path, m):
+        rows = token_rows(m)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2)
+        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
+            h.replay(lambda _c, _z: None)
+        rows[-1][1] = "never-seen"
+        write_csv(p, rows)
+        frozen_digest = h._digest
+        with mock.patch.object(stream_io, "_source_digest", lambda _path: frozen_digest):
+            with pytest.raises(IngestInconsistencyError, match="'never-seen', unseen by the first"):
+                h.replay(lambda _c, _z: None)
+        with pytest.raises(KeyError):
+            h.code(1, "never-seen")
 
 def csv_reference(path, delimiter, has_header):
     """The csv.reader parse, kept as the reference for the split path: the
@@ -745,9 +787,6 @@ def handle_tokens(path, delimiter, has_header, mode):
     could not be written), in the replay that parses the file again."""
     h = open_dataset(path, delimiter=delimiter, has_header=has_header, cache_items=mode == "cached")
     if mode == "reparse":
-
-        def no_temporary_file():
-            raise OSError(errno.ENOENT, "No usable temporary directory")
 
         with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
             chunks, _ = record(h)
