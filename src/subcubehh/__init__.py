@@ -24,7 +24,6 @@ from .errors import (
     EmptyFileError,
     EmptySubcubeError,
     IndexOutOfRangeError,
-    IngestInconsistencyError,
     NoClassColumnError,
     RaggedRowError,
     SubcubeHHError,
@@ -71,8 +70,7 @@ __all__ = [
     "HHParams", "Item", "JointValue", "Subcube", "Verdict", "make_subcube",
     "SubcubeHHError", "ConfigError", "EmptySubcubeError", "DuplicateIndexError",
     "IndexOutOfRangeError", "RaggedRowError", "EmptyFileError",
-    "IngestInconsistencyError", "SupportTooLargeError", "NoClassColumnError",
-    "BudgetTooSmallError", "CapExceededError",
+    "SupportTooLargeError", "NoClassColumnError", "BudgetTooSmallError", "CapExceededError",
     "CountMin", "MisraGries", "Reservoir",
     "DatasetHandle", "open_dataset", "from_rows", "from_items",
     "GroundTruth", "TruthLabel", "exact_table", "truth_label",

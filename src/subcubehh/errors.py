@@ -29,10 +29,6 @@ class EmptyFileError(SubcubeHHError, ValueError):
     """The input source contains no data rows."""
 
 
-class IngestInconsistencyError(SubcubeHHError, RuntimeError):
-    """A later pass over the stream does not match the first pass."""
-
-
 class SupportTooLargeError(SubcubeHHError, RuntimeError):
     """The enumerated value-support product exceeds the configured cap."""
 

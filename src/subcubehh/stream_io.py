@@ -25,18 +25,15 @@ on its dictionary, so reading a chunk costs no Python call per item or
 cell. A cached handle keeps these chunk columns, not rows, and hands the
 same lists to every pass: visitors read them and never modify them.
 
-An uncached file is parsed once per handle. Before its freezing replay
-parses, it records the CRC32 and byte count of the source, and it also
-writes each chunk's codes, class codes included, as 32-bit unsigned ints to
-an anonymous temporary file: 4*d*m bytes of temporary disk, 4*(d+1)*m with
-a class column, so every code must fit in 32 bits. Multi-pass algorithms
-need every pass to see the same stream, so a later replay whose source
-changed, or can no longer be read, fails with IngestInconsistencyError
-before the visitor sees a chunk. Otherwise it reads the chunks back from
-the spill, each column a slice of the chunk's packed codes, so a replay
-decodes nothing. When the spill could not be written, the replay parses
-the unchanged file again, and a token the first pass never coded raises
-IngestInconsistencyError.
+The freezing replay is the only one that reads the source, so every pass
+sees the stream it read, whatever later happens to the file. An uncached
+file's freezing replay also writes each chunk's codes, class codes
+included, as 32-bit unsigned ints to an anonymous temporary file: 4*d*m
+bytes of temporary disk, 4*(d+1)*m with a class column, so every code must
+fit in 32 bits. A spill that cannot be opened, written or flushed fails
+that replay with its OSError, and the handle stays unfrozen. Later replays
+read the chunks back from the spill, each column a slice of the chunk's
+packed codes, so a replay decodes nothing.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -48,7 +45,7 @@ cardinalities + ell) at most, about 0.23 MB on the benchmark's 1M-row file.
 The freezing replay counts nothing. The Misra-Gries builds (naivebayes,
 heuristic) store the summaries that never decremented, the oracle's pruned
 tables the marginals they prune by, and a later build that finds stored all
-it would count reads no row, so it makes no source check either.
+it would count reads no row.
 """
 
 from __future__ import annotations
@@ -56,24 +53,18 @@ from __future__ import annotations
 import csv
 import tempfile
 import weakref
-import zlib
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .errors import (
-    ConfigError,
-    EmptyFileError,
-    IngestInconsistencyError,
-    RaggedRowError,
-)
+from .errors import ConfigError, EmptyFileError, RaggedRowError
 
 CHUNK_ROWS = 1024
-_DIGEST_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 16
 # Characters per read of a plain file. Larger blocks raised the freezing
 # replay's peak RSS and measured no faster.
 _TEXT_BLOCK = 1 << 14
@@ -100,6 +91,10 @@ class DatasetHandle:
         self._rows: Sequence[Sequence[str]] | None = None
         if isinstance(source, (str, Path)):
             self._path = Path(source)
+            # Every pass reads from the start, which a pipe cannot; a stat
+            # tells, and never opens (or blocks on) a FIFO.
+            if not self._path.is_file():
+                raise ConfigError(f"no such regular file: {self._path}")
         else:
             self._rows = source
             cache_items = True  # in-memory sources are replayed from the buffer anyway
@@ -108,9 +103,7 @@ class DatasetHandle:
         self.class_col = class_col
         self._cache_items = cache_items
         self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
-        # An uncached file's digest when its freezing replay read it, and
-        # the codes that replay encoded, unless unwritable.
-        self._digest: _Digest | None = None
+        # The codes an uncached file's freezing replay encoded.
         self._spill: BinaryIO | None = None
         # File column -> the exact count of each of its codes, once a build
         # has stored them (exact_counts).
@@ -156,12 +149,12 @@ class DatasetHandle:
             yield filter(None, reader)
 
     @contextmanager
-    def _token_chunks(self, plain: bool) -> Iterator[Iterator[list[Sequence[str]]]]:
+    def _token_chunks(self) -> Iterator[Iterator[list[Sequence[str]]]]:
         """The one parse of the source: the token columns of each chunk of
         up to CHUNK_ROWS rows, `tokens[j]` for file column j. A plain file
-        (see _source_digest) is split by text blocks; any other file, and an
+        (see _is_plain) is split by text blocks; any other file, and an
         in-memory source, goes through its rows."""
-        if plain:
+        if self._path is not None and _is_plain(self._path):
             with open(self._path, "r", newline="") as fh:
                 yield _split_chunks(fh, self.delimiter, self.has_header, self._n_cols)
         else:
@@ -186,18 +179,12 @@ class DatasetHandle:
             self._rev = [list(codes) for codes in self._dicts]
 
     def _encode_column(self, col: int, tokens: Sequence[str]) -> list[int]:
-        """Codes of one chunk column, by one itemgetter call. In the freezing
-        replay a new token is coded as it is met; afterwards a token that
-        replay never saw raises IngestInconsistencyError."""
+        """Codes of one chunk column, by one itemgetter call; the freezing
+        replay, the only caller, codes a new token as it is met."""
         codes = self._dicts[col]
-        try:
-            if len(tokens) == 1:  # itemgetter of one key gives the bare code
-                return [codes[tokens[0]]]
-            return list(itemgetter(*tokens)(codes))
-        except KeyError as exc:
-            raise IngestInconsistencyError(
-                f"column {col + 1} holds {exc.args[0]!r}, unseen by the first pass"
-            ) from None
+        if len(tokens) == 1:  # itemgetter of one key gives the bare code
+            return [codes[tokens[0]]]
+        return list(itemgetter(*tokens)(codes))
 
     def code(self, coord: int, token: str) -> int:
         """Code of `token` in feature coordinate `coord` (after a replay)."""
@@ -269,65 +256,39 @@ class DatasetHandle:
                 for columns, classes in self._cached_chunks:
                     visitor(columns, classes)
                 return self.m
-            if self.m is None:
-                with self._coding_new_tokens():
-                    if self._cache_items:
-                        plain = self._path is not None and _source_digest(self._path).plain
-                        return self._replay_source(visitor, plain)
-                    return self._replay_source_to_spill(visitor)
-            try:  # a frozen uncached file: it must hold the bytes first read
-                same = _source_digest(self._path) == self._digest
-            except OSError as exc:
-                raise IngestInconsistencyError(f"source can no longer be read: {exc}") from exc
-            if not same:
-                raise IngestInconsistencyError(f"{self._path} changed since the first pass")
-            if self._spill is not None:
+            if self.m is not None:  # a frozen uncached file
                 return self._replay_spill(visitor)
-            return self._replay_source(visitor, self._digest.plain)
+            with self._coding_new_tokens():
+                if self._cache_items:
+                    self.m = self._replay_source(visitor)
+                else:
+                    self.m = self._replay_source_to_spill(visitor)
+            return self.m
         finally:
             self._replaying = False
 
     def _replay_source_to_spill(self, visitor: Visitor) -> int:
-        """The freezing replay of an uncached file. It also spills each
-        chunk's codes, and keeps the source's digest taken before the parse.
-        A spill that cannot be written (no temporary disk) is dropped, and
-        later replays parse the file again."""
-        digest = _source_digest(self._path)
-        spill: BinaryIO | None = None
-        with suppress(OSError):
-            spill = tempfile.TemporaryFile()
-
-        def drop_spill() -> None:
-            nonlocal spill
-            with suppress(OSError):  # closing flushes, which may fail again
-                spill.close()
-            spill = None
+        """The freezing replay of an uncached file, which also spills each
+        chunk's codes. A spill that cannot be opened, written or flushed
+        fails the replay with its OSError, and nothing is kept."""
+        spill = tempfile.TemporaryFile()
 
         def spilling(columns: Columns, classes: list[int] | None) -> None:
-            if spill is not None:
-                codes = array("I")
-                for col in (*columns, classes) if classes is not None else columns:
-                    codes.fromlist(col)
-                try:
-                    spill.write(codes)
-                except OSError:
-                    drop_spill()
+            codes = array("I")
+            for col in (*columns, classes) if classes is not None else columns:
+                codes.fromlist(col)
+            spill.write(codes)
             visitor(columns, classes)
 
         try:
-            m = self._replay_source(spilling, digest.plain)
+            m = self._replay_source(spilling)
+            spill.flush()  # the buffered tail, which no write has pushed out
         except BaseException:
-            if spill is not None:
-                drop_spill()
+            with suppress(OSError):  # closing flushes, which may fail again
+                spill.close()
             raise
-        if spill is not None:
-            try:
-                spill.flush()  # the buffered tail, which no write has pushed out
-            except OSError:
-                drop_spill()
-            else:
-                weakref.finalize(self, spill.close)  # closed with the handle
-        self._spill, self._digest = spill, digest
+        weakref.finalize(self, spill.close)  # closed with the handle
+        self._spill = spill
         return m
 
     def _replay_spill(self, visitor: Visitor) -> int:
@@ -345,13 +306,13 @@ class DatasetHandle:
             visitor(tuple(columns), classes)
         return self.m
 
-    def _replay_source(self, visitor: Visitor, plain: bool) -> int:
+    def _replay_source(self, visitor: Visitor) -> int:
         feature_cols = self._feature_cols
         class_col = self.class_col
-        # A cached handle parses only in its freezing replay, and keeps the chunks.
+        # A cached handle keeps the chunks its freezing replay parses.
         chunks: list | None = [] if self._cache_items else None
         m = 0
-        with self._token_chunks(plain) as source:
+        with self._token_chunks() as source:
             for tokens in source:
                 m += len(tokens[0])
                 columns = tuple(self._encode_column(j, tokens[j]) for j in feature_cols)
@@ -361,7 +322,6 @@ class DatasetHandle:
                 if chunks is not None:
                     chunks.append((columns, classes))
                 visitor(columns, classes)
-        self.m = m  # a later parse reads the same bytes, so the same m
         if chunks is not None:
             self._cached_chunks = chunks
         return m
@@ -429,26 +389,16 @@ def _ragged_row(m: int, widths: list[int], n_cols: int) -> RaggedRowError:
     return RaggedRowError(f"row {m + r + 1} has {widths[r]} fields, expected {n_cols}")
 
 
-class _Digest(NamedTuple):
-    crc: int
-    size: int
-    plain: bool  # no '"' and no NUL byte: each line is a row of fields split at the delimiter
-
-
-def _source_digest(path: Path) -> _Digest:
-    """CRC32 and byte count of a file, and whether it is plain, read through
-    one reused buffer. In UTF-8 neither '"' nor NUL occurs inside a
-    multi-byte sequence, so the bytes tell."""
-    crc = size = 0
-    plain = True
-    buf = bytearray(_DIGEST_BLOCK)
-    view = memoryview(buf)
+def _is_plain(path: Path) -> bool:
+    """Whether a file holds no '"' and no NUL byte, so each line is a row of
+    fields split at the delimiter. In UTF-8 neither occurs inside a
+    multi-byte sequence, so the bytes tell; the scan stops at the first."""
+    buf = bytearray(_SCAN_BLOCK)
     with open(path, "rb") as fh:
         while n := fh.readinto(buf):
-            crc = zlib.crc32(view[:n], crc)
-            size += n
-            plain = plain and buf.find(b'"', 0, n) < 0 and buf.find(b"\0", 0, n) < 0
-    return _Digest(crc, size, plain)
+            if buf.find(b'"', 0, n) >= 0 or buf.find(b"\0", 0, n) >= 0:
+                return False
+    return True
 
 
 def open_dataset(
@@ -459,12 +409,9 @@ def open_dataset(
     class_col: int | None = None,
     cache_items: bool = False,
 ) -> DatasetHandle:
-    """Open a delimited text file for replay. class_col is a 0-based column index."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"no such file: {p}")
+    """Open a delimited regular file for replay. class_col is a 0-based column index."""
     return DatasetHandle(
-        p,
+        path,
         delimiter=delimiter,
         has_header=has_header,
         class_col=class_col,

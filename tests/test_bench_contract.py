@@ -269,6 +269,6 @@ def test_answer_commands_never_import_numpy(class_csv, tmp_path):
 
 
 def test_stream_path_never_imports_openssl(class_csv):
-    # Later replays check the source with zlib.crc32: importing hashlib loads
-    # OpenSSL (_hashlib), which raised VmHWM from 15.8 to 19.4 MB.
+    # Importing hashlib loads OpenSSL (_hashlib), which raised VmHWM from
+    # 15.8 to 19.4 MB.
     run_stream_path(class_csv, "assert '_hashlib' not in sys.modules, '_hashlib imported'")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -507,6 +508,35 @@ class TestConfigBeforeData:
         assert captured.err == f"error: output directory {out.parent} does not exist\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNotARegularFile:
+    """`--data` must name a regular file, which every pass can read from its
+    start: a directory or a pipe exits 2 and writes nothing. The check stats
+    the path, so it never opens the FIFO and cannot block."""
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--subcube", "1"],
+            ["run", "--algo", "sampling", "--gamma", "0.05", "--subcube", "1"],
+            ["eval", "--algo", "sampling", "--gamma", "0.05", "--subcube", "1"],
+        ],
+        ids=["oracle", "run", "eval"],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv, kind):
+        data = tmp_path / "data"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            os.mkfifo(data)
+        code = main([*argv, "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: no such regular file: {data}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [data]
 
 
 class TestBadValues:

@@ -18,7 +18,6 @@ from subcubehh.errors import (
     BudgetTooSmallError,
     CapExceededError,
     ConfigError,
-    IngestInconsistencyError,
     NoClassColumnError,
 )
 from subcubehh.independence import (
@@ -273,9 +272,9 @@ class TestPass2KnownTotals:
 
 class TestNoRowRead:
     """A build that finds everything it counts stored on the handle reads
-    no row, so it makes no source check either."""
+    no row; one that reads rows reads the spill, never the source again."""
 
-    def test_changed_file_unnoticed_until_a_replay(self, tmp_path):
+    def test_changed_file_never_read_again(self, tmp_path):
         path = tmp_path / "d.csv"
         rows = [(x % 3, x % 5, x % 2) for x in range(40)]
         path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
@@ -283,10 +282,21 @@ class TestNoRowRead:
         p = HHParams(0.5)
         priors, cands = nb_pass1(h, p, 5)
         path.write_text("0,0,0\n")
+        replays = 0
+
+        def counted(visitor, _replay=h.replay):
+            nonlocal replays
+            replays += 1
+            return _replay(visitor)
+
+        h.replay = counted
+        in_memory = from_items(rows, class_col=2)
         assert nb_pass1(h, p, 5) == (priors, cands)
-        assert indep_pass1(h, p, 5) == indep_pass1(from_items(rows, class_col=2), p, 5)
-        with pytest.raises(IngestInconsistencyError):
-            nb_pass1(h, p, 4)  # coordinate 1's 5 values overflow 4 counters
+        assert indep_pass1(h, p, 5) == indep_pass1(in_memory, p, 5)
+        assert replays == 0
+        # Coordinate 1's 5 values overflow 4 counters, so this build replays.
+        assert nb_pass1(h, p, 4) == nb_pass1(in_memory, p, 4)
+        assert replays == 1
 
 
 def summary_state(sk):

@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import os
 import random
 import tempfile
 from array import array
@@ -12,12 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcubehh.errors import (
-    ConfigError,
-    EmptyFileError,
-    IngestInconsistencyError,
-    RaggedRowError,
-)
+from subcubehh.errors import ConfigError, EmptyFileError, RaggedRowError
 from subcubehh import stream_io
 from subcubehh.core import HHParams, make_subcube
 from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
@@ -42,6 +38,20 @@ def collect(handle):
 
     handle.replay(visit)
     return out
+
+
+def check_spill_serves_the_freeze(path, change):
+    """Freeze an uncached handle on ``path``, apply ``change(path)``, and
+    check that two later replays hand over what the freeze read without
+    parsing the file again."""
+    h = open_dataset(path)
+    first = collect(h)
+    change(path)
+    with count_parses() as parses:
+        assert collect(h) == first
+        assert collect(h) == first
+    assert parses.call_count == 0
+    return h
 
 
 class TestOpenDataset:
@@ -96,6 +106,18 @@ class TestOpenDataset:
         with pytest.raises(ConfigError):
             open_dataset(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_not_a_regular_file(self, tmp_path, kind):
+        # A pipe would lose its first row to the peek; the check stats the
+        # FIFO and never opens it, so nothing here blocks.
+        p = tmp_path / kind
+        if kind == "directory":
+            p.mkdir()
+        else:
+            os.mkfifo(p)
+        with pytest.raises(ConfigError, match=f"no such regular file: {p}"):
+            open_dataset(p)
+
     def test_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"
         write_csv(p, [["x", "y"], ["x", "z"]], delimiter="\t")
@@ -134,31 +156,38 @@ class TestReplay:
         assert h.replay(lambda _i, _c: None) == 3
         assert h.cardinalities == (2, 2)
 
-    def test_new_token_in_second_pass_fails(self, tmp_path):
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_source_never_read_after_the_freeze(self, tmp_path, cached):
+        # Every pass sees the stream the freezing replay read: the cache or
+        # the spill serves it, whatever happens to the file afterwards.
+        rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
-        write_csv(p, [["a"], ["b"]])
-        h = open_dataset(p)  # no item cache: rereads the file each pass
-        h.replay(lambda _i, _c: None)
-        write_csv(p, [["a"], ["zzz"]])
-        with pytest.raises(IngestInconsistencyError):
-            h.replay(lambda _i, _c: None)
-
-    def test_changed_length_in_second_pass_fails(self, tmp_path):
-        p = tmp_path / "d.csv"
-        write_csv(p, [["a"], ["b"]])
-        h = open_dataset(p)
-        h.replay(lambda _i, _c: None)
-        write_csv(p, [["a"], ["b"], ["a"]])
-        with pytest.raises(IngestInconsistencyError):
-            h.replay(lambda _i, _c: None)
-
-    def test_cached_items_replay_fast_path(self, tmp_path):
-        p = tmp_path / "d.csv"
-        write_csv(p, [["a", "x"], ["b", "y"]])
-        h = open_dataset(p, cache_items=True)
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2, cache_items=cached)
         first = collect(h)
-        p.unlink()  # cached handles never re-read the source
-        assert collect(h) == first
+        assert (h._spill is None) == cached
+        with count_parses() as parses:
+            write_csv(p, [["never-seen", "u0", "c0"]] + rows[::-1])  # new token, new length
+            assert collect(h) == first
+            p.unlink()
+            assert collect(h) == first
+        assert parses.call_count == 0
+        assert h.m == len(rows)
+        with pytest.raises(KeyError):
+            h.code(0, "never-seen")
+
+    def test_new_token_after_the_freeze_is_never_read(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [["a"], ["b"]])
+        h = check_spill_serves_the_freeze(p, lambda q: write_csv(q, [["a"], ["zzz"]]))
+        with pytest.raises(KeyError):
+            h.code(0, "zzz")
+
+    def test_changed_length_after_the_freeze_is_never_read(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [["a"], ["b"]])
+        h = check_spill_serves_the_freeze(p, lambda q: write_csv(q, [["a"], ["b"], ["a"]]))
+        assert h.m == 2
 
     def test_nested_replay_rejected(self):
         h = from_rows([["a"], ["b"]])
@@ -204,11 +233,6 @@ class TestReplay:
             from_rows([["a"]], class_col=0)
 
 
-def no_temporary_file():
-    """A tempfile.TemporaryFile stand-in: no temporary disk, so no spill."""
-    raise OSError(errno.ENOENT, "No usable temporary directory")
-
-
 def token_rows(m):
     """m rows whose first column meets a new token every 7 rows, so each
     chunk codes new tokens; the last column is a 3-valued class."""
@@ -242,7 +266,7 @@ def check_first_seen_coding(path, m, cached, class_col):
         (tuple(codes[j] for j in features), None if class_col is None else codes[class_col])
         for codes in first_seen_codes(rows)
     ]
-    assert collect(h) == expect  # frozen pass: the file again, the spill, or the cache
+    assert collect(h) == expect  # frozen pass: the spill or the cache
     assert collect(h) == expect
     distinct = [list(dict.fromkeys(col)) for col in zip(*rows)]  # first-seen order
     assert h.cardinalities == tuple(len(distinct[j]) for j in features)
@@ -279,18 +303,15 @@ class TestChunks:
         with pytest.raises(RaggedRowError, match=f"^row {CHUNK_ROWS + 3} has 4 fields"):
             h.replay(lambda _c, _z: None)
 
-    def test_unseen_token_in_later_chunk_of_pass_two(self, tmp_path):
+    def test_unseen_token_in_later_chunk_after_the_freeze_is_never_read(self, tmp_path):
         rows = token_rows(2 * CHUNK_ROWS)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
-        h = open_dataset(p)
-        h.replay(lambda _c, _z: None)
-        rows[CHUNK_ROWS + 10][1] = "never-seen"
-        write_csv(p, rows)
-        chunks = []
-        with pytest.raises(IngestInconsistencyError, match="changed since the first pass"):
-            h.replay(lambda columns, _z: chunks.append(columns))
-        assert chunks == []  # rejected before the first chunk
+        changed = [list(row) for row in rows]
+        changed[CHUNK_ROWS + 10][1] = "never-seen"
+        h = check_spill_serves_the_freeze(p, lambda q: write_csv(q, changed))
+        with pytest.raises(KeyError):
+            h.code(1, "never-seen")
 
     def test_blank_lines_and_header_skipped(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 2)
@@ -337,7 +358,7 @@ NEAR_CHUNK_MULTIPLES = st.one_of(
 
 class TestSpill:
     """Later replays of an uncached file read the codes its freezing replay
-    spilled, and hand over exactly what parsing the file again would."""
+    spilled, and hand over exactly what that replay parsed."""
 
     @settings(max_examples=25)
     @given(m=NEAR_CHUNK_MULTIPLES, class_col=st.sampled_from([None, 0, 2]))
@@ -378,40 +399,24 @@ class TestSpill:
         last = chunks[-1][0][0][-1]
         assert last == code and last is not code  # an equal int, not the dictionary's
 
-    def test_rewritten_file_is_rejected(self, tmp_path):
+    def test_rewritten_file_is_never_read(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
-        h = open_dataset(p, class_col=2)
-        h.replay(lambda _c, _z: None)
         size = p.stat().st_size
-        write_csv(p, rows[::-1])  # the same length, and only tokens seen before
-        assert p.stat().st_size == size
-        chunks = []
-        with count_parses() as parses:
-            for _ in range(2):
-                with pytest.raises(IngestInconsistencyError, match="changed since"):
-                    h.replay(lambda columns, _z: chunks.append(columns))
-            assert parses.call_count == 0  # neither replay parsed the file
-        assert chunks == []
-        write_csv(p, rows)  # the original bytes again: the spill serves them
-        with count_parses() as parses:
-            assert [item for item, _z in collect(h)] == [
-                codes[:2] for codes in first_seen_codes(rows)
-            ]
-            assert parses.call_count == 0
 
-    def test_deleted_file_raises_inconsistency(self, tmp_path):
+        def rewrite(q):
+            write_csv(q, rows[::-1])  # the same length, and only tokens seen before
+            assert q.stat().st_size == size
+
+        h = check_spill_serves_the_freeze(p, rewrite)
+        assert [item for item, _z in collect(h)] == first_seen_codes(rows)
+
+    def test_deleted_file_is_never_read(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, token_rows(10))
-        h = open_dataset(p)
-        h.replay(lambda _c, _z: None)
-        p.unlink()
-        chunks = []
-        with pytest.raises(IngestInconsistencyError, match="no longer be read") as replay_error:
-            h.replay(lambda columns, _z: chunks.append(columns))
-        assert isinstance(replay_error.value.__cause__, FileNotFoundError)
-        assert chunks == []
+        h = check_spill_serves_the_freeze(p, lambda q: q.unlink())
+        assert h.m == 10
 
     def test_unchanged_file_parsed_once_per_handle(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -440,10 +445,9 @@ class TestSpill:
         assert first == second
 
     @pytest.mark.parametrize("fails", ["open", "write"])
-    def test_unwritable_spill_falls_back_to_parsing(self, tmp_path, fails):
+    def test_unwritable_spill_fails_the_freeze(self, tmp_path, fails):
         rows = token_rows(2 * CHUNK_ROWS + 1)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
+        opened = []
 
         class FullDisk(io.BytesIO):
             def write(self, data):
@@ -454,20 +458,10 @@ class TestSpill:
         def temporary_file():
             if fails == "open":
                 raise OSError(errno.ENOENT, "No usable temporary directory")
-            return FullDisk()
+            opened.append(FullDisk())
+            return opened[-1]
 
-        h = open_dataset(p, class_col=2)
-        with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
-            parsed, m = record(h)
-        assert m == len(rows)
-        with count_parses() as parses:
-            assert record(h) == (parsed, m)
-            assert record(h) == (parsed, m)
-            assert parses.call_count == 2  # no spill: every replay parses
-            write_csv(p, rows[::-1])  # the same bytes, reordered
-            with pytest.raises(IngestInconsistencyError):
-                record(h)
-            assert parses.call_count == 2  # rejected before parsing
+        check_failed_spill(tmp_path, rows, temporary_file, opened)
 
     @pytest.mark.parametrize(
         "m, buffer_size",
@@ -476,25 +470,42 @@ class TestSpill:
             (2 * CHUNK_ROWS + 1, 1 << 14),  # a write fails with a chunk still buffered
         ],
     )
-    def test_unflushable_spill_falls_back_to_parsing(self, tmp_path, m, buffer_size):
-        rows = token_rows(m)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
+    def test_unflushable_spill_fails_the_freeze(self, tmp_path, m, buffer_size):
+        opened = []
 
         class FullDiskFile(io.FileIO):
             def write(self, data):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         def temporary_file():
-            return io.BufferedRandom(FullDiskFile(tmp_path / "spill", "w+b"), buffer_size)
+            raw = FullDiskFile(tmp_path / "spill", "w+b")
+            opened.append(io.BufferedRandom(raw, buffer_size))
+            return opened[-1]
 
-        h = open_dataset(p, class_col=2)
-        with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
-            parsed, m = record(h)
-        assert m == len(rows)
-        with count_parses() as parses:
-            assert record(h) == (parsed, m)
-            assert parses.call_count == 1  # no spill: the file is parsed again
+        check_failed_spill(tmp_path, token_rows(m), temporary_file, opened)
+
+
+def check_failed_spill(tmp_path, rows, temporary_file, opened):
+    """A freezing replay whose spill (made by `temporary_file`, which puts
+    each file it opens in `opened`) cannot be opened, written or flushed
+    fails with that OSError, leaves the handle unfrozen with no spill and
+    every spill closed; a retry freezes, and replays as a cached handle."""
+    p = tmp_path / "d.csv"
+    write_csv(p, rows)
+    h = open_dataset(p, class_col=2)
+    with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
+        with pytest.raises(OSError, match="No usable temporary directory|No space left"):
+            record(h)
+    assert h.m is None and h._spill is None
+    assert all(f.closed for f in opened)
+    frozen, m = record(h)  # the retry spills to a real temporary file
+    assert m == len(rows) and h._spill is not None
+    cached = open_dataset(p, class_col=2, cache_items=True)
+    want = record(cached)
+    assert (frozen, m) == want
+    with count_parses() as parses:
+        assert record(h) == want
+    assert parses.call_count == 0
 
 
 @contextmanager
@@ -693,27 +704,6 @@ class TestFreezeCoding:
         assert [h.decode(0, x) for x in range(len(distinct))] == distinct
         assert [item for item, _z in collect(h)] == [c[:2] for c in first_seen_codes(rows)]
 
-    def test_unseen_token_on_reparse_raises_inconsistency(self, tmp_path):
-        # A change the source check misses (the file rewritten between the
-        # check and the parse) still fails at the first token never coded.
-        rows = token_rows(CHUNK_ROWS + 3)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2)
-
-        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
-            h.replay(lambda _c, _z: None)  # freezes; no spill, so later replays parse
-        cardinalities = h.cardinalities
-        rows[CHUNK_ROWS + 1][1] = "never-seen"
-        write_csv(p, rows)
-        frozen_digest = h._digest
-        with mock.patch.object(stream_io, "_source_digest", lambda _path: frozen_digest):
-            with pytest.raises(IngestInconsistencyError, match="'never-seen', unseen by the first"):
-                h.replay(lambda _c, _z: None)
-        assert h.cardinalities == cardinalities
-        with pytest.raises(KeyError):
-            h.code(1, "never-seen")
-
 
 
 class TestEncodeOneCall:
@@ -722,15 +712,12 @@ class TestEncodeOneCall:
     apart."""
 
     @pytest.mark.parametrize("m", [1, CHUNK_ROWS + 1])  # the last chunk holds one row
-    @pytest.mark.parametrize("mode", ["cached", "spilled", "reparse"])
+    @pytest.mark.parametrize("mode", ["cached", "spilled"])
     def test_one_row_chunk(self, tmp_path, m, mode):
         rows = token_rows(m)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=2, cache_items=mode == "cached")
-        if mode == "reparse":  # no spill: the replays below parse the file again
-            with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
-                h.replay(lambda _c, _z: None)
         chunks, n = record(h)
         assert (n, len(chunks[-1][1])) == (m, 1)
         assert (h._spill is not None) == (mode == "spilled")
@@ -738,22 +725,6 @@ class TestEncodeOneCall:
         assert [row for chunk in rows_seen for row in chunk] == first_seen_codes(rows)
         assert record(h) == (chunks, n)
 
-    @pytest.mark.parametrize("m", [1, CHUNK_ROWS + 1])
-    def test_unseen_token_in_one_row_chunk_on_reparse(self, tmp_path, m):
-        rows = token_rows(m)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2)
-        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
-            h.replay(lambda _c, _z: None)
-        rows[-1][1] = "never-seen"
-        write_csv(p, rows)
-        frozen_digest = h._digest
-        with mock.patch.object(stream_io, "_source_digest", lambda _path: frozen_digest):
-            with pytest.raises(IngestInconsistencyError, match="'never-seen', unseen by the first"):
-                h.replay(lambda _c, _z: None)
-        with pytest.raises(KeyError):
-            h.code(1, "never-seen")
 
 def csv_reference(path, delimiter, has_header):
     """The csv.reader parse, kept as the reference for the split path: the
@@ -782,18 +753,11 @@ def csv_reference(path, delimiter, has_header):
 
 
 def handle_tokens(path, delimiter, has_header, mode):
-    """The token columns of each chunk the handle hands over: in its
-    freezing replay, and, for mode "reparse" (an uncached file whose spill
-    could not be written), in the replay that parses the file again."""
+    """The token columns of each chunk the handle hands over in its
+    freezing replay, which a later replay (the cache or the spill) repeats."""
     h = open_dataset(path, delimiter=delimiter, has_header=has_header, cache_items=mode == "cached")
-    if mode == "reparse":
-
-        with mock.patch.object(tempfile, "TemporaryFile", no_temporary_file):
-            chunks, _ = record(h)
-        again, _ = record(h)
-        assert again == chunks
-    else:
-        chunks, _ = record(h)
+    chunks, _ = record(h)
+    assert record(h)[0] == chunks
     return [
         [[h.decode(j, x) for x in col] for j, col in enumerate(columns)] for columns, _z in chunks
     ]
@@ -824,7 +788,7 @@ class TestSplitPath:
         odd_row=st.sampled_from([None, "ragged", "quote", "long"]),
         block=st.sampled_from([1, 2, 7, 64, 1 << 14]),
         field_limit=st.sampled_from([None, 8]),
-        mode=st.sampled_from(["cached", "uncached", "reparse"]),
+        mode=st.sampled_from(["cached", "uncached"]),
         seed=st.integers(0, 2**16),
     )
     def test_split_path_equals_csv_reader(
@@ -861,7 +825,7 @@ class TestSplitPath:
         p = tmp_path_factory.mktemp("split") / "d.csv"
         p.write_text(text, newline="")
         plain = odd_row != "quote"
-        assert stream_io._source_digest(p).plain == plain
+        assert stream_io._is_plain(p) == plain
         limit = csv.field_size_limit()
         try:
             if field_limit is not None:
@@ -879,7 +843,7 @@ class TestSplitPath:
             assert split.called == plain
 
     @pytest.mark.parametrize("long_field", [False, True])
-    @pytest.mark.parametrize("mode", ["cached", "uncached", "reparse"])
+    @pytest.mark.parametrize("mode", ["cached", "uncached"])
     def test_line_over_field_size_limit(self, tmp_path, long_field, mode):
         # Lines of "t293,u4,c2" are longer than the limit, and their fields
         # are not; a 20-character field in the second chunk is. csv meets
@@ -903,13 +867,13 @@ class TestSplitPath:
             assert got == (RaggedRowError, f"row {CHUNK_ROWS + 10} has 4 fields, expected 3")
 
     @pytest.mark.parametrize("body", [b"a,b\nc,\x00d\ne,f\n", b'a,b\n"c\n,d",e\n'])
-    @pytest.mark.parametrize("mode", ["cached", "uncached", "reparse"])
+    @pytest.mark.parametrize("mode", ["cached", "uncached"])
     def test_nul_or_quote_takes_the_csv_path(self, tmp_path, body, mode):
         # csv before Python 3.11 rejects NUL ("line contains NUL"); later
         # versions read it as a character. The handle does what csv does.
         p = tmp_path / "d.csv"
         p.write_bytes(body)
-        assert not stream_io._source_digest(p).plain
+        assert not stream_io._is_plain(p)
         expect = outcome(lambda: csv_reference(p, ",", False))
         with mock.patch.object(stream_io, "_split_chunks") as split:
             assert outcome(lambda: handle_tokens(p, ",", False, mode)) == expect
