@@ -14,9 +14,10 @@ counted, reduced to what the run scores against (its heavy set, or its top-k
 values and their counts) and freed before the next one is counted. The
 detection protocol's tables are pruned at gamma (oracle.exact_table's
 heavy_at): they count only the rows whose every value on the subcube is
-itself heavy, which is all a heavy set needs, and the marginal counts that
-pruning reads stay on the handle for the builds that follow. The freq task
-ranks its top-k values from full tables.
+itself heavy, which is all a heavy set needs. The marginals pruning reads
+are the handle's exact counts, counted once for every column, and the
+builds that follow read the same counts. The freq task ranks its top-k
+values from full tables.
 """
 
 from __future__ import annotations

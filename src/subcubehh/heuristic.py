@@ -4,18 +4,15 @@ No second pass and no guarantee. Per-coordinate marginals come from Count-Min
 point queries (always overestimates), and a query multiplies them exactly as
 the two-pass product test does. Misra-Gries summaries are kept alongside the
 sketches so AllQuery has candidate values to enumerate; Count-Min alone
-cannot list values. The build keeps no exact tally: Count-Min state depends
-only on the multiset it is fed, and a value's exact count is its final
-Misra-Gries counter plus what the summary's decrement rounds removed. So a
-chunk that decrements a summary feeds the sketch the counts it removed at
-once, and the end of the pass feeds each tracked value its final counter,
-reading its estimate from those same cells. A list that cannot decrement
-is rebuilt from the exact counts the handle stores, when an earlier build
-stored them (naivebayes.misra_gries_pass), and feeds Count-Min its final
-counters only; when every list is rebuilt the build reads no row. Each
-coordinate's candidates are ranked by estimate; AllQuery runs the
-factorized model's level loop (naivebayes.grow_levels) over them as
-one-class rows built per call.
+cannot list values. Count-Min state depends only on the multiset it is
+fed, so each sketch is fed once from the handle's exact counts
+(DatasetHandle.exact_counts), every value with its count, and the tracked
+values' estimates are read from those same cells. A list that cannot
+decrement is rebuilt from the same counts (naivebayes.misra_gries_pass);
+only lists over budget are fed by a replay, so when every list fits the
+build reads no row once the counts exist. Each coordinate's candidates
+are ranked by estimate; AllQuery runs the factorized model's level loop
+(naivebayes.grow_levels) over them as one-class rows built per call.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -89,25 +86,24 @@ def heuristic_build(
     seed: int = 0,
     depth: int = DEFAULT_DEPTH,
 ) -> HeuristicModel:
-    """At most one pass: a Count-Min sketch per coordinate sized from the
-    slot budget (width = memory_slots / (d * depth)), plus a Misra-Gries
-    candidate list per coordinate with budget ceil(8/lam), whose values are
-    then ranked. Lists the handle's stored counts give are not read again."""
+    """A Count-Min sketch per coordinate sized from the slot budget (width =
+    memory_slots / (d * depth)), fed from the handle's exact counts, plus a
+    Misra-Gries candidate list per coordinate with budget ceil(8/lam),
+    whose values are then ranked. Only the lists over budget read the rows,
+    in one replay."""
     width = cms_width(memory_slots, h.d, depth)
-    cms = [CountMin(width, depth, hash_pair(i, seed)) for i in range(h.d)]
-
-    def feed(i: int, removed: dict[int, int]) -> None:
-        cms[i].update_counts(list(removed), list(removed.values()))
-
-    m, mg, _ = misra_gries_pass(h, default_counter_budget(p), on_removed=feed)
+    m, mg = misra_gries_pass(h, default_counter_budget(p))
+    cms = []
     tables = []
-    for sk, g in zip(cms, mg):
-        # The final counters complete each value's exact count in the cells,
-        # which then give the tracked values' estimates.
-        tracked = g.tracked()
-        estimates = sk.update_counts(tracked, list(g.counters.values()))
-        ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
+    for i, g in enumerate(mg):
+        # Cells are sums, so feeding each value its exact count once gives
+        # the cells of feeding the stream item by item.
+        counts = h.exact_counts(i)
+        sk = CountMin(width, depth, hash_pair(i, seed))
+        estimate = dict(zip(counts, sk.update_counts(list(counts), list(counts.values()))))
+        ranked = [(x, estimate[x] / m) for x in g.tracked()]
         tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
+        cms.append(sk)
     return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)
 
 

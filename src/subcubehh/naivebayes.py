@@ -5,21 +5,17 @@ builds: `nb2p`'s over the dataset's class column, and `indep2p`'s (which
 independence.py re-exports) with a single class holding every item.
 
 Pass 1 computes exact class counts and per-coordinate Misra-Gries candidate
-sets H_i; pass 2 counts each candidate exactly, per class. A summary of c
-counters over a coordinate of at most c values never decrements, so its
-counters are that coordinate's exact counts. The handle keeps them, and the
-class counts, once a build has counted them (DatasetHandle.exact_counts,
-8 bytes per value), and every later pass 1 or heuristic build on it
-rebuilds such a summary from them instead of counting again: a build with
-no summary left to feed reads no row. So `nb_pass1` after `indep_pass1`
-at the same budget, whose replay also counted the class column, reads
-nothing when every coordinate fits the budget. A summary that
-never decremented already holds its candidates' exact totals, so on that
-coordinate pass 2 counts (x, z) only in rows outside the largest class z*
-and takes count(x, z*) as the total minus the other classes' counts. With
-one class no row lies outside it: such a coordinate counts nothing, and
-when every coordinate is exact pass 2 reads no row. A query scores
-v as
+sets H_i; pass 2 counts each candidate exactly, per class. Both read the
+handle's exact marginals (DatasetHandle.exact_counts), which its first
+request counts for every column in one replay. A summary of c counters
+over a coordinate of at most c values never decrements, so its counters
+are that coordinate's exact counts: pass 1 rebuilds such a summary from
+them, and feeds only the coordinates over budget, so a pass 1 whose every
+coordinate fits reads no row. Pass 2 takes each candidate's total from
+the same counts, so it counts (x, z) only in rows outside the largest
+class z* and takes count(x, z*) as the total minus the other classes'
+counts. With one class no row lies outside it, and pass 2 reads no row.
+A query scores v as
 
     q(v) = sum_z prior(z) * prod_i cond_i(v_i | z)
 
@@ -68,14 +64,10 @@ MAX_CLASS_VALUES = 1024
 
 @dataclass(frozen=True)
 class CandidateSets:
-    """Per-coordinate candidate value sets from pass 1, and what pass 1
-    knows of them exactly: `totals[i]` maps each candidate of coordinate i
-    to its count over the stream's m items when coordinate i's summary
-    never decremented, else it is None. Sets built by hand carry no totals
-    and no m, so pass 2 counts every candidate in every row."""
+    """Per-coordinate candidate value sets from pass 1, and the item count
+    m of the stream they were drawn from. Sets built by hand carry no m."""
 
     sets: tuple[frozenset[int], ...]
-    totals: tuple[dict[int, int] | None, ...] | None = None
     m: int | None = None
 
     @property
@@ -181,76 +173,57 @@ class FactorizedModel:
         return [(x, f) for x, f, _cond, _cmax in self.rows(coord, threshold)]
 
 
-def misra_gries_pass(
-    h: DatasetHandle,
-    budget: int,
-    on_removed: Callable[[int, dict[int, int]], None] | None = None,
-) -> tuple[int, list[MisraGries], dict[int, int] | None]:
-    """m, one Misra-Gries summary of `budget` counters per coordinate over
-    the whole stream, and the class counts as {code: count} (None without
-    a class column).
+def misra_gries_pass(h: DatasetHandle, budget: int) -> tuple[int, list[MisraGries]]:
+    """m, and one Misra-Gries summary of `budget` counters per coordinate
+    over the whole stream.
 
-    A coordinate of cardinality at most `budget` can never decrement, so
-    where the handle stores its exact counts its summary is rebuilt from
-    them (`MisraGries.from_counts`). The others are fed in one replay, which
-    hands `on_removed(i, removed)` what each chunk's rounds removed on
-    coordinate i and counts a class column not yet stored. A replayed
-    column holds ints equal to the codes, not always the dictionary's own,
-    so each fed summary is then re-keyed once through `code_table`. Each
-    that never decremented, and those class counts, are stored on the
-    handle. So once any build has replayed, the class counts are stored,
-    and a build with no summary left to feed makes no replay.
+    A coordinate of at most `budget` values can never decrement, so its
+    summary is rebuilt from the handle's exact counts
+    (`MisraGries.from_counts`). The others are fed in one replay; a
+    replayed column holds ints equal to the codes, not always the
+    dictionary's own, so each fed summary is then re-keyed once through
+    `code_table`. A build whose every coordinate fits makes no replay.
     """
-
-    def summary(i: int, n: int) -> MisraGries:
-        counts = h.exact_counts(i) if n <= budget else None
-        return MisraGries(budget) if counts is None else MisraGries.from_counts(budget, counts)
-
-    sketches = [summary(i, n) for i, n in enumerate(h.cardinalities)]
+    exact = [h.exact_counts(i) for i in range(h.d)]  # before h.m: it may freeze the handle
+    sketches = [
+        MisraGries.from_counts(budget, counts) if len(counts) <= budget else MisraGries(budget)
+        for counts in exact
+    ]
     fed = [(i, sk) for i, sk in enumerate(sketches) if not sk.processed]  # not rebuilt
-    class_counts = None if h.class_col is None else h.exact_counts(None)
-    tally = Counter() if h.class_col is not None and class_counts is None else None
-    if not fed and tally is None:
-        return h.m, sketches, class_counts
+    if not fed:
+        return h.m, sketches
 
-    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
-        if tally is not None:
-            tally.update(classes)
+    def visit(columns: Columns, _classes: Sequence[int] | None) -> None:
         for i, sk in fed:
-            removed = sk.update_many(columns[i])
-            if removed and on_removed is not None:
-                on_removed(i, removed)
+            sk.update_many(columns[i])
 
     m = h.replay(visit)
     for i, sk in fed:
         table = h.code_table(i)
         sk.counters = Counter({table[x]: n for x, n in sk.counters.items()})
-        if not sk.decrements:  # keyed in first-seen order, which is code order
-            h.exact_counts(i, sk.counters.values())
-    if tally is not None:
-        class_counts = h.exact_counts(None, tally.values())
-    return m, sketches, class_counts
+    return m, sketches
 
 
 def _pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None, one_class: bool
 ) -> tuple[ClassPriors, CandidateSets]:
-    """Class counts plus per-coordinate candidate sets, in at most one pass.
+    """Class counts plus per-coordinate candidate sets (misra_gries_pass).
     With `one_class`, all m items form one class."""
     budget = pass1_budget(p, counter_budget)
-    m, sketches, class_counts = misra_gries_pass(h, budget)
+    if not one_class:
+        class_counts = h.exact_counts(None)
+        if len(class_counts) > MAX_CLASS_VALUES:  # before any summary is fed
+            raise ConfigError(
+                f"{len(class_counts)} distinct class values (> {MAX_CLASS_VALUES}); "
+                "the class column is expected to be low-cardinality"
+            )
+    m, sketches = misra_gries_pass(h, budget)
     counts = (m,) if one_class else tuple(class_counts.values())
-    if len(counts) > MAX_CLASS_VALUES:
-        raise ConfigError(
-            f"{len(counts)} distinct class values (> {MAX_CLASS_VALUES}); "
-            "the class column is expected to be low-cardinality"
-        )
     # Nudge below the real cutoff so integer counts sitting exactly on it are
     # never lost to float rounding; the in/out gap is >= lam*m/8 wide.
     cutoff = candidate_cutoff(p.lam, budget) * m - 1e-9
-    kept = [{x: c for x, c in sk.counters.items() if c >= cutoff} for sk in sketches]
-    totals = tuple(None if sk.decrements else t for sk, t in zip(sketches, kept))
-    return ClassPriors(counts, m), CandidateSets(tuple(map(frozenset, kept)), totals, m)
+    kept = [frozenset(x for x, c in sk.counters.items() if c >= cutoff) for sk in sketches]
+    return ClassPriors(counts, m), CandidateSets(tuple(kept), m)
 
 
 def _recount(
@@ -258,58 +231,45 @@ def _recount(
 ) -> tuple[int, list[dict[int, list[int]]]]:
     """Pass 2: m, and per coordinate each candidate's count per class of
     `priors` (None: one class holding every item; the class column is not
-    read). A coordinate whose pass-1 totals are known is counted only in
-    rows outside the largest class `top`, and count(x, top) is its total
-    minus x's other counts. With one class that leaves nothing to count,
-    and when no coordinate needs counting no row is read."""
+    read). Every coordinate's totals are the handle's exact counts, so
+    (x, z) is counted only in rows outside the largest class `top`, and
+    count(x, top) is x's total minus its other counts. With one class that
+    leaves nothing to count, and no row is read."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
+    totals = [h.exact_counts(i) for i in range(h.d)]  # before h.m: it may freeze the handle
+    if cands.m is not None and cands.m != h.m:
+        raise ConfigError(f"candidate sets are of a {cands.m}-item stream, dataset has {h.m}")
     ell = 1 if priors is None else priors.ell
     top = 0 if priors is None else priors.counts.index(max(priors.counts))
-    totals = cands.totals or (None,) * cands.d
     tallies: list[Counter] = [Counter() for _ in cands.sets]
-    # The coordinates left to count: a known one only outside `top`, so
-    # with one class none.
-    jobs = [
-        (tally, s, col, t is not None)
-        for col, (tally, s, t) in enumerate(zip(tallies, cands.sets, totals))
-        if t is None or ell > 1
-    ]
-    split = any(known for *_, known in jobs)  # only with several classes
 
     def visit(columns: Columns, classes: Sequence[int] | None) -> None:
-        if split:
-            outside = list(map(top.__ne__, classes))
-            other_classes = list(compress(classes, outside))
-        for tally, s, col, known in jobs:
-            xs = columns[col]
-            if priors is None:
-                tally.update(filter(s.__contains__, xs))
-                continue
-            zs = classes
-            if known:
-                xs, zs = list(compress(xs, outside)), other_classes
+        outside = list(map(top.__ne__, classes))
+        zs = list(compress(classes, outside))
+        for tally, s, xs in zip(tallies, cands.sets, columns):
+            xs = list(compress(xs, outside))
             tally.update(compress(zip(xs, zs), map(s.__contains__, xs)))
 
-    m = h.replay(visit) if jobs or h.m is None else h.m
-    if cands.m is not None and cands.m != m:
-        raise ConfigError(f"candidate sets are of a {cands.m}-item stream, dataset has {m}")
+    if ell > 1:
+        h.replay(visit)
     by_value = []
     for tally, s, t in zip(tallies, cands.sets, totals):
         counts = {}
         for x in sorted(s):
-            row = [tally[x]] if priors is None else [tally[x, z] for z in range(ell)]
-            if t is not None:
-                row[top] = t[x] - sum(row)  # row[top] is 0: its rows went uncounted
+            row = [tally[x, z] for z in range(ell)]
+            row[top] = t.get(x, 0) - sum(row)  # row[top] is 0: its rows went uncounted
             counts[x] = row
         by_value.append(counts)
-    return m, by_value
+    return h.m, by_value
 
 
 def nb_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> tuple[ClassPriors, CandidateSets]:
-    """Exact class priors plus per-coordinate candidate sets, in at most one pass."""
+    """Exact class priors plus per-coordinate candidate sets, feeding only
+    the coordinates over budget. More than MAX_CLASS_VALUES class values
+    fail before any is fed."""
     if h.class_col is None:
         raise NoClassColumnError("nb_pass1 needs a dataset with a class column")
     return _pass1(h, p, counter_budget, one_class=False)
@@ -319,7 +279,8 @@ def nb_pass2(
     h: DatasetHandle, priors: ClassPriors, cands: CandidateSets, p: HHParams
 ) -> FactorizedModel:
     """Second pass: exact (value, class) joint counts for every candidate,
-    read from the rows only where pass 1's totals leave them unknown."""
+    counted in the rows outside the largest class; the rest come from the
+    handle's exact counts."""
     if h.class_col is None:
         raise NoClassColumnError("nb_pass2 needs a dataset with a class column")
     m, by_value = _recount(h, cands, priors)
@@ -332,15 +293,13 @@ def indep_pass1(
     h: DatasetHandle, p: HHParams, counter_budget: int | None = None
 ) -> CandidateSets:
     """indep2p's first pass: one Misra-Gries summary per coordinate,
-    thresholded into H_i. A class column is counted only for later builds,
-    and only when this pass replays the stream anyway."""
+    thresholded into H_i."""
     return _pass1(h, p, counter_budget, one_class=True)[1]
 
 
 def indep_pass2(h: DatasetHandle, cands: CandidateSets, p: HHParams) -> FactorizedModel:
     """indep2p's second pass over the same stream: exact counts for candidate
-    values, all in one class. A coordinate whose pass-1 summary never
-    decremented is not counted again, so when none decremented no row is read."""
+    values, all in one class: the handle's exact counts, so no row is read."""
     m, by_value = _recount(h, cands, None)
     return FactorizedModel.from_counts(p, ClassPriors((m,), m), by_value)
 

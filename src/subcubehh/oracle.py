@@ -4,10 +4,10 @@ Everything here counts with integers and only converts to floating point at
 the API boundary, so summation identities can be asserted exactly. The
 oracle is the reference every approximate algorithm is scored against; it is
 meant to be right, and no larger than the question: a heavy set needs only
-a table pruned by marginals (`exact_table`'s `heavy_at`). Both
-factorization-error diagnostics enumerate through one routine:
-near-independence is the one-class case of the class mixture, as in the
-two-pass model.
+a table pruned by marginals (`exact_table`'s `heavy_at`), which are the
+handle's exact counts. Both factorization-error diagnostics enumerate
+through one routine: near-independence is the one-class case of the class
+mixture, as in the two-pass model.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
     With `heavy_at`, a row is counted only when each of its values on t
     occurs at least heavy_at*m times, so the table (floor heavy_at) holds
     every joint value that can reach that count, and answers heavy_set at
-    heavy_at and above. The marginals are the handle's stored exact counts,
-    those it lacks counted first in a replay of their own (_store_marginals).
-    Each chunk's selector ands every coordinate's heavy-value test; only the
+    heavy_at and above. The marginals are the handle's exact counts, which
+    the first request counts for every column in a replay of its own. Each
+    chunk's selector ands every coordinate's heavy-value test; only the
     rows it keeps are zipped."""
     counts: Counter[JointValue] = Counter()
     if heavy_at is None:
@@ -87,10 +87,11 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
             counts.update(zip(*(columns[c] for c in t.coords)))
 
         return GroundTruth(t, h.replay(visit), counts)
-    threshold = heavy_at * _store_marginals(h, t.coords)
+    marginals = [h.exact_counts(c) for c in t.coords]  # before h.m: it may freeze the handle
+    threshold = heavy_at * h.m
     tests = [
-        frozenset(x for x, n in h.exact_counts(c).items() if n >= threshold).__contains__
-        for c in t.coords
+        frozenset(x for x, n in marginal.items() if n >= threshold).__contains__
+        for marginal in marginals
     ]
 
     def visit_heavy(columns: Columns, _classes: Sequence[int] | None) -> None:
@@ -99,33 +100,6 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
         counts.update(zip(*(compress(col, keep) for col in cols)))
 
     return GroundTruth(t, h.replay(visit_heavy), counts, heavy_at)
-
-
-def _store_marginals(h: DatasetHandle, coords: Sequence[int]) -> int:
-    """m, once the handle stores the exact counts of each coordinate in
-    `coords` and of its class column (DatasetHandle.exact_counts). Those
-    not yet stored are counted with Counters in one replay, so later
-    Misra-Gries builds that fit their budget rebuild from them too."""
-    lacking = [c for c in coords if h.exact_counts(c) is None]
-    classes_lacking = h.class_col is not None and h.exact_counts(None) is None
-    if not lacking and not classes_lacking:
-        return h.m
-    tallies: list[Counter[int]] = [Counter() for _ in lacking]
-    class_tally: Counter[int] = Counter()
-
-    def visit(columns: Columns, classes: Sequence[int] | None) -> None:
-        for tally, c in zip(tallies, lacking):
-            tally.update(columns[c])
-        if classes_lacking:
-            class_tally.update(classes)
-
-    m = h.replay(visit)
-    # A full pass meets each code first in code order, so each tally is keyed in it.
-    for tally, c in zip(tallies, lacking):
-        h.exact_counts(c, tally.values())
-    if classes_lacking:
-        h.exact_counts(None, class_tally.values())
-    return m
 
 
 def truth_label(f: float, p: HHParams) -> TruthLabel:

@@ -38,14 +38,12 @@ packed codes, so a replay decodes nothing.
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
 
-A handle also keeps the exact count of each code of a column once a build
-has counted it over the whole stream (`exact_counts`): one array('Q') per
-feature coordinate and for the class column, 8 bytes x (sum of the
-cardinalities + ell) at most, about 0.23 MB on the benchmark's 1M-row file.
-The freezing replay counts nothing. The Misra-Gries builds (naivebayes,
-heuristic) store the summaries that never decremented, the oracle's pruned
-tables the marginals they prune by, and a later build that finds stored all
-it would count reads no row.
+A handle also keeps the exact count of each code of every column
+(`exact_counts`): the first request counts every feature column and the
+class column in one replay, and the handle keeps one array('Q') per
+column, 8 bytes x (sum of the cardinalities + ell), about 0.23 MB on the
+benchmark's 1M-row file. Every build and oracle table that needs exact
+marginals reads them there.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import csv
 import tempfile
 import weakref
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager, suppress
 from itertools import count, islice, repeat
 from operator import itemgetter
@@ -105,8 +103,8 @@ class DatasetHandle:
         self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
         # The codes an uncached file's freezing replay encoded.
         self._spill: BinaryIO | None = None
-        # File column -> the exact count of each of its codes, once a build
-        # has stored them (exact_counts).
+        # File column -> the exact count of each of its codes, from the
+        # first exact_counts call.
         self._exact: dict[int, array] = {}
 
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
@@ -204,36 +202,42 @@ class DatasetHandle:
     def decode_class(self, code: int) -> str:
         return self._rev[self._class_column()][code]
 
+    def _check_frozen(self) -> None:
+        if self.m is None:
+            raise ConfigError("the handle needs its first replay to know its dictionaries")
+
     @property
     def cardinalities(self) -> tuple[int, ...]:
         """Observed distinct count per feature coordinate."""
+        self._check_frozen()
         return tuple(len(self._dicts[j]) for j in self._feature_cols)
 
     @property
     def n_classes(self) -> int:
-        return len(self._dicts[self._class_column()])
+        col = self._class_column()
+        self._check_frozen()
+        return len(self._dicts[col])
 
-    def exact_counts(
-        self, coord: int | None, counts: Iterable[int] | None = None
-    ) -> dict[int, int] | None:
+    def exact_counts(self, coord: int | None) -> dict[int, int]:
         """The exact count of each code of feature coordinate `coord` (None:
         the class column) over the whole stream, as {code: count} in code
-        order, or None until a build has stored them. The handle keeps the
-        counts as one array('Q'); the codes handed out are its dictionary's own
-        ints, as `code_table` gives. A build that counted every item passes
-        `counts`, in code order, to store them; counts already stored are
-        kept."""
+        order, keyed by the dictionary's own ints, as `code_table` gives.
+        The first call counts every column in one replay (the freezing one
+        on an unfrozen handle); the handle keeps one array('Q') per column,
+        and every later call reads it."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
-        if counts is not None and col not in self._exact:
-            stored = array("Q", counts)
-            if len(stored) != len(self._dicts[col]) or sum(stored) != self.m:
-                raise ConfigError(
-                    f"{len(stored)} counts summing to {sum(stored)} for a column of "
-                    f"{len(self._dicts[col])} codes over {self.m} items"
-                )
-            self._exact[col] = stored
-        stored = self._exact.get(col)
-        return None if stored is None else dict(zip(self._dicts[col].values(), stored))
+        if not self._exact:
+            cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
+            tallies: list[Counter[int]] = [Counter() for _ in cols]
+
+            def visit(columns: Columns, classes: Sequence[int] | None) -> None:
+                for tally, codes in zip(tallies, (*columns, classes)):  # classes last, if any
+                    tally.update(codes)
+
+            self.replay(visit)
+            # A full pass meets each code first in code order, so each tally is keyed in it.
+            self._exact = {j: array("Q", tally.values()) for j, tally in zip(cols, tallies)}
+        return dict(zip(self._dicts[col].values(), self._exact[col]))
 
     def code_table(self, coord: int | None) -> list[int]:
         """Code -> the dictionary's own int object, for feature coordinate

@@ -153,12 +153,13 @@ def test_freq_task_builds_through_harness(class_csv, monkeypatch):
 
 
 def test_replay_calls_per_builder(class_csv, monkeypatch):
-    # stream-1m counts its replays (5) and times the first as ingest. Each
-    # build makes at most one replay, and none when the handle already holds
-    # what it would count: pass 1 and the heuristic rebuild a summary that
-    # cannot decrement from the exact counts an earlier build stored, and
-    # pass 2 takes pass 1's exact totals. Budget 50 and the heuristic's 320
-    # counters hold all 8 values of each coordinate, budget 5 does not.
+    # stream-1m counts its replays (5) and times the first as ingest. The
+    # first build that needs exact marginals counts every column in one
+    # replay of the handle's; pass 1 and the heuristic rebuild a summary
+    # that cannot decrement from those counts and replay only to feed the
+    # others, and pass 2 takes its totals from them. Budget 50 and the
+    # heuristic's 320 counters hold all 8 values of each coordinate, budget
+    # 5 does not.
     p = HHParams(GAMMA)
     calls = count_calls(monkeypatch, stream_io.DatasetHandle, ["replay"])
 
@@ -187,7 +188,7 @@ def test_replay_calls_per_builder(class_csv, monkeypatch):
         "build_sample": 1, "indep_pass1": 1, "indep_pass2": 0, "nb_pass1": 0,
         "nb_pass2": 1, "heuristic_build": 0, "exact_table": 1,
     }
-    # Decrementing summaries store nothing; the heuristic's exact ones do.
+    # The first build counts, then feeds the summaries over budget.
     decrementing = [
         ("indep_pass1", lambda h: subcubehh.indep_pass1(h, p, 5)),
         ("indep_pass2", lambda h: subcubehh.indep_pass2(h, subcubehh.indep_pass1(h, p, 5), p)),
@@ -197,7 +198,7 @@ def test_replay_calls_per_builder(class_csv, monkeypatch):
     ]
     h, _p = harness.open_config_dataset(config(class_csv))
     assert replays(h, decrementing) == {
-        "indep_pass1": 1, "indep_pass2": 2, "nb_pass1": 1, "heuristic_build": 1,
+        "indep_pass1": 2, "indep_pass2": 1, "nb_pass1": 1, "heuristic_build": 0,
         "nb_pass1 exact": 0,
     }
 

@@ -84,22 +84,21 @@ class TestBuild:
 class ChunkReplay:
     """A handle stand-in that replays the given chunks (each a tuple of
     columns), so a test decides where the chunks are cut. Its values are
-    not codes in first-seen order, so it stores no exact counts: a build
-    feeds every summary from its own replay. Each value is its own code."""
+    not codes in first-seen order, and each value is its own code. Its
+    exact counts are tallied from the chunks without a replay, so `replays`
+    counts the build's feed replays alone."""
 
     class_col = None
 
     def __init__(self, chunks):
         self.chunks = chunks
         self.d = len(chunks[0])
-        self.cardinalities = tuple(
-            len({x for columns in chunks for x in columns[j]}) for j in range(self.d)
-        )
         self.m = None
         self.replays = 0
 
-    def exact_counts(self, coord, counts=None):
-        return None
+    def exact_counts(self, coord):
+        self.m = sum(len(columns[0]) for columns in self.chunks)
+        return collections.Counter(x for columns in self.chunks for x in columns[coord])
 
     def code_table(self, coord):
         return range(1 + max(x for columns in self.chunks for x in columns[coord]))
@@ -147,9 +146,9 @@ def first_decrement_chunk(chunks, coord, budget):
 
 
 class TestCountEachChunkOnce:
-    """The build feeds Count-Min what each chunk's decrements removed and,
-    at the end, the summaries' final counters, and builds what tallying
-    every chunk builds."""
+    """The build feeds Count-Min each value's exact count once, from the
+    handle's counts, replays only to feed the summaries over budget, and
+    builds what tallying every chunk builds."""
 
     P = HHParams(1.0)  # lam 0.5: a budget of 16 counters per coordinate
     SLOTS = 3 * DEFAULT_DEPTH * 7  # width 7 at d = 3: cells collide
@@ -157,7 +156,9 @@ class TestCountEachChunkOnce:
     def assert_same_build(self, chunks, seed):
         h = ChunkReplay(chunks)
         mod = heuristic_build(h, self.SLOTS, self.P, seed)
-        assert h.replays == 1
+        budget = default_counter_budget(self.P)
+        over = any(len(h.exact_counts(c)) > budget for c in range(h.d))
+        assert h.replays == (1 if over else 0)
         cms, mg, tables = tally_every_chunk_build(h, self.SLOTS, self.P, seed)
         assert [sk.table for sk in mod.cms] == [sk.table for sk in cms]
         assert mod.tables == tables
@@ -328,10 +329,9 @@ class TestAllQueryEnumeration:
         assert heuristic_all_query_scored(mod, t, threshold=th, cap=total) == expected
 
     def test_each_value_hashed_once_per_row(self, monkeypatch):
-        # The build hashes each value once per Count-Min row for each chunk
-        # whose decrements removed some of its count, and each tracked value
-        # once more at the end, ranking the tracked values from those cells:
-        # no point query. AllQuery hashes nothing.
+        # The build hashes every value of a coordinate once per Count-Min
+        # row, fed its exact count from the handle, and ranks the tracked
+        # values from those cells: no point query. AllQuery hashes nothing.
         lanes = collections.Counter()
         point_queries = []
         splitmix64_many = sketches.splitmix64_many
@@ -352,26 +352,14 @@ class TestAllQueryEnumeration:
         p = HHParams(0.2)
         mod = heuristic_build(h, memory_slots=3 * 4 * 5, p=p)
         assert [g.decrements > 0 for g in mod.mg] == [False, False, True]
-        # Scalar reference: what each chunk's decrements removed, per coordinate.
-        ref = [MisraGries(default_counter_budget(p)) for _ in range(3)]
-        fed = [collections.Counter() for _ in range(3)]
-
-        def removals(columns, _z):
-            for g, values, col in zip(ref, fed, columns):
-                before = g.counters.copy()
-                for x in col:
-                    g.update(x)
-                values.update(list(before + collections.Counter(col) - g.counters))
-
-        h.replay(removals)
-        for g, values in zip(ref, fed):
-            values.update(g.tracked())
         expected = collections.Counter(
-            {(key, x): n for sk, values in zip(mod.cms, fed) for key in sk.row_keys
-             for x, n in values.items()}
+            {(key, x): 1 for c, sk in enumerate(mod.cms) for key in sk.row_keys
+             for x in h.exact_counts(c)}
         )
         assert lanes == expected
-        assert max(lanes.values()) > 1  # some value of coordinate 2 is fed more than once
+        assert sum(len(h.exact_counts(c)) for c in range(3)) > sum(
+            len(g.counters) for g in mod.mg
+        )  # untracked values are fed too
         assert point_queries == []
         for c in range(3):
             assert {x for x, _f in mod.tables[c]} == set(mod.mg[c].tracked())

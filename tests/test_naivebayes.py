@@ -27,6 +27,7 @@ from subcubehh.independence import (
     indep_query,
 )
 from subcubehh.naivebayes import (
+    MAX_CLASS_VALUES,
     CandidateSets,
     ClassPriors,
     FactorizedModel,
@@ -40,6 +41,7 @@ from subcubehh.naivebayes import (
     nb_score,
 )
 from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
+from subcubehh.sketches import MisraGries
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items, open_dataset
 
 # D0's coordinate-0 column, paired with a second coordinate and a class
@@ -92,6 +94,26 @@ class TestPass1:
         with pytest.raises(NoClassColumnError):
             nb_pass1(h, HHParams(0.5))
 
+    @pytest.mark.parametrize("n_classes", [MAX_CLASS_VALUES, MAX_CLASS_VALUES + 1])
+    def test_class_value_limit_checked_before_any_feed(self, monkeypatch, n_classes):
+        # Coordinate 0's 40 values overflow a budget of 4, so pass 1 feeds
+        # its summary in a replay after the count replay, unless the limit
+        # fails first.
+        fed = []
+        update_many = MisraGries.update_many
+        monkeypatch.setattr(
+            MisraGries, "update_many", lambda sk, xs: fed.append(len(xs)) or update_many(sk, xs)
+        )
+        h = from_items([(i % 40, i) for i in range(n_classes)], class_col=1)
+        over = n_classes > MAX_CLASS_VALUES
+        with replay_count(h) as replays:
+            if over:
+                with pytest.raises(ConfigError, match=f"^{n_classes} distinct class values"):
+                    nb_pass1(h, HHParams(0.5), 4)
+            else:
+                assert nb_pass1(h, HHParams(0.5), 4)[0].ell == n_classes
+        assert (replays, fed) == (([1], []) if over else ([2], [n_classes]))
+
     def test_zero_budget_rejected_before_replay(self, monkeypatch):
         # (0, 0) has f = 2/3 at gamma 0.5; summaries holding nothing would miss it.
         h = from_items([(0, 0, 0)] * 100 + [(1, 1, 1)] * 50, class_col=2)
@@ -135,22 +157,25 @@ class TestPass2Checks:
             indep_pass2(h, other, p)
 
     def test_candidate_sets_of_another_stream(self):
-        # Pass 2 reads pass 1's exact totals, so candidates of a stream of
-        # another length are refused, whether or not a row is read.
-        h = from_items(D0X_ROWS, class_col=2)
+        # Pass 2 reads the handle's exact counts, so candidates of a stream of
+        # another length are refused before pass 2 reads a row: after the
+        # count replay on a fresh handle, and with no replay on a counted one.
         p = HHParams(0.5)
-        priors, _cands = nb_pass1(h, p)
         longer = from_items(D0X_ROWS * 2, class_col=2)
-        _, other = nb_pass1(longer, p)
-        assert all(t is not None for t in other.totals)
-        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream, dataset has 8"):
-            nb_pass2(h, priors, other, p)
-        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream"):
-            indep_pass2(h, other, p)
-        _, other = nb_pass1(longer, p, 1)  # decrements: every candidate is recounted
-        assert all(t is None for t in other.totals)
-        with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream"):
-            indep_pass2(h, other, p)
+        for budget in (None, 1):  # at budget 1 pass 1 decrements
+            _, other = nb_pass1(longer, p, budget)
+            assert other.m == 16
+            for counted in (False, True):
+                h = from_items(D0X_ROWS, class_col=2)
+                priors = nb_pass1(h, p)[0] if counted else ClassPriors((16,), 16)
+                with replay_count(h) as replays:
+                    with pytest.raises(
+                        ConfigError, match="candidate sets are of a 16-item stream, dataset has 8"
+                    ):
+                        nb_pass2(h, priors, other, p)
+                    with pytest.raises(ConfigError, match="candidate sets are of a 16-item stream"):
+                        indep_pass2(h, other, p)
+                assert replays == [0 if counted else 1]
 
     def test_needs_class_column(self):
         h = from_items([(0, 1)] * 4)
@@ -208,11 +233,11 @@ class TestPass2EqualsRowCount:
 
 
 class TestPass2KnownTotals:
-    """Pass 2 recounts only what pass 1 left unknown. A coordinate whose
-    summary never decremented (its distinct values fit the budget) is
-    counted outside the largest class only, its largest-class count taken
-    by subtraction; with one class it is not counted at all. Either way the
-    counts equal a brute-force count of (x, z) over the rows."""
+    """Pass 2 takes every candidate's total from the handle's exact counts:
+    it counts (x, z) outside the largest class only, in one replay, and
+    takes the largest-class count by subtraction; with one class it reads
+    no row. Either way the counts equal a brute-force count of (x, z) over
+    the rows."""
 
     @settings(max_examples=80)
     @given(
@@ -242,23 +267,14 @@ class TestPass2KnownTotals:
         h = from_items(rows, class_col=d)
         p = HHParams(0.5)  # at budgets <= 8 every tracked value is a candidate
         priors, cands = nb_pass1(h, p, budget)
-        nb = nb_pass2(h, priors, cands, p)
-        replays = 0
-
-        def counted(visitor, _replay=h.replay):
-            nonlocal replays
-            replays += 1
-            return _replay(visitor)
-
-        h.replay = counted
-        ind = indep_pass2(h, indep_pass1(h, p, budget), p)
-        # nb_pass1 stored the exact counts of every coordinate whose distinct
-        # values fit the budget, and the class counts. So indep_pass1 reads
-        # the rows only when some coordinate overflowed the budget, and so
-        # does pass 2.
-        exact = [len({row[j] for row in rows}) <= budget for j in range(d)]
-        assert replays == (0 if all(exact) else 2)
-        assert [t is not None for t in cands.totals] == exact
+        with replay_count(h) as replays:
+            nb = nb_pass2(h, priors, cands, p)
+            ind = indep_pass2(h, indep_pass1(h, p, budget), p)
+        # The handle counted every column in nb_pass1. So nb_pass2 replays
+        # once when some row lies outside the largest class, indep_pass1
+        # only to feed a coordinate over the budget, and indep_pass2 never.
+        fits = all(len({row[j] for row in rows}) <= budget for j in range(d))
+        assert replays == [(priors.ell > 1) + (not fits)]
         for j in range(d):
             pairs = Counter((h.code(j, str(row[j])), h.class_code(str(row[d]))) for row in rows)
             assert nb.class_counts_by_value[j] == {
@@ -299,6 +315,22 @@ class TestNoRowRead:
         assert replays == 1
 
 
+@contextmanager
+def replay_count(h):
+    """A one-item list counting the replays of `h` while the block runs."""
+    replays = [0]
+
+    def counted(visitor, _replay=h.replay):
+        replays[0] += 1
+        return _replay(visitor)
+
+    h.replay = counted
+    try:
+        yield replays
+    finally:
+        del h.replay
+
+
 def summary_state(sk):
     """Everything a Misra-Gries summary holds, its counters' key order included."""
     return sk.counter_budget, list(sk.counters.items()), sk.processed, sk.decrements
@@ -323,10 +355,11 @@ def pass1_summaries():
 
 
 class TestStoredCounts:
-    """A summary that cannot decrement is rebuilt from the exact counts an
-    earlier build stored on the handle, and a build with nothing left to
-    count reads no row. Every build equals the same build on a fresh
-    handle, whatever ran before it on the same handle."""
+    """A summary that cannot decrement is rebuilt from the handle's exact
+    counts, which the first build counts for every column in one replay,
+    and a build with nothing left to feed reads no row. Every build equals
+    the same build on a fresh handle, whatever ran before it on the same
+    handle."""
 
     P = HHParams(1.0)
     HEURISTIC_BUDGET = 16  # ceil(8 / lam) at lam 0.5
@@ -392,36 +425,30 @@ class TestStoredCounts:
                     h = open_dataset(path, class_col=class_col, cache_items=handle_kind == "cached")
                     if handle_kind != "unfrozen":
                         h.replay(lambda _c, _z: None)
-                    stored, classes_stored = set(), False
+                    counted = False
                     for kind in order:
                         b = budgets[kind]
                         made, replays = self.build(h, kind, b)
                         assert made == fresh[kind], (handle_kind, order, kind)
-                        # Pass 1 replays to feed the coordinates it cannot
-                        # rebuild. The first replay also stores the class
-                        # counts, so they never need a replay of their own.
-                        fed = [j for j in range(d) if not (j in stored and cards[j] <= b)]
-                        expected = [1 if fed else 0]
-                        if fed:
-                            stored |= {j for j in fed if cards[j] <= b}
-                            classes_stored = ell is not None
-                        # Pass 2 counts what pass 1 left unknown: with one
-                        # class only the coordinates that overflowed.
-                        overflow = any(c > b for c in cards)
+                        # The first build counts every column in one replay
+                        # (on an unfrozen handle, the freezing one). Pass 1
+                        # replays only to feed the coordinates over budget.
+                        expected = [(not counted) + any(c > b for c in cards)]
+                        counted = True
+                        # Pass 2 takes the totals from the handle's counts:
+                        # nb2p counts outside the largest class in one
+                        # replay, and indep2p reads no row.
                         if kind == "indep":
-                            expected.append(1 if overflow else 0)
+                            expected.append(0)
                         elif kind == "nb":
-                            expected.append(1 if overflow or n_classes > 1 else 0)
+                            expected.append(1 if n_classes > 1 else 0)
                         assert replays == expected, (handle_kind, order, kind)
                     for j in range(d):
-                        counts = h.exact_counts(j)
-                        if j in stored:
-                            tally = Counter(h.code(j, str(row[j])) for row in rows)
-                            assert list(counts.items()) == list(tally.items())
-                        else:
-                            assert counts is None
+                        tally = Counter(h.code(j, str(row[j])) for row in rows)
+                        assert list(h.exact_counts(j).items()) == list(tally.items())
                     if ell is not None:
-                        assert (h.exact_counts(None) is not None) == classes_stored
+                        tally = Counter(h.class_code(str(row[d])) for row in rows)
+                        assert list(h.exact_counts(None).items()) == list(tally.items())
 
 
 class TestScore:

@@ -197,8 +197,8 @@ class TestPrunedTable:
 
     @pytest.mark.parametrize("spilled", [False, True])
     def test_later_builds_replay_nothing(self, tmp_path, monkeypatch, spilled):
-        # The first pruned table counts its coordinates' and the class
-        # column's marginals in one replay before its own; a later one finds
+        # The first pruned table counts every column's marginals, the class
+        # column's included, in one replay before its own; a later one finds
         # them stored. Pass 1 and the heuristic then rebuild every summary
         # from them, given a budget that covers every cardinality.
         rows = skewed_rows(5, 3 * CHUNK_ROWS, with_class=True)
@@ -210,9 +210,9 @@ class TestPrunedTable:
         exact_table(h, make_subcube([2, 0], 3), 0.05)
         assert len(replays) == 2
         exact_table(h, make_subcube([1, 0], 3), 0.05)
-        assert len(replays) == 4
+        assert len(replays) == 3
         exact_table(h, make_subcube([1], 3), 0.05)
-        assert len(replays) == 5
+        assert len(replays) == 4
         budget, slots = max(h.cardinalities), 3 * 4 * 50
 
         def builds(handle):
@@ -220,7 +220,7 @@ class TestPrunedTable:
                     heuristic_build(handle, slots, p).tables)
 
         built = builds(h)
-        assert len(replays) == 5
+        assert len(replays) == 4
         assert built == builds(from_items(rows, class_col=3))
 
 

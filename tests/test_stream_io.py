@@ -20,7 +20,7 @@ from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
 from subcubehh.naivebayes import indep_pass1, indep_pass2, nb_pass1, nb_pass2
 from subcubehh.oracle import exact_table
 from subcubehh.sampling import build_sample
-from subcubehh.stream_io import CHUNK_ROWS, from_rows, open_dataset
+from subcubehh.stream_io import CHUNK_ROWS, from_items, from_rows, open_dataset
 from tests.conftest import cached_and_spilled, is_dictionary_int
 
 
@@ -203,25 +203,46 @@ class TestReplay:
             from_rows([["a", "b"]], class_col=2)
 
     def test_exact_counts_stored_once(self):
+        # The first request counts every column in one replay; every later
+        # one, of any column, reads the store.
         h = from_rows([["a", "x"], ["b", "y"], ["a", "x"]], class_col=1)
         h.replay(lambda _i, _c: None)
-        assert h.exact_counts(0) is None and h.exact_counts(None) is None
-        assert h.exact_counts(0, [2, 1]) == {0: 2, 1: 1}
-        assert h.exact_counts(0, [1, 2]) == {0: 2, 1: 1}  # the first store is kept
-        assert h.exact_counts(None, iter([2, 1])) == {0: 2, 1: 1}
-        counts = h.exact_counts(0)
+        with mock.patch.object(
+            stream_io.DatasetHandle, "replay", autospec=True,
+            side_effect=stream_io.DatasetHandle.replay,
+        ) as replay:
+            assert h.exact_counts(0) == {0: 2, 1: 1}
+            assert h.exact_counts(None) == {0: 2, 1: 1}
+            counts = h.exact_counts(0)
+        assert replay.call_count == 1
         assert list(counts.items()) == [(0, 2), (1, 1)]
         # Keyed by the dictionary's own ints, as code_table gives them.
         assert [x is h.code(0, t) for x, t in zip(counts, "ab")] == [True, True]
 
-    @pytest.mark.parametrize("counts", [[3], [1, 1], [2, 1, 0]])
-    def test_exact_counts_of_another_column_rejected(self, counts):
-        # Counts must cover every code and sum to m.
-        h = from_rows([["a"], ["b"], ["a"]])
-        h.replay(lambda _i, _c: None)
-        with pytest.raises(ConfigError, match="counts summing to"):
-            h.exact_counts(0, counts)
-        assert h.exact_counts(0) is None
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_exact_counts_freeze_an_unfrozen_handle(self, tmp_path, cached):
+        # On an unfrozen handle the count replay is the freezing replay.
+        rows = token_rows(CHUNK_ROWS + 40)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        h = open_dataset(p, class_col=2, cache_items=cached)
+        with count_parses() as parses:
+            counts = h.exact_counts(1)
+        assert parses.call_count == 1
+        assert h.m == len(rows)
+        assert counts == Counter(h.code(1, r[1]) for r in rows)
+        assert h.exact_counts(None) == Counter(h.class_code(r[2]) for r in rows)
+        assert (h._spill is None) == cached
+
+    def test_dictionary_sizes_need_the_first_replay(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, [["a", "b", "z"], ["c", "d", "z"]])
+        for h in (open_dataset(p, class_col=2), from_items([(1, 2, 0), (3, 4, 0)], class_col=2)):
+            for size in (lambda: h.cardinalities, lambda: h.n_classes):
+                with pytest.raises(ConfigError, match="needs its first replay"):
+                    size()
+            h.replay(lambda _i, _c: None)
+            assert (h.cardinalities, h.n_classes) == ((2, 2), 1)
 
     def test_exact_counts_need_a_class_column(self):
         h = from_rows([["a"]])
@@ -543,16 +564,16 @@ class TestDecodeOnRead:
     def test_heuristic_decodes_only_what_it_feeds(self, tmp_path):
         h = self.spilled(tmp_path)
         p = HHParams(1.0)  # 16 counters per coordinate
-        with code_table_calls() as calls:
-            first = heuristic_build(h, 3 * 4 * 7, p, seed=1)
+        # The first build counts every column, then feeds coordinate 0
+        # alone; so does a second one, which reads the stored counts.
+        builds = []
+        for _ in range(2):
+            with code_table_calls() as calls:
+                builds.append(heuristic_build(h, 3 * 4 * 7, p, seed=1))
+            assert calls == {0: 1}
+        first, second = builds
         kept = [len(sk.counters) for sk in first.mg]
         assert kept[1:] == [5, 3] and first.mg[0].decrements > 0
-        assert calls == {0: 1, 1: 1, 2: 1}
-        # Coordinates 1 and 2 and the class counts are stored now: a second
-        # build feeds coordinate 0 alone.
-        with code_table_calls() as calls:
-            second = heuristic_build(h, 3 * 4 * 7, p, seed=1)
-        assert calls == {0: 1}
         assert second.tables == first.tables
         for mod in (first, second):
             for j, (sk, table) in enumerate(zip(mod.mg, mod.tables)):
@@ -569,8 +590,8 @@ class TestDecodeOnRead:
 
 
 def build_all(h, budget, capacity, width, seed, heuristic_first):
-    """Every model and oracle table on `h`, in an order that decides which
-    pass-1 summaries are fed and which are rebuilt from stored counts."""
+    """Every model, oracle table and exact count on `h`, in an order that
+    decides which build makes the handle count its columns."""
     p = HHParams(0.5)  # the heuristic's summaries hold 32 counters
     built = {}
     if heuristic_first:
@@ -584,6 +605,7 @@ def build_all(h, budget, capacity, width, seed, heuristic_first):
     built["sample"] = build_sample(h, capacity, seed, p)
     for coords in ([0, 1], [2, 0, 1]):
         built[tuple(coords)] = exact_table(h, make_subcube(coords, h.d))
+    built["marginals"] = [h.exact_counts(j) for j in range(h.d)] + [h.exact_counts(None)]
     return built
 
 
@@ -594,8 +616,8 @@ def kept_codes(built):
     for j, (sk, table) in enumerate(zip(heur.mg, heur.tables)):
         yield from ((j, x) for x in [*sk.counters, *dict(table)])
     for cands in (built["nb_pass1"][1], built["indep_pass1"]):
-        for j, (s, totals) in enumerate(zip(cands.sets, cands.totals)):
-            yield from ((j, x) for x in [*s, *(totals or ())])
+        yield from ((j, x) for j, s in enumerate(cands.sets) for x in s)
+    yield from ((j, x) for j, counts in enumerate(built["marginals"][:-1]) for x in counts)
     for mod in (built["nb"], built["indep"]):
         for j in range(len(mod.tables)):
             rows = [x for x, *_ in mod.tables[j]]
@@ -603,10 +625,10 @@ def kept_codes(built):
 
 
 class TestModelsOnSpill:
-    """Every model and oracle table built on a handle replaying its spill
-    equals the one built on a cached handle, oracle keys in the same order.
-    Every model keeps only the dictionary's own ints, whether its summaries
-    decrement or not."""
+    """Every model, oracle table and exact count built on a handle replaying
+    its spill equals the one built on a cached handle, oracle keys in the
+    same order. Every model and the exact counts keep only the dictionary's
+    own ints, whether the summaries decrement or not."""
 
     @settings(max_examples=30)
     @given(
