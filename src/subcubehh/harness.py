@@ -260,7 +260,8 @@ def open_frozen(
     and class_col), check every subcube against its feature count, known
     from the first row, and that the directory of the output file `out`
     (when given) exists, and only then run the replay that freezes the
-    dictionaries and m. Chunk columns are cached for the later passes."""
+    dictionaries and m. The packed codes stay in memory for the later
+    passes."""
     h = open_dataset(path, cache_items=True, **layout)
     for t in subcubes:
         try:

@@ -71,7 +71,8 @@ class GroundTruth:
 
 def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> GroundTruth:
     """Count the joint values of `t` by a full pass over the dataset. Keys are
-    not mapped through `code_table`: on a spilled handle they are equal ints.
+    not mapped through `code_table`: after the freeze they are ints equal to
+    the dictionary's, not its own objects.
 
     With `heavy_at`, a row is counted only when each of its values on t
     occurs at least heavy_at*m times, so the table (floor heavy_at) holds

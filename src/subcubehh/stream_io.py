@@ -10,11 +10,11 @@ The visitor is called once per chunk of up to CHUNK_ROWS rows, as
 `visitor(columns, classes)`: `columns` is a tuple of d read-only sequences
 of feature codes, one per coordinate, and `classes` the sequence of class
 codes, or None without a class column. Row r of the chunk is
-`tuple(col[r] for col in columns)`. A column is a list when parsed or
-cached and an array('I') when read back from the spill; either way it
-holds ints equal to the codes, and visitors use only len, iteration,
-index and slice. Only a list holds the dictionary's own int objects, so a
-build that keeps codes maps them once, at the end, through `code_table`.
+`tuple(col[r] for col in columns)`. A column is a list in the freezing
+replay and an array('I') in every later one; either way it holds ints
+equal to the codes, and visitors use only len, iteration, index and
+slice. Only a list holds the dictionary's own int objects, so a build
+that keeps codes maps them once, at the end, through `code_table`.
 A file with no '"' and no NUL byte is read in text blocks and cut
 into lines at every \\r and \\n; each chunk of lines is split into fields
 by one join and one split, and column j is every n-th field from j. Any
@@ -22,18 +22,18 @@ other file (quoted fields, embedded line ends) goes through csv.reader and
 a zip transpose, as does an in-memory source. Both read exactly what
 csv.reader reads. Each chunk column is then encoded by one itemgetter call
 on its dictionary, so reading a chunk costs no Python call per item or
-cell. A cached handle keeps these chunk columns, not rows, and hands the
-same lists to every pass: visitors read them and never modify them.
+cell.
 
 The freezing replay is the only one that reads the source, so every pass
-sees the stream it read, whatever later happens to the file. An uncached
-file's freezing replay also writes each chunk's codes, class codes
-included, as 32-bit unsigned ints to an anonymous temporary file: 4*d*m
-bytes of temporary disk, 4*(d+1)*m with a class column, so every code must
-fit in 32 bits. A spill that cannot be opened, written or flushed fails
-that replay with its OSError, and the handle stays unfrozen. Later replays
-read the chunks back from the spill, each column a slice of the chunk's
-packed codes, so a replay decodes nothing.
+sees the stream it read, whatever later happens to the file; an in-memory
+source is let go once that replay succeeds. It also writes each chunk's
+codes, class codes included, as 32-bit unsigned ints to the spill: 4*d*m
+bytes, 4*(d+1)*m with a class column, so every code must fit in 32 bits. With
+cache_items (always for an in-memory source) the spill is an io.BytesIO,
+else an anonymous temporary file. A spill that cannot be opened, written
+or flushed fails that replay with its OSError, and the handle stays
+unfrozen. Later replays read the chunks back from the spill, each column a
+slice of the chunk's packed codes, so a replay decodes nothing.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -49,6 +49,7 @@ marginals reads them there.
 from __future__ import annotations
 
 import csv
+import io
 import tempfile
 import weakref
 from array import array
@@ -95,13 +96,13 @@ class DatasetHandle:
                 raise ConfigError(f"no such regular file: {self._path}")
         else:
             self._rows = source
-            cache_items = True  # in-memory sources are replayed from the buffer anyway
+            cache_items = True  # an in-memory source keeps its codes in memory too
         self.delimiter = delimiter
         self.has_header = has_header
         self.class_col = class_col
         self._cache_items = cache_items
-        self._cached_chunks: list[tuple[Columns, list[int] | None]] | None = None
-        # The codes an uncached file's freezing replay encoded.
+        # The packed codes the freezing replay encoded: in memory when
+        # cache_items, else in an anonymous temporary file.
         self._spill: BinaryIO | None = None
         # File column -> the exact count of each of its codes, from the
         # first exact_counts call.
@@ -117,6 +118,8 @@ class DatasetHandle:
         self._n_cols = n_cols
         self._feature_cols = [j for j in range(n_cols) if j != class_col]
         self.d = len(self._feature_cols)
+        # File columns in the spill's order: the features, then the class.
+        self._spilled_cols = [*self._feature_cols, *([] if class_col is None else [class_col])]
         if self.d == 0:
             raise ConfigError("dataset has no feature columns")
         # Token -> code per file column. Only the freezing replay gives them
@@ -227,7 +230,7 @@ class DatasetHandle:
         and every later call reads it."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
         if not self._exact:
-            cols = [*self._feature_cols, *([] if self.class_col is None else [self.class_col])]
+            cols = self._spilled_cols
             tallies: list[Counter[int]] = [Counter() for _ in cols]
 
             def visit(columns: Columns, classes: Sequence[int] | None) -> None:
@@ -241,9 +244,9 @@ class DatasetHandle:
 
     def code_table(self, coord: int | None) -> list[int]:
         """Code -> the dictionary's own int object, for feature coordinate
-        `coord` (None: the class column). A cached chunk's column holds these
-        objects; a spilled one holds equal ints, which a build maps through
-        this table once for the codes it keeps."""
+        `coord` (None: the class column). A replay after the freeze hands
+        equal ints, which a build maps through this table once for the
+        codes it keeps."""
         col = self._class_column() if coord is None else self._feature_cols[coord]
         return list(self._dicts[col].values())
 
@@ -256,36 +259,32 @@ class DatasetHandle:
             raise ConfigError("handle supports one active replay at a time")
         self._replaying = True
         try:
-            if self._cached_chunks is not None:
-                for columns, classes in self._cached_chunks:
-                    visitor(columns, classes)
-                return self.m
-            if self.m is not None:  # a frozen uncached file
+            if self.m is not None:
                 return self._replay_spill(visitor)
             with self._coding_new_tokens():
-                if self._cache_items:
-                    self.m = self._replay_source(visitor)
-                else:
-                    self.m = self._replay_source_to_spill(visitor)
+                self.m = self._freeze(visitor)
             return self.m
         finally:
             self._replaying = False
 
-    def _replay_source_to_spill(self, visitor: Visitor) -> int:
-        """The freezing replay of an uncached file, which also spills each
-        chunk's codes. A spill that cannot be opened, written or flushed
-        fails the replay with its OSError, and nothing is kept."""
-        spill = tempfile.TemporaryFile()
-
-        def spilling(columns: Columns, classes: list[int] | None) -> None:
-            codes = array("I")
-            for col in (*columns, classes) if classes is not None else columns:
-                codes.fromlist(col)
-            spill.write(codes)
-            visitor(columns, classes)
-
+    def _freeze(self, visitor: Visitor) -> int:
+        """The freezing replay, the only reader of the source: it encodes
+        each chunk, writes its packed codes to the spill and visits it. A
+        spill that cannot be opened, written or flushed fails the replay
+        with its OSError, and nothing is kept."""
+        spill = io.BytesIO() if self._cache_items else tempfile.TemporaryFile()
+        m = 0
         try:
-            m = self._replay_source(spilling)
+            with self._token_chunks() as source:
+                for tokens in source:
+                    m += len(tokens[0])
+                    columns = [self._encode_column(j, tokens[j]) for j in self._spilled_cols]
+                    codes = array("I")
+                    for col in columns:
+                        codes.fromlist(col)
+                    spill.write(codes)
+                    classes = None if self.class_col is None else columns.pop()
+                    visitor(tuple(columns), classes)
             spill.flush()  # the buffered tail, which no write has pushed out
         except BaseException:
             with suppress(OSError):  # closing flushes, which may fail again
@@ -293,12 +292,13 @@ class DatasetHandle:
             raise
         weakref.finalize(self, spill.close)  # closed with the handle
         self._spill = spill
+        self._rows = None  # an in-memory source is never read again
         return m
 
     def _replay_spill(self, visitor: Visitor) -> int:
         """The chunks the freezing replay spilled, each column an
         array('I') slice of the chunk's packed codes."""
-        width = self.d + (self.class_col is not None)
+        width = len(self._spilled_cols)
         spill = self._spill
         spill.seek(0)
         for start in range(0, self.m, CHUNK_ROWS):
@@ -309,26 +309,6 @@ class DatasetHandle:
             classes = None if self.class_col is None else columns.pop()
             visitor(tuple(columns), classes)
         return self.m
-
-    def _replay_source(self, visitor: Visitor) -> int:
-        feature_cols = self._feature_cols
-        class_col = self.class_col
-        # A cached handle keeps the chunks its freezing replay parses.
-        chunks: list | None = [] if self._cache_items else None
-        m = 0
-        with self._token_chunks() as source:
-            for tokens in source:
-                m += len(tokens[0])
-                columns = tuple(self._encode_column(j, tokens[j]) for j in feature_cols)
-                classes = None
-                if class_col is not None:
-                    classes = self._encode_column(class_col, tokens[class_col])
-                if chunks is not None:
-                    chunks.append((columns, classes))
-                visitor(columns, classes)
-        if chunks is not None:
-            self._cached_chunks = chunks
-        return m
 
 
 def _known_code(codes: dict[str, int], token: str) -> int:

@@ -25,8 +25,8 @@ def d0_handle():
 
 
 def cached_and_spilled(path, rows, class_col=None):
-    """Two frozen handles on `rows` written to `path`: one caching its
-    chunks, one replaying the spill its freezing replay wrote."""
+    """Two frozen handles on `rows` written to `path`: one keeping its
+    spill in memory, one in the temporary file its freezing replay wrote."""
     import csv
 
     from subcubehh.stream_io import open_dataset

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from subcubehh import harness
+from subcubehh import cli, harness
 from subcubehh.cli import main
 
 
@@ -147,6 +148,26 @@ class TestOracle:
             ]
         )
         assert code == 3
+
+
+class TestCollector:
+    def test_command_runs_with_startup_objects_frozen(self, tiny_csv, tmp_path, monkeypatch):
+        """Full collections during a command skip the objects that existed
+        before it; the freeze is undone when it returns, on an error too."""
+        seen = []
+        real = cli.exact_table
+
+        def counting(*args):
+            seen.append(gc.get_freeze_count())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "exact_table", counting)
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--data", str(tiny_csv), "--subcube", "1", "--out", str(out)]) == 0
+        assert len(seen) == 1 and seen[0] > 0
+        assert gc.get_freeze_count() == 0
+        assert main(["oracle", "--data", "/nonexistent.csv", "--subcube", "1"]) == 2
+        assert gc.get_freeze_count() == 0
 
 
 class TestRun:

@@ -4,6 +4,7 @@ import io
 import os
 import random
 import tempfile
+import weakref
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -158,14 +159,16 @@ class TestReplay:
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
     def test_source_never_read_after_the_freeze(self, tmp_path, cached):
-        # Every pass sees the stream the freezing replay read: the cache or
-        # the spill serves it, whatever happens to the file afterwards.
+        # Every pass sees the stream the freezing replay read: its spill, in
+        # memory or in a temporary file, serves it, whatever happens to the
+        # file afterwards.
         rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=2, cache_items=cached)
-        first = collect(h)
-        assert (h._spill is None) == cached
+        with count_temporary_files() as opened:
+            first = collect(h)
+        assert opened.call_count == (not cached)  # a cached handle opens no temporary file
         with count_parses() as parses:
             write_csv(p, [["never-seen", "u0", "c0"]] + rows[::-1])  # new token, new length
             assert collect(h) == first
@@ -226,13 +229,13 @@ class TestReplay:
         p = tmp_path / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=2, cache_items=cached)
-        with count_parses() as parses:
+        with count_parses() as parses, count_temporary_files() as opened:
             counts = h.exact_counts(1)
         assert parses.call_count == 1
+        assert opened.call_count == (not cached)
         assert h.m == len(rows)
         assert counts == Counter(h.code(1, r[1]) for r in rows)
         assert h.exact_counts(None) == Counter(h.class_code(r[2]) for r in rows)
-        assert (h._spill is None) == cached
 
     def test_dictionary_sizes_need_the_first_replay(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -243,6 +246,28 @@ class TestReplay:
                     size()
             h.replay(lambda _i, _c: None)
             assert (h.cardinalities, h.n_classes) == ((2, 2), 1)
+
+    def test_in_memory_source_dropped_by_the_freeze(self):
+        # Only the freezing replay reads the rows: a failed one keeps them,
+        # to be read again, and the handle lets them go once one succeeds.
+        class Rows(list):
+            pass
+
+        rows = Rows(token_rows(CHUNK_ROWS + 3))
+        want = first_seen_codes(rows)
+        source = weakref.ref(rows)
+        h = stream_io.DatasetHandle(rows, class_col=2)
+        del rows
+
+        def fail(_columns, _classes):
+            raise RuntimeError("visitor failed")
+
+        with pytest.raises(RuntimeError):
+            h.replay(fail)
+        assert source() is not None
+        assert h.replay(lambda _c, _z: None) == CHUNK_ROWS + 3
+        assert source() is None
+        assert [(*item, z) for item, z in collect(h)] == want
 
     def test_exact_counts_need_a_class_column(self):
         h = from_rows([["a"]])
@@ -287,7 +312,7 @@ def check_first_seen_coding(path, m, cached, class_col):
         (tuple(codes[j] for j in features), None if class_col is None else codes[class_col])
         for codes in first_seen_codes(rows)
     ]
-    assert collect(h) == expect  # frozen pass: the spill or the cache
+    assert collect(h) == expect  # frozen pass: the spill, in memory or on disk
     assert collect(h) == expect
     distinct = [list(dict.fromkeys(col)) for col in zip(*rows)]  # first-seen order
     assert h.cardinalities == tuple(len(distinct[j]) for j in features)
@@ -357,6 +382,34 @@ def record(handle):
         chunks.append((list(map(list, columns)), None if classes is None else list(classes)))
 
     return chunks, handle.replay(visit)
+
+
+def count_temporary_files():
+    """Patch tempfile.TemporaryFile to count the spill files opened while
+    the patch holds."""
+    return mock.patch.object(tempfile, "TemporaryFile", wraps=tempfile.TemporaryFile)
+
+
+def columns_of(chunks):
+    """Every column of every (columns, classes) chunk, classes included."""
+    return [col for columns, classes in chunks for col in (*columns, classes) if col is not None]
+
+
+def frozen_chunks(h):
+    """The chunks of `h`'s freezing replay, copied as `record` copies them,
+    after checking that that replay hands list columns and a later one
+    hands the same codes in array('I') columns, the spill's packed codes."""
+    parsed, packed = [], []
+    for chunks in (parsed, packed):
+        h.replay(lambda columns, classes, chunks=chunks: chunks.append((columns, classes)))
+    assert all(type(col) is list for col in columns_of(parsed))
+    assert all(type(col) is array and col.typecode == "I" for col in columns_of(packed))
+
+    def copied(chunks):
+        return [(list(map(list, c)), None if z is None else list(z)) for c, z in chunks]
+
+    assert copied(packed) == copied(parsed)
+    return copied(parsed)
 
 
 def count_parses():
@@ -740,12 +793,40 @@ class TestEncodeOneCall:
         p = tmp_path / "d.csv"
         write_csv(p, rows)
         h = open_dataset(p, class_col=2, cache_items=mode == "cached")
-        chunks, n = record(h)
+        with count_temporary_files() as opened:
+            chunks, n = record(h)
         assert (n, len(chunks[-1][1])) == (m, 1)
-        assert (h._spill is not None) == (mode == "spilled")
+        assert opened.call_count == (mode == "spilled")
         rows_seen = [zip(*columns, classes) for columns, classes in chunks]
         assert [row for chunk in rows_seen for row in chunk] == first_seen_codes(rows)
         assert record(h) == (chunks, n)
+
+    @pytest.mark.parametrize("m", [1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("class_col", [None, 2])
+    @pytest.mark.parametrize("source", ["split", "csv", "rows"])
+    def test_cached_replays_hand_packed_codes(self, tmp_path, source, class_col, m):
+        # A cached handle keeps the packed codes, not the lists its
+        # freezing replay parsed, and opens no temporary file for them.
+        rows = token_rows(m)
+        with count_temporary_files() as opened:
+            if source == "rows":
+                h = from_rows(rows, class_col=class_col)
+            else:
+                p = tmp_path / "d.csv"
+                quoting = csv.QUOTE_ALL if source == "csv" else csv.QUOTE_MINIMAL
+                with open(p, "w", newline="") as fh:
+                    csv.writer(fh, quoting=quoting).writerows(rows)
+                assert stream_io._is_plain(p) == (source == "split")
+                h = open_dataset(p, class_col=class_col, cache_items=True)
+            chunks = frozen_chunks(h)
+        assert opened.call_count == 0
+        features = [j for j in range(3) if j != class_col]
+        expect = first_seen_codes(rows)
+        assert [row for columns, _z in chunks for row in zip(*columns)] == [
+            tuple(codes[j] for j in features) for codes in expect
+        ]
+        classes = [z for _c, zs in chunks for z in (zs or [])]
+        assert classes == ([] if class_col is None else [codes[class_col] for codes in expect])
 
 
 def csv_reference(path, delimiter, has_header):
@@ -776,10 +857,9 @@ def csv_reference(path, delimiter, has_header):
 
 def handle_tokens(path, delimiter, has_header, mode):
     """The token columns of each chunk the handle hands over in its
-    freezing replay, which a later replay (the cache or the spill) repeats."""
+    freezing replay, which a later replay of the packed codes repeats."""
     h = open_dataset(path, delimiter=delimiter, has_header=has_header, cache_items=mode == "cached")
-    chunks, _ = record(h)
-    assert record(h)[0] == chunks
+    chunks = frozen_chunks(h)
     return [
         [[h.decode(j, x) for x in col] for j, col in enumerate(columns)] for columns, _z in chunks
     ]
