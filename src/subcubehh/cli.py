@@ -205,9 +205,17 @@ def _cmd_oracle(args) -> int:
     tables = []
     for t in subcubes:
         truth = exact_table(h, t)
-        freqs = {v: cnt / truth.m for v, cnt in truth.counts.items()}
-        table = [{"v": tokens, "f": f} for tokens, f in _ranked(h, t, freqs)]
-        tables.append({"subcube": [c + 1 for c in t.coords], "m": truth.m, "table": table})
+        # count/m rises with count, so this is the (-f, v) order. The table
+        # is freed before the rows are built, and the sorted items before
+        # the next table is counted.
+        ranked = sorted(truth.counts.items(), key=lambda e: (-e[1], e[0]))
+        del truth
+        table = [
+            {"v": [h.decode(c, x) for c, x in zip(t.coords, v)], "f": cnt / h.m}
+            for v, cnt in ranked
+        ]
+        del ranked
+        tables.append({"subcube": [c + 1 for c in t.coords], "m": h.m, "table": table})
     _emit(tables[0] if len(tables) == 1 else {"tables": tables}, args.out)
     return 0
 

@@ -260,9 +260,9 @@ def open_frozen(
     and class_col), check every subcube against its feature count, known
     from the first row, and that the directory of the output file `out`
     (when given) exists, and only then run the replay that freezes the
-    dictionaries and m. The packed codes stay in memory for the later
-    passes."""
-    h = open_dataset(path, cache_items=True, **layout)
+    dictionaries and m. The packed codes go to a temporary file, which the
+    later passes replay."""
+    h = open_dataset(path, **layout)
     for t in subcubes:
         try:
             make_subcube(t.coords, h.d)

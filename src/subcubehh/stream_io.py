@@ -393,7 +393,11 @@ def open_dataset(
     class_col: int | None = None,
     cache_items: bool = False,
 ) -> DatasetHandle:
-    """Open a delimited regular file for replay. class_col is a 0-based column index."""
+    """Open a delimited regular file for replay. class_col is a 0-based column index.
+
+    cache_items keeps the spill in an io.BytesIO instead of a temporary file.
+    It is for tests only: no command passes it, the tests use it to compare
+    the two spills, and it is due to be removed. Do not rely on it."""
     return DatasetHandle(
         path,
         delimiter=delimiter,

@@ -1,8 +1,11 @@
+import errno
 import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 
@@ -148,6 +151,49 @@ class TestOracle:
             ]
         )
         assert code == 3
+
+
+class TestSpill:
+    """eval, run and oracle replay their data from the one temporary file
+    the freezing replay spills to; a spill that cannot be opened exits 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--algo", "sampling", "--algo", "indep2p", "--memory-frac", "0.1"],
+            ["eval", "--task", "freq", "--algo", "sampling", "--algo", "cms-heuristic",
+             "--memory-fracs", "0.05,0.1"],
+            ["run", "--algo", "nb2p", "--memory-frac", "0.1"],
+            ["oracle", "--subcube", "1"],
+        ],
+        ids=["eval", "eval-freq", "run", "oracle"],
+    )
+    def test_one_temporary_file(self, tiny_csv, tmp_path, argv):
+        args = [*argv, "--data", str(tiny_csv), "--class-col", "1", "--subcube", "2,3"]
+        if argv[0] != "oracle":
+            args += ["--gamma", "0.05"]
+        out = tmp_path / ("rep" if argv[0] == "eval" else "out.json")
+        with mock.patch.object(tempfile, "TemporaryFile", wraps=tempfile.TemporaryFile) as opened:
+            assert main([*args, "--out", str(out)]) == 0
+        assert opened.call_count == 1
+
+    @pytest.mark.parametrize("task", ["detect", "freq"])
+    def test_unopenable_spill_exits_3(self, tiny_csv, tmp_path, capsys, task):
+        def temporary_file(*_args, **_kwargs):
+            raise OSError(errno.ENOENT, "No usable temporary directory")
+
+        with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
+            code = main(
+                [
+                    "eval", "--data", str(tiny_csv), "--task", task, "--algo", "sampling",
+                    "--gamma", "0.05", "--seeds", "1", "--subcube", "2,3", "--class-col", "1",
+                    "--out", str(tmp_path / "rep"),
+                ]
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No usable temporary directory" in err
+        assert list(tmp_path.iterdir()) == []  # no .json, .csv or .partial.json
 
 
 class TestCollector:
