@@ -13,8 +13,10 @@ included, before they read the data past its first row; `run` and `oracle`
 then check that the directory of `--out` exists. A memory budget too small
 for an algorithm is found once the freezing replay has counted m, since the
 budget is a fraction of m: `eval` checks every algorithm then, before it
-counts an exact table or builds a model. Exit codes: 0 success, 2
-configuration error, 3 runtime error.
+counts an exact table or builds a model. `oracle` counts each table once
+the one before is written, and writes each row as it builds it. A failed
+command removes the `--out` file it opened; stdout may keep a partial
+document. Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterator
 
 from .core import Subcube
 from .errors import ConfigError, ExperimentError, SubcubeHHError
@@ -184,38 +187,53 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _Streamed(list):
+    """A JSON array of what `items` (at least one) yields as json.dump, which encodes
+    in Python with an indent, iterates it; a placeholder keeps it from reading as empty."""
+
+    def __init__(self, items: Iterator):
+        super().__init__([None])
+        self._items = items
+
+    def __iter__(self) -> Iterator:
+        return self._items
+
+
 def _emit(payload: dict, out: str | Path | None) -> None:
-    """Write `payload` as indented JSON to the file `out`, or to stdout,
-    as the encoder yields it, never as one string."""
+    """Write `payload` as indented JSON, as the encoder yields it, to stdout or to
+    the file `out`, which a failure removes; stdout may keep a partial document."""
     with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        try:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        except BaseException:
+            if out is not None and Path(out).is_file():  # never a device such as /dev/null
+                Path(out).unlink()
+            raise
 
 
-def _ranked(h, t, scores: dict) -> list[tuple[list[str], float]]:
-    """(decoded tokens, score) per joint value, highest score first, ties by code."""
+def _ranked(h, t, scores: dict) -> Iterator[tuple[list[str], float]]:
+    """(decoded tokens, score) per joint value, highest score first, ties by
+    code, each decoded once it is reached. `scores` is let go once sorted."""
     ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    return [([h.decode(c, x) for c, x in zip(t.coords, v)], s) for v, s in ranked]
+    del scores
+    for v, s in ranked:
+        yield [h.decode(c, x) for c, x in zip(t.coords, v)], s
 
 
 def _cmd_oracle(args) -> int:
     subcubes = [_parse_subcube(s) for s in args.subcube]
     check_no_repeats("subcubes", subcubes)
     h = open_frozen(args.data, subcubes, args.out, **_layout(args))
-    tables = []
-    for t in subcubes:
-        truth = exact_table(h, t)
-        # count/m rises with count, so this is the (-f, v) order. The table
-        # is freed before the rows are built, and the sorted items before
-        # the next table is counted.
-        ranked = sorted(truth.counts.items(), key=lambda e: (-e[1], e[0]))
-        del truth
-        table = [
-            {"v": [h.decode(c, x) for c, x in zip(t.coords, v)], "f": cnt / h.m}
-            for v, cnt in ranked
-        ]
-        del ranked
-        tables.append({"subcube": [c + 1 for c in t.coords], "m": h.m, "table": table})
+
+    def rows(t: Subcube) -> Iterator[dict]:  # count/m rises with count: the (-f, v) order
+        for tokens, cnt in _ranked(h, t, exact_table(h, t).counts):
+            yield {"v": tokens, "f": cnt / h.m}
+
+    tables = [
+        {"subcube": [c + 1 for c in t.coords], "m": h.m, "table": _Streamed(rows(t))}
+        for t in subcubes
+    ]
     _emit(tables[0] if len(tables) == 1 else {"tables": tables}, args.out)
     return 0
 

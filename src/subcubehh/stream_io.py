@@ -28,12 +28,12 @@ The freezing replay is the only one that reads the source, so every pass
 sees the stream it read, whatever later happens to the file; an in-memory
 source is let go once that replay succeeds. It also writes each chunk's
 codes, class codes included, as 32-bit unsigned ints to the spill: 4*d*m
-bytes, 4*(d+1)*m with a class column, so every code must fit in 32 bits. With
-cache_items (always for an in-memory source) the spill is an io.BytesIO,
-else an anonymous temporary file. A spill that cannot be opened, written
-or flushed fails that replay with its OSError, and the handle stays
-unfrozen. Later replays read the chunks back from the spill, each column a
-slice of the chunk's packed codes, so a replay decodes nothing.
+bytes, 4*(d+1)*m with a class column, so every code must fit in 32 bits.
+The spill is an anonymous temporary file for every handle, an in-memory
+source's too, closed with the handle. A spill that cannot be opened,
+written or flushed fails that replay with its OSError, and the handle
+stays unfrozen. Later replays read the chunks back from the spill, each
+column a slice of the chunk's packed codes, so a replay decodes nothing.
 
 One column may be designated as the class column; it is stripped from the
 feature columns and handed to the visitor separately.
@@ -49,7 +49,6 @@ marginals reads them there.
 from __future__ import annotations
 
 import csv
-import io
 import tempfile
 import weakref
 from array import array
@@ -80,30 +79,22 @@ class DatasetHandle:
         delimiter: str = ",",
         has_header: bool = False,
         class_col: int | None = None,
-        cache_items: bool = False,
     ):
         if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '\r\n"':
             raise ConfigError(
                 f"delimiter must be one character other than \\r, \\n and '\"', got {delimiter!r}"
             )
-        self._path: Path | None = None
-        self._rows: Sequence[Sequence[str]] | None = None
-        if isinstance(source, (str, Path)):
-            self._path = Path(source)
-            # Every pass reads from the start, which a pipe cannot; a stat
-            # tells, and never opens (or blocks on) a FIFO.
-            if not self._path.is_file():
-                raise ConfigError(f"no such regular file: {self._path}")
-        else:
-            self._rows = source
-            cache_items = True  # an in-memory source keeps its codes in memory too
+        is_path = isinstance(source, (str, Path))
+        self._path: Path | None = Path(source) if is_path else None
+        self._rows: Sequence[Sequence[str]] | None = None if is_path else source
+        # Every pass reads from the start, which a pipe cannot; a stat tells,
+        # and never opens (or blocks on) a FIFO.
+        if is_path and not self._path.is_file():
+            raise ConfigError(f"no such regular file: {self._path}")
         self.delimiter = delimiter
         self.has_header = has_header
         self.class_col = class_col
-        self._cache_items = cache_items
-        # The packed codes the freezing replay encoded: in memory when
-        # cache_items, else in an anonymous temporary file.
-        self._spill: BinaryIO | None = None
+        self._spill: BinaryIO | None = None  # the freeze's packed codes, in a temporary file
         # File column -> the exact count of each of its codes, from the
         # first exact_counts call.
         self._exact: dict[int, array] = {}
@@ -272,7 +263,7 @@ class DatasetHandle:
         each chunk, writes its packed codes to the spill and visits it. A
         spill that cannot be opened, written or flushed fails the replay
         with its OSError, and nothing is kept."""
-        spill = io.BytesIO() if self._cache_items else tempfile.TemporaryFile()
+        spill = tempfile.TemporaryFile()
         m = 0
         try:
             with self._token_chunks() as source:
@@ -393,26 +384,16 @@ def open_dataset(
     class_col: int | None = None,
     cache_items: bool = False,
 ) -> DatasetHandle:
-    """Open a delimited regular file for replay. class_col is a 0-based column index.
-
-    cache_items keeps the spill in an io.BytesIO instead of a temporary file.
-    It is for tests only: no command passes it, the tests use it to compare
-    the two spills, and it is due to be removed. Do not rely on it."""
-    return DatasetHandle(
-        path,
-        delimiter=delimiter,
-        has_header=has_header,
-        class_col=class_col,
-        cache_items=cache_items,
-    )
+    """Open a delimited regular file for replay; class_col is a 0-based column index.
+    cache_items stays until no caller passes False; True, an in-memory spill, raises."""
+    if cache_items:
+        raise ConfigError("cache_items=True is gone: every handle spills to a temporary file")
+    return DatasetHandle(path, delimiter=delimiter, has_header=has_header, class_col=class_col)
 
 
-def from_rows(
-    rows: Iterable[Sequence[str]], *, class_col: int | None = None
-) -> DatasetHandle:
+def from_rows(rows: Iterable[Sequence[str]], *, class_col: int | None = None) -> DatasetHandle:
     """In-memory dataset from pre-split token rows."""
-    materialized = [list(r) for r in rows]
-    return DatasetHandle(materialized, class_col=class_col)
+    return DatasetHandle([list(r) for r in rows], class_col=class_col)
 
 
 def from_items(items: Iterable[Sequence[int]], *, class_col: int | None = None) -> DatasetHandle:

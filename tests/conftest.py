@@ -24,19 +24,21 @@ def d0_handle():
     return h
 
 
-def cached_and_spilled(path, rows, class_col=None):
-    """Two frozen handles on `rows` written to `path`: one keeping its
-    spill in memory, one in the temporary file its freezing replay wrote."""
+def file_and_rows(path, rows, class_col=None):
+    """Two frozen handles on the same `rows`: one opened on them written
+    to `path` by csv.writer, parsed by the file paths, and one built by
+    from_rows on their tokens, parsed by the row path."""
     import csv
 
-    from subcubehh.stream_io import open_dataset
+    from subcubehh.stream_io import from_rows, open_dataset
 
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    handles = [open_dataset(path, class_col=class_col, cache_items=c) for c in (True, False)]
+    with open(path, newline="") as fh:
+        tokens = list(csv.reader(fh))
+    handles = [open_dataset(path, class_col=class_col), from_rows(tokens, class_col=class_col)]
     for h in handles:
         h.replay(lambda _c, _z: None)
-    assert handles[1]._spill is not None
     return handles
 
 

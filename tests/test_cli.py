@@ -1,16 +1,20 @@
 import errno
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import pytest
 
 from subcubehh import cli, harness
 from subcubehh.cli import main
+from subcubehh.oracle import exact_table
+from subcubehh.stream_io import DatasetHandle
 
 
 def run_cli(*args):
@@ -151,6 +155,70 @@ class TestOracle:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "subcubes", [["1-2-3"], ["1,2", "2,3", "1-2-3"]], ids=["one", "three"]
+    )
+    def test_one_table_at_a_time(self, tiny_csv, monkeypatch, subcubes):
+        # Each table is counted once the one before is written, and each row
+        # is built once the one before is written, so the command holds one
+        # table at a time.
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        written_at_count, tables = [], []
+
+        def counting_exact_table(h, t):
+            assert all(table() is None for table in tables)  # the last one is freed
+            written_at_count.append(out.getvalue().count('"f"'))
+            truth = exact_table(h, t)
+            tables.append(weakref.ref(truth))
+            return truth
+
+        rows_written_at_decode = []
+        decode = DatasetHandle.decode
+
+        def counting_decode(h, coord, code):
+            rows_written_at_decode.append(out.getvalue().count('"f"'))
+            return decode(h, coord, code)
+
+        monkeypatch.setattr(cli, "exact_table", counting_exact_table)
+        monkeypatch.setattr(DatasetHandle, "decode", counting_decode)
+        argv = ["oracle", "--data", str(tiny_csv), "--class-col", "1"]
+        assert main([*argv, *(arg for t in subcubes for arg in ("--subcube", t))]) == 0
+        blob = json.loads(out.getvalue())
+        sizes = [len(t["table"]) for t in (blob["tables"] if len(subcubes) > 1 else [blob])]
+        assert min(sizes) > 1
+        assert written_at_count == [sum(sizes[:i]) for i in range(len(subcubes))]
+        # Row r (over all tables) decodes its k tokens once r rows are written.
+        widths = [len(t.replace("-", ",").split(",")) for t in subcubes]
+        assert rows_written_at_decode == [
+            r for r, k in enumerate(w for w, n in zip(widths, sizes) for _ in range(n))
+            for _ in range(k)
+        ]
+
+    def test_failed_second_table_leaves_no_out(self, tiny_csv, tmp_path, capsys, monkeypatch):
+        # The first table is written before the second is counted; a failure
+        # then removes the half-written file, so exit 3 leaves nothing.
+        calls = []
+
+        def failing_exact_table(h, t):
+            calls.append(t)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "Input/output error")
+            return exact_table(h, t)
+
+        monkeypatch.setattr(cli, "exact_table", failing_exact_table)
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle", "--data", str(tiny_csv), "--class-col", "1",
+                "--subcube", "1,2", "--subcube", "2,3", "--out", str(out),
+            ]
+        )
+        assert code == 3 and len(calls) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 5] Input/output error\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpill:

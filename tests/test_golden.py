@@ -91,7 +91,7 @@ def test_oracle_json_digest(tmp_path):
 def test_alpha_independence_repr(tmp_path):
     path = tmp_path / "golden.csv"
     _write_skewed_csv(path)
-    h = open_dataset(path, class_col=0, cache_items=True)
+    h = open_dataset(path, class_col=0)
     for coords, expected in GOLDEN_ALPHA_REPR.items():
         assert repr(empirical_alpha_independence(h, Subcube(coords))) == expected
 
@@ -99,6 +99,6 @@ def test_alpha_independence_repr(tmp_path):
 def test_alpha_nb_repr(tmp_path):
     path = tmp_path / "golden.csv"
     _write_skewed_csv(path)
-    h = open_dataset(path, class_col=0, cache_items=True)
+    h = open_dataset(path, class_col=0)
     for coords, expected in GOLDEN_ALPHA_NB_REPR.items():
         assert repr(empirical_alpha_nb(h, Subcube(coords))) == expected

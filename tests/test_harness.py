@@ -241,7 +241,7 @@ class TestMemoryAccounting:
         # Every size rule floors the slot budget, so no model holds more than
         # it. The tight budget is d*4 + d - 1 slots: it leaves a remainder
         # under both the per-coordinate and the Count-Min floor division.
-        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h = open_dataset(small_dataset, class_col=0)
         h.replay(lambda _i, _c: None)
         p = HHParams(0.05)
         tight = (h.d * 4 + h.d - 1 + 0.5) / (h.m * h.d)
@@ -254,7 +254,7 @@ class TestMemoryAccounting:
                 assert self.allocated_slots(algo, model, h.d) <= budget
 
     def test_unknown_algo_rejected_by_build_and_charge(self, small_dataset):
-        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h = open_dataset(small_dataset, class_col=0)
         h.replay(lambda _i, _c: None)
         with pytest.raises(ConfigError, match="unknown algorithm"):
             build_model("quantum", h, HHParams(0.05), seed=0, cfg=toy_config(small_dataset))
@@ -263,7 +263,7 @@ class TestMemoryAccounting:
         # Neither a budget nor a size: the guaranteed size for subcubes of
         # up to 3 dimensions at the largest cardinality, or of the largest
         # queried subcube's k when that is more.
-        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h = open_dataset(small_dataset, class_col=0)
         h.replay(lambda _i, _c: None)
         p = HHParams(0.05)
         cfg = toy_config(small_dataset, algos=["sampling"], memory_frac=None)
@@ -273,7 +273,7 @@ class TestMemoryAccounting:
         wide = tmp_path / "wide.csv"
         gen = make_random_nb(d=5, cardinalities=[6] * 5, ell=2, skew=1.2, seed=21)
         sample_to_csv(gen, 500, seed=2, path=wide)
-        h = open_dataset(wide, class_col=0, cache_items=True)
+        h = open_dataset(wide, class_col=0)
         h.replay(lambda _i, _c: None)
         n_max = max(h.cardinalities)
         for coords, k in (((1, 2), 3), ((1, 2, 3), 3), ((0, 1, 2, 3), 4), ((0, 1, 2, 3, 4), 5)):
@@ -284,7 +284,7 @@ class TestMemoryAccounting:
         assert required_sample_size(p, 5, 5, n_max) > required_sample_size(p, 5, 3, n_max)
 
     def test_sampling_capacity_from_budget(self, small_dataset):
-        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h = open_dataset(small_dataset, class_col=0)
         h.replay(lambda _i, _c: None)
         cfg = toy_config(small_dataset, algos=["sampling"])
         model, _ = build_model("sampling", h, HHParams(0.05), seed=0, cfg=cfg)
@@ -294,7 +294,7 @@ class TestMemoryAccounting:
 class TestBuiltModelsFrozen:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_fields_cannot_be_assigned(self, small_dataset, algo):
-        h = open_dataset(small_dataset, class_col=0, cache_items=True)
+        h = open_dataset(small_dataset, class_col=0)
         h.replay(lambda _i, _c: None)
         model, _ = build_model(algo, h, HHParams(0.05), seed=1, cfg=toy_config(small_dataset))
         for f in dataclasses.fields(model):

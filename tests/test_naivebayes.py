@@ -420,9 +420,12 @@ class TestStoredCounts:
             path = Path(tmp) / "rows.csv"
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
-            for handle_kind in ("cached", "spilled", "unfrozen"):
+            for handle_kind in ("rows", "file", "unfrozen"):
                 for order in itertools.permutations(kinds):
-                    h = open_dataset(path, class_col=class_col, cache_items=handle_kind == "cached")
+                    if handle_kind == "rows":
+                        h = from_items(rows, class_col=class_col)
+                    else:
+                        h = open_dataset(path, class_col=class_col)
                     if handle_kind != "unfrozen":
                         h.replay(lambda _c, _z: None)
                     counted = False

@@ -22,7 +22,7 @@ from subcubehh.oracle import (
     truth_label,
 )
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items
-from tests.conftest import cached_and_spilled
+from tests.conftest import file_and_rows
 
 
 class TestExactTable:
@@ -108,26 +108,26 @@ class TestExactTable:
 
 
 class TestSpilledHandle:
-    """The oracle's tables and diagnostics on a handle that replays its
-    spill equal those on a cached handle, keys in the same order. The
-    table is not re-keyed: its keys are ints equal to the codes."""
+    """The oracle's tables and diagnostics on a file handle equal those on
+    a from_rows handle of the same rows, keys in the same order. The table
+    is not re-keyed: its keys are ints equal to the codes."""
 
     ROWS = [(r * 7 % 600, r % 7, r * r % 11, r % 3) for r in range(2 * CHUNK_ROWS + 37)]
 
     @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
     def test_exact_table_equals_cached(self, tmp_path, coords):
-        cached, spilled = cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)
+        file, rows = file_and_rows(tmp_path / "d.csv", self.ROWS, class_col=3)
         t = make_subcube(coords, 3)
-        want, got = exact_table(cached, t), exact_table(spilled, t)
+        want, got = exact_table(rows, t), exact_table(file, t)
         assert got == want
         assert list(got.counts) == list(want.counts)  # same first-seen order
         assert got.heavy_set(0.01) == want.heavy_set(0.01)
 
     @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
     def test_alpha_nb_equals_cached(self, tmp_path, coords):
-        cached, spilled = cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)
+        file, rows = file_and_rows(tmp_path / "d.csv", self.ROWS, class_col=3)
         t = make_subcube(coords, 3)
-        assert empirical_alpha_nb(spilled, t) == empirical_alpha_nb(cached, t)
+        assert empirical_alpha_nb(file, t) == empirical_alpha_nb(rows, t)
 
 
 def ulps(x, n):
@@ -164,10 +164,10 @@ class TestPrunedTable:
         rows = skewed_rows(seed, m, with_class)
         t = make_subcube(order[:k], 3)
         with tempfile.TemporaryDirectory() as tmp:
-            cached, spilled = cached_and_spilled(
+            file, in_memory = file_and_rows(
                 Path(tmp) / "d.csv", rows, class_col=3 if with_class else None
             )
-            full = exact_table(cached, t)
+            full = exact_table(in_memory, t)
             # Count boundaries: every joint count and every marginal count on t.
             marginal_counts = {n for c in t.coords for n in Counter(r[c] for r in rows).values()}
             bounds = sorted(set(full.counts.values()) | marginal_counts)
@@ -175,7 +175,7 @@ class TestPrunedTable:
                 ulps(data.draw(st.sampled_from(bounds)) / m, data.draw(st.integers(-1, 1)))
                 for _ in range(2)
             )
-            for h in (cached, spilled):
+            for h in (file, in_memory):
                 pruned = exact_table(h, t, g)
                 assert pruned.floor == g
                 assert pruned.heavy_set(g2) == full.heavy_set(g2)
@@ -195,14 +195,14 @@ class TestPrunedTable:
         with pytest.raises(ConfigError, match="top_values needs a full table"):
             pruned.top_values(1)
 
-    @pytest.mark.parametrize("spilled", [False, True])
-    def test_later_builds_replay_nothing(self, tmp_path, monkeypatch, spilled):
+    @pytest.mark.parametrize("in_memory", [False, True])
+    def test_later_builds_replay_nothing(self, tmp_path, monkeypatch, in_memory):
         # The first pruned table counts every column's marginals, the class
         # column's included, in one replay before its own; a later one finds
         # them stored. Pass 1 and the heuristic then rebuild every summary
         # from them, given a budget that covers every cardinality.
         rows = skewed_rows(5, 3 * CHUNK_ROWS, with_class=True)
-        h = cached_and_spilled(tmp_path / "d.csv", rows, class_col=3)[spilled]
+        h = file_and_rows(tmp_path / "d.csv", rows, class_col=3)[in_memory]
         replays = []
         replay = h.replay
         monkeypatch.setattr(h, "replay", lambda visit: replays.append(1) or replay(visit))

@@ -15,7 +15,7 @@ from subcubehh.sampling import (
     sample_query,
 )
 from subcubehh.stream_io import CHUNK_ROWS, from_items
-from tests.conftest import D0_ROWS, cached_and_spilled, is_dictionary_int
+from tests.conftest import D0_ROWS, file_and_rows, is_dictionary_int
 
 
 class TestRequiredSampleSize:
@@ -90,18 +90,18 @@ class TestBuildSample:
 
 
 class TestSpilledHandle:
-    """A sample built on a handle that replays its spill equals the one
-    built on a cached handle, and keeps the dictionary's own ints."""
+    """A sample built on a file handle equals the one built on a from_rows
+    handle of the same rows, and keeps the dictionary's own ints."""
 
     @pytest.mark.parametrize("capacity", [1, 300, CHUNK_ROWS + 5, 5 * CHUNK_ROWS])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_cached_build(self, tmp_path, capacity, seed):
         # Coordinate 0 has codes above 256, outside CPython's small-int cache.
         rows = [(r * 7 % 600, r % 7, r * r % 11, r % 3) for r in range(3 * CHUNK_ROWS + 37)]
-        cached, spilled = cached_and_spilled(tmp_path / "d.csv", rows, class_col=3)
+        file, in_memory = file_and_rows(tmp_path / "d.csv", rows, class_col=3)
         p = HHParams(0.05)
-        want = build_sample(cached, capacity, seed, p)
-        got = build_sample(spilled, capacity, seed, p)
+        want = build_sample(in_memory, capacity, seed, p)
+        got = build_sample(file, capacity, seed, p)
         assert got == want
         assert got.m_prime == min(capacity, len(rows))
         for coords in ([0], [1, 2], [2, 0, 1]):
@@ -109,7 +109,7 @@ class TestSpilledHandle:
             assert sample_all_query_scored(got, t) == sample_all_query_scored(want, t)
         for j, col in enumerate(got.columns):
             assert type(col) is list
-            assert all(is_dictionary_int(spilled, j, x) for x in col)
+            assert all(is_dictionary_int(file, j, x) for x in col)
 
 
 class TestColumnarModel:

@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import io
 import os
 import random
@@ -22,7 +23,7 @@ from subcubehh.naivebayes import indep_pass1, indep_pass2, nb_pass1, nb_pass2
 from subcubehh.oracle import exact_table
 from subcubehh.sampling import build_sample
 from subcubehh.stream_io import CHUNK_ROWS, from_items, from_rows, open_dataset
-from tests.conftest import cached_and_spilled, is_dictionary_int
+from tests.conftest import file_and_rows, is_dictionary_int
 
 
 def write_csv(path, rows, delimiter=","):
@@ -42,7 +43,7 @@ def collect(handle):
 
 
 def check_spill_serves_the_freeze(path, change):
-    """Freeze an uncached handle on ``path``, apply ``change(path)``, and
+    """Freeze a handle on the file ``path``, apply ``change(path)``, and
     check that two later replays hand over what the freeze read without
     parsing the file again."""
     h = open_dataset(path)
@@ -131,6 +132,13 @@ class TestOpenDataset:
         h = open_dataset(p, has_header=True)
         assert h.replay(lambda _i, _c: None) == 2
 
+    def test_cache_items_true_rejected(self, tmp_path):
+        # Every handle spills to a temporary file; keeping it in memory is gone.
+        p = tmp_path / "d.csv"
+        write_csv(p, [["a", "b"]])
+        with pytest.raises(ConfigError, match="cache_items=True is gone"):
+            open_dataset(p, cache_items=True)
+
 
 class TestReplay:
     def test_first_seen_coding(self):
@@ -157,18 +165,16 @@ class TestReplay:
         assert h.replay(lambda _i, _c: None) == 3
         assert h.cardinalities == (2, 2)
 
-    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
-    def test_source_never_read_after_the_freeze(self, tmp_path, cached):
-        # Every pass sees the stream the freezing replay read: its spill, in
-        # memory or in a temporary file, serves it, whatever happens to the
-        # file afterwards.
+    def test_source_never_read_after_the_freeze(self, tmp_path):
+        # Every pass sees the stream the freezing replay read: its spill, a
+        # temporary file, serves it, whatever happens to the file afterwards.
         rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
-        h = open_dataset(p, class_col=2, cache_items=cached)
+        h = open_dataset(p, class_col=2)
         with count_temporary_files() as opened:
             first = collect(h)
-        assert opened.call_count == (not cached)  # a cached handle opens no temporary file
+        assert opened.call_count == 1
         with count_parses() as parses:
             write_csv(p, [["never-seen", "u0", "c0"]] + rows[::-1])  # new token, new length
             assert collect(h) == first
@@ -222,17 +228,16 @@ class TestReplay:
         # Keyed by the dictionary's own ints, as code_table gives them.
         assert [x is h.code(0, t) for x, t in zip(counts, "ab")] == [True, True]
 
-    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
-    def test_exact_counts_freeze_an_unfrozen_handle(self, tmp_path, cached):
+    def test_exact_counts_freeze_an_unfrozen_handle(self, tmp_path):
         # On an unfrozen handle the count replay is the freezing replay.
         rows = token_rows(CHUNK_ROWS + 40)
         p = tmp_path / "d.csv"
         write_csv(p, rows)
-        h = open_dataset(p, class_col=2, cache_items=cached)
+        h = open_dataset(p, class_col=2)
         with count_parses() as parses, count_temporary_files() as opened:
             counts = h.exact_counts(1)
         assert parses.call_count == 1
-        assert opened.call_count == (not cached)
+        assert opened.call_count == 1
         assert h.m == len(rows)
         assert counts == Counter(h.code(1, r[1]) for r in rows)
         assert h.exact_counts(None) == Counter(h.class_code(r[2]) for r in rows)
@@ -249,7 +254,8 @@ class TestReplay:
 
     def test_in_memory_source_dropped_by_the_freeze(self):
         # Only the freezing replay reads the rows: a failed one keeps them,
-        # to be read again, and the handle lets them go once one succeeds.
+        # to be read again, whether its visitor or its spill failed, and
+        # the handle lets them go once one succeeds.
         class Rows(list):
             pass
 
@@ -265,9 +271,21 @@ class TestReplay:
         with pytest.raises(RuntimeError):
             h.replay(fail)
         assert source() is not None
-        assert h.replay(lambda _c, _z: None) == CHUNK_ROWS + 3
+        check_failed_spill(h, token_rows(CHUNK_ROWS + 3), unopenable_spill, [])
         assert source() is None
         assert [(*item, z) for item, z in collect(h)] == want
+
+    def test_in_memory_source_spills_to_one_temporary_file(self):
+        h = from_rows(token_rows(CHUNK_ROWS + 3), class_col=2)
+        with count_temporary_files() as opened:
+            for _ in range(3):
+                assert h.replay(lambda _c, _z: None) == CHUNK_ROWS + 3
+        assert opened.call_count == 1
+        spill = h._spill
+        assert not spill.closed
+        del h
+        gc.collect()
+        assert spill.closed  # closed with the handle
 
     def test_exact_counts_need_a_class_column(self):
         h = from_rows([["a"]])
@@ -291,12 +309,17 @@ def first_seen_codes(rows):
     return [tuple(d.setdefault(tok, len(d)) for d, tok in zip(dicts, row)) for row in rows]
 
 
-def check_first_seen_coding(path, m, cached, class_col):
-    """Chunk sizes, codes, decoding and cardinalities of `token_rows(m)`
-    equal the first-seen reference, in the freezing replay and after it."""
+def check_first_seen_coding(path, m, in_memory, class_col):
+    """Chunk sizes, codes, decoding and cardinalities of `token_rows(m)`,
+    read from a from_rows handle (`in_memory`) or from their file at
+    `path`, equal the first-seen reference, in the freezing replay and
+    after it."""
     rows = token_rows(m)
-    write_csv(path, rows)
-    h = open_dataset(path, class_col=class_col, cache_items=cached)
+    if in_memory:
+        h = from_rows(rows, class_col=class_col)
+    else:
+        write_csv(path, rows)
+        h = open_dataset(path, class_col=class_col)
     features = [j for j in range(3) if j != class_col]
     sizes = []
 
@@ -312,7 +335,7 @@ def check_first_seen_coding(path, m, cached, class_col):
         (tuple(codes[j] for j in features), None if class_col is None else codes[class_col])
         for codes in first_seen_codes(rows)
     ]
-    assert collect(h) == expect  # frozen pass: the spill, in memory or on disk
+    assert collect(h) == expect  # frozen pass: the spill
     assert collect(h) == expect
     distinct = [list(dict.fromkeys(col)) for col in zip(*rows)]  # first-seen order
     assert h.cardinalities == tuple(len(distinct[j]) for j in features)
@@ -330,15 +353,15 @@ NEAR_ONE_AND_TWO_CHUNKS = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK
 
 class TestChunks:
     @pytest.mark.parametrize("m", NEAR_ONE_AND_TWO_CHUNKS)
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_boundaries(self, tmp_path, m, cached):
-        check_first_seen_coding(tmp_path / "d.csv", m, cached, class_col=2)
+    @pytest.mark.parametrize("in_memory", [False, True])
+    def test_boundaries(self, tmp_path, m, in_memory):
+        check_first_seen_coding(tmp_path / "d.csv", m, in_memory, class_col=2)
 
     @pytest.mark.parametrize("m", NEAR_ONE_AND_TWO_CHUNKS)
-    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("in_memory", [False, True])
     @pytest.mark.parametrize("class_col", [None, 0])
-    def test_boundaries_class_column_absent_or_first(self, tmp_path, m, cached, class_col):
-        check_first_seen_coding(tmp_path / "d.csv", m, cached, class_col)
+    def test_boundaries_class_column_absent_or_first(self, tmp_path, m, in_memory, class_col):
+        check_first_seen_coding(tmp_path / "d.csv", m, in_memory, class_col)
 
     def test_ragged_row_in_second_chunk(self, tmp_path):
         rows = token_rows(CHUNK_ROWS + 5)
@@ -431,8 +454,8 @@ NEAR_CHUNK_MULTIPLES = st.one_of(
 
 
 class TestSpill:
-    """Later replays of an uncached file read the codes its freezing replay
-    spilled, and hand over exactly what that replay parsed."""
+    """Later replays of a file read the codes its freezing replay spilled,
+    and hand over exactly what that replay parsed."""
 
     @settings(max_examples=25)
     @given(m=NEAR_CHUNK_MULTIPLES, class_col=st.sampled_from([None, 0, 2]))
@@ -459,15 +482,17 @@ class TestSpill:
         assert got_classes == ([] if class_col is None else [c[class_col] for c in expect])
 
     def test_spilled_codes_equal_the_cached_handles(self, tmp_path):
+        # The file's split path and a from_rows handle's row path spill the
+        # same codes.
         rows = token_rows(2 * CHUNK_ROWS + 5)
-        cached, spilled = cached_and_spilled(tmp_path / "d.csv", rows, class_col=2)
+        spilled, in_memory = file_and_rows(tmp_path / "d.csv", rows, class_col=2)
         chunks = []
         with count_parses() as parses:
             spilled.replay(lambda columns, classes: chunks.append((columns, classes)))
         assert parses.call_count == 0
         for columns, classes in chunks:  # each column a slice of the packed codes
             assert all(type(col) is array and col.typecode == "I" for col in (*columns, classes))
-        assert [(list(map(list, c)), list(z)) for c, z in chunks] == record(cached)[0]
+        assert [(list(map(list, c)), list(z)) for c, z in chunks] == record(in_memory)[0]
         code = spilled.code(0, rows[-1][0])
         assert code > 256  # outside CPython's small-int cache
         last = chunks[-1][0][0][-1]
@@ -531,11 +556,11 @@ class TestSpill:
 
         def temporary_file():
             if fails == "open":
-                raise OSError(errno.ENOENT, "No usable temporary directory")
+                unopenable_spill()
             opened.append(FullDisk())
             return opened[-1]
 
-        check_failed_spill(tmp_path, rows, temporary_file, opened)
+        check_failed_spill(file_handle(tmp_path, rows), rows, temporary_file, opened)
 
     @pytest.mark.parametrize(
         "m, buffer_size",
@@ -556,17 +581,27 @@ class TestSpill:
             opened.append(io.BufferedRandom(raw, buffer_size))
             return opened[-1]
 
-        check_failed_spill(tmp_path, token_rows(m), temporary_file, opened)
+        rows = token_rows(m)
+        check_failed_spill(file_handle(tmp_path, rows), rows, temporary_file, opened)
 
 
-def check_failed_spill(tmp_path, rows, temporary_file, opened):
-    """A freezing replay whose spill (made by `temporary_file`, which puts
-    each file it opens in `opened`) cannot be opened, written or flushed
-    fails with that OSError, leaves the handle unfrozen with no spill and
-    every spill closed; a retry freezes, and replays as a cached handle."""
+def unopenable_spill(*_args, **_kwargs):
+    raise OSError(errno.ENOENT, "No usable temporary directory")
+
+
+def file_handle(tmp_path, rows):
+    """An unfrozen handle on `rows` written to a file, class column 2."""
     p = tmp_path / "d.csv"
     write_csv(p, rows)
-    h = open_dataset(p, class_col=2)
+    return open_dataset(p, class_col=2)
+
+
+def check_failed_spill(h, rows, temporary_file, opened):
+    """A freezing replay of `h`, an unfrozen handle on `rows` with class
+    column 2, whose spill (made by `temporary_file`, which puts each file
+    it opens in `opened`) cannot be opened, written or flushed fails with
+    that OSError, leaves the handle unfrozen with no spill and every spill
+    closed; a retry freezes, and replays as a from_rows handle on `rows`."""
     with mock.patch.object(tempfile, "TemporaryFile", temporary_file):
         with pytest.raises(OSError, match="No usable temporary directory|No space left"):
             record(h)
@@ -574,8 +609,7 @@ def check_failed_spill(tmp_path, rows, temporary_file, opened):
     assert all(f.closed for f in opened)
     frozen, m = record(h)  # the retry spills to a real temporary file
     assert m == len(rows) and h._spill is not None
-    cached = open_dataset(p, class_col=2, cache_items=True)
-    want = record(cached)
+    want = record(from_rows(rows, class_col=2))
     assert (frozen, m) == want
     with count_parses() as parses:
         assert record(h) == want
@@ -606,7 +640,7 @@ class TestDecodeOnRead:
     M = len(ROWS)
 
     def spilled(self, tmp_path):
-        return cached_and_spilled(tmp_path / "d.csv", self.ROWS, class_col=3)[1]
+        return file_and_rows(tmp_path / "d.csv", self.ROWS, class_col=3)[0]
 
     def test_no_op_visitor_decodes_nothing(self, tmp_path):
         h = self.spilled(tmp_path)
@@ -678,10 +712,10 @@ def kept_codes(built):
 
 
 class TestModelsOnSpill:
-    """Every model, oracle table and exact count built on a handle replaying
-    its spill equals the one built on a cached handle, oracle keys in the
-    same order. Every model and the exact counts keep only the dictionary's
-    own ints, whether the summaries decrement or not."""
+    """Every model, oracle table and exact count built on a file handle
+    equals the one built on a from_rows handle of the same rows, oracle
+    keys in the same order. Every model and the exact counts keep only the
+    dictionary's own ints, whether the summaries decrement or not."""
 
     @settings(max_examples=30)
     @given(
@@ -707,9 +741,9 @@ class TestModelsOnSpill:
             for _ in range(m)
         ]
         path = tmp_path_factory.mktemp("models") / "d.csv"
-        cached, spilled = cached_and_spilled(path, rows, class_col=3)
+        spilled, in_memory = file_and_rows(path, rows, class_col=3)
         args = budget, capacity, width, seed, heuristic_first
-        want, got = build_all(cached, *args), build_all(spilled, *args)
+        want, got = build_all(in_memory, *args), build_all(spilled, *args)
         for key in want:
             if key == "heuristic":
                 summaries = [
@@ -755,12 +789,10 @@ class TestFreezeCoding:
             h.code(1, "never")
         assert h.cardinalities == (len({r[0] for r in rows}), 5)
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_failed_freezing_replay_then_retry(self, tmp_path, cached):
+    @pytest.mark.parametrize("in_memory", [False, True])
+    def test_failed_freezing_replay_then_retry(self, tmp_path, in_memory):
         rows = token_rows(2 * CHUNK_ROWS + 5)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2, cache_items=cached)
+        h = from_rows(rows, class_col=2) if in_memory else file_handle(tmp_path, rows)
         seen = []
 
         def fail_in_second_chunk(columns, _classes):
@@ -787,16 +819,14 @@ class TestEncodeOneCall:
     apart."""
 
     @pytest.mark.parametrize("m", [1, CHUNK_ROWS + 1])  # the last chunk holds one row
-    @pytest.mark.parametrize("mode", ["cached", "spilled"])
-    def test_one_row_chunk(self, tmp_path, m, mode):
+    @pytest.mark.parametrize("source", ["file", "rows"])
+    def test_one_row_chunk(self, tmp_path, m, source):
         rows = token_rows(m)
-        p = tmp_path / "d.csv"
-        write_csv(p, rows)
-        h = open_dataset(p, class_col=2, cache_items=mode == "cached")
+        h = file_handle(tmp_path, rows) if source == "file" else from_rows(rows, class_col=2)
         with count_temporary_files() as opened:
             chunks, n = record(h)
         assert (n, len(chunks[-1][1])) == (m, 1)
-        assert opened.call_count == (mode == "spilled")
+        assert opened.call_count == 1
         rows_seen = [zip(*columns, classes) for columns, classes in chunks]
         assert [row for chunk in rows_seen for row in chunk] == first_seen_codes(rows)
         assert record(h) == (chunks, n)
@@ -805,8 +835,8 @@ class TestEncodeOneCall:
     @pytest.mark.parametrize("class_col", [None, 2])
     @pytest.mark.parametrize("source", ["split", "csv", "rows"])
     def test_cached_replays_hand_packed_codes(self, tmp_path, source, class_col, m):
-        # A cached handle keeps the packed codes, not the lists its
-        # freezing replay parsed, and opens no temporary file for them.
+        # Every handle, whatever parses its source, keeps the packed codes,
+        # not the lists its freezing replay parsed, in one temporary file.
         rows = token_rows(m)
         with count_temporary_files() as opened:
             if source == "rows":
@@ -817,9 +847,9 @@ class TestEncodeOneCall:
                 with open(p, "w", newline="") as fh:
                     csv.writer(fh, quoting=quoting).writerows(rows)
                 assert stream_io._is_plain(p) == (source == "split")
-                h = open_dataset(p, class_col=class_col, cache_items=True)
+                h = open_dataset(p, class_col=class_col)
             chunks = frozen_chunks(h)
-        assert opened.call_count == 0
+        assert opened.call_count == 1
         features = [j for j in range(3) if j != class_col]
         expect = first_seen_codes(rows)
         assert [row for columns, _z in chunks for row in zip(*columns)] == [
@@ -855,10 +885,10 @@ def csv_reference(path, delimiter, has_header):
     return chunks
 
 
-def handle_tokens(path, delimiter, has_header, mode):
+def handle_tokens(path, delimiter, has_header):
     """The token columns of each chunk the handle hands over in its
     freezing replay, which a later replay of the packed codes repeats."""
-    h = open_dataset(path, delimiter=delimiter, has_header=has_header, cache_items=mode == "cached")
+    h = open_dataset(path, delimiter=delimiter, has_header=has_header)
     chunks = frozen_chunks(h)
     return [
         [[h.decode(j, x) for x in col] for j, col in enumerate(columns)] for columns, _z in chunks
@@ -890,12 +920,11 @@ class TestSplitPath:
         odd_row=st.sampled_from([None, "ragged", "quote", "long"]),
         block=st.sampled_from([1, 2, 7, 64, 1 << 14]),
         field_limit=st.sampled_from([None, 8]),
-        mode=st.sampled_from(["cached", "uncached"]),
         seed=st.integers(0, 2**16),
     )
     def test_split_path_equals_csv_reader(
         self, tmp_path_factory, m, n_cols, delimiter, endings, blank_every, has_header,
-        blank_first, trailing_newline, odd_row, block, field_limit, mode, seed,
+        blank_first, trailing_newline, odd_row, block, field_limit, seed,
     ):
         rnd = random.Random(seed)
         # Whitespace, and characters str.splitlines() would split at but csv does not.
@@ -936,7 +965,7 @@ class TestSplitPath:
             with mock.patch.object(stream_io, "_TEXT_BLOCK", block), mock.patch.object(
                 stream_io, "_split_chunks", wraps=stream_io._split_chunks
             ) as split:
-                got = outcome(lambda: handle_tokens(p, delimiter, has_header, mode))
+                got = outcome(lambda: handle_tokens(p, delimiter, has_header))
         finally:
             csv.field_size_limit(limit)
         assert got == expect
@@ -945,8 +974,7 @@ class TestSplitPath:
             assert split.called == plain
 
     @pytest.mark.parametrize("long_field", [False, True])
-    @pytest.mark.parametrize("mode", ["cached", "uncached"])
-    def test_line_over_field_size_limit(self, tmp_path, long_field, mode):
+    def test_line_over_field_size_limit(self, tmp_path, long_field):
         # Lines of "t293,u4,c2" are longer than the limit, and their fields
         # are not; a 20-character field in the second chunk is. csv meets
         # that field before the chunk's ragged row is checked.
@@ -959,7 +987,7 @@ class TestSplitPath:
         limit = csv.field_size_limit(9)
         try:
             expect = outcome(lambda: csv_reference(p, ",", False))
-            got = outcome(lambda: handle_tokens(p, ",", False, mode))
+            got = outcome(lambda: handle_tokens(p, ",", False))
         finally:
             csv.field_size_limit(limit)
         assert got == expect
@@ -969,8 +997,7 @@ class TestSplitPath:
             assert got == (RaggedRowError, f"row {CHUNK_ROWS + 10} has 4 fields, expected 3")
 
     @pytest.mark.parametrize("body", [b"a,b\nc,\x00d\ne,f\n", b'a,b\n"c\n,d",e\n'])
-    @pytest.mark.parametrize("mode", ["cached", "uncached"])
-    def test_nul_or_quote_takes_the_csv_path(self, tmp_path, body, mode):
+    def test_nul_or_quote_takes_the_csv_path(self, tmp_path, body):
         # csv before Python 3.11 rejects NUL ("line contains NUL"); later
         # versions read it as a character. The handle does what csv does.
         p = tmp_path / "d.csv"
@@ -978,19 +1005,25 @@ class TestSplitPath:
         assert not stream_io._is_plain(p)
         expect = outcome(lambda: csv_reference(p, ",", False))
         with mock.patch.object(stream_io, "_split_chunks") as split:
-            assert outcome(lambda: handle_tokens(p, ",", False, mode)) == expect
+            assert outcome(lambda: handle_tokens(p, ",", False)) == expect
         assert not split.called
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_failing_visitor_closes_the_file(self, tmp_path, cached):
-        p = tmp_path / "d.csv"
-        write_csv(p, token_rows(3 * CHUNK_ROWS))
-        h = open_dataset(p, class_col=2, cache_items=cached)
+    @pytest.mark.parametrize("in_memory", [False, True])
+    def test_failing_visitor_closes_the_file(self, tmp_path, in_memory):
+        # Both the source file, when there is one, and the spill.
+        rows = token_rows(3 * CHUNK_ROWS)
+        h = from_rows(rows, class_col=2) if in_memory else file_handle(tmp_path, rows)
         opened = []
 
         def tracking_open(*args, **kwargs):
             opened.append(open(*args, **kwargs))
             return opened[-1]
+
+        spills = []
+
+        def tracking_spill():
+            spills.append(spill_file())
+            return spills[-1]
 
         seen = []
 
@@ -999,10 +1032,12 @@ class TestSplitPath:
             if len(seen) == 2:
                 raise RuntimeError("visitor failed")
 
+        spill_file = tempfile.TemporaryFile
         with mock.patch.object(stream_io, "open", tracking_open, create=True), mock.patch.object(
             stream_io, "_split_chunks", wraps=stream_io._split_chunks
-        ) as split:
+        ) as split, mock.patch.object(tempfile, "TemporaryFile", tracking_spill):
             with pytest.raises(RuntimeError):
                 h.replay(fail_in_second_chunk)
-        assert split.call_count == 1
-        assert opened and all(f.closed for f in opened)  # not left to the garbage collector
+        assert split.call_count == (not in_memory)
+        assert len(spills) == 1 and bool(opened) == (not in_memory)
+        assert all(f.closed for f in [*opened, *spills])  # not left to the garbage collector
