@@ -214,11 +214,12 @@ def _emit(payload: dict, out: str | Path | None) -> None:
 
 def _ranked(h, t, scores: dict) -> Iterator[tuple[list[str], float]]:
     """(decoded tokens, score) per joint value, highest score first, ties by
-    code, each decoded once it is reached. `scores` is let go once sorted."""
-    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    del scores
-    for v, s in ranked:
-        yield [h.decode(c, x) for c, x in zip(t.coords, v)], s
+    code, each decoded once it is reached. The keys are sorted, not the
+    items, so no (key, score) pair is built for the sort."""
+    ranked = sorted(scores)
+    ranked.sort(key=scores.__getitem__, reverse=True)  # stable: ties stay by code
+    for v in ranked:
+        yield [h.decode(c, x) for c, x in zip(t.coords, v)], scores[v]
 
 
 def _cmd_oracle(args) -> int:

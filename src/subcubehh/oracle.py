@@ -18,8 +18,9 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .core import HHParams, JointValue, Subcube
@@ -79,8 +80,9 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
     every joint value that can reach that count, and answers heavy_set at
     heavy_at and above. The marginals are the handle's exact counts, which
     the first request counts for every column in a replay of its own. Each
-    chunk's selector ands every coordinate's heavy-value test; only the
-    rows it keeps are zipped."""
+    coordinate's heavy test is a byte table over its codes; a chunk's
+    selector ands one mask per coordinate, each looked up in one
+    `itemgetter` call, and only the rows it keeps are zipped."""
     counts: Counter[JointValue] = Counter()
     if heavy_at is None:
 
@@ -90,15 +92,17 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
         return GroundTruth(t, h.replay(visit), counts)
     marginals = [h.exact_counts(c) for c in t.coords]  # before h.m: it may freeze the handle
     threshold = heavy_at * h.m
-    tests = [
-        frozenset(x for x, n in marginal.items() if n >= threshold).__contains__
-        for marginal in marginals
-    ]
+    # One byte per code (the marginals are in code order): 1 iff heavy.
+    tables = [bytes(map(threshold.__le__, marginal.values())) for marginal in marginals]
 
     def visit_heavy(columns: Columns, _classes: Sequence[int] | None) -> None:
         cols = [columns[c] for c in t.coords]
-        keep = list(reduce(partial(map, operator.and_), map(map, tests, cols)))
-        counts.update(zip(*(compress(col, keep) for col in cols)))
+        n = len(cols[0])
+        heavy = [itemgetter(*col)(table) for table, col in zip(tables, cols)]
+        if n == 1:  # itemgetter of one key gives the bare item, not a tuple
+            heavy = [(b,) for b in heavy]
+        keep = reduce(operator.and_, (int.from_bytes(bytes(b), "little") for b in heavy))
+        counts.update(zip(*(compress(col, keep.to_bytes(n, "little")) for col in cols)))
 
     return GroundTruth(t, h.replay(visit_heavy), counts, heavy_at)
 

@@ -2,7 +2,12 @@
 
 Build a reservoir of m' items in a single pass; answer Query(T, v) YES when
 the sample frequency of v on T reaches the decision threshold (default
-gamma/2), and AllQuery(T) by grouping the sampled projections. With m' from
+gamma/2), and AllQuery(T) by grouping the sampled projections. A joint value
+is sampled no more often than any one of its coordinate values, so AllQuery
+groups only the sampled items whose every value on T is sampled often
+enough to reach the threshold (the Apriori bound); each model ranks its
+values by sample count once, at construction, and a query picks those items
+with byte masks. With m' from
 required_sample_size, the sample frequency of every joint value of every
 k-subcube lands within max(gamma, f)/4 of its true ratio with probability at
 least 0.9, which makes all mandatory verdicts correct at once.
@@ -11,10 +16,12 @@ least 0.9, which makes all mandatory verdicts correct at once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
-from operator import countOf
+from operator import and_, countOf, neg
 
 from .core import HHParams, Item, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -25,12 +32,31 @@ from .stream_io import DatasetHandle
 @dataclass(frozen=True)
 class SampleModel:
     """Frozen reservoir contents plus query parameters. The sample is held
-    column by column: sampled item r is `tuple(col[r] for col in columns)`."""
+    column by column: sampled item r is `tuple(col[r] for col in columns)`.
+
+    Construction also ranks each coordinate's values by sample count,
+    descending, ties by code: `ranks[j][r]` is min(rank of `columns[j][r]`,
+    255), and `top_counts[j]` holds the counts of ranks 0-255. These are
+    derived from the columns, so they take no part in `==`."""
 
     columns: list[list[int]]  # one per coordinate, each of length m_prime
     m_prime: int  # effective sample size
     capacity: int
     params: HHParams
+    ranks: list[bytes] = field(init=False, repr=False, compare=False)
+    top_counts: list[list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ranks, top_counts = [], []
+        for col in self.columns:
+            counts = Counter(col)
+            order = sorted(counts)
+            order.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay by code
+            rank = dict(zip(order, range(255)))
+            ranks.append(bytes([rank.get(x, 255) for x in col]))
+            top_counts.append(list(map(counts.__getitem__, order[:256])))
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "top_counts", top_counts)
 
     @property
     def samples(self) -> list[Item]:
@@ -68,14 +94,30 @@ def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> Sam
     return SampleModel(columns=columns, m_prime=len(res), capacity=capacity, params=p)
 
 
-def _joint_counts(mod: SampleModel, t: Subcube) -> Counter[JointValue]:
-    return Counter(zip(*(mod.columns[c] for c in t.coords)))
+def _joint_counts(mod: SampleModel, t: Subcube, lo: float) -> Counter[JointValue]:
+    """Sample counts of the joint values on t, exact for every count >= lo;
+    other values may be missing. A coordinate whose values reaching lo are
+    its R < 256 top-ranked ones, not all of them, masks the items whose
+    rank byte is below R; the items every mask keeps are counted in their
+    order, so each kept value keeps its count and first-seen place."""
+    cols = [mod.columns[c] for c in t.coords]
+    masks = []
+    for c in t.coords:
+        tops = mod.top_counts[c]
+        heavy = bisect_right(tops, -lo, key=neg)  # tops descend: how many reach lo
+        if heavy < len(tops):
+            table = b"\x01" * heavy + bytes(256 - heavy)
+            masks.append(int.from_bytes(mod.ranks[c].translate(table), "little"))
+    if masks:
+        keep = reduce(and_, masks).to_bytes(mod.m_prime, "little")
+        cols = [compress(col, keep) for col in cols]
+    return Counter(zip(*cols))
 
 
 def sample_frequencies(mod: SampleModel, t: Subcube) -> dict[JointValue, float]:
     """Sample frequency of every joint value appearing in the sample."""
     m_prime = mod.m_prime
-    return {v: c / m_prime for v, c in _joint_counts(mod, t).items()}
+    return {v: c / m_prime for v, c in _joint_counts(mod, t, 0.0).items()}
 
 
 def sample_query(
@@ -97,8 +139,9 @@ def sample_all_query_scored(
     """sample_frequencies at or above the threshold, in its order. Only counts
     c > th*m' - 1 are divided: rounding cannot carry a smaller c/m' to th."""
     th = mod.params.threshold(threshold)
-    m_prime, counts = mod.m_prime, _joint_counts(mod, t)
-    kept = compress(counts.items(), map((th * m_prime - 1).__le__, counts.values()))
+    m_prime, lo = mod.m_prime, th * mod.m_prime - 1
+    counts = _joint_counts(mod, t, lo)
+    kept = compress(counts.items(), map(lo.__le__, counts.values()))
     return {v: c / m_prime for v, c in kept if c / m_prime >= th}
 
 

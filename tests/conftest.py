@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,6 +11,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def ulps(x, n):
+    """x moved n ulps (n in -1, 0, 1)."""
+    return x if n == 0 else math.nextafter(x, math.copysign(math.inf, n))
 
 
 # Eight 2-dimensional items used across oracle and sampling tests.

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,8 +14,9 @@ import pytest
 
 from subcubehh import cli, harness
 from subcubehh.cli import main
+from subcubehh.core import make_subcube
 from subcubehh.oracle import exact_table
-from subcubehh.stream_io import DatasetHandle
+from subcubehh.stream_io import DatasetHandle, from_items
 
 
 def run_cli(*args):
@@ -219,6 +221,23 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.err == "error: [Errno 5] Input/output error\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRanked:
+    def test_score_descending_ties_by_code(self):
+        # Keys arrive out of code order; each score is shared by many keys.
+        h = from_items([(i % 7, i % 5) for i in range(35)])
+        h.replay(lambda _c, _z: None)
+        t = make_subcube([1, 0], 2)
+        rng = random.Random(3)
+        keys = [(x, y) for x in range(5) for y in range(7)]
+        rng.shuffle(keys)
+        scores = {v: rng.choice([0.5, 0.25, 0.125]) for v in keys}
+        want = [
+            ([h.decode(1, x), h.decode(0, y)], s)
+            for (x, y), s in sorted(scores.items(), key=lambda e: (-e[1], e[0]))
+        ]
+        assert list(cli._ranked(h, t, scores)) == want
 
 
 class TestSpill:

@@ -22,7 +22,7 @@ from subcubehh.oracle import (
     truth_label,
 )
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items
-from tests.conftest import file_and_rows
+from tests.conftest import file_and_rows, ulps
 
 
 class TestExactTable:
@@ -107,7 +107,7 @@ class TestExactTable:
         assert gt.counts[top[0]] >= gt.counts[top[1]]
 
 
-class TestSpilledHandle:
+class TestFileHandle:
     """The oracle's tables and diagnostics on a file handle equal those on
     a from_rows handle of the same rows, keys in the same order. The table
     is not re-keyed: its keys are ints equal to the codes."""
@@ -115,7 +115,7 @@ class TestSpilledHandle:
     ROWS = [(r * 7 % 600, r % 7, r * r % 11, r % 3) for r in range(2 * CHUNK_ROWS + 37)]
 
     @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
-    def test_exact_table_equals_cached(self, tmp_path, coords):
+    def test_exact_table_equals_rows(self, tmp_path, coords):
         file, rows = file_and_rows(tmp_path / "d.csv", self.ROWS, class_col=3)
         t = make_subcube(coords, 3)
         want, got = exact_table(rows, t), exact_table(file, t)
@@ -124,15 +124,10 @@ class TestSpilledHandle:
         assert got.heavy_set(0.01) == want.heavy_set(0.01)
 
     @pytest.mark.parametrize("coords", [[0], [1, 2], [2, 0, 1]])
-    def test_alpha_nb_equals_cached(self, tmp_path, coords):
+    def test_alpha_nb_equals_rows(self, tmp_path, coords):
         file, rows = file_and_rows(tmp_path / "d.csv", self.ROWS, class_col=3)
         t = make_subcube(coords, 3)
         assert empirical_alpha_nb(file, t) == empirical_alpha_nb(rows, t)
-
-
-def ulps(x, n):
-    """x moved n ulps (n in -1, 0, 1)."""
-    return x if n == 0 else math.nextafter(x, math.copysign(math.inf, n))
 
 
 def skewed_rows(seed, m, with_class):
@@ -182,6 +177,29 @@ class TestPrunedTable:
                 assert pruned.heavy_set(g) == full.heavy_set(g)
                 assert len(pruned.counts) <= len(full.counts)
                 assert all(full.counts[v] == n for v, n in pruned.counts.items())
+
+    @pytest.mark.parametrize("last_heavy", [False, True])
+    def test_one_row_last_chunk(self, tmp_path, last_heavy):
+        # m = CHUNK_ROWS + 1: the last chunk holds one row, whose selector
+        # is built from one code per coordinate. Codes 0-323 of coordinate 2
+        # occur twice in the first chunk, the others once.
+        rows = [(r % 2, r % 3, r % 700) for r in range(CHUNK_ROWS)]
+        rows.append((1, 2, 0) if last_heavy else (1, 2, 5000))
+        t = make_subcube([0, 1, 2], 3)
+        floor = 2 / len(rows)
+        marginals = [Counter(str(row[c]) for row in rows) for c in range(3)]
+        file, in_memory = file_and_rows(tmp_path / "d.csv", rows, class_col=None)
+        full = exact_table(in_memory, t)
+        want = [
+            (v, n) for v, n in full.counts.items()
+            if all(marginals[c][in_memory.decode(c, x)] >= 2 for c, x in enumerate(v))
+        ]
+        last = tuple(in_memory.code(c, str(x)) for c, x in enumerate(rows[-1]))
+        for h in (file, in_memory):
+            pruned = exact_table(h, t, floor)
+            assert list(pruned.counts.items()) == want
+            assert (last in pruned.counts) is last_heavy
+            assert pruned.heavy_set(floor) == full.heavy_set(floor)
 
     def test_refuses_below_its_floor(self):
         h = from_items([(i % 3, i % 2) for i in range(30)])

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import BudgetTooSmallError, ConfigError
 from subcubehh.sampling import (
     SampleModel,
+    _joint_counts,
     build_sample,
     required_sample_size,
     sample_all_query,
@@ -15,7 +18,7 @@ from subcubehh.sampling import (
     sample_query,
 )
 from subcubehh.stream_io import CHUNK_ROWS, from_items
-from tests.conftest import D0_ROWS, file_and_rows, is_dictionary_int
+from tests.conftest import D0_ROWS, file_and_rows, is_dictionary_int, ulps
 
 
 class TestRequiredSampleSize:
@@ -87,15 +90,19 @@ class TestBuildSample:
         t = make_subcube([0, 1], 2)
         assert sample_query(mod, t, (0, 0)) is Verdict.NO
         assert sample_all_query(mod, t) == set()
+        assert mod.ranks == [b"", b""] and mod.top_counts == [[], []]
+        for th in (1e-9, 0.25, 2.0):
+            assert sample_all_query_scored(mod, t, th) == {}
+        assert sample_frequencies(mod, t) == {}
 
 
-class TestSpilledHandle:
+class TestFileHandle:
     """A sample built on a file handle equals the one built on a from_rows
     handle of the same rows, and keeps the dictionary's own ints."""
 
     @pytest.mark.parametrize("capacity", [1, 300, CHUNK_ROWS + 5, 5 * CHUNK_ROWS])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_equals_cached_build(self, tmp_path, capacity, seed):
+    def test_equals_rows_build(self, tmp_path, capacity, seed):
         # Coordinate 0 has codes above 256, outside CPython's small-int cache.
         rows = [(r * 7 % 600, r % 7, r * r % 11, r % 3) for r in range(3 * CHUNK_ROWS + 37)]
         file, in_memory = file_and_rows(tmp_path / "d.csv", rows, class_col=3)
@@ -239,6 +246,76 @@ class TestAllQueryFastPath:
         out = sample_all_query_scored(mod, t, th)
         assert out == ref
         assert list(out) == list(ref)
+
+
+@st.composite
+def wide_models(draw):
+    """A SampleModel of up to 3 coordinates, each over 3 to 1,200 values
+    with skewed weights, so a coordinate may sample more than 256 distinct
+    values and counts tie around ranks 254-256. Codes are shuffled, so ties
+    by code differ from ties by first appearance."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m_prime = draw(st.integers(300, 2000))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        codes = rng.sample(range(5000), draw(st.sampled_from([3, 40, 257, 600, 1200])))
+        skew = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        weights = [1.0 / (i + 1) ** skew for i in range(len(codes))]
+        columns.append(rng.choices(codes, weights, k=m_prime))
+    return SampleModel(columns=columns, m_prime=m_prime, capacity=m_prime, params=HHParams(0.5))
+
+
+class TestRankMasks:
+    """AllQuery counts only the items whose every value on t ranks among
+    its coordinate's values sampled at least lo times; byte 255 stands for
+    every rank from 255 on, so a coordinate with 256 such values masks
+    nothing. The answers stay those of the unmasked group-by."""
+
+    def test_ranks_by_count_then_code(self):
+        col = [9, 4, 4, 7, 9, 1] + list(range(100, 400))
+        mod = SampleModel(columns=[col], m_prime=len(col), capacity=len(col), params=HHParams(0.5))
+        order = [4, 9, 1, 7, *range(100, 400)]  # count descending, ties by code
+        rank = {x: min(r, 255) for r, x in enumerate(order)}
+        assert mod.ranks == [bytes(rank[x] for x in col)]
+        assert mod.top_counts == [[2, 2, 1, 1, *[1] * 252]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_models(), st.data())
+    def test_matches_unmasked_counts_around_rank_255(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.columns))))
+        t = make_subcube(coords[: data.draw(st.integers(1, len(coords)))], len(mod.columns))
+        counts = sorted(Counter(mod.columns[data.draw(st.sampled_from(t.coords))]).values())[::-1]
+        n = counts[min(data.draw(st.sampled_from([254, 255, 256])), len(counts) - 1)]
+        lo = ulps(float(n), data.draw(st.integers(-1, 1)))
+        full = Counter(zip(*(mod.columns[c] for c in t.coords)))
+        got = _joint_counts(mod, t, lo)
+        assert all(full[v] == c for v, c in got.items())
+        kept = [(v, c) for v, c in got.items() if c >= lo]
+        assert kept == [(v, c) for v, c in full.items() if c >= lo]  # same order
+        th = ulps((n + 1) / mod.m_prime, data.draw(st.integers(-1, 1)))
+        ref = {v: f for v, f in sample_frequencies(mod, t).items() if f >= th}
+        out = sample_all_query_scored(mod, t, th)
+        assert out == ref
+        assert list(out) == list(ref)
+
+    def test_a_mask_drops_light_items(self):
+        # One value sampled 50 times and 300 once on each coordinate: at lo 2
+        # only rank 0 reaches lo, so every item of a count-1 value is dropped.
+        col = [0] * 50 + list(range(1, 301))
+        mod = SampleModel(columns=[col, col], m_prime=350, capacity=350, params=HHParams(0.5))
+        t = make_subcube([0, 1], 2)
+        assert _joint_counts(mod, t, 2.0) == Counter({(0, 0): 50})
+        assert len(_joint_counts(mod, t, 1.0)) == 301  # every value reaches lo 1
+        assert sample_all_query_scored(mod, t, 3 / 350) == {(0, 0): 50 / 350}
+
+    def test_256_values_reaching_lo_mask_nothing(self):
+        # 256 values sampled twice and 100 once: ranks 0-255 all reach lo 2,
+        # and byte 255 also marks the count-1 values, so nothing is masked.
+        col = [x for x in range(256) for _ in range(2)] + list(range(256, 356))
+        mod = SampleModel(columns=[col], m_prime=len(col), capacity=len(col), params=HHParams(0.5))
+        t = make_subcube([0], 1)
+        assert len(_joint_counts(mod, t, 2.0)) == 356
+        assert len(_joint_counts(mod, t, math.nextafter(2.0, 3.0))) == 0
 
 
 class TestUnbiasedness:
