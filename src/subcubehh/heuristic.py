@@ -11,8 +11,8 @@ values' estimates are read from those same cells. A list that cannot
 decrement is rebuilt from the same counts (naivebayes.misra_gries_pass);
 only lists over budget are fed by a replay, so when every list fits the
 build reads no row once the counts exist. Each coordinate's candidates
-are ranked by estimate; AllQuery runs the factorized model's level loop
-(naivebayes.grow_levels) over them as one-class rows built per call.
+are ranked by estimate; AllQuery runs the factorized model's one-class
+level loop (naivebayes.grow_levels) over those (x, estimate) entries.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -21,8 +21,8 @@ would report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -59,11 +59,8 @@ class HeuristicModel:
     def candidate_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
         """Tracked values whose estimated ratio reaches the threshold, sorted
         by estimate descending (ties by value code)."""
-        return list(takewhile(lambda e: e[1] >= threshold, self.tables[coord]))
-
-    def rows(self, coord: int, threshold: float) -> list[tuple]:
-        """`candidate_entries` as one-class AllQuery rows (x, f, (f,), f)."""
-        return [(x, f, (f,), f) for x, f in self.candidate_entries(coord, threshold)]
+        table = self.tables[coord]
+        return table[:bisect_right(table, -threshold, key=lambda e: -e[1])]
 
 
 def cms_width(memory_slots: int, d: int, depth: int = DEFAULT_DEPTH) -> int:
@@ -129,7 +126,7 @@ def heuristic_all_query_scored(
     threshold, grown level by level by the two-pass AllQuery loop. Aborts with
     CapExceededError once the levels together hold more than `cap` entries."""
     th = mod.params.threshold(threshold)
-    return scored_answers(grow_levels(t, th, mod.rows, (1.0,), cap))
+    return scored_answers(grow_levels(t, th, mod.candidate_entries, (1.0,), cap))
 
 
 def heuristic_all_query(

@@ -30,12 +30,16 @@ coordinate from the score can only increase it, so every prefix of an
 answer scores at least the threshold. AllQuery exploits that by extending
 prefixes one coordinate at a time (grow_levels, which the Count-Min
 heuristic shares) over rows (x, f(x), cond(x|z) per class, max_z cond(x|z))
-frozen at build. Each surviving prefix carries its per-class product
-vector, so an extension costs O(ell), and extending it by x scores at most
-max(vector) * f(x); rows are listed by f descending, so a prefix's scan
-stops at the first x whose bound falls below the threshold. A second bound,
-the prefix's score times max_z cond(x|z), skips single x without stopping
-the scan, since rows are not sorted by it.
+frozen at build, listed by f descending, and scores only the extensions
+that can pass. With one class an extension's score is the prefix's score
+times f(x), one multiply, and a prefix's scan stops at the first x below
+the threshold. With several classes each prefix carries its per-class
+product vector, so an extension costs O(ell); extending it by x scores at
+most max(vector) * f(x), and the scan stops at the first x whose bound
+falls below the threshold. A second bound, from the prefix's dominant
+class s (the largest prior(z) * vector(z)): the score is at most that
+term times cond(x|s) plus the other terms' sum times max_z cond(x|z). It
+skips single x without stopping the scan, since rows are not sorted by it.
 
 Candidate promise: with the default pass-1 budget ceil(8/lam), every value
 with frequency ratio >= lam/2 is in its H_i and every value below lam/4 is
@@ -350,39 +354,61 @@ def grow_levels(
     `rows(coord, threshold)` lists for the j-th coordinate, largest marginal
     ratio f first. Each prefix carries its per-class product vector vec, and
     an extension is kept when its class mixture sum_z prior(z) * vec(z)
-    reaches the threshold. With one class of prior 1.0 and rows
-    (x, f, (f,), f), as the Count-Min heuristic passes, the score is the
-    plain product of the f's.
+    reaches the threshold. The rows must satisfy
+    sum_z prior(z) * cond(x|z) == f(x).
 
-    Since sum_z prior(z) * cond(x|z) == f(x), extending a prefix by x
-    scores at most max(vec) * f(x), which only falls along the sorted
-    rows: the scan of a prefix stops at the first x where that bound is
-    below the threshold. It also scores at most q0 * max_z cond(x|z), q0 the
-    prefix's score: an x below that is skipped, not a stop, as rows are
-    not sorted by it (with one class it is the first bound). Both allow a
-    1e-9 relative margin for rounding. Raises CapExceededError, without
-    finishing the level, once the levels hold more than `cap` entries.
+    With prior (1.0,), as indep2p and the Count-Min heuristic pass, cond(x|0)
+    is f(x), so the mixture 0.0 + 1.0 * (vec(0) * f) is the float q0 * f, q0
+    the prefix's score and vec (q0,): an extension costs one multiply, and
+    since q0 * f only falls along the rows, a prefix's scan stops at the
+    first x whose score is below the threshold. Only a row's x and f are
+    read, so such rows may be (x, f) pairs.
+
+    With several classes, extending a prefix by x scores at most
+    max(vec) * f(x), which only falls along the rows: the scan of a prefix
+    stops at the first x where that bound is below the threshold. With
+    w_z = prior(z) * vec(z), s the class of the largest w_z and rest the sum
+    of the others, it also scores at most
+    w_s * cond(x|s) + rest * max_z cond(x|z): an x below that is skipped,
+    not a stop, as rows are not sorted by it. Both bounds allow a 1e-9
+    relative margin for rounding; rest is summed, not taken as q0 - w_s,
+    so no cancellation widens its error. Every bound is sound, so each
+    level is exactly the extensions that reach the threshold, in scan
+    order. Raises CapExceededError, without finishing the level, once the
+    levels hold more than `cap` entries.
     """
     stop = threshold * (1.0 - 1e-9)
-    one_class = len(prior) == 1
+    product = tuple(prior) == (1.0,)
     levels = []
     prev, total = [((), (1.0,) * len(prior), 1.0)], 0
     for coord in t.coords:
         ext = rows(coord, threshold)
         nxt = []
         for prefix, vec, q0 in prev:
-            top = q0 if one_class else max(vec)  # one class: vec is (q0,)
-            for x, f, xvec, cmax in ext:
-                if top * f < stop:
-                    break  # rows are sorted by f descending: no later x can pass
-                if q0 * cmax < stop:
-                    continue
-                new_vec = tuple(map(mul, vec, xvec))
-                q = 0.0
-                for p_z, v_z in zip(prior, new_vec):
-                    q += p_z * v_z
-                if q >= threshold:
-                    nxt.append((prefix + (x,), new_vec, q))
+            if product:
+                for row in ext:
+                    q = q0 * row[1]
+                    if q < threshold:
+                        break  # rows are sorted by f descending: no later x can pass
+                    nxt.append((prefix + (row[0],), (q,), q))
+            else:
+                w = list(map(mul, prior, vec))
+                w_s = max(w)
+                s = w.index(w_s)
+                w[s] = 0.0
+                rest = sum(w)
+                top = max(vec)
+                for x, f, xvec, cmax in ext:
+                    if top * f < stop:
+                        break  # rows are sorted by f descending: no later x can pass
+                    if w_s * xvec[s] + rest * cmax < stop:
+                        continue
+                    new_vec = tuple(map(mul, vec, xvec))
+                    q = 0.0
+                    for p_z, v_z in zip(prior, new_vec):
+                        q += p_z * v_z
+                    if q >= threshold:
+                        nxt.append((prefix + (x,), new_vec, q))
             if total + len(nxt) > cap:
                 raise CapExceededError(f"AllQuery levels exceed {cap} entries")
         total += len(nxt)

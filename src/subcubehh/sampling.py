@@ -137,9 +137,10 @@ def sample_all_query_scored(
     mod: SampleModel, t: Subcube, threshold: float | None = None
 ) -> dict[JointValue, float]:
     """sample_frequencies at or above the threshold, in its order. Only counts
-    c > th*m' - 1 are divided: rounding cannot carry a smaller c/m' to th."""
+    c >= lo = th*m'*(1 - 1e-9) are grouped and divided: a float c/m' >= th
+    means c >= th*m'/(1 + 2**-53), which is above lo, so no answer is lost."""
     th = mod.params.threshold(threshold)
-    m_prime, lo = mod.m_prime, th * mod.m_prime - 1
+    m_prime, lo = mod.m_prime, th * mod.m_prime * (1.0 - 1e-9)
     counts = _joint_counts(mod, t, lo)
     kept = compress(counts.items(), map(lo.__le__, counts.values()))
     return {v: c / m_prime for v, c in kept if c / m_prime >= th}

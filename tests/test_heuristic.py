@@ -10,6 +10,7 @@ from subcubehh.core import HHParams, Verdict, make_subcube
 from subcubehh.errors import BudgetTooSmallError, CapExceededError, ConfigError
 from subcubehh.heuristic import (
     DEFAULT_DEPTH,
+    HeuristicModel,
     heuristic_all_query,
     heuristic_all_query_scored,
     heuristic_build,
@@ -19,6 +20,7 @@ from subcubehh.independence import indep_all_query, indep_pass1, indep_pass2
 from subcubehh.naivebayes import default_counter_budget
 from subcubehh.sketches import CountMin, MisraGries, hash_pair
 from subcubehh.stream_io import from_items
+from tests.conftest import ulps
 
 
 def random_rows(seed, m=400, d=2, n=5):
@@ -256,6 +258,33 @@ class TestQueries:
         t = make_subcube([0, 1], 2)
         assert heuristic_query(mod, t, (0, 0)) is Verdict.YES  # ~0.81 >= 0.25
         assert heuristic_query(mod, t, (1, 1)) is Verdict.NO  # ~0.01 < 0.25
+
+
+class TestCandidateEntries:
+    """candidate_entries, a bisection of the sorted table, against the
+    takewhile of entries reaching the threshold, at every table estimate
+    and one ulp either side."""
+
+    @staticmethod
+    def check(mod):
+        for coord, table in enumerate(mod.tables):
+            for _x, f in table:
+                for n in (-1, 0, 1):
+                    th = ulps(f, n)
+                    want = list(itertools.takewhile(lambda e: e[1] >= th, table))
+                    assert mod.candidate_entries(coord, th) == want
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 400), st.data())
+    def test_hand_tables(self, m, data):
+        counts = data.draw(st.lists(st.integers(1, m), max_size=30))
+        table = sorted(((x, c / m) for x, c in enumerate(counts)), key=lambda e: (-e[1], e[0]))
+        self.check(HeuristicModel(m=m, params=HHParams(0.5), cms=[], mg=[], tables=[table]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_built_tables(self, seed):
+        h = from_items(random_rows(seed, m=400, d=3, n=9))
+        self.check(heuristic_build(h, memory_slots=3 * 4 * 5, p=HHParams(0.2), seed=seed))
 
 
 class TestAllQueryEnumeration:

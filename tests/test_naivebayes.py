@@ -40,9 +40,10 @@ from subcubehh.naivebayes import (
     nb_query,
     nb_score,
 )
-from subcubehh.heuristic import DEFAULT_DEPTH, heuristic_build
+from subcubehh.heuristic import DEFAULT_DEPTH, HeuristicModel, heuristic_build
 from subcubehh.sketches import MisraGries
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items, open_dataset
+from tests.conftest import ulps
 
 # D0's coordinate-0 column, paired with a second coordinate and a class
 # column split half and half.
@@ -682,12 +683,15 @@ def no_break_levels(t, th, rows, prior):
 
 
 @st.composite
-def factorized_models(draw):
+def factorized_models(draw, ells=st.integers(1, 4)):
     """A FactorizedModel from consistent integer counts: every candidate's
     per-class counts on a coordinate sum to at most its class total. Values
-    often sit in a single class, where the mixture meets its bound. With
-    ell = 1 it is the model indep2p builds."""
-    ell = draw(st.integers(1, 4))
+    often sit in a single class, where the mixture meets its bound. The
+    class count is drawn from `ells`; with one class it is the model indep2p
+    builds. m may exceed the class totals' sum, so the priors sum to less
+    than 1 (sum_z prior(z) * cond(x|z) == f(x) still holds) and a single
+    class may have a prior other than 1.0."""
+    ell = draw(ells)
     d = draw(st.integers(1, 3))
     rows = [
         draw(st.lists(
@@ -702,7 +706,7 @@ def factorized_models(draw):
         for z in range(ell)
     )
     class_totals = tuple(max(n, 1) for n in class_totals)
-    m = sum(class_totals)
+    m = sum(class_totals) + draw(st.integers(0, 3))
     by_value = [dict(enumerate(coord_rows)) for coord_rows in rows]
     return FactorizedModel.from_counts(HHParams(0.5), ClassPriors(class_totals, m), by_value)
 
@@ -741,6 +745,106 @@ class TestGrowLevelsProof:
             else:
                 levels = grow_levels(t, th, mod.rows, prior, cap)
                 assert [level.entries for level in levels] == expected
+
+
+def scalar_levels(t, threshold, rows, prior, cap=math.inf):
+    """The scalar reference for grow_levels: every extension that passes the
+    max(vec) * f break is scored by the full class mixture, one class or
+    several, and only q0 * max_z cond(x|z) skips one; the cap is checked
+    after each prefix."""
+    stop = threshold * (1.0 - 1e-9)
+    levels = []
+    prev, total = [((), (1.0,) * len(prior), 1.0)], 0
+    for coord in t.coords:
+        ext = rows(coord, threshold)
+        nxt = []
+        for prefix, vec, q0 in prev:
+            top = max(vec)
+            for x, f, xvec, cmax in ext:
+                if top * f < stop:
+                    break
+                if q0 * cmax < stop:
+                    continue
+                new_vec = tuple(a * b for a, b in zip(vec, xvec))
+                q = 0.0
+                for p_z, v_z in zip(prior, new_vec):
+                    q += p_z * v_z
+                if q >= threshold:
+                    nxt.append((prefix + (x,), new_vec, q))
+            if total + len(nxt) > cap:
+                raise CapExceededError(f"AllQuery levels exceed {cap} entries")
+        total += len(nxt)
+        levels.append(naivebayes.PartialLevel(nxt))
+        prev = nxt
+    return levels
+
+
+@st.composite
+def one_class_tables(draw):
+    """A HeuristicModel built by hand: per coordinate up to 8 values with
+    integer estimates c/m, sorted by estimate descending, ties by code."""
+    m = draw(st.integers(1, 40))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.lists(st.integers(1, m), max_size=8))
+        table = [(x, c / m) for x, c in enumerate(counts)]
+        tables.append(sorted(table, key=lambda e: (-e[1], e[0])))
+    return HeuristicModel(m=m, params=HHParams(0.5), cms=[], mg=[], tables=tables)
+
+
+class TestGrowLevelsScalarReference:
+    """grow_levels (the one-class product path and the dominant-class bound)
+    against the scalar reference above, on models with 1 to 7 classes and
+    on the heuristic's (x, f) entries, which the reference reads as rows
+    (x, f, (f,), f): levels equal entry for entry and float for float, in
+    order, at thresholds on and one ulp either side of the levels' scores,
+    and CapExceededError raised in the same level for every cap around the
+    levels' total."""
+
+    @staticmethod
+    def outcome(grow, t, th, rows, prior, cap):
+        """The levels' repr, or the error's message, and the coordinates
+        whose rows were read before it."""
+        read = []
+
+        def counted(coord, threshold):
+            read.append(coord)
+            return rows(coord, threshold)
+
+        try:
+            return repr(grow(t, th, counted, prior, cap)), read
+        except CapExceededError as e:
+            return str(e), read
+
+    def check(self, t, rows, prior, data, ref_rows=None):
+        ref_rows = ref_rows or rows
+        tiny = scalar_levels(t, 1e-300, ref_rows, prior)
+        scores = sorted({q for level in tiny for _p, _v, q in level.entries}) or [0.5]
+        th = ulps(data.draw(st.sampled_from(scores)), data.draw(st.integers(-1, 1)))
+        expected = scalar_levels(t, th, ref_rows, prior)
+        assert repr(grow_levels(t, th, rows, prior)) == repr(expected)
+        total = sum(len(level.entries) for level in expected)
+        for cap in sorted({0, *range(max(0, total - 3), total + 2)}):
+            got = self.outcome(grow_levels, t, th, rows, prior, cap)
+            assert got == self.outcome(scalar_levels, t, th, ref_rows, prior, cap)
+
+    @settings(max_examples=400)
+    @given(factorized_models(st.just(1) | st.integers(1, 7)), st.data())
+    def test_factorized_models(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.tables))))
+        t = make_subcube(coords, len(mod.tables))
+        self.check(t, mod.rows, [mod.priors.prior(z) for z in range(mod.ell)], data)
+
+    @settings(max_examples=200)
+    @given(one_class_tables(), st.data())
+    def test_heuristic_entries(self, mod, data):
+        coords = data.draw(st.permutations(range(len(mod.tables))))
+
+        def rows(coord, th):
+            return [(x, f, (f,), f) for x, f in mod.candidate_entries(coord, th)]
+
+        t = make_subcube(coords, len(mod.tables))
+        self.check(t, mod.candidate_entries, (1.0,), data, ref_rows=rows)
 
 
 class TestLevelBound:

@@ -248,6 +248,35 @@ class TestAllQueryFastPath:
         assert list(out) == list(ref)
 
 
+def rounded_onto_counts(up):
+    """Six (c, m') pairs, m' < 60, whose float c/m' times m' rounds above c
+    (up) or below it."""
+    pairs = [(c, m) for m in range(2, 60) for c in range(1, m + 1)]
+    return [(c, m) for c, m in pairs if ((c / m) * m > c if up else (c / m) * m < c)][:6]
+
+
+class TestCutoffAtRounding:
+    """sample_all_query_scored against the sample_frequencies filter where
+    a joint count c sits on the threshold: th is the float c/m' and one ulp
+    either side, on counts whose c/m' * m' rounds above c (where a cutoff
+    of th*m' would drop c) and below it. Keys, floats and order agree."""
+
+    @pytest.mark.parametrize("c, m_prime", rounded_onto_counts(True) + rounded_onto_counts(False))
+    def test_matches_frequency_filter(self, c, m_prime):
+        rest = range(1, m_prime - c + 1)
+        columns = [[0] * c + list(rest), [0] * c + [x % 3 for x in rest]]
+        mod = SampleModel(columns=columns, m_prime=m_prime, capacity=m_prime, params=HHParams(0.5))
+        for coords in ([0, 1], [1, 0], [0]):
+            t = make_subcube(coords, 2)
+            freqs = sample_frequencies(mod, t)
+            assert freqs[(0,) * t.k] == c / m_prime
+            for n in (-1, 0, 1):
+                th = ulps(c / m_prime, n)
+                want = [(v, f) for v, f in freqs.items() if f >= th]
+                assert list(sample_all_query_scored(mod, t, th).items()) == want
+                assert ((0,) * t.k in dict(want)) == (n < 1)
+
+
 @st.composite
 def wide_models(draw):
     """A SampleModel of up to 3 coordinates, each over 3 to 1,200 values

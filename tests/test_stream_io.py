@@ -481,7 +481,7 @@ class TestSpill:
         got_classes = [z for _c, classes in spilled for z in (classes or [])]
         assert got_classes == ([] if class_col is None else [c[class_col] for c in expect])
 
-    def test_spilled_codes_equal_the_cached_handles(self, tmp_path):
+    def test_file_and_rows_handles_spill_equal_codes(self, tmp_path):
         # The file's split path and a from_rows handle's row path spill the
         # same codes.
         rows = token_rows(2 * CHUNK_ROWS + 5)
@@ -729,7 +729,7 @@ class TestModelsOnSpill:
         seed=st.integers(0, 3),
         heuristic_first=st.booleans(),
     )
-    def test_models_equal_cached_and_keep_dictionary_ints(
+    def test_file_models_equal_rows_models_and_keep_dictionary_ints(
         self, tmp_path_factory, data_seed, m, cards, ell, budget, capacity, width, seed,
         heuristic_first,
     ):
