@@ -11,8 +11,11 @@ values' estimates are read from those same cells. A list that cannot
 decrement is rebuilt from the same counts (naivebayes.misra_gries_pass);
 only lists over budget are fed by a replay, so when every list fits the
 build reads no row once the counts exist. Each coordinate's candidates
-are ranked by estimate; AllQuery runs the factorized model's one-class
-level loop (naivebayes.grow_levels) over those (x, estimate) entries.
+are ranked by estimate and kept compactly: their codes, the dictionary's
+own ints, and their estimated ratios in an array('d'). AllQuery runs the
+factorized model's one-class level loop (naivebayes.grow_levels) over the
+(x, estimate) entries that reach its threshold, listed per call from the
+ranked prefix.
 
 Because every estimated marginal dominates the exact one, the YES set at a
 fixed threshold is a superset of the YES set the exact-marginal product test
@@ -21,8 +24,10 @@ would report.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 from .core import HHParams, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -36,14 +41,16 @@ DEFAULT_ALLQUERY_CAP = 10**6
 
 @dataclass(frozen=True)
 class HeuristicModel:
-    """Frozen one-pass state. Table entries are sorted by estimate descending
-    (ties by value code) so threshold views are prefixes."""
+    """Frozen one-pass state. Per coordinate, `tables` holds the tracked
+    value codes and, in an array('d') of the same order, their estimated
+    ratios point_query(x) / m, sorted by estimate descending (ties by value
+    code) so threshold views are prefixes."""
 
     m: int
     params: HHParams
     cms: list[CountMin]
     mg: list[MisraGries]
-    tables: list[list[tuple[int, float]]]  # per coordinate: [(tracked value, estimate)] desc
+    tables: list[tuple[list[int], array]]  # per coordinate: (codes, ratios), estimate desc
 
     def estimate(self, coord: int, x: int) -> float:
         """Estimated frequency ratio of x on coordinate coord; >= the true ratio."""
@@ -58,9 +65,9 @@ class HeuristicModel:
 
     def candidate_entries(self, coord: int, threshold: float) -> list[tuple[int, float]]:
         """Tracked values whose estimated ratio reaches the threshold, sorted
-        by estimate descending (ties by value code)."""
-        table = self.tables[coord]
-        return table[:bisect_right(table, -threshold, key=lambda e: -e[1])]
+        by estimate descending (ties by value code), as (x, estimate) pairs."""
+        codes, ratios = self.tables[coord]
+        return list(zip(codes, ratios[:bisect_right(ratios, -threshold, key=neg)]))
 
 
 def cms_width(memory_slots: int, d: int, depth: int = DEFAULT_DEPTH) -> int:
@@ -94,12 +101,22 @@ def heuristic_build(
     tables = []
     for i, g in enumerate(mg):
         # Cells are sums, so feeding each value its exact count once gives
-        # the cells of feeding the stream item by item.
+        # the cells of feeding the stream item by item. The tracked values
+        # go first, by code, so their estimates lead the result, and a stable
+        # sort by ratio leaves ties in code order. Each list is let go once
+        # read: one coordinate's counts are held at a time, until they are fed.
         counts = h.exact_counts(i)
+        tracked = sorted(g.tracked())
+        values = tracked + [x for x in counts if x not in g.counters]
+        fed = list(map(counts.__getitem__, values))
+        del counts
         sk = CountMin(width, depth, hash_pair(i, seed))
-        estimate = dict(zip(counts, sk.update_counts(list(counts), list(counts.values()))))
-        ranked = [(x, estimate[x] / m) for x in g.tracked()]
-        tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
+        estimate = sk.update_counts(values, fed)
+        del values, fed
+        ratios = [e / m for e in estimate[:len(tracked)]]
+        del estimate
+        order = sorted(range(len(tracked)), key=ratios.__getitem__, reverse=True)
+        tables.append(([tracked[j] for j in order], array("d", [ratios[j] for j in order])))
         cms.append(sk)
     return HeuristicModel(m=m, params=p, cms=cms, mg=mg, tables=tables)
 

@@ -54,7 +54,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -187,12 +187,14 @@ def misra_gries_pass(h: DatasetHandle, budget: int) -> tuple[int, list[MisraGrie
     replayed column holds ints equal to the codes, not always the
     dictionary's own, so each fed summary is then re-keyed once through
     `code_table`. A build whose every coordinate fits makes no replay.
+    The exact counts are read one coordinate at a time, before h.m: the
+    first read may freeze the handle.
     """
-    exact = [h.exact_counts(i) for i in range(h.d)]  # before h.m: it may freeze the handle
-    sketches = [
-        MisraGries.from_counts(budget, counts) if len(counts) <= budget else MisraGries(budget)
-        for counts in exact
-    ]
+    sketches = []
+    for i in range(h.d):
+        counts = h.exact_counts(i)
+        fits = len(counts) <= budget
+        sketches.append(MisraGries.from_counts(budget, counts) if fits else MisraGries(budget))
     fed = [(i, sk) for i, sk in enumerate(sketches) if not sk.processed]  # not rebuilt
     if not fed:
         return h.m, sketches
@@ -238,10 +240,12 @@ def _recount(
     read). Every coordinate's totals are the handle's exact counts, so
     (x, z) is counted only in rows outside the largest class `top`, and
     count(x, top) is x's total minus its other counts. With one class that
-    leaves nothing to count, and no row is read."""
+    leaves nothing to count, and no row is read. The totals are read one
+    coordinate at a time."""
     if cands.d != h.d:
         raise ConfigError(f"candidate sets cover {cands.d} coordinates, dataset has {h.d}")
-    totals = [h.exact_counts(i) for i in range(h.d)]  # before h.m: it may freeze the handle
+    totals = map(h.exact_counts, range(h.d))
+    first = next(totals)  # before h.m: the first read may freeze the handle
     if cands.m is not None and cands.m != h.m:
         raise ConfigError(f"candidate sets are of a {cands.m}-item stream, dataset has {h.m}")
     ell = 1 if priors is None else priors.ell
@@ -258,7 +262,7 @@ def _recount(
     if ell > 1:
         h.replay(visit)
     by_value = []
-    for tally, s, t in zip(tallies, cands.sets, totals):
+    for tally, s, t in zip(tallies, cands.sets, chain([first], totals)):
         counts = {}
         for x in sorted(s):
             row = [tally[x, z] for z in range(ell)]

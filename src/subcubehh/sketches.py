@@ -266,6 +266,9 @@ class CountMin:
     `update` and `point_query` hash one value at a time and are the reference;
     `update_counts` feeds many (value, count) pairs with one batched kernel
     call per row and returns their estimates from the same cells.
+    Each row is an array('Q'). A row's cells sum to `processed`, so an update
+    that would take `processed` past 2**64 - 1 is refused before any cell
+    changes, and no cell can overflow.
     """
 
     __slots__ = ("width", "depth", "seed", "row_keys", "table", "processed")
@@ -279,13 +282,20 @@ class CountMin:
         self.depth = depth
         self.seed = seed
         self.row_keys = [splitmix64(hash_pair(r + 1, seed)) for r in range(depth)]
-        self.table = [[0] * width for _ in range(depth)]
+        self.table = [array("Q", bytes(8 * width)) for _ in range(depth)]
         self.processed = 0
+
+    def _add_processed(self, total: int) -> None:
+        """Count `total` more items, unless `processed`, which bounds every
+        cell, would pass 2**64 - 1."""
+        if self.processed + total > _MASK64:
+            raise ConfigError(f"{self.processed} + {total} items overflow 64-bit cells")
+        self.processed += total
 
     def update(self, x: int, count: int = 1) -> None:
         if count < 0:
             raise ConfigError(f"count must be >= 0, got {count}")
-        self.processed += count
+        self._add_processed(count)
         width = self.width
         for row, key in zip(self.table, self.row_keys):
             row[splitmix64(key ^ x) % width] += count
@@ -295,7 +305,7 @@ class CountMin:
         `point_query` of each x, with each x hashed once per row."""
         if any(map((0).__gt__, counts)):
             raise ConfigError(f"counts must be >= 0, got {min(counts)}")
-        self.processed += sum(counts)
+        self._add_processed(sum(counts))
         xs = array("Q", map(and_, values, repeat(_MASK64)))  # key ^ x mixes only its low 64 bits
         width, estimates = self.width, None
         for row, key in zip(self.table, self.row_keys):

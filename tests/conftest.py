@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,6 +17,11 @@ settings.load_profile("ci")
 def ulps(x, n):
     """x moved n ulps (n in -1, 0, 1)."""
     return x if n == 0 else math.nextafter(x, math.copysign(math.inf, n))
+
+
+def heuristic_table(entries):
+    """Ranked (x, f) entries as a HeuristicModel table: (codes, ratios)."""
+    return [x for x, _f in entries], array("d", [f for _x, f in entries])
 
 
 # Eight 2-dimensional items used across oracle and sampling tests.

@@ -1,6 +1,8 @@
 import collections
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from subcubehh.independence import indep_all_query, indep_pass1, indep_pass2
 from subcubehh.naivebayes import default_counter_budget
 from subcubehh.sketches import CountMin, MisraGries, hash_pair
 from subcubehh.stream_io import from_items
-from tests.conftest import ulps
+from tests.conftest import heuristic_table, ulps
 
 
 def random_rows(seed, m=400, d=2, n=5):
@@ -133,7 +135,7 @@ def tally_every_chunk_build(h, memory_slots, p, seed=0, depth=DEFAULT_DEPTH):
         values = tracked + [x for x in vc if x not in g.counters]
         estimates = sk.update_counts(values, [vc[x] for x in values])
         ranked = [(x, e / m) for x, e in zip(tracked, estimates)]
-        tables.append(sorted(ranked, key=lambda e: (-e[1], e[0])))
+        tables.append(heuristic_table(sorted(ranked, key=lambda e: (-e[1], e[0]))))
     return cms, mg, tables
 
 
@@ -267,7 +269,8 @@ class TestCandidateEntries:
 
     @staticmethod
     def check(mod):
-        for coord, table in enumerate(mod.tables):
+        for coord, (codes, ratios) in enumerate(mod.tables):
+            table = list(zip(codes, ratios))
             for _x, f in table:
                 for n in (-1, 0, 1):
                     th = ulps(f, n)
@@ -279,12 +282,87 @@ class TestCandidateEntries:
     def test_hand_tables(self, m, data):
         counts = data.draw(st.lists(st.integers(1, m), max_size=30))
         table = sorted(((x, c / m) for x, c in enumerate(counts)), key=lambda e: (-e[1], e[0]))
-        self.check(HeuristicModel(m=m, params=HHParams(0.5), cms=[], mg=[], tables=[table]))
+        tables = [heuristic_table(table)]
+        self.check(HeuristicModel(m=m, params=HHParams(0.5), cms=[], mg=[], tables=tables))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_built_tables(self, seed):
         h = from_items(random_rows(seed, m=400, d=3, n=9))
         self.check(heuristic_build(h, memory_slots=3 * 4 * 5, p=HHParams(0.2), seed=seed))
+
+
+class TestRankedTables:
+    """Each built table, its codes zipped with its ratios, is every tracked
+    value with its point-queried ratio, by estimate descending, ties by code."""
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 600),
+        st.integers(1, 12),
+        st.integers(1, 5),
+        st.integers(0, 3),
+    )
+    def test_zipped_table_is_ranked_point_queries(self, data_seed, m, width, depth, seed):
+        # 80 values per coordinate against 16 counters: some lists decrement.
+        h = from_items(random_rows(data_seed, m=m, d=3, n=80))
+        mod = heuristic_build(h, 3 * depth * width, HHParams(1.0), seed, depth)
+        for c, (codes, ratios) in enumerate(mod.tables):
+            want = [(x, mod.cms[c].point_query(x) / m) for x in mod.mg[c].tracked()]
+            assert list(zip(codes, ratios)) == sorted(want, key=lambda e: (-e[1], e[0]))
+
+
+class TestMemoryHeld:
+    """What the heuristic model keeps and what indep_pass1 peaks at, traced
+    on a fixed stream of 30,000 rows. Its coordinates have 40, 300, 2,970
+    and 2,000 values against 800 counters, so two lists fit and two
+    decrement. Cells average about 470, past the small-int cache. Measured on
+    CPython 3.10-3.13: the model keeps 75-90 kB (ranked codes and ratio
+    arrays, array('Q') Count-Min rows), 179-191 kB as ranked (x, f)
+    tuples and list rows; pass 1 peaks at 380-381 kB reading one
+    coordinate's exact counts at a time, 538-540 kB holding every
+    coordinate's at once. Each bound is the largest measurement plus about
+    a fifth (the model) or a sixth (the peak)."""
+
+    P = HHParams(0.02)  # lam 0.01: 800 counters per coordinate
+    SLOTS = 4 * DEFAULT_DEPTH * 64  # width 64
+
+    @pytest.fixture(scope="class")
+    def handle(self):
+        rng = random.Random(5)
+        rows = [
+            (rng.randrange(40), rng.randrange(300),
+             rng.randrange(5) if rng.random() < 0.5 else rng.randrange(3000),
+             rng.randrange(2000))
+            for _ in range(30_000)
+        ]
+        h = from_items(rows)
+        h.exact_counts(0)  # the handle's own store is counted before tracing
+        return h
+
+    @staticmethod
+    def traced(build):
+        """build()'s result, the bytes it still holds and its peak, traced."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = build()
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()  # empties the free lists, which keep freed tuples traced
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return built, kept - before, peak - before
+
+    def test_heuristic_model_keeps_compact_tables(self, handle):
+        mod, kept, _peak = self.traced(lambda: heuristic_build(handle, self.SLOTS, self.P))
+        assert [g.decrements > 0 for g in mod.mg] == [False, False, True, True]
+        assert kept < 110_000
+
+    def test_indep_pass1_peak_holds_one_coordinates_counts(self, handle):
+        _cands, _kept, peak = self.traced(lambda: indep_pass1(handle, self.P))
+        assert peak < 440_000
 
 
 class TestAllQueryEnumeration:
@@ -326,7 +404,7 @@ class TestAllQueryEnumeration:
         mod = heuristic_build(h, memory_slots=4 * 4 * 5, p=HHParams(0.2), seed=seed)
         assert mod.cms[0].width == 5  # fewer cells than values: estimates collide
         for c in range(4):
-            assert mod.tables[c] == self.reference_entries(mod, c, 0.0)
+            assert list(zip(*mod.tables[c])) == self.reference_entries(mod, c, 0.0)
         pruned = reported = 0
         for coords in ([0, 1, 2], [3, 1], [2, 0, 3, 1]):
             t = make_subcube(coords, 4)
@@ -391,7 +469,7 @@ class TestAllQueryEnumeration:
         )  # untracked values are fed too
         assert point_queries == []
         for c in range(3):
-            assert {x for x, _f in mod.tables[c]} == set(mod.mg[c].tracked())
+            assert set(mod.tables[c][0]) == set(mod.mg[c].tracked())
         built = lanes.copy()
         for _ in range(3):
             for coords in ([0, 1, 2], [2, 1], [1, 0]):

@@ -43,7 +43,7 @@ from subcubehh.naivebayes import (
 from subcubehh.heuristic import DEFAULT_DEPTH, HeuristicModel, heuristic_build
 from subcubehh.sketches import MisraGries
 from subcubehh.stream_io import CHUNK_ROWS, DatasetHandle, from_items, open_dataset
-from tests.conftest import ulps
+from tests.conftest import heuristic_table, ulps
 
 # D0's coordinate-0 column, paired with a second coordinate and a class
 # column split half and half.
@@ -788,7 +788,7 @@ def one_class_tables(draw):
     for _ in range(draw(st.integers(1, 3))):
         counts = draw(st.lists(st.integers(1, m), max_size=8))
         table = [(x, c / m) for x, c in enumerate(counts)]
-        tables.append(sorted(table, key=lambda e: (-e[1], e[0])))
+        tables.append(heuristic_table(sorted(table, key=lambda e: (-e[1], e[0]))))
     return HeuristicModel(m=m, params=HHParams(0.5), cms=[], mg=[], tables=tables)
 
 

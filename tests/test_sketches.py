@@ -257,7 +257,24 @@ class TestCountMin:
         sk = CountMin(width=4, depth=2, seed=0)
         with pytest.raises(ConfigError):
             sk.update_counts([1, 2], [3, -1])
-        assert sk.table == [[0] * 4, [0] * 4] and sk.processed == 0
+        assert sk.table == [array("Q", [0] * 4)] * 2 and sk.processed == 0
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_refuses_64_bit_overflow_before_any_cell_changes(self, width):
+        # Every row's cells sum to processed, so a count that would take it
+        # past 2**64 - 1 is refused whole, through either entry point.
+        sk = CountMin(width=width, depth=3, seed=2)
+        sk.update(5, MASK64 - 1)
+        sk.update_counts([6], [1])
+        full = [row[:] for row in sk.table]
+        assert [sum(row) for row in full] == [MASK64] * 3
+        for feed in (lambda: sk.update(7), lambda: sk.update_counts([8, 9], [0, 1])):
+            with pytest.raises(ConfigError, match="overflow 64-bit cells"):
+                feed()
+            assert sk.table == full and sk.processed == MASK64
+        sk.update(7, 0)
+        sk.update_counts([8], [0])
+        assert sk.table == full and sk.processed == MASK64
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigError):

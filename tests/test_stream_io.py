@@ -664,7 +664,7 @@ class TestDecodeOnRead:
         assert second.tables == first.tables
         for mod in (first, second):
             for j, (sk, table) in enumerate(zip(mod.mg, mod.tables)):
-                assert all(is_dictionary_int(h, j, x) for x in [*sk.counters, *dict(table)])
+                assert all(is_dictionary_int(h, j, x) for x in [*sk.counters, *table[0]])
 
     @pytest.mark.parametrize("capacity", [300, CHUNK_ROWS + 5])
     def test_sample_maps_each_coordinate_once(self, tmp_path, capacity):
@@ -701,7 +701,7 @@ def kept_codes(built):
     heur = built["heuristic"]
     yield from ((j, x) for j, col in enumerate(built["sample"].columns) for x in col)
     for j, (sk, table) in enumerate(zip(heur.mg, heur.tables)):
-        yield from ((j, x) for x in [*sk.counters, *dict(table)])
+        yield from ((j, x) for x in [*sk.counters, *table[0]])
     for cands in (built["nb_pass1"][1], built["indep_pass1"]):
         yield from ((j, x) for j, s in enumerate(cands.sets) for x in s)
     yield from ((j, x) for j, counts in enumerate(built["marginals"][:-1]) for x in counts)
