@@ -81,7 +81,7 @@ def _layout(args) -> dict:
 
 
 def _add_dataset_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--data", required=True, help="input CSV/TSV path")
+    sp.add_argument("--data", required=True, help="CSV/TSV path; - reads stdin, ./- a file named -")
     sp.add_argument("--delimiter", default=",", help="field delimiter (default ',')")
     sp.add_argument("--header", action="store_true", help="skip a header row")
     sp.add_argument(

@@ -90,10 +90,11 @@ def exact_table(h: DatasetHandle, t: Subcube, heavy_at: float | None = None) -> 
             counts.update(zip(*(columns[c] for c in t.coords)))
 
         return GroundTruth(t, h.replay(visit), counts)
-    marginals = [h.exact_counts(c) for c in t.coords]  # before h.m: it may freeze the handle
+    h.exact_counts(t.coords[0])  # before h.m: the first call may freeze the handle
     threshold = heavy_at * h.m
-    # One byte per code (the marginals are in code order): 1 iff heavy.
-    tables = [bytes(map(threshold.__le__, marginal.values())) for marginal in marginals]
+    # One byte per code (each marginal is in code order): 1 iff heavy. Only
+    # one marginal dict is alive at a time, and none during the replay.
+    tables = [bytes(map(threshold.__le__, h.exact_counts(c).values())) for c in t.coords]
 
     def visit_heavy(columns: Columns, _classes: Sequence[int] | None) -> None:
         cols = [columns[c] for c in t.coords]

@@ -5,9 +5,9 @@ the sample frequency of v on T reaches the decision threshold (default
 gamma/2), and AllQuery(T) by grouping the sampled projections. A joint value
 is sampled no more often than any one of its coordinate values, so AllQuery
 groups only the sampled items whose every value on T is sampled often
-enough to reach the threshold (the Apriori bound); each model ranks its
-values by sample count once, at construction, and a query picks those items
-with byte masks. With m' from
+enough to reach the threshold (the Apriori bound); each model keeps every
+sampled item's value count, capped at 255, as a byte, and a query picks
+those items with byte masks. With m' from
 required_sample_size, the sample frequency of every joint value of every
 k-subcube lands within max(gamma, f)/4 of its true ratio with probability at
 least 0.9, which makes all mandatory verdicts correct at once.
@@ -16,12 +16,11 @@ least 0.9, which makes all mandatory verdicts correct at once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import and_, countOf, neg
+from operator import and_, countOf
 
 from .core import HHParams, Item, JointValue, Subcube, Verdict
 from .errors import BudgetTooSmallError, ConfigError
@@ -34,29 +33,22 @@ class SampleModel:
     """Frozen reservoir contents plus query parameters. The sample is held
     column by column: sampled item r is `tuple(col[r] for col in columns)`.
 
-    Construction also ranks each coordinate's values by sample count,
-    descending, ties by code: `ranks[j][r]` is min(rank of `columns[j][r]`,
-    255), and `top_counts[j]` holds the counts of ranks 0-255. These are
-    derived from the columns, so they take no part in `==`."""
+    Construction also counts each coordinate's values: `capped_counts[j][r]`
+    is min(sample count of `columns[j][r]`, 255). These are derived from
+    the columns, so they take no part in `==`."""
 
     columns: list[list[int]]  # one per coordinate, each of length m_prime
     m_prime: int  # effective sample size
     capacity: int
     params: HHParams
-    ranks: list[bytes] = field(init=False, repr=False, compare=False)
-    top_counts: list[list[int]] = field(init=False, repr=False, compare=False)
+    capped_counts: list[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ranks, top_counts = [], []
+        capped = []
         for col in self.columns:
-            counts = Counter(col)
-            order = sorted(counts)
-            order.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay by code
-            rank = dict(zip(order, range(255)))
-            ranks.append(bytes([rank.get(x, 255) for x in col]))
-            top_counts.append(list(map(counts.__getitem__, order[:256])))
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "top_counts", top_counts)
+            count = {x: min(c, 255) for x, c in Counter(col).items()}
+            capped.append(bytes(map(count.__getitem__, col)))
+        object.__setattr__(self, "capped_counts", capped)
 
     @property
     def samples(self) -> list[Item]:
@@ -96,19 +88,16 @@ def build_sample(h: DatasetHandle, capacity: int, seed: int, p: HHParams) -> Sam
 
 def _joint_counts(mod: SampleModel, t: Subcube, lo: float) -> Counter[JointValue]:
     """Sample counts of the joint values on t, exact for every count >= lo;
-    other values may be missing. A coordinate whose values reaching lo are
-    its R < 256 top-ranked ones, not all of them, masks the items whose
-    rank byte is below R; the items every mask keeps are counted in their
-    order, so each kept value keeps its count and first-seen place."""
+    other values may be missing. With lo above 1, each coordinate masks the
+    items whose capped count is below min(ceil(lo), 255): that keeps every
+    value counted lo times or more, and from 255 on some others. The items
+    every mask keeps are counted in their order, so each kept value keeps
+    its count and first-seen place."""
     cols = [mod.columns[c] for c in t.coords]
-    masks = []
-    for c in t.coords:
-        tops = mod.top_counts[c]
-        heavy = bisect_right(tops, -lo, key=neg)  # tops descend: how many reach lo
-        if heavy < len(tops):
-            table = b"\x01" * heavy + bytes(256 - heavy)
-            masks.append(int.from_bytes(mod.ranks[c].translate(table), "little"))
-    if masks:
+    cut = math.ceil(min(255.0, lo))  # 255.0 first: an inf or nan lo (th inf) cuts at 255
+    if cut > 1:
+        table = bytes(cut) + b"\x01" * (256 - cut)
+        masks = [int.from_bytes(mod.capped_counts[c].translate(table), "little") for c in t.coords]
         keep = reduce(and_, masks).to_bytes(mod.m_prime, "little")
         cols = [compress(col, keep) for col in cols]
     return Counter(zip(*cols))

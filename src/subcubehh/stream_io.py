@@ -15,20 +15,24 @@ replay and an array('I') in every later one; either way it holds ints
 equal to the codes, and visitors use only len, iteration, index and
 slice. Only a list holds the dictionary's own int objects, so a build
 that keeps codes maps them once, at the end, through `code_table`.
-A file with no '"' and no NUL byte is read in text blocks and cut
-into lines at every \\r and \\n; each chunk of lines is split into fields
-by one join and one split, and column j is every n-th field from j. Any
-other file (quoted fields, embedded line ends) goes through csv.reader and
-a zip transpose, as does an in-memory source. Both read exactly what
-csv.reader reads. Each chunk column is then encoded by one itemgetter call
-on its dictionary, so reading a chunk costs no Python call per item or
-cell.
+A file, or standard input named "-", is opened once and read once, as a
+stream, so a pipe or a FIFO reads like a regular file. The freeze cuts
+its text, from the first row on, block by block into lines at every \\r
+and \\n, and each chunk of lines into fields by one join and one split;
+column j is every n-th field from j. From the first block holding a '"'
+or a NUL, csv.reader reads the rest, as it reads an in-memory source, and
+a zip transposes its rows. Both read exactly what csv.reader reads. Each
+chunk column is then encoded by one itemgetter call on its dictionary,
+so reading a chunk costs no Python call per item or cell.
 
 The freezing replay is the only one that reads the source, so every pass
-sees the stream it read, whatever later happens to the file; an in-memory
-source is let go once that replay succeeds. It also writes each chunk's
-codes, class codes included, as 32-bit unsigned ints to the spill: 4*d*m
-bytes, 4*(d+1)*m with a class column, so every code must fit in 32 bits.
+sees the stream it read, whatever later happens to the file. It closes
+the file, and an in-memory source is let go once it succeeds; after one
+that fails, the next reopens a regular file, and standard input or a FIFO
+cannot be read again (ConfigError).
+The freezing replay also writes each chunk's codes, class codes included,
+as 32-bit unsigned ints to the spill: 4*d*m bytes, 4*(d+1)*m with a class
+column, so every code must fit in 32 bits.
 The spill is an anonymous temporary file for every handle, an in-memory
 source's too, closed with the handle. A spill that cannot be opened,
 written or flushed fails that replay with its OSError, and the handle
@@ -49,12 +53,14 @@ marginals reads them there.
 from __future__ import annotations
 
 import csv
+import io
+import sys
 import tempfile
 import weakref
 from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager, suppress
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
@@ -62,12 +68,12 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 from .errors import ConfigError, EmptyFileError, RaggedRowError
 
 CHUNK_ROWS = 1024
-_SCAN_BLOCK = 1 << 16
-# Characters per read of a plain file. Larger blocks raised the freezing
+# Characters per read of a file. Larger blocks raised the freezing
 # replay's peak RSS and measured no faster.
 _TEXT_BLOCK = 1 << 14
 
 Columns = tuple[Sequence[int], ...]
+Tokens = list[Sequence[str]]  # a chunk's token columns, one per file column
 Visitor = Callable[[Columns, "Sequence[int] | None"], None]
 
 
@@ -85,12 +91,9 @@ class DatasetHandle:
                 f"delimiter must be one character other than \\r, \\n and '\"', got {delimiter!r}"
             )
         is_path = isinstance(source, (str, Path))
-        self._path: Path | None = Path(source) if is_path else None
         self._rows: Sequence[Sequence[str]] | None = None if is_path else source
-        # Every pass reads from the start, which a pipe cannot; a stat tells,
-        # and never opens (or blocks on) a FIFO.
-        if is_path and not self._path.is_file():
-            raise ConfigError(f"no such regular file: {self._path}")
+        # "-" is standard input; Path("./-") names a file called "-".
+        self._path: Path | None = Path(source) if is_path and source != "-" else None
         self.delimiter = delimiter
         self.has_header = has_header
         self.class_col = class_col
@@ -102,56 +105,74 @@ class DatasetHandle:
         self.m: int | None = None  # set, and the dictionaries frozen, by the first replay
         self._replaying = False
 
-        first = self._peek_first_row()
-        n_cols = len(first)
-        if class_col is not None and not 0 <= class_col < n_cols:
-            raise ConfigError(f"class column {class_col} outside [0, {n_cols})")
-        self._n_cols = n_cols
-        self._feature_cols = [j for j in range(n_cols) if j != class_col]
-        self.d = len(self._feature_cols)
+        first = self._open() if self._rows is None else next(iter(self._rows), None)
+        try:
+            if first is None:
+                raise EmptyFileError("no data rows in source")
+            self._n_cols = n_cols = len(first)
+            if class_col is not None and not 0 <= class_col < n_cols:
+                raise ConfigError(f"class column {class_col} outside [0, {n_cols})")
+            self._feature_cols = [j for j in range(n_cols) if j != class_col]
+            self.d = len(self._feature_cols)
+            if self.d == 0:
+                raise ConfigError("dataset has no feature columns")
+        except BaseException:
+            if self._rows is None:
+                self._close_source()
+            raise
         # File columns in the spill's order: the features, then the class.
         self._spilled_cols = [*self._feature_cols, *([] if class_col is None else [class_col])]
-        if self.d == 0:
-            raise ConfigError("dataset has no feature columns")
         # Token -> code per file column. Only the freezing replay gives them
         # a default factory, which codes a new token next in its column.
         self._dicts: list[defaultdict[str, int]] = [defaultdict(None) for _ in range(n_cols)]
         self._rev: list[list[str]] = [[] for _ in range(n_cols)]
 
-    # -- raw row access -----------------------------------------------------
+    # -- the source ---------------------------------------------------------
 
-    def _peek_first_row(self) -> Sequence[str]:
-        with self._raw_rows() as rows:
-            first = next(rows, None)
-        if first is None:
-            raise EmptyFileError("no data rows in source")
+    def _open(self) -> Sequence[str] | None:
+        """Open the file source and read its first row (None: it has none),
+        past the header with has_header; the text after the header is the
+        freeze's first block. `_close_source`, or dropping the handle, closes it."""
+        try:
+            fh = open(self._path or sys.stdin.fileno(), newline="", closefd=self._path is not None)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            raise ConfigError(f"cannot open {self._path}: {exc.strerror}") from None
+        self._close_source = weakref.finalize(self, fh.close)
+        read: list[str] = []
+
+        def lines() -> Iterator[str]:
+            for line in iter(fh.readline, ""):
+                read.append(line)
+                yield line
+
+        rows = csv.reader(lines(), delimiter=self.delimiter)
+        try:
+            if self.has_header:
+                next(rows, None)  # the first line, even a blank one
+                read.clear()
+            first = next(filter(None, rows), None)
+        except BaseException:
+            self._close_source()
+            raise
+        self._source, self._head = fh, "".join(read)
         return first
 
     @contextmanager
-    def _raw_rows(self) -> Iterator[Iterator[Sequence[str]]]:
-        """An iterator over the source rows, read by csv.reader from a file.
-        A file skips its blank lines and, with has_header, its first line."""
+    def _token_chunks(self) -> Iterator[Iterator[Tokens]]:
+        """The one parse of the source: the token columns of each chunk of up
+        to CHUNK_ROWS rows, `tokens[j]` for file column j, by _split_chunks
+        from a file, closed when the parse ends, or from in-memory rows."""
         if self._rows is not None:
-            yield iter(self._rows)
+            yield _row_chunks(iter(self._rows), self._n_cols)
             return
-        with open(self._path, "r", newline="") as fh:
-            reader = csv.reader(fh, delimiter=self.delimiter)
-            if self.has_header:
-                next(reader, None)
-            yield filter(None, reader)
-
-    @contextmanager
-    def _token_chunks(self) -> Iterator[Iterator[list[Sequence[str]]]]:
-        """The one parse of the source: the token columns of each chunk of
-        up to CHUNK_ROWS rows, `tokens[j]` for file column j. A plain file
-        (see _is_plain) is split by text blocks; any other file, and an
-        in-memory source, goes through its rows."""
-        if self._path is not None and _is_plain(self._path):
-            with open(self._path, "r", newline="") as fh:
-                yield _split_chunks(fh, self.delimiter, self.has_header, self._n_cols)
-        else:
-            with self._raw_rows() as rows:
-                yield _row_chunks(rows, self._n_cols)
+        if not self._close_source.alive:  # a failed freeze read and closed it
+            if self._path is None or not self._path.is_file():
+                raise ConfigError(f"{self._path or 'standard input'} cannot be read again")
+            self._open()
+        try:
+            yield _split_chunks(self._head, self._source, self.delimiter, self._n_cols)
+        finally:
+            self._close_source()
 
     # -- encoding -----------------------------------------------------------
 
@@ -310,9 +331,8 @@ def _known_code(codes: dict[str, int], token: str) -> int:
     return code
 
 
-def _row_chunks(rows: Iterator[Sequence[str]], n_cols: int) -> Iterator[list[Sequence[str]]]:
-    """Token columns of each chunk of rows, transposed by zip."""
-    m = 0
+def _row_chunks(rows: Iterator[Sequence[str]], n_cols: int, m: int = 0) -> Iterator[Tokens]:
+    """Token columns of each chunk of rows, transposed by zip; m rows came before."""
     while chunk := list(islice(rows, CHUNK_ROWS)):
         if set(map(len, chunk)) != {n_cols}:
             raise _ragged_row(m, list(map(len, chunk)), n_cols)
@@ -320,27 +340,23 @@ def _row_chunks(rows: Iterator[Sequence[str]], n_cols: int) -> Iterator[list[Seq
         yield list(zip(*chunk))
 
 
-def _split_chunks(
-    fh: TextIO, delimiter: str, has_header: bool, n_cols: int
-) -> Iterator[list[list[str]]]:
-    """Token columns of each chunk of a plain file's rows, as csv.reader
-    would read them. The text is read in blocks of _TEXT_BLOCK characters
-    and a line ends at every \\r and \\n: a \\r\\n leaves a blank line
-    between, and blank lines are dropped as csv drops them. A partial last
-    line waits for the next block. Each chunk is cut into fields by one
-    join and one split, and column j is every n_cols-th field from j."""
+def _split_chunks(head: str, fh: TextIO, delimiter: str, n_cols: int) -> Iterator[Tokens]:
+    """Token columns of each chunk of the rows of `head` and then `fh`, read
+    in blocks of _TEXT_BLOCK characters, as csv.reader would read them. A
+    line ends at every \\r and \\n (a \\r\\n leaves a blank line between),
+    blank lines are dropped as csv drops them, and a partial last line waits
+    for the next block. Each chunk is cut into fields by one join and one
+    split, and column j is every n_cols-th field from j. From the first
+    block holding a '"' or a NUL, csv.reader reads the lines not yet
+    chunked, that block to its line end, and the rest of the file."""
     limit = csv.field_size_limit()
-    skip_header = has_header
-    lines: list[str] = []  # whole non-blank lines not yet chunked
+    lines: list[str] = []  # whole non-blank lines not yet chunked, none with '"' or NUL
     tail = ""
     m = 0
-    while True:
-        block = fh.read(_TEXT_BLOCK)
+    block = head
+    while '"' not in block and "\0" not in block:
         split = (tail + block).replace("\r", "\n").split("\n")
         tail = split.pop() if block else ""
-        if skip_header and split:
-            del split[0]  # the first line, even a blank one, as next(csv.reader) skips it
-            skip_header = False
         lines += filter(None, split)
         while len(lines) >= CHUNK_ROWS or not block and lines:
             chunk = lines[:CHUNK_ROWS]
@@ -355,6 +371,10 @@ def _split_chunks(
             yield [fields[j::n_cols] for j in range(n_cols)]
         if not block:
             return
+        block = fh.read(_TEXT_BLOCK)
+    rest = io.StringIO(tail + block + fh.readline(), newline="")  # cut into lines as fh is
+    rows = csv.reader(chain(lines, rest, iter(fh.readline, "")), delimiter=delimiter)
+    yield from _row_chunks(filter(None, rows), n_cols, m)
 
 
 def _ragged_row(m: int, widths: list[int], n_cols: int) -> RaggedRowError:
@@ -362,18 +382,6 @@ def _ragged_row(m: int, widths: list[int], n_cols: int) -> RaggedRowError:
     count is not n_cols."""
     r = next(r for r, width in enumerate(widths) if width != n_cols)
     return RaggedRowError(f"row {m + r + 1} has {widths[r]} fields, expected {n_cols}")
-
-
-def _is_plain(path: Path) -> bool:
-    """Whether a file holds no '"' and no NUL byte, so each line is a row of
-    fields split at the delimiter. In UTF-8 neither occurs inside a
-    multi-byte sequence, so the bytes tell; the scan stops at the first."""
-    buf = bytearray(_SCAN_BLOCK)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            if buf.find(b'"', 0, n) >= 0 or buf.find(b"\0", 0, n) >= 0:
-                return False
-    return True
 
 
 def open_dataset(
@@ -384,7 +392,7 @@ def open_dataset(
     class_col: int | None = None,
     cache_items: bool = False,
 ) -> DatasetHandle:
-    """Open a delimited regular file for replay; class_col is a 0-based column index.
+    """Open a delimited file ("-": standard input) for replay; class_col is a 0-based column index.
     cache_items stays until no caller passes False; True, an in-memory spill, raises."""
     if cache_items:
         raise ConfigError("cache_items=True is gone: every handle spills to a temporary file")

@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 from array import array
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -59,3 +62,26 @@ def is_dictionary_int(h, coord, x):
     """True when code x of feature coordinate `coord` is the handle's
     dictionary's own int object, not an equal copy."""
     return x is h.code(coord, h.decode(coord, x))
+
+
+@contextmanager
+def fifo_fed(path, data):
+    """A FIFO made at `path` that a daemon thread fills with the bytes
+    `data` once a reader opens it. On exit a writer still blocked in its
+    open is let go by a reader that opens and closes at once, and the
+    thread is joined with a timeout, so no test can hang on the FIFO."""
+    os.mkfifo(path)
+
+    def write():
+        with suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        if writer.is_alive():
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()

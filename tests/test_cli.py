@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from subcubehh.cli import main
 from subcubehh.core import make_subcube
 from subcubehh.oracle import exact_table
 from subcubehh.stream_io import DatasetHandle, from_items
+from tests.conftest import fifo_fed
 
 
 def run_cli(*args):
@@ -665,9 +667,10 @@ class TestConfigBeforeData:
 
 
 class TestNotARegularFile:
-    """`--data` must name a regular file, which every pass can read from its
-    start: a directory or a pipe exits 2 and writes nothing. The check stats
-    the path, so it never opens the FIFO and cannot block."""
+    """`--data` naming no regular file. A directory exits 2 and writes
+    nothing. A FIFO is read as a stream, like a file: one whose first row
+    leaves no feature column exits 2 once that row is read, and writes
+    nothing."""
 
     @pytest.mark.parametrize("kind", ["directory", "fifo"])
     @pytest.mark.parametrize(
@@ -681,16 +684,66 @@ class TestNotARegularFile:
     )
     def test_exits_2(self, tmp_path, capsys, argv, kind):
         data = tmp_path / "data"
+        argv = [*argv, "--data", str(data), "--class-col", "1", "--out", str(tmp_path / "out")]
         if kind == "directory":
             data.mkdir()
+            assert main(argv) == 2
+            error = f"cannot open {data}: Is a directory"
         else:
-            os.mkfifo(data)
-        code = main([*argv, "--data", str(data), "--out", str(tmp_path / "out")])
-        assert code == 2
+            with fifo_fed(data, b"a\nb\n"):
+                assert main(argv) == 2
+            error = "dataset has no feature columns"
         captured = capsys.readouterr()
-        assert captured.err == f"config error: no such regular file: {data}\n"
+        assert captured.err == f"config error: {error}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [data]
+
+
+STREAM_ARGV = {
+    "oracle": ["oracle", "--subcube", "1,2", "--subcube", "3"],
+    "run": ["run", "--algo", "cms-heuristic", "--gamma", "0.05", "--subcube", "1,2"],
+    "eval": [
+        "eval", "--algo", "sampling", "--algo", "indep2p", "--gamma", "0.05",
+        "--memory-frac", "0.05", "--seeds", "0,1", "--subcube", "1,2", "--subcube", "2,3",
+    ],
+}
+
+
+def check_same_outputs(command, ref, got, dataset):
+    """`got` holds what `ref` holds: the JSON of oracle and run, and eval's
+    CSV, byte for byte; eval's JSON is equal but for the dataset it names."""
+    if command != "eval":
+        assert got.read_bytes() == ref.read_bytes()
+        return
+    assert Path(f"{got}.csv").read_bytes() == Path(f"{ref}.csv").read_bytes()
+    reports = [json.loads(Path(f"{out}.json").read_text()) for out in (ref, got)]
+    assert reports[1]["config"].pop("dataset") == dataset
+    reports[0]["config"].pop("dataset")
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("command", ["oracle", "run", "eval"])
+class TestStream:
+    """`--data -` reads standard input, and a FIFO reads as a stream; either
+    writes what `--data FILE` writes."""
+
+    def test_standard_input_equals_the_file(self, tiny_csv, tmp_path, command):
+        argv = STREAM_ARGV[command]
+        assert main([*argv, "--data", str(tiny_csv), "--out", str(tmp_path / "file")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "subcubehh.cli", *argv, "--data", "-",
+             "--out", str(tmp_path / "stdin")],
+            input=tiny_csv.read_bytes(), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        check_same_outputs(command, tmp_path / "file", tmp_path / "stdin", "-")
+
+    def test_fifo_equals_the_file(self, tiny_csv, tmp_path, command):
+        argv = STREAM_ARGV[command]
+        assert main([*argv, "--data", str(tiny_csv), "--out", str(tmp_path / "file")]) == 0
+        with fifo_fed(tmp_path / "fifo", tiny_csv.read_bytes()) as fifo:
+            assert main([*argv, "--data", str(fifo), "--out", str(tmp_path / "fed")]) == 0
+        check_same_outputs(command, tmp_path / "file", tmp_path / "fed", str(fifo))
 
 
 class TestBadValues:

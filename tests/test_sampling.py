@@ -90,8 +90,8 @@ class TestBuildSample:
         t = make_subcube([0, 1], 2)
         assert sample_query(mod, t, (0, 0)) is Verdict.NO
         assert sample_all_query(mod, t) == set()
-        assert mod.ranks == [b"", b""] and mod.top_counts == [[], []]
-        for th in (1e-9, 0.25, 2.0):
+        assert mod.capped_counts == [b"", b""]
+        for th in (1e-9, 0.25, 2.0, math.inf):
             assert sample_all_query_scored(mod, t, th) == {}
         assert sample_frequencies(mod, t) == {}
 
@@ -295,18 +295,15 @@ def wide_models(draw):
 
 
 class TestRankMasks:
-    """AllQuery counts only the items whose every value on t ranks among
-    its coordinate's values sampled at least lo times; byte 255 stands for
-    every rank from 255 on, so a coordinate with 256 such values masks
-    nothing. The answers stay those of the unmasked group-by."""
+    """AllQuery counts only the items whose every value on t is sampled at
+    least lo times, by their values' sample counts capped at 255; byte 255
+    stands for every count from 255 on, so from there a mask keeps a
+    superset. The answers stay those of the unmasked group-by."""
 
-    def test_ranks_by_count_then_code(self):
-        col = [9, 4, 4, 7, 9, 1] + list(range(100, 400))
+    def test_capped_counts(self):
+        col = [9, 4, 4, 7, 9, 1] + [3] * 300
         mod = SampleModel(columns=[col], m_prime=len(col), capacity=len(col), params=HHParams(0.5))
-        order = [4, 9, 1, 7, *range(100, 400)]  # count descending, ties by code
-        rank = {x: min(r, 255) for r, x in enumerate(order)}
-        assert mod.ranks == [bytes(rank[x] for x in col)]
-        assert mod.top_counts == [[2, 2, 1, 1, *[1] * 252]]
+        assert mod.capped_counts == [bytes([2, 2, 2, 1, 2, 1, *[255] * 300])]
 
     @settings(max_examples=150, deadline=None)
     @given(wide_models(), st.data())
@@ -329,7 +326,7 @@ class TestRankMasks:
 
     def test_a_mask_drops_light_items(self):
         # One value sampled 50 times and 300 once on each coordinate: at lo 2
-        # only rank 0 reaches lo, so every item of a count-1 value is dropped.
+        # only the first reaches lo, so every item of a count-1 value is dropped.
         col = [0] * 50 + list(range(1, 301))
         mod = SampleModel(columns=[col, col], m_prime=350, capacity=350, params=HHParams(0.5))
         t = make_subcube([0, 1], 2)
@@ -337,14 +334,25 @@ class TestRankMasks:
         assert len(_joint_counts(mod, t, 1.0)) == 301  # every value reaches lo 1
         assert sample_all_query_scored(mod, t, 3 / 350) == {(0, 0): 50 / 350}
 
-    def test_256_values_reaching_lo_mask_nothing(self):
-        # 256 values sampled twice and 100 once: ranks 0-255 all reach lo 2,
-        # and byte 255 also marks the count-1 values, so nothing is masked.
+    def test_256_values_reaching_lo_masked_exactly(self):
+        # 256 values sampled twice and 100 once: at lo 2 the mask keeps the
+        # 256, however many reach lo.
         col = [x for x in range(256) for _ in range(2)] + list(range(256, 356))
         mod = SampleModel(columns=[col], m_prime=len(col), capacity=len(col), params=HHParams(0.5))
         t = make_subcube([0], 1)
-        assert len(_joint_counts(mod, t, 2.0)) == 356
+        assert len(_joint_counts(mod, t, 2.0)) == 256
         assert len(_joint_counts(mod, t, math.nextafter(2.0, 3.0))) == 0
+
+    def test_counts_from_255_on_share_a_byte(self):
+        # Values sampled 300, 256 and 254 times: from lo 255 on every mask
+        # keeps the first two, and the count filter drops the second.
+        col = [0] * 300 + [1] * 256 + [2] * 254
+        mod = SampleModel(columns=[col], m_prime=len(col), capacity=len(col), params=HHParams(0.5))
+        t = make_subcube([0], 1)
+        for lo in (255.0, 280.0):
+            assert _joint_counts(mod, t, lo) == Counter({(0,): 300, (1,): 256})
+        assert sample_all_query_scored(mod, t, 280 / len(col)) == {(0,): 300 / len(col)}
+        assert sample_all_query_scored(mod, t, math.inf) == {}
 
 
 class TestUnbiasedness:

@@ -23,7 +23,7 @@ from subcubehh.naivebayes import indep_pass1, indep_pass2, nb_pass1, nb_pass2
 from subcubehh.oracle import exact_table
 from subcubehh.sampling import build_sample
 from subcubehh.stream_io import CHUNK_ROWS, from_items, from_rows, open_dataset
-from tests.conftest import file_and_rows, is_dictionary_int
+from tests.conftest import fifo_fed, file_and_rows, is_dictionary_int
 
 
 def write_csv(path, rows, delimiter=","):
@@ -110,15 +110,20 @@ class TestOpenDataset:
 
     @pytest.mark.parametrize("kind", ["directory", "fifo"])
     def test_not_a_regular_file(self, tmp_path, kind):
-        # A pipe would lose its first row to the peek; the check stats the
-        # FIFO and never opens it, so nothing here blocks.
+        # A directory cannot be opened. A FIFO is opened once and read once,
+        # as a stream, and hands over what the file it carries would.
         p = tmp_path / kind
         if kind == "directory":
             p.mkdir()
-        else:
-            os.mkfifo(p)
-        with pytest.raises(ConfigError, match=f"no such regular file: {p}"):
-            open_dataset(p)
+            with pytest.raises(ConfigError, match=f"cannot open {p}: Is a directory"):
+                open_dataset(p)
+            return
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        write_csv(tmp_path / "d.csv", rows)
+        with fifo_fed(p, (tmp_path / "d.csv").read_bytes()):
+            h = open_dataset(p, class_col=2)
+            frozen = record(h)
+        assert frozen == record(from_rows(rows, class_col=2)) == record(h)
 
     def test_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -589,6 +594,18 @@ def unopenable_spill(*_args, **_kwargs):
     raise OSError(errno.ENOENT, "No usable temporary directory")
 
 
+def fail_in_second_chunk():
+    """A visitor that raises RuntimeError at the second chunk it is handed."""
+    seen = []
+
+    def visit(columns, _classes):
+        seen.append(columns)
+        if len(seen) == 2:
+            raise RuntimeError("visitor failed")
+
+    return visit
+
+
 def file_handle(tmp_path, rows):
     """An unfrozen handle on `rows` written to a file, class column 2."""
     p = tmp_path / "d.csv"
@@ -793,15 +810,8 @@ class TestFreezeCoding:
     def test_failed_freezing_replay_then_retry(self, tmp_path, in_memory):
         rows = token_rows(2 * CHUNK_ROWS + 5)
         h = from_rows(rows, class_col=2) if in_memory else file_handle(tmp_path, rows)
-        seen = []
-
-        def fail_in_second_chunk(columns, _classes):
-            seen.append(columns)
-            if len(seen) == 2:
-                raise RuntimeError("visitor failed")
-
         with pytest.raises(RuntimeError):
-            h.replay(fail_in_second_chunk)
+            h.replay(fail_in_second_chunk())
         assert h.m is None
         with pytest.raises(KeyError):  # no longer coding: the last chunk's token is unknown
             h.code(0, rows[-1][0])
@@ -837,8 +847,11 @@ class TestEncodeOneCall:
     def test_cached_replays_hand_packed_codes(self, tmp_path, source, class_col, m):
         # Every handle, whatever parses its source, keeps the packed codes,
         # not the lists its freezing replay parsed, in one temporary file.
+        # A quoted file hands off to csv.reader at its first block.
         rows = token_rows(m)
-        with count_temporary_files() as opened:
+        with count_temporary_files() as opened, mock.patch.object(
+            stream_io, "_row_chunks", wraps=stream_io._row_chunks
+        ) as row_chunks:
             if source == "rows":
                 h = from_rows(rows, class_col=class_col)
             else:
@@ -846,10 +859,10 @@ class TestEncodeOneCall:
                 quoting = csv.QUOTE_ALL if source == "csv" else csv.QUOTE_MINIMAL
                 with open(p, "w", newline="") as fh:
                     csv.writer(fh, quoting=quoting).writerows(rows)
-                assert stream_io._is_plain(p) == (source == "split")
                 h = open_dataset(p, class_col=class_col)
             chunks = frozen_chunks(h)
         assert opened.call_count == 1
+        assert row_chunks.called == (source != "split")
         features = [j for j in range(3) if j != class_col]
         expect = first_seen_codes(rows)
         assert [row for columns, _z in chunks for row in zip(*columns)] == [
@@ -904,8 +917,9 @@ def outcome(parse):
 
 
 class TestSplitPath:
-    """A file with no '"' and no NUL byte is split by text blocks, and reads
-    exactly as csv.reader reads it: the same chunks, tokens and errors."""
+    """A file is split by text blocks until a block holds a '"' or a NUL,
+    when csv.reader reads the rest, and reads exactly as csv.reader reads
+    it: the same chunks, tokens and errors."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -956,7 +970,7 @@ class TestSplitPath:
         p = tmp_path_factory.mktemp("split") / "d.csv"
         p.write_text(text, newline="")
         plain = odd_row != "quote"
-        assert stream_io._is_plain(p) == plain
+        assert ('"' not in text) == plain
         limit = csv.field_size_limit()
         try:
             if field_limit is not None:
@@ -964,14 +978,16 @@ class TestSplitPath:
             expect = outcome(lambda: csv_reference(p, delimiter, has_header))
             with mock.patch.object(stream_io, "_TEXT_BLOCK", block), mock.patch.object(
                 stream_io, "_split_chunks", wraps=stream_io._split_chunks
-            ) as split:
+            ) as split, mock.patch.object(
+                stream_io, "_row_chunks", wraps=stream_io._row_chunks
+            ) as handoff:
                 got = outcome(lambda: handle_tokens(p, delimiter, has_header))
         finally:
             csv.field_size_limit(limit)
         assert got == expect
-        assert plain or not split.called
-        if isinstance(got, list):  # the file was read: a plain file by the split path
-            assert split.called == plain
+        assert not (plain and handoff.called)  # csv.reader reads no plain file
+        if isinstance(got, list):  # the file was read: split, and a quoted one handed off
+            assert split.called and handoff.called == (not plain)
 
     @pytest.mark.parametrize("long_field", [False, True])
     def test_line_over_field_size_limit(self, tmp_path, long_field):
@@ -999,20 +1015,23 @@ class TestSplitPath:
     @pytest.mark.parametrize("body", [b"a,b\nc,\x00d\ne,f\n", b'a,b\n"c\n,d",e\n'])
     def test_nul_or_quote_takes_the_csv_path(self, tmp_path, body):
         # csv before Python 3.11 rejects NUL ("line contains NUL"); later
-        # versions read it as a character. The handle does what csv does.
+        # versions read it as a character. The handle does what csv does:
+        # the first chunk is split, and csv.reader reads on, from the row
+        # after it, at the 64-character block holding the NUL or '"'.
         p = tmp_path / "d.csv"
-        p.write_bytes(body)
-        assert not stream_io._is_plain(p)
+        p.write_bytes(b"a,b\n" * CHUNK_ROWS + body)
         expect = outcome(lambda: csv_reference(p, ",", False))
-        with mock.patch.object(stream_io, "_split_chunks") as split:
+        with mock.patch.object(stream_io, "_TEXT_BLOCK", 64), mock.patch.object(
+            stream_io, "_row_chunks", wraps=stream_io._row_chunks
+        ) as handoff:
             assert outcome(lambda: handle_tokens(p, ",", False)) == expect
-        assert not split.called
+        assert handoff.call_count == 1 and handoff.call_args.args[2] == CHUNK_ROWS
 
     @pytest.mark.parametrize("in_memory", [False, True])
     def test_failing_visitor_closes_the_file(self, tmp_path, in_memory):
-        # Both the source file, when there is one, and the spill.
+        # Both the source file, when there is one, and the spill. The file
+        # is opened when the handle is made.
         rows = token_rows(3 * CHUNK_ROWS)
-        h = from_rows(rows, class_col=2) if in_memory else file_handle(tmp_path, rows)
         opened = []
 
         def tracking_open(*args, **kwargs):
@@ -1025,19 +1044,138 @@ class TestSplitPath:
             spills.append(spill_file())
             return spills[-1]
 
-        seen = []
-
-        def fail_in_second_chunk(columns, _classes):
-            seen.append(columns)
-            if len(seen) == 2:
-                raise RuntimeError("visitor failed")
-
         spill_file = tempfile.TemporaryFile
         with mock.patch.object(stream_io, "open", tracking_open, create=True), mock.patch.object(
             stream_io, "_split_chunks", wraps=stream_io._split_chunks
         ) as split, mock.patch.object(tempfile, "TemporaryFile", tracking_spill):
+            h = from_rows(rows, class_col=2) if in_memory else file_handle(tmp_path, rows)
             with pytest.raises(RuntimeError):
-                h.replay(fail_in_second_chunk)
+                h.replay(fail_in_second_chunk())
         assert split.call_count == (not in_memory)
         assert len(spills) == 1 and bool(opened) == (not in_memory)
         assert all(f.closed for f in [*opened, *spills])  # not left to the garbage collector
+
+
+class CountingFile:
+    """A text file that counts the characters its reads return."""
+
+    def __init__(self, fh):
+        self.fh, self.chars = fh, 0
+
+    def _counted(self, text):
+        self.chars += len(text)
+        return text
+
+    def read(self, n=-1):
+        return self._counted(self.fh.read(n))
+
+    def readline(self):
+        return self._counted(self.fh.readline())
+
+    def close(self):
+        self.fh.close()
+
+
+@contextmanager
+def counting_opens():
+    """Patch the module's open to wrap each file it opens in a CountingFile,
+    listed in the value yielded."""
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(CountingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    with mock.patch.object(stream_io, "open", counting_open, create=True):
+        yield opened
+
+
+class TestOneRead:
+    """A file is opened once, when the handle is made, and the freeze reads
+    on from the first row: every character is read once, whatever reads
+    it, and the file is closed when the freeze, or the handle's making,
+    ends. Standard input reads the same way."""
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("quote_at", [None, 5 * CHUNK_ROWS // 2], ids=["plain", "late-quote"])
+    def test_one_open_reads_every_character_once(self, tmp_path, quote_at, has_header):
+        # The quoted field falls in the second 16k-character block, so the
+        # rows before it are split and csv.reader reads those after it.
+        rows = token_rows(3 * CHUNK_ROWS)
+        if quote_at is not None:
+            rows[quote_at][1] = 'q"\n"q'
+        p = tmp_path / "d.csv"
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh).writerows([["h1", "h2", "h3"]] * has_header + rows)
+        with open(p, newline="") as fh:
+            n_chars = len(fh.read())
+        with counting_opens() as opened, mock.patch.object(
+            stream_io, "_row_chunks", wraps=stream_io._row_chunks
+        ) as handoff:
+            h = open_dataset(p, has_header=has_header, class_col=2)
+            frozen = record(h)
+        assert len(opened) == 1 and opened[0].fh.closed
+        assert opened[0].chars == n_chars
+        assert handoff.called == (quote_at is not None)
+        assert frozen == record(from_rows(rows, class_col=2)) == record(h)
+
+    @pytest.mark.parametrize(
+        "text, class_col, error",
+        [
+            ("a,bbbbbbbbbbbb\nc,d\n", None, csv.Error),  # a field over the limit in row 1
+            ("\n\r\n", None, EmptyFileError),
+            ("a,b\nc,d\n", 2, ConfigError),
+            ("a\nb\n", 0, ConfigError),  # no feature column
+        ],
+        ids=["csv-error", "empty", "bad-class-col", "class-only"],
+    )
+    def test_failed_open_leaves_no_file_open(self, tmp_path, text, class_col, error):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        limit = csv.field_size_limit(8)
+        try:
+            with counting_opens() as opened, pytest.raises(error):
+                open_dataset(p, class_col=class_col)
+        finally:
+            csv.field_size_limit(limit)
+        assert len(opened) == 1 and opened[0].fh.closed
+
+    def test_dropped_unfrozen_handle_closes_the_file(self, tmp_path):
+        with counting_opens() as opened:
+            h = file_handle(tmp_path, token_rows(5))
+        assert not opened[0].fh.closed
+        del h
+        gc.collect()
+        assert opened[0].fh.closed
+
+    def test_failed_freeze_reopens_a_regular_file(self, tmp_path):
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        with counting_opens() as opened:
+            h = file_handle(tmp_path, rows)
+            with pytest.raises(RuntimeError):
+                h.replay(fail_in_second_chunk())
+            assert len(opened) == 1 and opened[0].fh.closed
+            assert record(h) == record(from_rows(rows, class_col=2))
+        assert len(opened) == 2 and opened[1].fh.closed
+
+    def test_standard_input(self, tmp_path):
+        # "-" reads the file descriptor of sys.stdin, which the handle
+        # never closes; after a failed freeze it cannot be read again.
+        rows = token_rows(2 * CHUNK_ROWS + 5)
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        with open(p, "rb") as stdin, mock.patch("sys.stdin", stdin):
+            assert record(open_dataset("-", class_col=2)) == record(from_rows(rows, class_col=2))
+        with open(p, "rb") as stdin, mock.patch("sys.stdin", stdin):
+            h = open_dataset("-", class_col=2)
+            with pytest.raises(RuntimeError):
+                h.replay(fail_in_second_chunk())
+            with pytest.raises(ConfigError, match="standard input cannot be read again"):
+                h.replay(lambda _c, _z: None)
+            assert h.m is None and not stdin.closed
+
+    def test_dot_slash_dash_names_a_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "-", [["a", "b"]] * 3)
+        with mock.patch("sys.stdin", None):  # standard input is never touched
+            assert open_dataset("./-").replay(lambda _c, _z: None) == 3
